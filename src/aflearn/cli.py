@@ -399,19 +399,16 @@ def _session_config_for(target, dft_size, sample_rate):
 
 def _eval_scene_task(task):
     """Evaluate one scene; module-level so --jobs workers can pickle it."""
-    (directory, stem, seed, split, target, hyper, dft_size, sample_rate) = task
-    cfg, params = _session_config_for(target, dft_size, sample_rate)
+    (directory, stem, seed, split, label, cfg, params, hyper) = task
     scene = load_scene(directory, stem)
     if scene.spec.sample_rate != cfg.sample_rate:
         raise ConfigError("sample_rate",
                           f"{stem}: scene is {scene.spec.sample_rate} Hz, "
                           f"session expects {cfg.sample_rate} Hz")
     if params is None:
-        result = run_classic_session(target, scene.far_end, scene.mic, cfg, hyper=hyper)
-        label = target
+        result = run_classic_session(label, scene.far_end, scene.mic, cfg, hyper=hyper)
     else:
         result = run_learned_session(params, scene.far_end, scene.mic, cfg)
-        label = Path(target).stem
     n = result.output.size
     echo = scene.echo[:n]
     try:
@@ -449,9 +446,11 @@ def _manifest_entries(manifest_arg, split):
 
 
 def _run_eval(directory, entries, target, hyper, args):
+    """Per-scene rows of one target and its (cfg, params); loads a checkpoint once."""
+    cfg, params = _session_config_for(target, args.dft_size, args.sample_rate)
+    label = target if params is None else Path(target).stem
     tasks = [
-        (str(directory), e["stem"], e["seed"], e["split"], target, hyper,
-         args.dft_size, args.sample_rate)
+        (str(directory), e["stem"], e["seed"], e["split"], label, cfg, params, hyper)
         for e in entries
     ]
     if args.jobs > 1:
@@ -459,7 +458,7 @@ def _run_eval(directory, entries, target, hyper, args):
             rows = list(pool.map(_eval_scene_task, tasks))
     else:
         rows = [_eval_scene_task(task) for task in tasks]
-    return rows
+    return rows, cfg, params
 
 
 def _summarize(rows, split):
@@ -497,10 +496,8 @@ def cmd_eval(args):
             raise FileNotFoundError(f"no *.ckpt files in {args.target}")
         sweep_rows = []
         for ckpt in checkpoints:
-            params, header = load_checkpoint(ckpt)
-            rows = _run_eval(directory, entries, str(ckpt), hyper, args)
+            rows, cfg, params = _run_eval(directory, entries, str(ckpt), hyper, args)
             summary = _summarize(rows, args.split)
-            k = header.get("dft_size") or args.dft_size
             sweep_rows.append({
                 "checkpoint": ckpt.stem,
                 "structure": params.structure.label,
@@ -509,7 +506,8 @@ def cmd_eval(args):
                 "mean_serle_db": summary["mean_serle_db"],
                 "ci_lo_db": summary["ci_lo_db"],
                 "ci_hi_db": summary["ci_hi_db"],
-                "flops_per_frame": flops_per_frame(params.structure, k, params.hidden_size),
+                "flops_per_frame": flops_per_frame(params.structure, cfg.dft_size,
+                                                   params.hidden_size),
             })
             print(f"{ckpt.stem}: {summary['mean_serle_db']:.2f} dB "
                   f"[{summary['ci_lo_db']:.2f}, {summary['ci_hi_db']:.2f}]")
@@ -519,7 +517,7 @@ def cmd_eval(args):
 
     if _target_kind(args.target) == "checkpoint" and not Path(args.target).exists():
         raise FileNotFoundError(f"no such checkpoint or baseline: {args.target}")
-    rows = _run_eval(directory, entries, args.target, hyper, args)
+    rows, _, _ = _run_eval(directory, entries, args.target, hyper, args)
     _write_csv(args.out_csv, EVAL_COLUMNS, rows)
     summary = _summarize(rows, args.split)
     summary_path = Path(args.out_csv).with_suffix(".summary.csv")

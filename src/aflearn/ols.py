@@ -32,6 +32,9 @@ __all__ = [
     "ols_apply",
     "af_error",
     "filter_gradient",
+    "hop_forward",
+    "feature_spectra",
+    "stream_frame",
     "stream_hops",
 ]
 
@@ -132,13 +135,8 @@ def spectrum_to_hop(spec, cfg):
     return np.fft.ifft(spec, axis=-1)[..., cfg.hop :].real
 
 
-def ols_apply(cfg, w, u_frame):
-    """Filter one K-sample input frame through spectrum w.
-
-    Returns (y_hop, y_freq): the R valid output samples and the full output
-    spectrum diag(U) . project(w).  The input frame is the last K samples of
-    the far-end stream, so consecutive calls overlap by R samples.
-    """
+def _filter_frame(cfg, w, u_frame):
+    """(u_freq, y_freq, y_hop) of one K-sample frame filtered through w."""
     u_frame = np.asarray(u_frame)
     _check_len(u_frame, cfg.dft_size, "input frame")
     w = np.asarray(w)
@@ -148,6 +146,17 @@ def ols_apply(cfg, w, u_frame):
     u_freq = np.fft.fft(u_frame, axis=-1)
     y_freq = u_freq * project_filter(w, cfg.taps)
     y_hop = np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
+    return u_freq, y_freq, y_hop
+
+
+def ols_apply(cfg, w, u_frame):
+    """Filter one K-sample input frame through spectrum w.
+
+    Returns (y_hop, y_freq): the R valid output samples and the full output
+    spectrum diag(U) . project(w).  The input frame is the last K samples of
+    the far-end stream, so consecutive calls overlap by R samples.
+    """
+    _, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
     return y_hop, y_freq
 
 
@@ -161,6 +170,20 @@ def af_error(d_hop, y_hop, cfg):
     return e_hop, hop_spectrum(e_hop, cfg)
 
 
+def hop_forward(cfg, w, u_frame, d_hop):
+    """One hop: filter the frame through w and score it against d, each FFT once.
+
+    Returns (y_hop, e_hop, u_freq, y_freq, e_freq).
+    """
+    u_freq, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
+    e_hop, e_freq = af_error(d_hop, y_hop, cfg)
+    return y_hop, e_hop, u_freq, y_freq, e_freq
+
+
+def _gradient(u_freq, e_freq, cfg):
+    return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size), cfg.taps)
+
+
 def filter_gradient(u_freq, e_hop, cfg):
     """Gradient of ||e||^2 w.r.t. the conjugate filter spectrum.
 
@@ -171,8 +194,30 @@ def filter_gradient(u_freq, e_hop, cfg):
     _check_len(u_freq, cfg.dft_size, "input spectrum")
     e_hop = np.asarray(e_hop)
     _check_len(e_hop, cfg.hop, "error hop")
-    lifted = hop_spectrum(e_hop, cfg) / cfg.dft_size
-    return -project_filter(np.conj(u_freq) * lifted, cfg.taps)
+    return _gradient(u_freq, hop_spectrum(e_hop, cfg), cfg)
+
+
+def feature_spectra(cfg, d_hop, u_freq, y_freq, e_freq):
+    """(gradient, far end, desired, error, output) spectra of a hop, as in
+    ``optimizer.FEATURE_CHANNELS``; the gradient reuses ``hop_forward``'s e_freq."""
+    return (_gradient(u_freq, e_freq, cfg), u_freq, hop_spectrum(d_hop, cfg),
+            e_freq, y_freq)
+
+
+def stream_frame(x, cfg, hop_index):
+    """Frame (..., K) of the last K samples of x (..., N) up to (hop_index + 1) * R.
+
+    Zero-padded at the stream head and, for a partial final hop, at the tail.
+    """
+    x = np.asarray(x)
+    k, r = cfg.dft_size, cfg.hop
+    stop = (hop_index + 1) * r
+    lo = max(0, stop - k)
+    avail = x[..., lo:stop]
+    frame = np.zeros(x.shape[:-1] + (k,), dtype=x.dtype)
+    head = k - (stop - lo)
+    frame[..., head : head + avail.shape[-1]] = avail
+    return frame
 
 
 def stream_hops(x, cfg, pad_tail=False):
@@ -185,15 +230,7 @@ def stream_hops(x, cfg, pad_tail=False):
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("stream must be 1-D")
-    k, r = cfg.dft_size, cfg.hop
-    n = x.size
-    stops = range(r, n + 1, r) if not pad_tail else range(r, n + r, r)
-    for stop in stops:
-        frame = np.zeros(k, dtype=x.dtype)
-        lo = max(0, stop - k)
-        avail = x[lo : min(stop, n)]
-        if stop <= n:
-            frame[k - (stop - lo) :] = avail
-        else:
-            frame[k - (stop - lo) : k - (stop - n)] = avail
-        yield frame, slice(stop - r, min(stop, n))
+    r = cfg.hop
+    hops = -(-x.size // r) if pad_tail else x.size // r
+    for t in range(hops):
+        yield stream_frame(x, cfg, t), slice(t * r, min((t + 1) * r, x.size))

@@ -279,7 +279,11 @@ def read_wav(path, expect_rate=None):
     if data.ndim != 1:
         raise ConfigError("wav", f"{path}: expected mono audio")
     if data.dtype == np.int16:
-        data = data.astype(float) / 32768.0
+        data = data / 32768.0
+    elif data.dtype == np.int32:
+        data = data / 2147483648.0
+    elif data.dtype == np.uint8:
+        data = (data - 128.0) / 128.0
     return rate, np.asarray(data, dtype=float)
 
 
@@ -296,7 +300,10 @@ def save_scene(scene, directory, stem):
         ("noise", scene.near_noise),
     ]:
         write_wav(directory / f"{stem}.{name}.wav", signal, rate)
-    np.savez(directory / f"{stem}.rir.npz", rir=scene.rir)
+    paths = {"rir": scene.rir}
+    if scene.rir_switch is not None:
+        paths["switch_at"], paths["rir_after"] = scene.rir_switch
+    np.savez(directory / f"{stem}.rir.npz", **paths)
     meta = {
         "schema": 1,
         "seed": scene.seed,
@@ -334,7 +341,11 @@ def load_scene(directory, stem):
     signals = {}
     for name in ("farend", "mic", "echo", "near", "noise"):
         _, signals[name] = read_wav(directory / f"{stem}.{name}.wav", expect_rate=rate)
-    rir = np.load(directory / f"{stem}.rir.npz")["rir"]
+    with np.load(directory / f"{stem}.rir.npz") as paths:
+        rir = paths["rir"]
+        rir_switch = None  # absent for scenes without a path change and in older files
+        if "rir_after" in paths:
+            rir_switch = (int(paths["switch_at"]), paths["rir_after"])
     nl = meta["nonlinearity"]
     return Scene(
         spec=spec,
@@ -347,4 +358,5 @@ def load_scene(directory, stem):
         nonlinearity=Nonlinearity(nl["kind"], nl["amount"]),
         ser_db=meta["ser_db"],
         snr_db=meta["snr_db"],
+        rir_switch=rir_switch,
     )

@@ -6,7 +6,9 @@ update the weights.  The filter output at hop t always uses the weights from
 before the hop-t update.
 
 Only whole hops are processed; a trailing partial hop is dropped and outputs
-are trimmed accordingly.
+are trimmed accordingly.  Learned sessions also take (batch, samples) stacks
+and run the scenes in lockstep; a 1-D signal pair is the batch-free case of
+the same loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .classic import (
 from .errors import ConfigError, NumericError
 from .flops import FlopCounter
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import af_error, filter_gradient, hop_spectrum, ols_apply, spectrum_to_hop
+from .ols import dft, feature_spectra, hop_forward, hop_spectrum, spectrum_to_hop, stream_frame
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
@@ -51,76 +53,69 @@ class SessionResult:
         return float(np.mean(self.erle_db)) if self.erle_db.size else 0.0
 
 
-def _erle_db(d_hop, e_hop):
-    num = float(d_hop @ d_hop)
-    den = float(e_hop @ e_hop)
-    if den <= 0.0:
-        return 80.0
-    return float(np.clip(10.0 * np.log10(max(num, 1e-300) / den), -80.0, 80.0))
+def _power(x):
+    """Sum of squares along the last axis (one dot product per hop)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _session_frames(u, d, cfg):
+def _erle_db(d_hops, e_hops):
+    """Per-hop 10 log10(||d||^2 / ||e||^2), capped at +-80 dB; 80 dB for a zero residual."""
+    num = np.maximum(_power(d_hops), 1e-300)
+    den = _power(e_hops)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.clip(10.0 * np.log10(num / den), -80.0, 80.0)
+    return np.where(den > 0.0, ratio, 80.0)
+
+
+def _session_signals(u, d, cfg, max_ndim):
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
-    if u.ndim != 1 or d.ndim != 1:
-        raise ValueError("session signals must be 1-D")
-    if u.size != d.size:
-        raise ValueError(f"signal lengths differ: {u.size} vs {d.size}")
-    frames = u.size // cfg.hop
-    if frames == 0:
-        raise ValueError(f"need at least {cfg.hop} samples, got {u.size}")
-    return u, d, frames
+    if u.shape != d.shape:
+        raise ValueError(f"signal shapes differ: {u.shape} vs {d.shape}")
+    if not 1 <= u.ndim <= max_ndim:
+        raise ValueError(f"session signals must have 1 to {max_ndim} axes, got {u.ndim}")
+    if u.shape[-1] < cfg.hop:
+        raise ValueError(f"need at least {cfg.hop} samples, got {u.shape[-1]}")
+    return u, d
 
 
 def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flops=False):
-    u, d, frames = _session_frames(u, d, cfg)
-    k, r = cfg.dft_size, cfg.hop
+    r = cfg.hop
+    frames = u.shape[-1] // r
     n = frames * r
-    error = np.empty(n)
-    output = np.empty(n)
-    erle = np.empty(frames)
+    error = np.empty(u.shape[:-1] + (n,))
+    output = np.empty_like(error)
     snapshots = []
     counter = FlopCounter() if count_flops else None
-    w = np.zeros(k, dtype=complex)
+    w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
         for t in range(frames):
-            stop = (t + 1) * r
-            frame = np.zeros(k)
-            lo = max(0, stop - k)
-            frame[k - (stop - lo) :] = u[lo:stop]
-            d_hop = d[stop - r : stop]
-
-            w, y_hop, e_hop = update_fn(w, frame, d_hop, counter)
+            hop = slice(t * r, (t + 1) * r)
+            d_hop = d[..., hop]
+            w, y_hop, e_hop = update_fn(w, stream_frame(u, cfg, t), d_hop, counter)
             if not np.all(np.isfinite(e_hop)):
                 raise NumericError("non-finite residual", frame=t)
 
-            error[stop - r : stop] = e_hop
-            output[stop - r : stop] = y_hop
-            erle[t] = _erle_db(d_hop, e_hop)
+            error[..., hop] = e_hop
+            output[..., hop] = y_hop
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snapshots.append((t, w.copy()))
             if telemetry is not None:
-                telemetry.write(
-                    json.dumps(
-                        {
-                            "frame": t,
-                            "erle_db": round(erle[t], 4),
-                            "residual_power": float(e_hop @ e_hop),
-                        }
-                    )
-                    + "\n"
-                )
+                row = {"frame": t, "erle_db": np.round(_erle_db(d_hop, e_hop), 4).tolist(),
+                       "residual_power": _power(e_hop).tolist()}
+                telemetry.write(json.dumps(row) + "\n")
     finally:
         if telemetry is not None:
             telemetry.close()
 
+    hops_shape = u.shape[:-1] + (frames, r)
     return SessionResult(
         error=error,
         output=output,
         weights=w,
-        erle_db=erle,
+        erle_db=_erle_db(d[..., :n].reshape(hops_shape), error.reshape(hops_shape)),
         frames=frames,
         flops=counter.total if counter else 0,
         snapshots=snapshots,
@@ -128,18 +123,19 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
 
 
 def run_learned_session(params, u, d, cfg, **kwargs):
-    """Run a trained update rule over a signal pair."""
-    num_bins = cfg.dft_size
-    state = GroupState.zeros(params.structure, num_bins, params.hidden_size)
+    """Run a trained update rule over a signal pair.
+
+    ``u`` and ``d`` are 1-D signals or (batch, samples) stacks; a stack runs
+    its scenes in lockstep and every result array gains the leading batch axis.
+    """
+    u, d = _session_signals(u, d, cfg, max_ndim=2)
+    state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
+                             batch_shape=u.shape[:-1])
 
     def update(w, frame, d_hop, counter):
         nonlocal state
-        u_freq = np.fft.fft(frame)
-        y_hop, y_freq = ols_apply(cfg, w, frame)
-        e_hop, e_freq = af_error(d_hop, y_hop, cfg)
-        grad = filter_gradient(u_freq, e_hop, cfg)
-        d_freq = hop_spectrum(d_hop, cfg)
-        xi = build_input(grad, u_freq, d_freq, e_freq, y_freq)
+        y_hop, e_hop, *spectra = hop_forward(cfg, w, frame, d_hop)
+        xi = build_input(*feature_spectra(cfg, d_hop, *spectra))
         delta, state = optimizer_step(params, xi, state, counter=counter)
         return apply_update(w, delta), y_hop, e_hop
 
@@ -147,9 +143,10 @@ def run_learned_session(params, u, d, cfg, **kwargs):
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
-    """Run one of the classical baselines ('nlms', 'rls', 'kf')."""
+    """Run one of the classical baselines ('nlms', 'rls', 'kf') over 1-D signals."""
     if algorithm not in CLASSIC_ALGORITHMS:
         raise ConfigError("algorithm", f"unknown baseline {algorithm!r}")
+    u, d = _session_signals(u, d, cfg, max_ndim=1)
     hyper = dict(hyper or {})
     k = cfg.dft_size
 
@@ -162,19 +159,13 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
 
     def update(w, frame, d_hop, counter):
         nonlocal state
-        u_freq = np.fft.fft(frame)
         if algorithm == "kf":
-            d_freq = hop_spectrum(d_hop, cfg)
-            w_new, e_freq, state = kf_step(state, u_freq, d_freq, w)
+            w_new, e_freq, state = kf_step(state, dft(frame), hop_spectrum(d_hop, cfg), w)
             e_hop = spectrum_to_hop(e_freq, cfg)
-            y_hop = d_hop - e_hop
-            return w_new, y_hop, e_hop
-        y_hop, _ = ols_apply(cfg, w, frame)
-        e_hop, e_freq = af_error(d_hop, y_hop, cfg)
-        if algorithm == "nlms":
-            w_new, state = nlms_step(state, u_freq, e_freq, w)
-        else:
-            w_new, state = rls_step(state, u_freq, e_freq, w)
+            return w_new, d_hop - e_hop, e_hop
+        y_hop, e_hop, u_freq, _, e_freq = hop_forward(cfg, w, frame, d_hop)
+        step = nlms_step if algorithm == "nlms" else rls_step
+        w_new, state = step(state, u_freq, e_freq, w)
         return w_new, y_hop, e_hop
 
     return _run(u, d, cfg, update, **kwargs)

@@ -9,7 +9,9 @@ incoming filter state and hidden state of each window are constants.
 
 Scenes in a batch run in lockstep with a leading batch axis, which is exactly
 equivalent to averaging per-scene gradients but keeps the matrix products
-large enough to be efficient.
+large enough to be efficient.  Windows use the sessions' frame builder and
+hop kernel (``ols.stream_frame``, ``ols.hop_forward``); validation runs
+``run_learned_session`` on stacked scenes.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from .optimizer import (
     _optimizer_backward,
     _optimizer_forward,
     init_meta_params,
-    optimizer_step,
     tensors_to_flat,
     flat_into_tensors,
 )
-from .ols import filter_gradient, hop_spectrum, project_filter
+from .ols import feature_spectra, hop_forward, hop_spectrum, project_filter, stream_frame
 from .scenes import gen_scene
+from .session import run_learned_session
 
 __all__ = [
     "TrainSchedule",
@@ -44,7 +46,6 @@ __all__ = [
     "clip_gradients",
     "train_update_rule",
     "evaluate_mean_serle",
-    "batched_filter_outputs",
 ]
 
 LOSS_EPS = 1e-9
@@ -77,16 +78,6 @@ def meta_loss(d_hops, y_hops, eps=LOSS_EPS):
     return float(np.mean(np.log(mse + eps)))
 
 
-def _stream_frame(u, cfg, hop_index):
-    """(batch, K) analysis frame ending at hop ``hop_index`` (zero head)."""
-    k, r = cfg.dft_size, cfg.hop
-    stop = (hop_index + 1) * r
-    lo = max(0, stop - k)
-    frame = np.zeros(u.shape[:-1] + (k,))
-    frame[..., k - (stop - lo) :] = u[..., lo:stop]
-    return frame
-
-
 def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=LOSS_EPS):
     """Forward/backward over one truncated window.
 
@@ -100,14 +91,8 @@ def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=
     y_hops = np.empty(d_hops.shape)
 
     for t in range(length):
-        u_freq = np.fft.fft(frames[t], axis=-1)
-        y_freq = u_freq * project_filter(w, cfg.taps)
-        y_hop = np.fft.ifft(y_freq, axis=-1)[..., r:].real
-        e_hop = d_hops[t] - y_hop
-        e_freq = hop_spectrum(e_hop, cfg)
-        grad = filter_gradient(u_freq, e_hop, cfg)
-        d_freq = hop_spectrum(d_hops[t], cfg)
-        xi, raw = _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq)
+        y_hop, _, u_freq, y_freq, e_freq = hop_forward(cfg, w, frames[t], d_hops[t])
+        xi, raw = _build_input_forward(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq))
         delta, state, opt_cache = _optimizer_forward(params, xi, state)
         w = w + delta
         y_hops[t] = y_hop
@@ -177,36 +162,6 @@ def clip_gradients(g_tensors, max_norm):
     return norm
 
 
-def batched_filter_outputs(params, u_stack, d_stack, cfg):
-    """Forward-only lockstep sessions; returns filter outputs (batch, hops*R)."""
-    u_stack = np.atleast_2d(np.asarray(u_stack, dtype=float))
-    d_stack = np.atleast_2d(np.asarray(d_stack, dtype=float))
-    batch, n = u_stack.shape
-    hops = n // cfg.hop
-    state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
-                             batch_shape=(batch,))
-    w = np.zeros((batch, cfg.dft_size), dtype=complex)
-    y = np.empty((batch, hops * cfg.hop))
-
-    for t in range(hops):
-        frame = _stream_frame(u_stack, cfg, t)
-        u_freq = np.fft.fft(frame, axis=-1)
-        y_freq = u_freq * project_filter(w, cfg.taps)
-        y_hop = np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
-        d_hop = d_stack[:, t * cfg.hop : (t + 1) * cfg.hop]
-        e_hop = d_hop - y_hop
-        e_freq = hop_spectrum(e_hop, cfg)
-        grad = filter_gradient(u_freq, e_hop, cfg)
-        d_freq = hop_spectrum(d_hop, cfg)
-        xi, _ = _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq)
-        delta, state = optimizer_step(params, xi, state)
-        if not np.all(np.isfinite(delta)):
-            raise NumericError("non-finite filter update", frame=t)
-        w = w + delta
-        y[:, t * cfg.hop : (t + 1) * cfg.hop] = y_hop
-    return y
-
-
 def evaluate_mean_serle(params, scenes, cfg, chunk=8):
     """Mean echo-suppression score of lockstep sessions over ``scenes``.
 
@@ -217,7 +172,7 @@ def evaluate_mean_serle(params, scenes, cfg, chunk=8):
         group = scenes[lo : lo + chunk]
         u = np.stack([s.far_end for s in group])
         d = np.stack([s.mic for s in group])
-        y = batched_filter_outputs(params, u, d, cfg)
+        y = run_learned_session(params, u, d, cfg).output
         for i, scene in enumerate(group):
             echo = scene.echo[: y.shape[1]]
             try:
@@ -292,7 +247,7 @@ def train_update_rule(
                                      batch_shape=(len(seeds),))
             for win_start in range(0, hops - unroll + 1, unroll):
                 frames = np.stack(
-                    [_stream_frame(u, cfg, win_start + t) for t in range(unroll)]
+                    [stream_frame(u, cfg, win_start + t) for t in range(unroll)]
                 )
                 d_hops = np.stack(
                     [d[:, (win_start + t) * cfg.hop : (win_start + t + 1) * cfg.hop]

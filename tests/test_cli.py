@@ -137,6 +137,12 @@ def test_eval_learned_checkpoint_and_sweep(tmp_path, dataset):
                  "--split", "test"]) == 0
     row = out.read_text().splitlines()[1].split(",")
     assert row[3] == "model"
+    all1, all2 = tmp_path / "all1.csv", tmp_path / "all2.csv"
+    assert main(["eval", config["checkpoint"], str(dataset), str(all1), "--split", "all"]) == 0
+    assert main(["eval", config["checkpoint"], str(dataset), str(all2), "--split", "all",
+                 "--jobs", "2"]) == 0
+    assert all2.read_bytes() == all1.read_bytes()
+    assert len(all1.read_text().splitlines()) == 6
 
     sweep_dir = tmp_path / "grid"
     sweep_dir.mkdir()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from aflearn.errors import ConfigError
 from aflearn.ols import OlsConfig
@@ -136,6 +137,21 @@ def test_scene_round_trip(tmp_path):
     # float32 storage: identical to within wav precision
     assert np.abs(loaded.mic - scene.mic).max() < 1e-6
     assert np.array_equal(loaded.rir, scene.rir)
+    assert loaded.rir_switch is None
+
+    changed = gen_scene(SPEC, seed=4, path_change_at=0.5)
+    save_scene(changed, tmp_path, "s0004c")
+    loaded = load_scene(tmp_path, "s0004c")
+    switch, rir2 = loaded.rir_switch
+    assert switch == changed.rir_switch[0]
+    assert np.array_equal(rir2, changed.rir_switch[1])
+    cfg = OlsConfig(512, 256)
+    assert np.array_equal(loaded.path_spectrum(cfg, which=1),
+                          changed.path_spectrum(cfg, which=1))
+
+    # a sidecar set written before the switch was stored still loads
+    np.savez(tmp_path / "s0004c.rir.npz", rir=changed.rir)
+    assert load_scene(tmp_path, "s0004c").rir_switch is None
 
 
 def test_wav_round_trip(tmp_path):
@@ -148,3 +164,12 @@ def test_wav_round_trip(tmp_path):
     assert np.abs(back - x).max() < 1e-6
     with pytest.raises(ConfigError):
         read_wav(path, expect_rate=8000)
+
+    # integer PCM is rescaled to [-1, 1) by its full-scale value
+    for dtype, full_scale, zero in ((np.int16, 2**15, 0), (np.int32, 2**31, 0),
+                                    (np.uint8, 2**7, 128)):
+        pcm = np.array([-full_scale, -full_scale // 2, 0, full_scale // 2, full_scale - 1])
+        wavfile.write(path, 16000, (pcm + zero).astype(dtype))
+        _, back = read_wav(path)
+        assert back.dtype == float
+        np.testing.assert_array_equal(back, pcm / full_scale)

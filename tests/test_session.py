@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import aflearn.session
 from aflearn.errors import ConfigError, NumericError
 from aflearn.flops import flops_per_frame
 from aflearn.ols import OlsConfig
@@ -52,6 +53,9 @@ def test_mismatched_lengths_rejected():
     u, d = _signals(4 * CFG.hop)
     with pytest.raises(ValueError):
         run_classic_session("nlms", u, d[:-1], CFG)
+    # lockstep stacks are a learned-session feature; the baselines keep 1-D state
+    with pytest.raises(ValueError):
+        run_classic_session("nlms", np.stack([u, u]), np.stack([d, d]), CFG)
 
 
 def test_telemetry_stream_one_row_per_frame(tmp_path):
@@ -100,3 +104,35 @@ def test_classic_sessions_count_no_matmul_flops():
     u, d = _signals(5 * CFG.hop)
     result = run_classic_session("rls", u, d, CFG, count_flops=True)
     assert result.flops == 0
+
+
+FFT_CALLS_PER_HOP = {"learned": 8, "nlms": 7, "rls": 7, "kf": 10}
+
+
+@pytest.mark.parametrize("algorithm", sorted(FFT_CALLS_PER_HOP))
+def test_per_hop_call_budget(algorithm, monkeypatch):
+    hops = 6
+    u, d = _signals(hops * CFG.hop)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+    # perfbench/tracing.py times learned hops through these names in aflearn.session
+    for name in ("build_input", "optimizer_step", "apply_update"):
+        monkeypatch.setattr(aflearn.session, name,
+                            counted(name, getattr(aflearn.session, name)))
+    if algorithm == "learned":
+        params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
+        run_learned_session(params, u, d, CFG)
+        for name in ("build_input", "optimizer_step", "apply_update"):
+            assert calls[name] == hops, name
+    else:
+        run_classic_session(algorithm, u, d, CFG)
+    assert calls["fft"] == FFT_CALLS_PER_HOP[algorithm] * hops

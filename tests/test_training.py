@@ -12,7 +12,6 @@ from aflearn.training import (
     AdamState,
     TrainSchedule,
     adam_step,
-    batched_filter_outputs,
     clip_gradients,
     evaluate_mean_serle,
     meta_loss,
@@ -161,10 +160,16 @@ def test_batched_outputs_match_sequential_session():
     scenes = [gen_scene(spec, seed) for seed in (0, 1, 2)]
     u = np.stack([s.far_end for s in scenes])
     d = np.stack([s.mic for s in scenes])
-    y = batched_filter_outputs(params, u, d, cfg)
+    stacked = run_learned_session(params, u, d, cfg)
+    assert stacked.output.shape == (3, stacked.frames * cfg.hop)
+    assert stacked.erle_db.shape == (3, stacked.frames)
     for i, scene in enumerate(scenes):
         res = run_learned_session(params, scene.far_end, scene.mic, cfg)
-        assert rel_error(y[i], res.output) < 1e-10
+        assert stacked.frames == res.frames
+        assert rel_error(stacked.output[i], res.output) < 1e-10
+        assert rel_error(stacked.error[i], res.error) < 1e-10
+        assert rel_error(stacked.weights[i], res.weights) < 1e-10
+        np.testing.assert_allclose(stacked.erle_db[i], res.erle_db, rtol=1e-10, atol=1e-10)
 
 
 def test_evaluate_mean_serle_runs():
