@@ -96,19 +96,38 @@ def dense_backward(g_y, x, weight, with_bias=True):
 
 
 def _split_sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z.real)) + 1j / (1.0 + np.exp(-z.imag))
+    """Sigmoid of the real and imaginary parts separately; overwrites and returns z.
+
+    Works on the float64 view of z, whose last axis must be contiguous.
+    """
+    v = z.view(np.float64)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    v += 1.0
+    np.divide(1.0, v, out=v)
+    return z
 
 
 def _split_tanh(z):
-    return np.tanh(z.real) + 1j * np.tanh(z.imag)
+    """tanh of the real and imaginary parts separately; overwrites and returns z."""
+    v = z.view(np.float64)
+    np.tanh(v, out=v)
+    return z
 
 
-def _split_sigmoid_backward(g, s):
-    return g.real * (s.real * (1.0 - s.real)) + 1j * (g.imag * (s.imag * (1.0 - s.imag)))
+def _split_sigmoid_backward(g, s, out):
+    """out <- g * s * (1 - s) on the real and imaginary parts separately."""
+    sv = s.view(np.float64)
+    local = np.subtract(1.0, sv)
+    local *= sv
+    np.multiply(g.view(np.float64), local, out=out.view(np.float64))
 
 
-def _split_tanh_backward(g, t):
-    return g.real * (1.0 - t.real**2) + 1j * (g.imag * (1.0 - t.imag**2))
+def _split_tanh_backward(g, t, out):
+    """out <- g * (1 - t^2) on the real and imaginary parts separately."""
+    local = np.square(t.view(np.float64))
+    np.subtract(1.0, local, out=local)
+    np.multiply(g.view(np.float64), local, out=out.view(np.float64))
 
 
 GruCache = namedtuple("GruCache", "x h z r rh c")
@@ -148,39 +167,59 @@ class ComplexGruLayer:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def step(self, x, h, counter=None):
-        """One recurrence step.  x (..., in), h (..., H) -> (h_new, cache)."""
-        z = _split_sigmoid(_matmul(x, self.w_z, counter) + _matmul(h, self.u_z, counter) + self.b_z)
-        r = _split_sigmoid(_matmul(x, self.w_r, counter) + _matmul(h, self.u_r, counter) + self.b_r)
+        """One recurrence step.  x (..., in), h (..., H) -> (h_new, cache).
+
+        The three input products and the two gate products on h run as one
+        stacked product each; the cached z and r are views of one buffer.
+        """
+        hidden = self.hidden_size
+        x_gates = _matmul(x, np.concatenate((self.w_z, self.w_r, self.w_c)), counter)
+        zr = x_gates[..., : 2 * hidden] + _matmul(h, np.concatenate((self.u_z, self.u_r)), counter)
+        zr += np.concatenate((self.b_z, self.b_r))
+        _split_sigmoid(zr)
+        z, r = zr[..., :hidden], zr[..., hidden:]
         rh = r * h
-        c = _split_tanh(_matmul(x, self.w_c, counter) + _matmul(rh, self.u_c, counter) + self.b_c)
-        h_new = (1.0 - z) * c + z * h
+        c = _matmul(rh, self.u_c, counter)
+        c += x_gates[..., 2 * hidden :]
+        c += self.b_c
+        _split_tanh(c)
+        h_new = np.subtract(1.0, z)
+        h_new *= c
+        h_new += z * h
         return h_new, GruCache(x, h, z, r, rh, c)
 
     def backward(self, g_h_new, cache):
         """Returns (g_x, g_h, grads) with grads keyed like tensor_items()."""
         x, h, z, r, rh, c = cache
-        g_z = np.conj(h - c) * g_h_new
-        g_c = np.conj(1.0 - z) * g_h_new
+        hidden = self.hidden_size
+        # gate pre-activation gradients, laid out like the stacked z|r|c products
+        g_gates = np.empty(g_h_new.shape[:-1] + (3 * hidden,), dtype=complex)
+        g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden] for i in range(3))
+        _split_sigmoid_backward(np.conj(h - c) * g_h_new, z, out=g_az)
+        _split_tanh_backward(np.conj(1.0 - z) * g_h_new, c, out=g_ac)
         g_h = np.conj(z) * g_h_new
 
-        g_ac = _split_tanh_backward(g_c, c)
-        g_x, g_wc, g_bc = dense_backward(g_ac, x, self.w_c)
         g_rh, g_uc, _ = dense_backward(g_ac, rh, self.u_c, with_bias=False)
-        g_r = np.conj(h) * g_rh
-        g_h = g_h + np.conj(r) * g_rh
+        _split_sigmoid_backward(np.conj(h) * g_rh, r, out=g_ar)
+        g_h += np.conj(r) * g_rh
 
-        g_ar = _split_sigmoid_backward(g_r, r)
-        gx2, g_wr, g_br = dense_backward(g_ar, x, self.w_r)
-        gh2, g_ur, _ = dense_backward(g_ar, h, self.u_r, with_bias=False)
-        g_x = g_x + gx2
-        g_h = g_h + gh2
+        # Weight and bias gradients come from the stacked products.  The input
+        # and state gradients are summed gate by gate in a fixed c, r, z order:
+        # one stacked product would reorder those sums, and Adam turns such
+        # last-bit differences into different trained checkpoints.
+        flat_g = g_gates.reshape(-1, 3 * hidden)
+        g_w = flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
+        g_b = flat_g.sum(axis=0)
+        g_u = flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
+        g_x = g_ac @ np.conj(self.w_c)
+        g_x += g_ar @ np.conj(self.w_r)
+        g_x += g_az @ np.conj(self.w_z)
+        g_h += g_ar @ np.conj(self.u_r)
+        g_h += g_az @ np.conj(self.u_z)
 
-        g_az = _split_sigmoid_backward(g_z, z)
-        gx3, g_wz, g_bz = dense_backward(g_az, x, self.w_z)
-        gh3, g_uz, _ = dense_backward(g_az, h, self.u_z, with_bias=False)
-        g_x = g_x + gx3
-        g_h = g_h + gh3
-
+        g_wz, g_wr, g_wc = np.split(g_w, 3)
+        g_bz, g_br, g_bc = np.split(g_b, 3)
+        g_uz, g_ur = np.split(g_u, 2)
         grads = {
             "w_z": g_wz, "u_z": g_uz, "b_z": g_bz,
             "w_r": g_wr, "u_r": g_ur, "b_r": g_br,

@@ -32,6 +32,8 @@ SILENCE_REL = 1e-6
 def frame_powers(x, frame):
     """Sum of squares per non-overlapping length-``frame`` block (tail dropped)."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if frame <= 0:
         raise ValueError("frame must be positive")
     n = (x.size // frame) * frame

@@ -123,9 +123,9 @@ def hop_spectrum(hop_samples, cfg):
     """DFT of one R-sample hop placed in the tail of a K frame (leading zeros)."""
     hop_samples = np.asarray(hop_samples)
     _check_len(hop_samples, cfg.hop, "hop")
-    pad = [(0, 0)] * hop_samples.ndim
-    pad[-1] = (cfg.dft_size - cfg.hop, 0)
-    return np.fft.fft(np.pad(hop_samples, pad), axis=-1)
+    frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
+    frame[..., cfg.dft_size - cfg.hop :] = hop_samples
+    return np.fft.fft(frame, axis=-1)
 
 
 def spectrum_to_hop(spec, cfg):

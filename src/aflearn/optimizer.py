@@ -15,7 +15,7 @@ Parameters are shared across groups; only the hidden state is per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
+_GRU_FIELDS = tuple(f.name for f in fields(ComplexGruLayer))
 
 
 @dataclass
@@ -64,13 +65,9 @@ class MetaParams:
         )
 
     def gru(self, index):
+        """Layer ``index`` holding this rule's own tensors (no copies)."""
         prefix = f"gru{index}."
-        kwargs = {
-            name[len(prefix) :]: tensor
-            for name, tensor in self.tensors.items()
-            if name.startswith(prefix)
-        }
-        return ComplexGruLayer(**kwargs)
+        return ComplexGruLayer(*(self.tensors[prefix + name] for name in _GRU_FIELDS))
 
     @property
     def out_weight(self):

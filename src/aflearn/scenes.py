@@ -16,6 +16,7 @@ noise floor.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -273,7 +274,10 @@ def write_wav(path, signal, sample_rate):
 
 
 def read_wav(path, expect_rate=None):
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise OSError(f"{path}: not a readable WAV file: {exc}") from exc
     if expect_rate is not None and rate != expect_rate:
         raise ConfigError("sample_rate", f"{path}: expected {expect_rate} Hz, got {rate}")
     if data.ndim != 1:

@@ -38,6 +38,24 @@ def linear_convolve(h, x):
     return y
 
 
+def gru_step_reference(layer, x, h):
+    """Complex GRU step gate by gate: six separate products, split activations
+    written with .real/.imag.  Returns (h_new, z, r, rh, c)."""
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a.real)) + 1j / (1.0 + np.exp(-a.imag))
+
+    def tanh(a):
+        return np.tanh(a.real) + 1j * np.tanh(a.imag)
+
+    z = sigmoid(x @ layer.w_z.T + h @ layer.u_z.T + layer.b_z)
+    r = sigmoid(x @ layer.w_r.T + h @ layer.u_r.T + layer.b_r)
+    rh = r * h
+    c = tanh(x @ layer.w_c.T + rh @ layer.u_c.T + layer.b_c)
+    h_new = (1.0 - z) * c + z * h
+    return h_new, z, r, rh, c
+
+
 def fd_gradient(f, z, eps=1e-6):
     """Central finite differences of a real scalar f() over a complex array z.
 

@@ -204,6 +204,14 @@ def test_cancel_rejects_rate_and_length_mismatch(tmp_path, dataset):
                  str(tmp_path / "x.wav")]) == 2
     assert main(["cancel", str(tmp_path / "missing.wav"), str(mic), "nlms",
                  str(tmp_path / "x.wav")]) == 4
+    not_wav = tmp_path / "bad.wav"
+    not_wav.write_text("not a wav")
+    assert main(["cancel", str(not_wav), str(not_wav), "nlms",
+                 str(tmp_path / "x.wav")]) == 4
+    cut_header = tmp_path / "cut.wav"
+    cut_header.write_bytes(wrong_rate.read_bytes()[:30])
+    assert main(["cancel", str(cut_header), str(mic), "nlms",
+                 str(tmp_path / "x.wav")]) == 4
 
 
 def test_plot_script_covers_each_schema(tmp_path, dataset):

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from aflearn.flops import FlopCounter
 from aflearn.layers import (
     ComplexGruLayer,
     GroupSampler,
+    _split_sigmoid,
+    _split_tanh,
     complex_glorot,
     dense,
     dense_backward,
@@ -14,7 +17,7 @@ from aflearn.layers import (
 )
 from aflearn.structures import DependencyStructure
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, gru_step_reference, rel_error
 
 TOL = 1e-5
 
@@ -98,6 +101,35 @@ def test_gru_zero_state_and_zero_weights_gives_zero():
     x = _random_complex(rng, (2, 3))
     h_new, _ = layer.step(x, np.zeros((2, 4), dtype=complex))
     assert np.abs(h_new).max() == 0.0
+
+
+@pytest.mark.parametrize("hidden", [4, 8, 16])
+@pytest.mark.parametrize("batch", [(), (6,), (2, 6)], ids=lambda b: f"batch{len(b)}d")
+def test_gru_step_matches_per_gate_reference(hidden, batch):
+    rng = np.random.default_rng(21)
+    layer = ComplexGruLayer.init(rng, hidden, hidden)
+    for name, tensor in layer.tensor_items():
+        if name.startswith("b_"):
+            tensor[...] = _random_complex(rng, tensor.shape, scale=0.3)
+    x = _random_complex(rng, batch + (hidden,))
+    h = _random_complex(rng, batch + (hidden,), scale=0.5)
+    counter = FlopCounter()
+    h_new, cache = layer.step(x, h, counter=counter)
+    expected = gru_step_reference(layer, x, h)
+    for got, want in zip((h_new, cache.z, cache.r, cache.rh, cache.c), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # six H x H products per group, as FlopModel.gru_term counts them
+    assert counter.total == int(np.prod(batch)) * 6 * hidden * hidden
+
+
+def test_split_activations_match_real_imag_forms():
+    rng = np.random.default_rng(22)
+    a = _random_complex(rng, (5, 12), scale=4.0)
+    sig = _split_sigmoid(a.copy())
+    assert np.array_equal(sig, 1.0 / (1.0 + np.exp(-a.real)) + 1j / (1.0 + np.exp(-a.imag)))
+    tanh = _split_tanh(a.copy())
+    assert np.array_equal(tanh, np.tanh(a.real) + 1j * np.tanh(a.imag))
 
 
 def test_gru_backward_matches_fd():

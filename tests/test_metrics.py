@@ -20,6 +20,8 @@ def test_frame_powers():
     assert np.allclose(frame_powers(x, 2), [5.0, 25.0])
     with pytest.raises(ValueError):
         frame_powers(np.zeros(1), 2)
+    with pytest.raises(ValueError):
+        frame_powers(np.arange(12.0).reshape(2, 6), 4)
 
 
 def test_serle_hand_computed():
