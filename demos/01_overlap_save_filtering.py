@@ -12,7 +12,7 @@ from aflearn import OlsConfig, af_error, filter_gradient, ols_apply, project_fil
 from aflearn.ols import dft, stream_hops
 
 rng = np.random.default_rng(0)
-cfg = OlsConfig(64, 32)
+cfg = OlsConfig(64)
 print(f"DFT size K={cfg.dft_size}, hop R={cfg.hop}, usable taps={cfg.taps}")
 
 # ---- stream a random signal through a known filter -------------------------

@@ -9,7 +9,7 @@ Run:  python3 demos/02_classic_baselines.py
 from aflearn import OlsConfig, misalignment_db, run_classic_session
 from aflearn.scenes import desk_spec, gen_scene
 
-cfg = OlsConfig(512, 256)
+cfg = OlsConfig(512)
 spec = desk_spec(near_speech_prob=0.0, noise_prob=0.0)   # noiseless identification
 scene = gen_scene(spec, seed=42)
 w_true = scene.path_spectrum(cfg)

@@ -22,7 +22,7 @@ for label in ("diagonal", "block:4", "banded:4"):
           f"first windows {windows[:3]}")
 
 # ---- closed form vs counted matmuls -----------------------------------------
-cfg = OlsConfig(64, 32)
+cfg = OlsConfig(64)
 hidden = 8
 rng = np.random.default_rng(0)
 print(f"\nper-frame multiply-accumulates at K={cfg.dft_size}, H={hidden}:")

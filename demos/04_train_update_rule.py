@@ -26,7 +26,7 @@ from aflearn import (
 )
 from aflearn.scenes import desk_spec, gen_scene
 
-cfg = OlsConfig(128, 64)
+cfg = OlsConfig(128)
 structure = DependencyStructure.block(4)
 spec = desk_spec(duration=4.0, rir_taps=64,
                  near_speech_prob=1.0, ser_range_db=(0.0, 6.0))

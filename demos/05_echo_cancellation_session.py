@@ -12,7 +12,7 @@ from aflearn import OlsConfig, measure_rtf, run_classic_session, serle_db, si_sd
 from aflearn.metrics import erle_curve_db
 from aflearn.scenes import desk_spec, gen_scene
 
-cfg = OlsConfig(512, 256)
+cfg = OlsConfig(512)
 scene = gen_scene(desk_spec(), seed=7)
 
 print(f"scene seed 7: SER {scene.ser_db:+.1f} dB, SNR {scene.snr_db:+.1f} dB, "

@@ -9,11 +9,15 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+from .layers import GroupSampler
+from .ols import OlsConfig
 from .optimizer import MetaParams
 from .structures import DependencyStructure
 
@@ -21,6 +25,8 @@ __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"AFLEARN1"
 SCHEMA = 1
+HEADER_KEYS = ("schema", "structure", "hidden_size", "dft_size", "metadata", "tensors")
+ENTRY_KEYS = ("name", "shape", "offset", "nbytes")
 
 
 class CheckpointError(ValueError):
@@ -62,8 +68,65 @@ def save_checkpoint(path, params, dft_size=None, metadata=None):
     return Path(path)
 
 
+def _expected_shapes(structure, hidden):
+    """Tensor name -> shape of a rule with this structure and hidden size H.
+
+    Worked out here rather than read off ``init_meta_params``, so that a
+    header with a huge hidden size allocates nothing before it is rejected.
+    """
+    square, vector = (hidden, hidden), (hidden,)
+    shapes = {"down_kernel": (hidden, GroupSampler.NUM_CHANNELS * structure.width),
+              "up_kernel": (structure.width, hidden),
+              "out.weight": square, "out.bias": vector}
+    for i in (0, 1):
+        for gate in "zrc":
+            shapes.update({f"gru{i}.w_{gate}": square, f"gru{i}.u_{gate}": square,
+                           f"gru{i}.b_{gate}": vector})
+    return shapes
+
+
+def _check_header(path, header):
+    """Structure of a parsed header; raises CheckpointError naming what is wrong."""
+    def require(condition, message):
+        if not condition:
+            raise CheckpointError(f"{path}: {message}")
+
+    require(isinstance(header, dict), "header is not a JSON object")
+    for key in HEADER_KEYS:
+        require(key in header, f"header has no {key!r} key")
+    require(header["schema"] == SCHEMA, f"unsupported schema {header['schema']!r}")
+    layout = header["structure"]
+    require(isinstance(layout, dict) and _is_int(layout.get("width")),
+            f"bad structure {layout!r}")
+    try:
+        structure = DependencyStructure(layout.get("kind"), layout["width"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad structure {layout!r} ({exc})") from None
+    hidden = header["hidden_size"]
+    require(_is_int(hidden) and hidden >= 1, f"bad hidden_size {hidden!r}")
+    dft_size = header["dft_size"]
+    if dft_size is not None:
+        require(_is_int(dft_size), f"bad dft_size {dft_size!r}")
+        try:
+            OlsConfig(dft_size)
+            structure.group_count(dft_size)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: dft_size {dft_size} does not fit "
+                                  f"{structure.label} ({exc})") from None
+    require(isinstance(header["metadata"], dict), "metadata is not a JSON object")
+    require(isinstance(header["tensors"], list), "tensors is not a JSON list")
+    for entry in header["tensors"]:
+        require(isinstance(entry, dict) and set(entry) >= set(ENTRY_KEYS)
+                and isinstance(entry["name"], str), f"bad tensor entry {entry!r}")
+    return structure, hidden
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path):
-    """Returns (MetaParams, header dict)."""
+    """Returns (MetaParams, header dict); raises CheckpointError for a malformed file."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -73,24 +136,30 @@ def load_checkpoint(path):
         header = json.loads(data[start : start + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
-    if header.get("schema") != SCHEMA:
-        raise CheckpointError(f"{path}: unsupported schema {header.get('schema')!r}")
+    structure, hidden = _check_header(path, header)
 
+    shapes = _expected_shapes(structure, hidden)
+    names = [entry["name"] for entry in header["tensors"]]
+    if sorted(names) != sorted(shapes):
+        raise CheckpointError(f"{path}: unexpected tensor set")
     body = start + header_len
     tensors = {}
     for entry in header["tensors"]:
-        lo = body + entry["offset"]
-        hi = lo + entry["nbytes"]
-        if hi > len(data):
-            raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
-        tensor = np.frombuffer(data[lo:hi], dtype="<c16").reshape(entry["shape"])
-        tensors[entry["name"]] = tensor.astype(complex)
-    structure = DependencyStructure(header["structure"]["kind"], header["structure"]["width"])
-    params = MetaParams(
-        structure=structure, hidden_size=header["hidden_size"], tensors=tensors
-    )
-    expected = {f"gru{i}.{g}_{p}" for i in (0, 1) for g in "wub" for p in "zrc"}
-    expected |= {"down_kernel", "up_kernel", "out.weight", "out.bias"}
-    if set(tensors) != expected:
-        raise CheckpointError(f"{path}: unexpected tensor set")
+        name, shape, offset, nbytes = (entry[key] for key in ENTRY_KEYS)
+        if shape != list(shapes[name]):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, "
+                                  f"expected {list(shapes[name])} for "
+                                  f"{structure.label}/H={hidden}")
+        if not (_is_int(nbytes) and nbytes == 16 * math.prod(shape)
+                and _is_int(offset) and offset >= 0):
+            raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r} and "
+                                  f"{nbytes!r} bytes for shape {shape}")
+        lo = body + offset
+        if lo + nbytes > len(data):
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        tensor = np.frombuffer(data[lo : lo + nbytes], dtype="<c16").reshape(shape)
+        if not np.all(np.isfinite(tensor)):
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
+        tensors[name] = tensor.astype(complex)
+    params = MetaParams(structure=structure, hidden_size=hidden, tensors=tensors)
     return params, header

@@ -1,14 +1,17 @@
 """Hand-tuned frequency-domain adaptive filters: NLMS, per-bin RLS, per-bin Kalman.
 
-All three share the overlap-save geometry from ols.py and keep the filter
-constrained via project_filter after every update.  Spectra follow the same
-conventions as the learned rule: u_freq is the K-point DFT of the current
-input frame, e_freq / d_freq are zero-padded hop spectra.
+All three share the overlap-save geometry and the hop kernel from ols.py and
+keep the filter constrained via project_filter after every update.  Every step
+has the same contract, ``step(state, u_freq, e_freq, w) -> (w_new, state)``:
+u_freq is the K-point DFT of the current input frame and e_freq the
+zero-padded error-hop spectrum that ``ols.hop_forward`` produced by filtering
+that frame through ``w``.
 
 The Kalman filter models the echo path as a scalar-gain random walk per bin
 (w' = A w + process noise) and re-estimates the observation noise from a
 smoothed mean of the residual frame power, so it keeps adapting after abrupt
-path changes without manual resets.
+path changes without manual resets.  The session predicts ``A w`` before the
+hop, so the error the hop kernel hands to ``kf_step`` is the innovation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ols import OlsConfig, af_error, project_filter, spectrum_to_hop
+from .ols import project_filter
 
 __all__ = [
     "NlmsState",
@@ -99,29 +102,20 @@ def rls_step(state, u_freq, e_freq, w):
     return w_new, replace(state, p=state.p / denom)
 
 
-def kf_step(state, u_freq, d_freq, w):
-    """One predict/update cycle; returns (w_new, e_freq, state_new).
+def kf_step(state, u_freq, e_freq, w):
+    """One Kalman update of the predicted filter; returns (w_new, state_new).
 
-    Unlike the gradient-style filters this consumes the desired spectrum and
-    produces the innovation itself, since the error must be computed against
-    the predicted filter.
+    ``w`` is the prediction ``state.transition * w_post`` and ``e_freq`` the
+    innovation: the error spectrum of the hop filtered through that prediction.
     """
-    cfg = OlsConfig.for_dft_size(u_freq.shape[-1])
-    w_pred = state.transition * w
     p_pred = state.transition**2 * state.p + state.process_noise
-
-    y_freq = u_freq * project_filter(w_pred, cfg.taps)
-    y_hop = spectrum_to_hop(y_freq, cfg)
-    d_hop = spectrum_to_hop(d_freq, cfg)
-    e_hop, e_freq = af_error(d_hop, y_hop, cfg)
-
     power = u_freq.real**2 + u_freq.imag**2
     innovation_var = p_pred * power + state.obs_noise
     gain = p_pred * np.conj(u_freq) / innovation_var
-    w_new = project_filter(w_pred + gain * e_freq)
+    w_new = project_filter(w + gain * e_freq)
     p_new = p_pred * state.obs_noise / innovation_var
 
     residual = float(np.mean(e_freq.real**2 + e_freq.imag**2))
     beta = state.noise_smoothing
     obs_new = beta * state.obs_noise + (1.0 - beta) * residual
-    return w_new, e_freq, replace(state, p=p_new, obs_noise=obs_new)
+    return w_new, replace(state, p=p_new, obs_noise=obs_new)

@@ -63,7 +63,6 @@ TRAIN_DEFAULTS = {
     "structure": "diagonal",
     "hidden_size": 16,
     "dft_size": 512,
-    "hop": None,  # dft_size // 2 when omitted
     "sample_rate": 16000,
     "scenes": {"preset": "desk", "overrides": {}, "manifest": None},
     "train_scenes": 200,
@@ -105,6 +104,8 @@ def validate_train_config(raw):
     offending field otherwise.
     """
     _require(isinstance(raw, dict), "config", "top level must be a JSON object")
+    raw = dict(raw)
+    hop = raw.pop("hop", None)  # older configs spell out the derived hop
     for key in raw:
         _require(key in TRAIN_DEFAULTS, key, "unknown field")
 
@@ -123,14 +124,15 @@ def validate_train_config(raw):
 
     out["hidden_size"] = _check_number(out["hidden_size"], "hidden_size", int, 1)
     out["dft_size"] = _check_number(out["dft_size"], "dft_size", int, 2)
-    if out["hop"] is None:
-        out["hop"] = out["dft_size"] // 2
-    out["hop"] = _check_number(out["hop"], "hop", int, 1)
     out["sample_rate"] = _check_number(out["sample_rate"], "sample_rate", int, 1)
     try:
-        OlsConfig(out["dft_size"], out["hop"], out["sample_rate"])
+        OlsConfig(out["dft_size"], sample_rate=out["sample_rate"])
     except ValueError as exc:
         raise ConfigError("dft_size", str(exc)) from None
+    if hop is not None:
+        hop = _check_number(hop, "hop", int, 1)
+        _require(hop == out["dft_size"] // 2, "hop",
+                 f"must be dft_size/2 = {out['dft_size'] // 2}, got {hop}")
     structure.group_count(out["dft_size"])  # names the offending width field
 
     scenes = out["scenes"]
@@ -270,7 +272,6 @@ _ARTIFACT_KEYS = ("resume", "checkpoint", "curve_csv")  # not part of the run id
 
 def _checkpoint_metadata(config, state=None):
     meta = {
-        "hop": config["hop"],
         "sample_rate": config["sample_rate"],
         "config": {k: v for k, v in config.items() if k not in _ARTIFACT_KEYS},
     }
@@ -283,7 +284,7 @@ def cmd_train(args):
     raw = _load_json(args.config, "config")
     config = validate_train_config(raw)
     structure = DependencyStructure.parse(config["structure"])
-    cfg = OlsConfig(config["dft_size"], config["hop"], config["sample_rate"])
+    cfg = OlsConfig(config["dft_size"], sample_rate=config["sample_rate"])
     schedule = TrainSchedule(
         lr=config["schedule"]["lr"],
         decay=config["schedule"]["lr_decay"],
@@ -317,7 +318,7 @@ def cmd_train(args):
                 f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
                 f"config wants {structure.label}/H={config['hidden_size']}",
             )
-        state = header.get("metadata", {}).get("schedule_state")
+        state = header["metadata"].get("schedule_state")
         _require(state is not None, "resume", "checkpoint has no schedule state")
         resume = {"params": params, **state}
 
@@ -389,12 +390,12 @@ def _target_kind(target):
 
 def _session_config_for(target, dft_size, sample_rate):
     if _target_kind(target) == "baseline":
-        return OlsConfig(dft_size, dft_size // 2, sample_rate), None
+        return OlsConfig(dft_size, sample_rate=sample_rate), None
     params, header = load_checkpoint(target)
-    k = header.get("dft_size") or dft_size
-    hop = header.get("metadata", {}).get("hop", k // 2)
-    rate = header.get("metadata", {}).get("sample_rate", sample_rate)
-    return OlsConfig(k, hop, rate), params
+    rate = header["metadata"].get("sample_rate", sample_rate)
+    if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
+        raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
+    return OlsConfig(header["dft_size"] or dft_size, sample_rate=rate), params
 
 
 def _eval_scene_task(task):

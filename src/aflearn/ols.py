@@ -15,7 +15,7 @@ All functions accept arbitrary leading batch axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -44,21 +44,24 @@ class OlsConfig:
     """Geometry of the overlap-save loop: K-point DFT, hop of R = K/2 samples."""
 
     dft_size: int
-    hop: int
+    _: KW_ONLY
     sample_rate: int = 16000
 
     def __post_init__(self):
-        k, r = self.dft_size, self.hop
+        k = self.dft_size
         if k < 4 or (k & (k - 1)) != 0:
             raise ValueError(f"dft_size must be a power of two >= 4, got {k}")
-        if 2 * r != k:
-            raise ValueError(f"hop must be dft_size/2, got hop={r} for dft_size={k}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
     @classmethod
     def for_dft_size(cls, dft_size, sample_rate=16000):
-        return cls(dft_size, dft_size // 2, sample_rate)
+        return cls(dft_size, sample_rate=sample_rate)
+
+    @property
+    def hop(self):
+        """Fresh samples per hop, R = K/2."""
+        return self.dft_size // 2
 
     @property
     def taps(self):

@@ -29,7 +29,7 @@ from .classic import (
 from .errors import ConfigError, NumericError
 from .flops import FlopCounter
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import dft, feature_spectra, hop_forward, hop_spectrum, spectrum_to_hop, stream_frame
+from .ols import feature_spectra, hop_forward, stream_frame
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
@@ -149,22 +149,19 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
     u, d = _session_signals(u, d, cfg, max_ndim=1)
     hyper = dict(hyper or {})
     k = cfg.dft_size
-
-    if algorithm == "nlms":
-        state = make_nlms_state(**hyper)
-    elif algorithm == "rls":
-        state = make_rls_state(k, **hyper)
-    else:
-        state = make_kf_state(k, **hyper)
+    # built per call, so a step patched into this module's namespace is the one that runs
+    make_state, step = {
+        "nlms": (lambda: make_nlms_state(**hyper), nlms_step),
+        "rls": (lambda: make_rls_state(k, **hyper), rls_step),
+        "kf": (lambda: make_kf_state(k, **hyper), kf_step),
+    }[algorithm]
+    state = make_state()
 
     def update(w, frame, d_hop, counter):
         nonlocal state
         if algorithm == "kf":
-            w_new, e_freq, state = kf_step(state, dft(frame), hop_spectrum(d_hop, cfg), w)
-            e_hop = spectrum_to_hop(e_freq, cfg)
-            return w_new, d_hop - e_hop, e_hop
+            w = state.transition * w  # the hop is filtered through the prediction
         y_hop, e_hop, u_freq, _, e_freq = hop_forward(cfg, w, frame, d_hop)
-        step = nlms_step if algorithm == "nlms" else rls_step
         w_new, state = step(state, u_freq, e_freq, w)
         return w_new, y_hop, e_hop
 

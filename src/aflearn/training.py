@@ -111,7 +111,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=
     g_y_hops = -2.0 * diff / (length * r) / (mse + eps)[None, :, None] / batch
     g_w = np.zeros_like(w)
     g_state = GroupState(h0=np.zeros_like(state.h0), h1=np.zeros_like(state.h1))
-    g_tensors = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
         u_freq, raw, opt_cache = caches[t]
@@ -155,7 +155,7 @@ def clip_gradients(g_tensors, max_norm):
     for g in g_tensors.values():
         total += float(np.sum(g.real**2 + g.imag**2))
     norm = np.sqrt(total)
-    if max_norm and norm > max_norm:
+    if max_norm and max_norm < norm < np.inf:  # a non-finite norm is the caller's to report
         scale = max_norm / norm
         for name in g_tensors:
             g_tensors[name] = g_tensors[name] * scale
@@ -253,11 +253,18 @@ def train_update_rule(
                     [d[:, (win_start + t) * cfg.hop : (win_start + t + 1) * cfg.hop]
                      for t in range(unroll)]
                 )
-                loss, grads, w, state, _ = window_gradient(
-                    params, cfg, w, state, frames, d_hops
-                )
+                where = (f"epoch {epoch}, window from hop {win_start}, "
+                         f"scene seeds {seeds.tolist()}")
+                try:
+                    loss, grads, w, state, _ = window_gradient(
+                        params, cfg, w, state, frames, d_hops
+                    )
+                except NumericError as exc:
+                    raise NumericError(f"{exc} in {where}") from exc
                 losses.append(loss)
-                clip_gradients(grads, schedule.clip_norm)
+                norm = clip_gradients(grads, schedule.clip_norm)
+                if not np.isfinite(norm):  # stop before Adam spreads it into the parameters
+                    raise NumericError(f"non-finite gradient norm {norm} in {where}")
                 flat = adam_step(flat, tensors_to_flat(grads), adam, lr)
                 flat_into_tensors(flat, params.tensors)
 

@@ -53,7 +53,7 @@ def test_streaming_filter_matches_direct_convolution():
     rng = np.random.default_rng(11)
     worst = 0.0
     for k in (16, 64):
-        cfg = OlsConfig(k, k // 2)
+        cfg = OlsConfig(k)
         for _ in range(50):
             taps = rng.standard_normal(cfg.taps)
             w = dft(np.concatenate([taps, np.zeros(cfg.hop)]))
@@ -80,7 +80,7 @@ def test_filter_gradient_matches_finite_differences():
     # are exact up to round-off; probe 25 directions inside the constrained
     # tap subspace where the projected gradient lives
     rng = np.random.default_rng(21)
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     frame = rng.standard_normal(cfg.dft_size)
     d_hop = rng.standard_normal(cfg.hop)
     u_freq = dft(frame)
@@ -170,7 +170,7 @@ def test_unrolled_meta_gradient_matches_fd(structure):
     # three chained update steps through the filter recursion; the gradient
     # feature channel is treated as a constant by the rule, so the
     # finite-difference loss pins it at the unperturbed trajectory's values
-    cfg = OlsConfig(8, 4)
+    cfg = OlsConfig(8)
     hidden, unroll = 4, 3
     params = init_meta_params(structure, hidden, seed=31)
     rng = np.random.default_rng(32)
@@ -288,7 +288,7 @@ def _identification_spec():
 
 
 def test_classic_rules_identify_static_path():
-    cfg = OlsConfig(512, 256)
+    cfg = OlsConfig(512)
     scene = gen_scene(_identification_spec(), seed=42)
     w_true = scene.path_spectrum(cfg)
     bounds = {"nlms": -20.0, "rls": -30.0, "kf": -30.0}
@@ -302,7 +302,7 @@ def test_classic_rules_identify_static_path():
 
 
 def test_kalman_reconverges_after_abrupt_path_change():
-    cfg = OlsConfig(512, 256)
+    cfg = OlsConfig(512)
     scene = gen_scene(_identification_spec(), seed=42, path_change_at=5.0)
     result = run_classic_session("kf", scene.far_end, scene.mic, cfg)
     mis = misalignment_db(result.weights, scene.path_spectrum(cfg, which=1))
@@ -360,7 +360,7 @@ def test_grouped_structures_cost_less_per_frame_at_equal_state_size():
 
 @pytest.mark.nightly
 def test_trained_structures_beat_nlms_on_held_out_scenes():
-    cfg = OlsConfig(512, 256)
+    cfg = OlsConfig(512)
     spec = desk_spec()
     train_seeds = list(range(200))
     val_seeds = [1_000_000 + i for i in range(20)]
@@ -447,7 +447,7 @@ def test_si_sdr_matches_direct_formula_and_invariances():
 # ---------------------------------------------------------------------------
 
 def _tiny_training_run(path):
-    cfg = OlsConfig(64, 32)
+    cfg = OlsConfig(64)
     spec = desk_spec(duration=0.6, rir_taps=32, rt60_range=(0.02, 0.04))
     params, _ = train_update_rule(
         DependencyStructure.block(4), 4, cfg, spec, list(range(4)), [100, 101],

@@ -1,9 +1,13 @@
 """Checkpoint format: determinism, round trips, corruption handling."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aflearn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from aflearn.optimizer import init_meta_params
@@ -71,3 +75,63 @@ def test_rejects_wrong_schema(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _nan_in_last_value(header, body):
+    body[-8:] = struct.pack("<d", float("nan"))
+
+
+# each case edits the parsed header (and possibly the tensor bytes) of a valid
+# banded:4, H=4, K=64 checkpoint
+CORRUPTIONS = {
+    "no-tensors-key": lambda h, body: h.pop("tensors"),
+    "no-hidden-size-key": lambda h, body: h.pop("hidden_size"),
+    "no-structure-key": lambda h, body: h.pop("structure"),
+    "no-entry-offset": lambda h, body: h["tensors"][0].pop("offset"),
+    "nbytes-off-by-8": lambda h, body: h["tensors"][0].update(
+        nbytes=h["tensors"][0]["nbytes"] + 8),
+    "negative-offset": lambda h, body: h["tensors"][0].update(offset=-16),
+    "shape-3x3": lambda h, body: h["tensors"][0].update(shape=[3, 3]),
+    "hidden-size-mismatch": lambda h, body: h.update(hidden_size=8),
+    "unknown-kind": lambda h, body: h["structure"].update(kind="spiral"),
+    "odd-banded-width": lambda h, body: h["structure"].update(width=3),
+    "wider-structure": lambda h, body: h["structure"].update(width=8),
+    "ungroupable-dft-size": lambda h, body: h.update(dft_size=2),
+    "non-power-of-two-dft-size": lambda h, body: h.update(dft_size=48),
+    "tensors-not-a-list": lambda h, body: h.update(tensors={}),
+    "non-finite-value": _nan_in_last_value,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_rejects_corrupted_checkpoint(tmp_path, corruption):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _params(), dft_size=64)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + header_len])
+    body = bytearray(data[16 + header_len :])
+    CORRUPTIONS[corruption](header, body)
+    encoded = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(encoded)) + encoded + bytes(body))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.none() | st.integers(0, 7000),
+       edits=st.lists(st.tuples(st.integers(0, 7000), st.integers(0, 255)), max_size=4))
+def test_fuzzed_file_loads_or_raises_checkpoint_error(tmp_path, cut, edits):
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(path, _params(), dft_size=64, metadata={"sample_rate": 16000})
+    data = bytearray(path.read_bytes())
+    for position, value in edits:
+        data[position % len(data)] = value
+    path.write_bytes(bytes(data[:cut]))
+    try:
+        params, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    for tensor in params.tensors.values():
+        assert np.all(np.isfinite(tensor))

@@ -12,7 +12,7 @@ from aflearn.classic import (
     rls_step,
 )
 from aflearn.metrics import misalignment_db
-from aflearn.ols import OlsConfig, dft, hop_spectrum, project_filter
+from aflearn.ols import OlsConfig, dft, hop_forward, hop_spectrum, ols_apply, project_filter
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.session import run_classic_session
 
@@ -38,7 +38,7 @@ def test_nlms_zero_error_keeps_weights():
 
 def test_nlms_update_is_constrained():
     rng, u_freq, w = _random_state(1)
-    e_freq = hop_spectrum(rng.standard_normal(8), OlsConfig(16, 8))
+    e_freq = hop_spectrum(rng.standard_normal(8), OlsConfig(16))
     w_new, _ = nlms_step(make_nlms_state(), u_freq, e_freq, w)
     tail = np.fft.ifft(w_new)[8:]
     assert np.abs(tail).max() < 1e-12
@@ -47,7 +47,7 @@ def test_nlms_update_is_constrained():
 def test_nlms_reduces_replayed_error():
     # with a representable target, replaying the same frame after the
     # update must shrink the residual
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     rng = np.random.default_rng(2)
     frame = rng.standard_normal(16)
     from aflearn.ols import af_error, ols_apply
@@ -90,33 +90,39 @@ def test_rls_zero_error_keeps_weights_but_decays_p():
 
 def test_kf_degenerate_prior_only_predicts():
     # zero covariance and zero process noise: no measurement influence
-    _, u_freq, w = _random_state(5)
-    cfg = OlsConfig(16, 8)
+    rng, u_freq, w = _random_state(5)
     state = make_kf_state(16, p0=0.0, process_noise=0.0, transition=0.9)
-    d_freq = hop_spectrum(np.random.default_rng(6).standard_normal(8), cfg)
-    w_new, _, state_new = kf_step(state, u_freq, d_freq, w)
+    w_pred = state.transition * w
+    e_freq = hop_spectrum(rng.standard_normal(8), OlsConfig(16))
+    w_new, state_new = kf_step(state, u_freq, e_freq, w_pred)
     assert rel_error(w_new, 0.9 * w) < 1e-12
     assert np.all(state_new.p == 0.0)
 
 
 def test_kf_innovation_matches_prediction_error():
+    # the hop kernel, run on the prediction, hands kf_step the innovation ...
     rng, u_freq, w = _random_state(7)
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
+    frame = np.fft.ifft(u_freq).real
     d_hop = rng.standard_normal(8)
     state = make_kf_state(16)
-    from aflearn.ols import spectrum_to_hop
-
-    w_new, e_freq, _ = kf_step(state, u_freq, hop_spectrum(d_hop, cfg), w)
     w_pred = state.transition * w
-    y_pred = spectrum_to_hop(u_freq * project_filter(w_pred), cfg)
-    assert rel_error(spectrum_to_hop(e_freq, cfg), d_hop - y_pred) < 1e-12
+    _, e_hop, u_kernel, _, e_freq = hop_forward(cfg, w_pred, frame, d_hop)
+    y_pred, _ = ols_apply(cfg, w_pred, frame)
+    assert rel_error(e_hop, d_hop - y_pred) < 1e-12
+    assert rel_error(u_kernel, u_freq) < 1e-12
+    # ... and kf_step corrects that prediction without predicting again
+    w_new, _ = kf_step(state, u_freq, np.zeros_like(e_freq), w_pred)
+    assert rel_error(w_new, w_pred) < 1e-12
+    w_new, _ = kf_step(state, u_freq, e_freq, w_pred)
+    assert rel_error(w_new, w_pred) > 1e-3
 
 
 def test_kf_observation_noise_tracks_residual_power():
     rng, u_freq, w = _random_state(8)
-    cfg = OlsConfig(16, 8)
     state = make_kf_state(16, obs_noise=5.0)
-    _, e_freq, state_new = kf_step(state, u_freq, hop_spectrum(rng.standard_normal(8), cfg), w)
+    e_freq = hop_spectrum(rng.standard_normal(8), OlsConfig(16))
+    _, state_new = kf_step(state, u_freq, e_freq, state.transition * w)
     expected = 0.99 * 5.0 + 0.01 * float(np.mean(np.abs(e_freq) ** 2))
     assert abs(state_new.obs_noise - expected) < 1e-12
 

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aflearn.checkpoint import load_checkpoint
+from aflearn.checkpoint import load_checkpoint, save_checkpoint
 from aflearn.cli import main, validate_train_config
 from aflearn.errors import ConfigError
+from aflearn.optimizer import init_meta_params
 from aflearn.scenes import read_wav, write_wav
+from aflearn.structures import DependencyStructure
 
 SPEC = {"duration": 0.6, "rir_taps": 64, "rt60_range": [0.02, 0.04]}
 
@@ -60,8 +62,10 @@ def test_gen_data_split_counts_and_determinism(tmp_path):
 def test_print_config_canonicalizes(capsys):
     assert main(["print-config"]) == 0
     config = json.loads(capsys.readouterr().out)
-    assert config["hop"] == config["dft_size"] // 2
+    assert "hop" not in config  # derived from dft_size, never stored
     assert config["schedule"]["plateau_patience"] == 5
+    # older configs spell out the hop; dft_size/2 is accepted and dropped
+    assert validate_train_config({"hop": 256}) == config
 
 
 def test_config_rejections_name_the_field(capsys):
@@ -73,6 +77,7 @@ def test_config_rejections_name_the_field(capsys):
         ({"hidden_size": "big"}, "hidden_size"),
         ({"schedule": {"momentum": 0.9}}, "schedule.momentum"),
         ({"scenes": {"preset": "studio"}}, "scenes.preset"),
+        ({"hop": 128}, "hop"),
     ]:
         with pytest.raises(ConfigError) as info:
             validate_train_config(raw)
@@ -143,6 +148,14 @@ def test_eval_learned_checkpoint_and_sweep(tmp_path, dataset):
                  "--jobs", "2"]) == 0
     assert all2.read_bytes() == all1.read_bytes()
     assert len(all1.read_text().splitlines()) == 6
+    # checkpoints written before the hop was derived carry metadata.hop; it is ignored
+    params, header = load_checkpoint(config["checkpoint"])
+    (tmp_path / "old").mkdir()
+    old = tmp_path / "old" / "model.ckpt"
+    save_checkpoint(old, params, dft_size=header["dft_size"],
+                    metadata={**header["metadata"], "hop": 32})
+    assert main(["eval", str(old), str(dataset), str(all2), "--split", "all"]) == 0
+    assert all2.read_bytes() == all1.read_bytes()
 
     sweep_dir = tmp_path / "grid"
     sweep_dir.mkdir()
@@ -212,6 +225,15 @@ def test_cancel_rejects_rate_and_length_mismatch(tmp_path, dataset):
     cut_header.write_bytes(wrong_rate.read_bytes()[:30])
     assert main(["cancel", str(cut_header), str(mic), "nlms",
                  str(tmp_path / "x.wav")]) == 4
+    # a checkpoint whose down_kernel shape (H, 5B) = (4, 20) reads [3, 3] (same byte length)
+    bad_ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(bad_ckpt, init_meta_params(DependencyStructure.block(4), 4), dft_size=64)
+    data = bad_ckpt.read_bytes()
+    bad_ckpt.write_bytes(data.replace(b'"shape":[4,20]', b'"shape":[3, 3]', 1))
+    assert main(["cancel", str(mic), str(mic), str(bad_ckpt), str(tmp_path / "x.wav")]) == 4
+    save_checkpoint(bad_ckpt, init_meta_params(DependencyStructure.block(4), 4), dft_size=64,
+                    metadata={"sample_rate": 0})
+    assert main(["cancel", str(mic), str(mic), str(bad_ckpt), str(tmp_path / "x.wav")]) == 4
 
 
 def test_plot_script_covers_each_schema(tmp_path, dataset):

@@ -27,7 +27,7 @@ def test_hand_computed_total_diagonal():
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_closed_form_matches_instrumented_count(structure):
-    cfg = OlsConfig(32, 16)
+    cfg = OlsConfig(32)
     hidden = 4
     params = init_meta_params(structure, hidden, seed=0)
     state = GroupState.zeros(structure, cfg.dft_size, hidden)
@@ -41,7 +41,7 @@ def test_closed_form_matches_instrumented_count(structure):
 
 def test_counter_scales_with_batch_and_resets():
     structure = DependencyStructure.block(4)
-    cfg = OlsConfig(32, 16)
+    cfg = OlsConfig(32)
     params = init_meta_params(structure, 4, seed=0)
     batch = 3
     state = GroupState.zeros(structure, cfg.dft_size, 4, batch_shape=(batch,))
@@ -76,6 +76,6 @@ def test_grouped_structures_cost_less_than_diagonal():
 
 
 def test_per_second_uses_hop_rate():
-    cfg = OlsConfig(32, 16, sample_rate=16000)
+    cfg = OlsConfig(32, sample_rate=16000)
     model = FlopModel(DependencyStructure.diagonal(), 32, 4)
     assert model.per_second(cfg) == model.total * 1000

@@ -22,14 +22,14 @@ from oracles import constraint_matrix, dft_matrix, fd_gradient, linear_convolve,
 
 
 def test_config_validates_geometry():
-    cfg = OlsConfig(16, 8)
-    assert cfg.taps == 8
+    cfg = OlsConfig(16)
+    assert cfg.hop == cfg.taps == 8
     with pytest.raises(ValueError):
-        OlsConfig(12, 6)
+        OlsConfig(12)
+    with pytest.raises(TypeError):  # the hop is derived; a second positional is an error
+        OlsConfig(16, 8)
     with pytest.raises(ValueError):
-        OlsConfig(16, 4)
-    with pytest.raises(ValueError):
-        OlsConfig(16, 8, sample_rate=0)
+        OlsConfig(16, sample_rate=0)
     assert OlsConfig.for_dft_size(64).hop == 32
 
 
@@ -55,7 +55,7 @@ def test_project_filter_matches_dense_constraint():
 
 
 def test_project_filter_keeps_short_responses():
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     h = np.zeros(16)
     h[:8] = np.arange(1.0, 9.0)
     w = dft(h)
@@ -63,7 +63,7 @@ def test_project_filter_keeps_short_responses():
 
 
 def test_ols_identity_filter_passes_input_through():
-    cfg = OlsConfig(8, 4)
+    cfg = OlsConfig(8)
     impulse = np.zeros(8)
     impulse[0] = 1.0
     w = dft(impulse)
@@ -92,7 +92,7 @@ def test_ols_matches_direct_convolution_streamwise():
 
 
 def test_ols_rejects_bad_input():
-    cfg = OlsConfig(8, 4)
+    cfg = OlsConfig(8)
     w = np.zeros(8, dtype=complex)
     with pytest.raises(ValueError):
         ols_apply(cfg, w, np.zeros(7))
@@ -105,7 +105,7 @@ def test_ols_rejects_bad_input():
 
 
 def test_af_error_silent_far_end_returns_desired():
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     rng = np.random.default_rng(4)
     d_hop = rng.standard_normal(8)
     y_hop, _ = ols_apply(cfg, rng.standard_normal(16) + 0j, np.zeros(16))
@@ -115,7 +115,7 @@ def test_af_error_silent_far_end_returns_desired():
 
 
 def test_hop_spectrum_roundtrip():
-    cfg = OlsConfig(32, 16)
+    cfg = OlsConfig(32)
     rng = np.random.default_rng(5)
     hop = rng.standard_normal(16)
     spec = hop_spectrum(hop, cfg)
@@ -128,7 +128,7 @@ def test_filter_gradient_matches_finite_differences():
     # convention: returned gradient is d||e||^2 / d(conj w), so the
     # paired-real finite-difference estimate equals exactly twice it
     rng = np.random.default_rng(6)
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     frame = rng.standard_normal(16)
     d_hop = rng.standard_normal(8)
     w = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * 0.3
@@ -147,7 +147,7 @@ def test_filter_gradient_matches_finite_differences():
 
 def test_filter_gradient_ignores_constrained_taps():
     rng = np.random.default_rng(7)
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     frame = rng.standard_normal(16)
     d_hop = rng.standard_normal(8)
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -165,7 +165,7 @@ def test_filter_gradient_ignores_constrained_taps():
 
 
 def test_filter_gradient_zero_error_is_zero():
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     rng = np.random.default_rng(8)
     u_freq = dft(rng.standard_normal(16))
     grad = filter_gradient(u_freq, np.zeros(8), cfg)
@@ -182,7 +182,7 @@ def test_conjugate_symmetry_projection():
 
 
 def test_stream_hops_covers_signal():
-    cfg = OlsConfig(8, 4)
+    cfg = OlsConfig(8)
     x = np.arange(10.0)
     frames = list(stream_hops(x, cfg, pad_tail=True))
     assert len(frames) == 3
@@ -196,7 +196,7 @@ def test_stream_hops_covers_signal():
 
 
 def test_batched_calls_match_loop():
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     rng = np.random.default_rng(10)
     frames = rng.standard_normal((5, 16))
     w = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))

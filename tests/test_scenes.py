@@ -145,7 +145,7 @@ def test_scene_round_trip(tmp_path):
     switch, rir2 = loaded.rir_switch
     assert switch == changed.rir_switch[0]
     assert np.array_equal(rir2, changed.rir_switch[1])
-    cfg = OlsConfig(512, 256)
+    cfg = OlsConfig(512)
     assert np.array_equal(loaded.path_spectrum(cfg, which=1),
                           changed.path_spectrum(cfg, which=1))
 

@@ -8,12 +8,15 @@ import pytest
 import aflearn.session
 from aflearn.errors import ConfigError, NumericError
 from aflearn.flops import flops_per_frame
-from aflearn.ols import OlsConfig
+from aflearn.classic import make_kf_state
+from aflearn.ols import OlsConfig, ols_apply, stream_frame
 from aflearn.optimizer import init_meta_params
 from aflearn.session import CLASSIC_ALGORITHMS, run_classic_session, run_learned_session
 from aflearn.structures import DependencyStructure
 
-CFG = OlsConfig(32, 16)
+from oracles import rel_error
+
+CFG = OlsConfig(32)
 
 
 def _signals(n, seed=0):
@@ -106,7 +109,23 @@ def test_classic_sessions_count_no_matmul_flops():
     assert result.flops == 0
 
 
-FFT_CALLS_PER_HOP = {"learned": 8, "nlms": 7, "rls": 7, "kf": 10}
+def test_kf_residual_is_the_innovation():
+    # each hop is filtered through the prediction transition * w of the
+    # previous posterior, so the residual is the Kalman innovation
+    hops = 12
+    u, d = _signals(hops * CFG.hop, seed=3)
+    result = run_classic_session("kf", u, d, CFG, snapshot_stride=1)
+    transition = make_kf_state(CFG.dft_size).transition
+    posteriors = [np.zeros(CFG.dft_size, dtype=complex)] + [w for _, w in result.snapshots]
+    assert [t for t, _ in result.snapshots] == list(range(hops))
+    for t in range(hops):
+        y_pred, _ = ols_apply(CFG, transition * posteriors[t], stream_frame(u, CFG, t))
+        hop = slice(t * CFG.hop, (t + 1) * CFG.hop)
+        assert rel_error(result.error[hop], d[hop] - y_pred) < 1e-12, t
+    assert rel_error(result.weights, posteriors[-1]) == 0.0
+
+
+FFT_CALLS_PER_HOP = {"learned": 8, "nlms": 7, "rls": 7, "kf": 7}
 
 
 @pytest.mark.parametrize("algorithm", sorted(FFT_CALLS_PER_HOP))
@@ -124,8 +143,9 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
-    # perfbench/tracing.py times learned hops through these names in aflearn.session
-    for name in ("build_input", "optimizer_step", "apply_update"):
+    # perfbench/tracing.py times hops through these names in aflearn.session
+    steps = tuple(f"{name}_step" for name in CLASSIC_ALGORITHMS)
+    for name in ("build_input", "optimizer_step", "apply_update") + steps:
         monkeypatch.setattr(aflearn.session, name,
                             counted(name, getattr(aflearn.session, name)))
     if algorithm == "learned":
@@ -135,4 +155,5 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
             assert calls[name] == hops, name
     else:
         run_classic_session(algorithm, u, d, CFG)
+        assert calls == {"fft": calls["fft"], f"{algorithm}_step": hops}
     assert calls["fft"] == FFT_CALLS_PER_HOP[algorithm] * hops

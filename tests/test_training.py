@@ -1,8 +1,12 @@
 """Truncated-BPTT gradients, Adam bookkeeping, and a miniature training run."""
 
+import re
+
 import numpy as np
 import pytest
 
+import aflearn.training
+from aflearn.errors import NumericError
 from aflearn.ols import OlsConfig, af_error, dft, filter_gradient, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene
@@ -48,7 +52,7 @@ def test_meta_loss_accepts_unbatched_windows():
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_window_gradient_matches_fd(structure):
     # full unroll through the filter recursion, state carry, and features
-    cfg = OlsConfig(8, 4)
+    cfg = OlsConfig(8)
     hidden, unroll, batch = 4, 3, 2
     params = init_meta_params(structure, hidden, seed=1)
     rng = np.random.default_rng(2)
@@ -108,7 +112,7 @@ def test_window_gradient_matches_fd(structure):
 def test_window_gradient_state_carry_matches_long_window():
     # two carried windows produce the same outputs as one double window
     structure = DependencyStructure.block(4)
-    cfg = OlsConfig(16, 8)
+    cfg = OlsConfig(16)
     params = init_meta_params(structure, 4, seed=3)
     rng = np.random.default_rng(4)
     frames = rng.standard_normal((6, 1, 16))
@@ -154,7 +158,7 @@ def test_clip_gradients_global_norm():
 
 def test_batched_outputs_match_sequential_session():
     structure = DependencyStructure.banded(4)
-    cfg = OlsConfig(64, 32)
+    cfg = OlsConfig(64)
     params = init_meta_params(structure, 4, seed=5)
     spec = desk_spec(duration=0.2, rir_taps=32)
     scenes = [gen_scene(spec, seed) for seed in (0, 1, 2)]
@@ -174,7 +178,7 @@ def test_batched_outputs_match_sequential_session():
 
 def test_evaluate_mean_serle_runs():
     structure = DependencyStructure.block(4)
-    cfg = OlsConfig(64, 32)
+    cfg = OlsConfig(64)
     params = init_meta_params(structure, 4, seed=6)
     spec = desk_spec(duration=0.2, rir_taps=32)
     scenes = [gen_scene(spec, seed) for seed in range(3)]
@@ -185,7 +189,7 @@ def test_evaluate_mean_serle_runs():
 @pytest.mark.slow
 def test_train_update_rule_miniature():
     structure = DependencyStructure.block(4)
-    cfg = OlsConfig(64, 32)
+    cfg = OlsConfig(64)
     spec = desk_spec(duration=0.2, rir_taps=32)
     schedule = TrainSchedule(lr=1e-3, clip_norm=10.0)
     params, history = train_update_rule(
@@ -211,3 +215,30 @@ def test_train_update_rule_miniature():
         float(np.abs(params.tensors[n] - fresh.tensors[n]).max()) for n in params.names
     )
     assert moved > 0.0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "loss"])
+def test_non_finite_gradient_stops_training_before_the_update(bad, monkeypatch):
+    real = aflearn.training.window_gradient
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss, grads, w, state, y_hops = real(*args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 2:
+            if bad == "loss":
+                raise NumericError("non-finite training loss")
+            grads["gru1.b_c"][0] = float(bad)
+        return loss, grads, w, state, y_hops
+
+    monkeypatch.setattr(aflearn.training, "window_gradient", poisoned)
+    with pytest.raises(NumericError) as info:
+        train_update_rule(DependencyStructure.block(4), 4, OlsConfig(64),
+                          desk_spec(duration=0.2, rir_taps=32), train_seeds=[5, 6],
+                          val_seeds=[100], epochs=1, batch_size=2, unroll=5, init_seed=7)
+    # raised where the gradient appeared: before Adam, so no later window ran
+    assert len(calls) == 2
+    message = str(info.value)
+    assert "epoch 0" in message and "hop 5" in message
+    seeds = re.search(r"scene seeds \[([0-9, ]+)\]", message).group(1)
+    assert sorted(int(x) for x in seeds.split(",")) == [5, 6]
