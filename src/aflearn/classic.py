@@ -9,9 +9,9 @@ that frame through ``w``.
 
 The Kalman filter models the echo path as a scalar-gain random walk per bin
 (w' = A w + process noise) and re-estimates the observation noise from a
-smoothed mean of the residual frame power, so it keeps adapting after abrupt
-path changes without manual resets.  The session predicts ``A w`` before the
-hop, so the error the hop kernel hands to ``kf_step`` is the innovation.
+smoothed mean of the residual frame power (one per scene of a stack), so it
+keeps adapting after abrupt path changes without manual resets.  The session
+predicts ``A w`` before the hop, so the hop kernel's error is the innovation.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class KfState:
     """Diagonal random-walk Kalman filter with adaptive observation noise."""
 
     p: np.ndarray
-    obs_noise: float
+    obs_noise: float  # becomes one per scene, shape (..., 1), after the first update
     process_noise: float = 1e-3
     transition: float = 0.999
     noise_smoothing: float = 0.99
@@ -115,7 +115,7 @@ def kf_step(state, u_freq, e_freq, w):
     w_new = project_filter(w + gain * e_freq)
     p_new = p_pred * state.obs_noise / innovation_var
 
-    residual = float(np.mean(e_freq.real**2 + e_freq.imag**2))
+    residual = np.sum(e_freq.real**2 + e_freq.imag**2, axis=-1, keepdims=True) / e_freq.shape[-1]
     beta = state.noise_smoothing
     obs_new = beta * state.obs_noise + (1.0 - beta) * residual
     return w_new, replace(state, p=p_new, obs_noise=obs_new)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .flops import flops_per_frame
-from .metrics import bootstrap_mean_ci, serle_db
+from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
 from .scenes import (
     SceneSpec,
@@ -47,7 +49,7 @@ from .scenes import (
 )
 from .session import CLASSIC_ALGORITHMS, run_classic_session, run_learned_session
 from .structures import DependencyStructure
-from .training import TrainSchedule, train_update_rule
+from .training import TrainSchedule, scene_scores, train_update_rule
 
 __all__ = ["main", "build_parser", "validate_train_config", "TRAIN_DEFAULTS"]
 
@@ -258,11 +260,38 @@ def cmd_gen_data(args):
 # train
 
 
+_SPLITS = ("train", "val", "test")
+
+
+def _load_manifest(path):
+    """A gen-data manifest's (spec, scene entries); ConfigError naming 'manifest' if malformed."""
+    manifest = _load_json(path, "manifest")
+
+    def check(condition, message):
+        _require(condition, "manifest", f"{path}: {message}")
+
+    check(isinstance(manifest, dict) and "spec" in manifest and "scenes" in manifest,
+          "expected an object with 'spec' and 'scenes'")
+    try:
+        spec = spec_from_json(manifest["spec"])
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError("manifest", f"{path}: bad spec ({exc})") from None
+    entries = manifest["scenes"]
+    check(isinstance(entries, list), "'scenes' must be a list")
+    for i, entry in enumerate(entries):
+        check(isinstance(entry, dict) and {"stem", "seed", "split"} <= entry.keys(),
+              f"scene {i} needs 'stem', 'seed' and 'split'")
+        check(isinstance(entry["stem"], str) and entry["stem"], f"scene {i}: bad stem")
+        check(isinstance(entry["seed"], int) and not isinstance(entry["seed"], bool),
+              f"scene {i}: seed must be an integer")
+        check(entry["split"] in _SPLITS, f"scene {i}: unknown split {entry['split']!r}")
+    return spec, entries
+
+
 def _manifest_seeds(manifest_path):
-    manifest = _load_json(manifest_path, "scenes.manifest")
-    spec = spec_from_json(manifest["spec"])
-    by_split = {"train": [], "val": [], "test": []}
-    for entry in manifest["scenes"]:
+    spec, entries = _load_manifest(manifest_path)
+    by_split = {split: [] for split in _SPLITS}
+    for entry in entries:
         by_split[entry["split"]].append(entry["seed"])
     return spec, by_split
 
@@ -384,47 +413,51 @@ def cmd_train(args):
 # eval
 
 
-def _target_kind(target):
-    return "baseline" if target in CLASSIC_ALGORITHMS else "checkpoint"
-
-
 def _session_config_for(target, dft_size, sample_rate):
-    if _target_kind(target) == "baseline":
-        return OlsConfig(dft_size, sample_rate=sample_rate), None
-    params, header = load_checkpoint(target)
-    rate = header["metadata"].get("sample_rate", sample_rate)
-    if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
-        raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
-    return OlsConfig(header["dft_size"] or dft_size, sample_rate=rate), params
-
-
-def _eval_scene_task(task):
-    """Evaluate one scene; module-level so --jobs workers can pickle it."""
-    (directory, stem, seed, split, label, cfg, params, hyper) = task
-    scene = load_scene(directory, stem)
-    if scene.spec.sample_rate != cfg.sample_rate:
-        raise ConfigError("sample_rate",
-                          f"{stem}: scene is {scene.spec.sample_rate} Hz, "
-                          f"session expects {cfg.sample_rate} Hz")
-    if params is None:
-        result = run_classic_session(label, scene.far_end, scene.mic, cfg, hyper=hyper)
-    else:
-        result = run_learned_session(params, scene.far_end, scene.mic, cfg)
-    n = result.output.size
-    echo = scene.echo[:n]
+    """(cfg, params or None) of ``target`` run on inputs sampled at ``sample_rate``."""
+    params = None
+    if target not in CLASSIC_ALGORITHMS:
+        params, header = load_checkpoint(target)
+        rate = header["metadata"].get("sample_rate", sample_rate)
+        if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
+            raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
+        if rate != sample_rate:
+            raise ConfigError("sample_rate",
+                              f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
+        dft_size = header["dft_size"] or dft_size
     try:
-        serle = round(serle_db(echo, echo - result.output, cfg.hop), 4)
-    except MetricUndefinedError:
-        serle = ""
-    return {
-        "scene": stem,
-        "seed": seed,
-        "split": split,
-        "algorithm": label,
-        "serle_db": serle,
-        "erle_db": round(result.mean_erle_db, 4),
-        "frames": result.frames,
-    }
+        return OlsConfig(dft_size, sample_rate=sample_rate), params
+    except ValueError as exc:
+        raise ConfigError("dft_size", str(exc)) from None
+
+
+def _parse_hyper(text):
+    """``--hyper``: a JSON object of numeric baseline hyperparameters, {} if absent."""
+    hyper = json.loads(text) if text else {}
+    _require(isinstance(hyper, dict), "hyper", f"expected a JSON object, got {text!r}")
+    for name, value in hyper.items():
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool), "hyper",
+                 f"{name} must be a number, got {value!r}")
+    return hyper
+
+
+def _eval_chunk_task(task):
+    """Rows of scenes scored in lockstep; module-level so --jobs workers can pickle it."""
+    directory, entries, label, cfg, params, hyper = task
+    scenes = [load_scene(directory, e["stem"]) for e in entries]
+    for entry, scene in zip(entries, scenes):
+        if scene.spec.sample_rate != cfg.sample_rate:
+            raise ConfigError("sample_rate",
+                              f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
+                              f"session expects {cfg.sample_rate} Hz")
+    session = (partial(run_classic_session, label, cfg=cfg, hyper=hyper) if params is None
+               else partial(run_learned_session, params, cfg=cfg))
+    return [
+        {"scene": e["stem"], "seed": e["seed"], "split": e["split"], "algorithm": label,
+         "serle_db": "" if serle is None else round(serle, 4), "erle_db": round(erle, 4),
+         "frames": frames}
+        for e, (serle, erle, frames) in zip(entries, scene_scores(session, scenes, cfg))
+    ]
 
 
 EVAL_COLUMNS = ["scene", "seed", "split", "algorithm", "serle_db", "erle_db", "frames"]
@@ -436,30 +469,31 @@ SWEEP_COLUMNS = [
 
 
 def _manifest_entries(manifest_arg, split):
+    """(scene directory, entries of ``split``, the scenes' sample rate)."""
     path = Path(manifest_arg)
     if path.is_dir():
         path = path / "manifest.json"
-    manifest = _load_json(path, "manifest")
-    entries = [e for e in manifest["scenes"] if split in ("all", e["split"])]
+    spec, entries = _load_manifest(path)
+    entries = [e for e in entries if split in ("all", e["split"])]
     if not entries:
         raise ConfigError("split", f"no scenes in split {split!r}")
-    return path.parent, entries
+    return path.parent, entries, spec.sample_rate
 
 
-def _run_eval(directory, entries, target, hyper, args):
+def _run_eval(directory, entries, rate, target, hyper, args):
     """Per-scene rows of one target and its (cfg, params); loads a checkpoint once."""
-    cfg, params = _session_config_for(target, args.dft_size, args.sample_rate)
+    cfg, params = _session_config_for(target, args.dft_size, rate)
     label = target if params is None else Path(target).stem
-    tasks = [
-        (str(directory), e["stem"], e["seed"], e["split"], label, cfg, params, hyper)
-        for e in entries
-    ]
+    # lockstep chunks of up to 8 scenes, small enough that every --jobs worker gets one
+    chunk = min(8, math.ceil(len(entries) / max(args.jobs, 1)))
+    tasks = [(str(directory), entries[lo : lo + chunk], label, cfg, params, hyper)
+             for lo in range(0, len(entries), chunk)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_eval_scene_task, tasks))
+            chunks = list(pool.map(_eval_chunk_task, tasks))
     else:
-        rows = [_eval_scene_task(task) for task in tasks]
-    return rows, cfg, params
+        chunks = map(_eval_chunk_task, tasks)
+    return [row for rows in chunks for row in rows], cfg, params
 
 
 def _summarize(rows, split):
@@ -488,8 +522,8 @@ def _write_csv(path, columns, rows):
 
 
 def cmd_eval(args):
-    hyper = json.loads(args.hyper) if args.hyper else {}
-    directory, entries = _manifest_entries(args.manifest, args.split)
+    hyper = _parse_hyper(args.hyper)
+    directory, entries, rate = _manifest_entries(args.manifest, args.split)
 
     if args.sweep:
         checkpoints = sorted(Path(args.target).glob("*.ckpt"))
@@ -497,7 +531,7 @@ def cmd_eval(args):
             raise FileNotFoundError(f"no *.ckpt files in {args.target}")
         sweep_rows = []
         for ckpt in checkpoints:
-            rows, cfg, params = _run_eval(directory, entries, str(ckpt), hyper, args)
+            rows, cfg, params = _run_eval(directory, entries, rate, str(ckpt), hyper, args)
             summary = _summarize(rows, args.split)
             sweep_rows.append({
                 "checkpoint": ckpt.stem,
@@ -516,9 +550,9 @@ def cmd_eval(args):
         print(args.out_csv)
         return 0
 
-    if _target_kind(args.target) == "checkpoint" and not Path(args.target).exists():
+    if args.target not in CLASSIC_ALGORITHMS and not Path(args.target).exists():
         raise FileNotFoundError(f"no such checkpoint or baseline: {args.target}")
-    rows, _, _ = _run_eval(directory, entries, args.target, hyper, args)
+    rows, _, _ = _run_eval(directory, entries, rate, args.target, hyper, args)
     _write_csv(args.out_csv, EVAL_COLUMNS, rows)
     summary = _summarize(rows, args.split)
     summary_path = Path(args.out_csv).with_suffix(".summary.csv")
@@ -535,23 +569,18 @@ def cmd_eval(args):
 
 
 def cmd_cancel(args):
-    hyper = json.loads(args.hyper) if args.hyper else {}
+    hyper = _parse_hyper(args.hyper)
     rate_u, u = read_wav(args.farend)
     rate_d, d = read_wav(args.mic)
     if rate_u != rate_d:
         raise ConfigError("sample_rate", f"far end is {rate_u} Hz, mic is {rate_d} Hz")
     if u.size != d.size:
         raise ConfigError("length", f"far end has {u.size} samples, mic has {d.size}")
-    cfg, params = _session_config_for(args.target, args.dft_size, args.sample_rate)
-    if rate_u != cfg.sample_rate:
-        raise ConfigError("sample_rate",
-                          f"unsupported sample rate {rate_u} Hz; expected {cfg.sample_rate}")
+    cfg, params = _session_config_for(args.target, args.dft_size, rate_u)
 
-    kwargs = {"telemetry_path": args.telemetry} if args.telemetry else {}
-    if params is None:
-        result = run_classic_session(args.target, u, d, cfg, hyper=hyper, **kwargs)
-    else:
-        result = run_learned_session(params, u, d, cfg, **kwargs)
+    session = (partial(run_classic_session, args.target, hyper=hyper) if params is None
+               else partial(run_learned_session, params))
+    result = session(u, d, cfg, telemetry_path=args.telemetry)
 
     out = np.array(d)  # unprocessed tail (partial hop) passes through
     out[: result.error.size] = result.error
@@ -649,13 +678,14 @@ def build_parser():
     p.add_argument("manifest", help="dataset directory or manifest.json path")
     p.add_argument("out_csv", help="per-scene CSV (plus .summary.csv), or sweep CSV")
     p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; the scenes are split into lockstep chunks "
+                        "of up to 8 so that every worker gets one")
     p.add_argument("--sweep", action="store_true",
                    help="evaluate every *.ckpt in the target directory")
     p.add_argument("--hyper", help="baseline hyperparameters as JSON")
     p.add_argument("--dft-size", type=int, default=512, dest="dft_size",
                    help="DFT size for baselines (checkpoints carry their own)")
-    p.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cancel", help="cancel echo in one WAV pair, write the residual")
@@ -665,7 +695,6 @@ def build_parser():
     p.add_argument("out", help="output WAV for the residual signal")
     p.add_argument("--hyper", help="baseline hyperparameters as JSON")
     p.add_argument("--dft-size", type=int, default=512, dest="dft_size")
-    p.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate")
     p.add_argument("--telemetry", help="write per-frame JSON-lines telemetry here")
     p.set_defaults(func=cmd_cancel)
 

@@ -9,6 +9,10 @@ class ConfigError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):  # rebuilt from both fields, so it crosses process boundaries
+        return type(self), (self.field, self.message)
 
 
 class NumericError(ArithmeticError):

@@ -6,9 +6,9 @@ update the weights.  The filter output at hop t always uses the weights from
 before the hop-t update.
 
 Only whole hops are processed; a trailing partial hop is dropped and outputs
-are trimmed accordingly.  Learned sessions also take (batch, samples) stacks
-and run the scenes in lockstep; a 1-D signal pair is the batch-free case of
-the same loop.
+are trimmed accordingly.  Every session, learned or classic, also takes
+(batch, samples) stacks and runs the scenes in lockstep; a 1-D signal pair is
+the batch-free case of the same loop.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ def _erle_db(d_hops, e_hops):
     return np.where(den > 0.0, ratio, 80.0)
 
 
-def _session_signals(u, d, cfg, max_ndim):
+def _session_signals(u, d, cfg):
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     if u.shape != d.shape:
         raise ValueError(f"signal shapes differ: {u.shape} vs {d.shape}")
-    if not 1 <= u.ndim <= max_ndim:
-        raise ValueError(f"session signals must have 1 to {max_ndim} axes, got {u.ndim}")
+    if u.ndim not in (1, 2):
+        raise ValueError(f"session signals must have 1 or 2 axes, got {u.ndim}")
     if u.shape[-1] < cfg.hop:
         raise ValueError(f"need at least {cfg.hop} samples, got {u.shape[-1]}")
     return u, d
@@ -128,7 +128,7 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     ``u`` and ``d`` are 1-D signals or (batch, samples) stacks; a stack runs
     its scenes in lockstep and every result array gains the leading batch axis.
     """
-    u, d = _session_signals(u, d, cfg, max_ndim=2)
+    u, d = _session_signals(u, d, cfg)
     state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
                              batch_shape=u.shape[:-1])
 
@@ -143,10 +143,10 @@ def run_learned_session(params, u, d, cfg, **kwargs):
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
-    """Run one of the classical baselines ('nlms', 'rls', 'kf') over 1-D signals."""
+    """Run a classical baseline ('nlms', 'rls', 'kf'); signals as in ``run_learned_session``."""
     if algorithm not in CLASSIC_ALGORITHMS:
         raise ConfigError("algorithm", f"unknown baseline {algorithm!r}")
-    u, d = _session_signals(u, d, cfg, max_ndim=1)
+    u, d = _session_signals(u, d, cfg)
     hyper = dict(hyper or {})
     k = cfg.dft_size
     # built per call, so a step patched into this module's namespace is the one that runs
@@ -155,7 +155,10 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         "rls": (lambda: make_rls_state(k, **hyper), rls_step),
         "kf": (lambda: make_kf_state(k, **hyper), kf_step),
     }[algorithm]
-    state = make_state()
+    try:
+        state = make_state()
+    except TypeError as exc:  # a hyperparameter this baseline does not take
+        raise ConfigError("hyper", f"{algorithm}: {exc}") from None
 
     def update(w, frame, d_hop, counter):
         nonlocal state

@@ -10,14 +10,15 @@ incoming filter state and hidden state of each window are constants.
 Scenes in a batch run in lockstep with a leading batch axis, which is exactly
 equivalent to averaging per-scene gradients but keeps the matrix products
 large enough to be efficient.  Windows use the sessions' frame builder and
-hop kernel (``ols.stream_frame``, ``ols.hop_forward``); validation runs
-``run_learned_session`` on stacked scenes.
+hop kernel (``ols.stream_frame``, ``ols.hop_forward``); validation and
+``aflearn eval`` score scenes through ``scene_scores``, in lockstep chunks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "adam_step",
     "clip_gradients",
     "train_update_rule",
+    "scene_scores",
     "evaluate_mean_serle",
 ]
 
@@ -162,23 +164,36 @@ def clip_gradients(g_tensors, max_norm):
     return norm
 
 
+def scene_scores(session, scenes, cfg, chunk=8):
+    """Per scene, in input order: (serle_db, or None without audible echo, mean erle_db, frames).
+
+    ``session(u, d)`` runs a (batch, samples) stack; each run of consecutive
+    equal-length scenes goes through it in lockstep chunks of up to ``chunk``.
+    """
+    scores = []
+    for _, run in groupby(scenes, key=lambda scene: scene.far_end.size):
+        run = list(run)
+        for lo in range(0, len(run), chunk):
+            group = run[lo : lo + chunk]
+            result = session(np.stack([s.far_end for s in group]),
+                             np.stack([s.mic for s in group]))
+            for scene, y, erle in zip(group, result.output, result.erle_db):
+                echo = scene.echo[: y.size]
+                try:
+                    serle = serle_db(echo, echo - y, cfg.hop)
+                except MetricUndefinedError:
+                    serle = None
+                scores.append((serle, float(np.mean(erle)), result.frames))
+    return scores
+
+
 def evaluate_mean_serle(params, scenes, cfg, chunk=8):
     """Mean echo-suppression score of lockstep sessions over ``scenes``.
 
     Scenes without a single audible echo frame are skipped.
     """
-    scores = []
-    for lo in range(0, len(scenes), chunk):
-        group = scenes[lo : lo + chunk]
-        u = np.stack([s.far_end for s in group])
-        d = np.stack([s.mic for s in group])
-        y = run_learned_session(params, u, d, cfg).output
-        for i, scene in enumerate(group):
-            echo = scene.echo[: y.shape[1]]
-            try:
-                scores.append(serle_db(echo, echo - y[i], cfg.hop))
-            except MetricUndefinedError:
-                continue
+    scores = scene_scores(lambda u, d: run_learned_session(params, u, d, cfg), scenes, cfg, chunk)
+    scores = [serle for serle, _, _ in scores if serle is not None]
     if not scores:
         raise MetricUndefinedError("no scene with audible echo")
     return float(np.mean(scores))

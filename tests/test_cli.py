@@ -1,6 +1,7 @@
 """Command-line workflows: dataset, config validation, train/eval/cancel."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,83 @@ def test_eval_missing_inputs_are_io_errors(tmp_path, dataset):
     assert main(["eval", "nlms", str(tmp_path / "nowhere"), str(tmp_path / "o.csv")]) == 4
     assert main(["eval", str(tmp_path / "no.ckpt"), str(dataset),
                  str(tmp_path / "o.csv")]) == 4
+
+
+def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):
+    # a hand-merged manifest: three 0.4 s scenes among the 0.6 s ones
+    spec_file = tmp_path / "short.json"
+    spec_file.write_text(json.dumps({**SPEC, "duration": 0.4}))
+    other = tmp_path / "short"
+    assert main(["gen-data", str(spec_file), str(other), "--count", "3",
+                 "--seed", "20", "--split", "0,0,1"]) == 0
+    for path in other.glob("scene_*"):
+        shutil.copy(path, dataset / f"short_{path.name}")
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    extra = json.loads((other / "manifest.json").read_text())["scenes"]
+    extra = [{**entry, "stem": f"short_{entry['stem']}"} for entry in extra]
+    merged = manifest["scenes"][:1] + extra + manifest["scenes"][1:]
+    manifest["scenes"] = merged
+    (dataset / "manifest.json").write_text(json.dumps(manifest))
+
+    outs = [tmp_path / "j1.csv", tmp_path / "j2.csv"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["eval", "kf", str(dataset), str(out), "--split", "all",
+                     "--dft-size", "64", "--jobs", jobs]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = [line.split(",") for line in outs[0].read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [entry["stem"] for entry in merged]
+    assert {row[6] for row in rows} == {str(int(0.6 * 16000) // 32), str(int(0.4 * 16000) // 32)}
+
+
+@pytest.mark.parametrize("manifest", [
+    {},
+    {"scenes": [{"stem": "x"}]},
+    {"spec": {}, "scenes": [{"stem": "x"}]},
+    {"spec": {}, "scenes": [{"stem": "x", "seed": 1, "split": "dev"}]},
+    {"spec": {}, "scenes": {"stem": "x"}},
+    {"spec": {"bogus": 1}, "scenes": []},
+    [],
+])
+def test_malformed_manifests_are_config_errors(tmp_path, manifest, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["eval", "nlms", str(data), str(tmp_path / "o.csv"), "--split", "all"]) == 2
+    config_path, _ = _train_config(tmp_path, data)
+    assert main(["train", str(config_path)]) == 2
+    assert "config error: manifest:" in capsys.readouterr().err
+
+
+def test_bad_dft_size_and_hyper_are_config_errors(tmp_path, dataset, capsys):
+    mic = str(dataset / "scene_00004.mic.wav")
+    for command in (["eval", "nlms", str(dataset), str(tmp_path / "o.csv")],
+                    ["cancel", mic, mic, "nlms", str(tmp_path / "o.wav")]):
+        assert main(command + ["--dft-size", "100"]) == 2
+        assert "config error: dft_size:" in capsys.readouterr().err
+        for hyper in ("[1]", '{"bogus": 1}', '{"eps": "small"}'):
+            assert main(command + ["--dft-size", "64", "--hyper", hyper]) == 2, hyper
+            assert "config error: hyper:" in capsys.readouterr().err
+    # raised in a worker process, the error still reaches the exit code
+    assert main(["eval", "rls", str(dataset), str(tmp_path / "o.csv"), "--split", "all",
+                 "--dft-size", "64", "--jobs", "2", "--hyper", '{"step_size": 1}']) == 2
+
+
+def test_sample_rate_comes_from_the_inputs(tmp_path, dataset):
+    _, u = read_wav(dataset / "scene_00004.farend.wav")
+    _, d = read_wav(dataset / "scene_00004.mic.wav")
+    farend, mic = tmp_path / "u8k.wav", tmp_path / "d8k.wav"
+    write_wav(farend, u, 8000)
+    write_wav(mic, d, 8000)
+    out = tmp_path / "out.wav"
+    assert main(["cancel", str(farend), str(mic), "nlms", str(out), "--dft-size", "64"]) == 0
+    assert read_wav(out)[0] == 8000
+    params = init_meta_params(DependencyStructure.block(4), 4)
+    ckpt = tmp_path / "rule.ckpt"
+    save_checkpoint(ckpt, params, dft_size=64, metadata={"sample_rate": 16000})
+    assert main(["cancel", str(farend), str(mic), str(ckpt), str(out)]) == 2
+    # a checkpoint that does not name its rate runs at the inputs' rate
+    save_checkpoint(ckpt, params, dft_size=64)
+    assert main(["cancel", str(farend), str(mic), str(ckpt), str(out)]) == 0
 
 
 def test_cancel_silent_farend_passes_mic_through(tmp_path, dataset):

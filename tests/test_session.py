@@ -56,9 +56,16 @@ def test_mismatched_lengths_rejected():
     u, d = _signals(4 * CFG.hop)
     with pytest.raises(ValueError):
         run_classic_session("nlms", u, d[:-1], CFG)
-    # lockstep stacks are a learned-session feature; the baselines keep 1-D state
+    # a stack is (batch, samples); a third axis is not a session
     with pytest.raises(ValueError):
-        run_classic_session("nlms", np.stack([u, u]), np.stack([d, d]), CFG)
+        run_classic_session("nlms", u.reshape(1, 1, -1), d.reshape(1, 1, -1), CFG)
+
+
+def test_unknown_hyperparameter_names_the_field():
+    u, d = _signals(4 * CFG.hop)
+    with pytest.raises(ConfigError) as info:
+        run_classic_session("rls", u, d, CFG, hyper={"step_size": 0.5})
+    assert info.value.field == "hyper"
 
 
 def test_telemetry_stream_one_row_per_frame(tmp_path):

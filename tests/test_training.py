@@ -7,10 +7,11 @@ import pytest
 
 import aflearn.training
 from aflearn.errors import NumericError
+from aflearn.metrics import serle_db
 from aflearn.ols import OlsConfig, af_error, dft, filter_gradient, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene
-from aflearn.session import run_learned_session
+from aflearn.session import run_classic_session, run_learned_session
 from aflearn.structures import DependencyStructure
 from aflearn.training import (
     AdamState,
@@ -19,6 +20,7 @@ from aflearn.training import (
     clip_gradients,
     evaluate_mean_serle,
     meta_loss,
+    scene_scores,
     train_update_rule,
     window_gradient,
 )
@@ -174,6 +176,52 @@ def test_batched_outputs_match_sequential_session():
         assert rel_error(stacked.error[i], res.error) < 1e-10
         assert rel_error(stacked.weights[i], res.weights) < 1e-10
         np.testing.assert_allclose(stacked.erle_db[i], res.erle_db, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("algorithm", ["nlms", "rls", "kf"])
+def test_batched_classic_outputs_match_sequential_session(algorithm):
+    cfg = OlsConfig(64)
+    spec = desk_spec(duration=0.2, rir_taps=32)
+    scenes = [gen_scene(spec, seed) for seed in (0, 1, 2)]
+    u = np.stack([s.far_end for s in scenes])
+    d = np.stack([s.mic for s in scenes])
+    stacked = run_classic_session(algorithm, u, d, cfg, snapshot_stride=7)
+    assert stacked.weights.shape == (3, cfg.dft_size)
+    for i, scene in enumerate(scenes):
+        res = run_classic_session(algorithm, scene.far_end, scene.mic, cfg, snapshot_stride=7)
+        assert stacked.frames == res.frames
+        assert np.array_equal(stacked.output[i], res.output)
+        assert np.array_equal(stacked.error[i], res.error)
+        assert np.array_equal(stacked.weights[i], res.weights)
+        assert np.array_equal(stacked.erle_db[i], res.erle_db)
+        assert len(stacked.snapshots) == len(res.snapshots)
+        for (t, w_stack), (t1, w) in zip(stacked.snapshots, res.snapshots):
+            assert t == t1 and np.array_equal(w_stack[i], w)
+
+
+def test_scene_scores_keep_input_order_across_lengths():
+    cfg = OlsConfig(64)
+    params = init_meta_params(DependencyStructure.block(4), 4, seed=2)
+    short, long = desk_spec(duration=0.2, rir_taps=32), desk_spec(duration=0.3, rir_taps=32)
+    silent = gen_scene(short, 9, far_end=np.zeros(short.num_samples))
+    scenes = [gen_scene(short, 0), gen_scene(long, 1), gen_scene(long, 2), silent,
+              gen_scene(short, 3)]
+    calls = []
+
+    def session(u, d):
+        calls.append(u.shape[0])
+        return run_learned_session(params, u, d, cfg)
+
+    scores = scene_scores(session, scenes, cfg, chunk=3)
+    assert calls == [1, 2, 2]  # runs of equal length, in lockstep chunks
+    assert [frames for _, _, frames in scores] == [100, 150, 150, 100, 100]
+    assert scores[3][0] is None  # no audible echo, no SERLE
+    for scene, (serle, erle, _) in zip(scenes, scores):
+        single = run_learned_session(params, scene.far_end, scene.mic, cfg)
+        assert erle == single.mean_erle_db
+        if serle is not None:
+            echo = scene.echo[: single.output.size]
+            assert serle == serle_db(echo, echo - single.output, cfg.hop)
 
 
 def test_evaluate_mean_serle_runs():
