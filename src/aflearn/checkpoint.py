@@ -2,8 +2,10 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 with sorted keys, then the raw little-endian complex128 tensor blobs in header
-order.  Serialization is fully deterministic, so saving a loaded checkpoint
-reproduces the file byte for byte.
+order, which is ``MetaParams.tensors`` order (each GRU layer gate by gate),
+not buffer order.  Serialization is fully deterministic, so saving a loaded
+checkpoint reproduces the file byte for byte.  Loading checks every entry
+against ``optimizer.param_layout`` before it allocates the parameter buffer.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .layers import GroupSampler
 from .ols import OlsConfig
-from .optimizer import MetaParams
+from .optimizer import MetaParams, param_layout
 from .structures import DependencyStructure
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
@@ -66,23 +67,6 @@ def save_checkpoint(path, params, dft_size=None, metadata=None):
         for blob in blobs:
             fh.write(blob)
     return Path(path)
-
-
-def _expected_shapes(structure, hidden):
-    """Tensor name -> shape of a rule with this structure and hidden size H.
-
-    Worked out here rather than read off ``init_meta_params``, so that a
-    header with a huge hidden size allocates nothing before it is rejected.
-    """
-    square, vector = (hidden, hidden), (hidden,)
-    shapes = {"down_kernel": (hidden, GroupSampler.NUM_CHANNELS * structure.width),
-              "up_kernel": (structure.width, hidden),
-              "out.weight": square, "out.bias": vector}
-    for i in (0, 1):
-        for gate in "zrc":
-            shapes.update({f"gru{i}.w_{gate}": square, f"gru{i}.u_{gate}": square,
-                           f"gru{i}.b_{gate}": vector})
-    return shapes
 
 
 def _check_header(path, header):
@@ -138,12 +122,12 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
     structure, hidden = _check_header(path, header)
 
-    shapes = _expected_shapes(structure, hidden)
+    shapes = dict(param_layout(structure, hidden))
     names = [entry["name"] for entry in header["tensors"]]
     if sorted(names) != sorted(shapes):
         raise CheckpointError(f"{path}: unexpected tensor set")
     body = start + header_len
-    tensors = {}
+    blobs = {}
     for entry in header["tensors"]:
         name, shape, offset, nbytes = (entry[key] for key in ENTRY_KEYS)
         if shape != list(shapes[name]):
@@ -157,9 +141,11 @@ def load_checkpoint(path):
         lo = body + offset
         if lo + nbytes > len(data):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        tensor = np.frombuffer(data[lo : lo + nbytes], dtype="<c16").reshape(shape)
-        if not np.all(np.isfinite(tensor)):
+        blob = np.frombuffer(data, dtype="<c16", count=nbytes // 16, offset=lo)
+        if not np.all(np.isfinite(blob)):
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-        tensors[name] = tensor.astype(complex)
-    params = MetaParams(structure=structure, hidden_size=hidden, tensors=tensors)
+        blobs[name] = blob.reshape(shape)
+    params = MetaParams(structure, hidden)  # every entry has passed its checks
+    for name, blob in blobs.items():
+        params.tensors[name][...] = blob
     return params, header

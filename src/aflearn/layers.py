@@ -12,7 +12,7 @@ tallied (see flops.py for the convention).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,36 +135,30 @@ GruCache = namedtuple("GruCache", "x h z r rh c")
 
 @dataclass
 class ComplexGruLayer:
-    """Complex GRU with split re/im activations, reset applied before the candidate."""
+    """Complex GRU with split re/im activations, reset applied before the candidate.
 
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_c: np.ndarray
-    u_c: np.ndarray
-    b_c: np.ndarray
+    Each field stacks the update, reset and candidate gates along its first
+    axis: w (3H, in) = w_z|w_r|w_c, u (3H, H) = u_z|u_r|u_c, b (3H,) = b_z|b_r|b_c.
+    """
+
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def init(cls, rng, input_size, hidden_size):
-        def mat(n_in):
-            return complex_glorot(rng, (hidden_size, n_in), n_in, hidden_size)
-
-        zero = np.zeros(hidden_size, dtype=complex)
-        return cls(
-            w_z=mat(input_size), u_z=mat(hidden_size), b_z=zero.copy(),
-            w_r=mat(input_size), u_r=mat(hidden_size), b_r=zero.copy(),
-            w_c=mat(input_size), u_c=mat(hidden_size), b_c=zero.copy(),
-        )
+        """Glorot weights drawn gate by gate (its w, then its u); zero biases."""
+        h = hidden_size
+        w = np.empty((3 * h, input_size), dtype=complex)
+        u = np.empty((3 * h, h), dtype=complex)
+        for gate in range(3):
+            w[gate * h : (gate + 1) * h] = complex_glorot(rng, (h, input_size), input_size, h)
+            u[gate * h : (gate + 1) * h] = complex_glorot(rng, (h, h), h, h)
+        return cls(w=w, u=u, b=np.zeros(3 * h, dtype=complex))
 
     @property
     def hidden_size(self):
-        return self.w_z.shape[0]
-
-    def tensor_items(self):
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return self.u.shape[1]
 
     def step(self, x, h, counter=None):
         """One recurrence step.  x (..., in), h (..., H) -> (h_new, cache).
@@ -173,15 +167,15 @@ class ComplexGruLayer:
         stacked product each; the cached z and r are views of one buffer.
         """
         hidden = self.hidden_size
-        x_gates = _matmul(x, np.concatenate((self.w_z, self.w_r, self.w_c)), counter)
-        zr = x_gates[..., : 2 * hidden] + _matmul(h, np.concatenate((self.u_z, self.u_r)), counter)
-        zr += np.concatenate((self.b_z, self.b_r))
+        x_gates = _matmul(x, self.w, counter)
+        zr = x_gates[..., : 2 * hidden] + _matmul(h, self.u[: 2 * hidden], counter)
+        zr += self.b[: 2 * hidden]
         _split_sigmoid(zr)
         z, r = zr[..., :hidden], zr[..., hidden:]
         rh = r * h
-        c = _matmul(rh, self.u_c, counter)
+        c = _matmul(rh, self.u[2 * hidden :], counter)
         c += x_gates[..., 2 * hidden :]
-        c += self.b_c
+        c += self.b[2 * hidden :]
         _split_tanh(c)
         h_new = np.subtract(1.0, z)
         h_new *= c
@@ -189,9 +183,11 @@ class ComplexGruLayer:
         return h_new, GruCache(x, h, z, r, rh, c)
 
     def backward(self, g_h_new, cache):
-        """Returns (g_x, g_h, grads) with grads keyed like tensor_items()."""
+        """Returns (g_x, g_h, grads) with grads keyed like the fields: w, u, b."""
         x, h, z, r, rh, c = cache
         hidden = self.hidden_size
+        w_z, w_r, w_c = (self.w[i * hidden : (i + 1) * hidden] for i in range(3))
+        u_z, u_r, u_c = (self.u[i * hidden : (i + 1) * hidden] for i in range(3))
         # gate pre-activation gradients, laid out like the stacked z|r|c products
         g_gates = np.empty(g_h_new.shape[:-1] + (3 * hidden,), dtype=complex)
         g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden] for i in range(3))
@@ -199,7 +195,8 @@ class ComplexGruLayer:
         _split_tanh_backward(np.conj(1.0 - z) * g_h_new, c, out=g_ac)
         g_h = np.conj(z) * g_h_new
 
-        g_rh, g_uc, _ = dense_backward(g_ac, rh, self.u_c, with_bias=False)
+        g_u = np.empty_like(self.u)
+        g_rh, g_u[2 * hidden :], _ = dense_backward(g_ac, rh, u_c, with_bias=False)
         _split_sigmoid_backward(np.conj(h) * g_rh, r, out=g_ar)
         g_h += np.conj(r) * g_rh
 
@@ -210,22 +207,13 @@ class ComplexGruLayer:
         flat_g = g_gates.reshape(-1, 3 * hidden)
         g_w = flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
         g_b = flat_g.sum(axis=0)
-        g_u = flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
-        g_x = g_ac @ np.conj(self.w_c)
-        g_x += g_ar @ np.conj(self.w_r)
-        g_x += g_az @ np.conj(self.w_z)
-        g_h += g_ar @ np.conj(self.u_r)
-        g_h += g_az @ np.conj(self.u_z)
-
-        g_wz, g_wr, g_wc = np.split(g_w, 3)
-        g_bz, g_br, g_bc = np.split(g_b, 3)
-        g_uz, g_ur = np.split(g_u, 2)
-        grads = {
-            "w_z": g_wz, "u_z": g_uz, "b_z": g_bz,
-            "w_r": g_wr, "u_r": g_ur, "b_r": g_br,
-            "w_c": g_wc, "u_c": g_uc, "b_c": g_bc,
-        }
-        return g_x, g_h, grads
+        g_u[: 2 * hidden] = flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
+        g_x = g_ac @ np.conj(w_c)
+        g_x += g_ar @ np.conj(w_r)
+        g_x += g_az @ np.conj(w_z)
+        g_h += g_ar @ np.conj(u_r)
+        g_h += g_az @ np.conj(u_z)
+        return g_x, g_h, {"w": g_w, "u": g_u, "b": g_b}
 
 
 @dataclass
@@ -254,9 +242,6 @@ class GroupSampler:
     @property
     def hidden_size(self):
         return self.down_kernel.shape[0]
-
-    def tensor_items(self):
-        return [("down_kernel", self.down_kernel), ("up_kernel", self.up_kernel)]
 
     def downsample(self, features, counter=None):
         """(..., K, 5) -> (..., C, H) group inputs; returns (groups, cache)."""

@@ -11,11 +11,13 @@ GRU per group, and scatters the output back to a K-bin filter correction:
     delta  = upsample(out_dense(h1'))                    (..., K)
 
 Parameters are shared across groups; only the hidden state is per group.
+They live in one complex buffer whose layout ``param_layout`` defines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +31,12 @@ from .layers import (
     log_scale,
     log_scale_backward,
 )
-from .structures import DependencyStructure
 
 __all__ = [
     "FEATURE_CHANNELS",
     "MetaParams",
     "GroupState",
+    "param_layout",
     "init_meta_params",
     "build_input",
     "optimizer_step",
@@ -42,97 +44,112 @@ __all__ = [
 ]
 
 FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
-_GRU_FIELDS = tuple(f.name for f in fields(ComplexGruLayer))
+_GATES = "zrc"
 
 
-@dataclass
+def param_layout(structure, hidden_size):
+    """(name, shape) of every learnable tensor, in buffer order.
+
+    Each GRU layer is gate-contiguous (w_z|w_r|w_c, u_z|u_r|u_c, b_z|b_r|b_c),
+    so its stacked fields are views too.  Computing the table allocates
+    nothing, so a checkpoint header can be checked against it first.
+    """
+    h = hidden_size
+    layout = [("down_kernel", (h, GroupSampler.NUM_CHANNELS * structure.width))]
+    for index in (0, 1):
+        for field, shape in (("w", (h, h)), ("u", (h, h)), ("b", (h,))):
+            layout += [(f"gru{index}.{field}_{gate}", shape) for gate in _GATES]
+    layout += [("out.weight", (h, h)), ("out.bias", (h,)), ("up_kernel", (structure.width, h))]
+    return layout
+
+
+def _serialization_order(names):
+    """Checkpoint order of ``names`` given in buffer order: each GRU layer's
+    tensors go gate by gate (w_z, u_z, b_z, w_r, ...); the rest keep their place."""
+    blocks = list(dict.fromkeys(name.split(".")[0] for name in names))
+
+    def key(name):
+        block, _, field = name.partition(".")
+        return blocks.index(block), _GATES.index(field[-1]) if block.startswith("gru") else 0
+
+    return sorted(names, key=key)
+
+
 class MetaParams:
-    """All learnable tensors of the update rule, in a fixed serialization order."""
+    """All learnable tensors of the update rule, as views of one complex buffer.
 
-    structure: DependencyStructure
-    hidden_size: int
-    tensors: dict
+    ``tensors`` maps the checkpoint names to their views in serialization
+    order.  The sampler, the two GRU layers (``grus``) and the output dense
+    layer are built once, from views of the same buffer, so an in-place
+    write to ``buffer`` (Adam, a finite-difference probe) reaches every path.
+    ``buffer.view(np.float64)`` is the interleaved [re0, im0, re1, ...] vector.
+    """
+
+    def __init__(self, structure, hidden_size, buffer=None):
+        layout = param_layout(structure, hidden_size)
+        size = sum(math.prod(shape) for _, shape in layout)
+        if buffer is None:
+            buffer = np.zeros(size, dtype=complex)
+        if buffer.shape != (size,) or buffer.dtype != complex:
+            raise ValueError(f"buffer {buffer.dtype}{buffer.shape} does not hold "
+                             f"{size} complex parameters")
+        self.structure = structure
+        self.hidden_size = hidden_size
+        self.buffer = buffer
+        views, starts, pos = {}, {}, 0
+        for name, shape in layout:
+            starts[name] = pos
+            views[name] = buffer[pos : pos + math.prod(shape)].reshape(shape)
+            pos += views[name].size
+        self.tensors = {name: views[name] for name in _serialization_order(list(views))}
+
+        def gate_stack(prefix):  # prefix_z|prefix_r|prefix_c as one view
+            first = views[prefix + "_z"]
+            lo = starts[prefix + "_z"]
+            return buffer[lo : lo + 3 * first.size].reshape((-1,) + first.shape[1:])
+
+        self.sampler = GroupSampler(structure, views["down_kernel"], views["up_kernel"])
+        self.grus = tuple(ComplexGruLayer(*(gate_stack(f"gru{index}.{field}") for field in "wub"))
+                          for index in (0, 1))
+        self.out_weight = views["out.weight"]
+        self.out_bias = views["out.bias"]
+
+    def __reduce__(self):  # pickle the buffer once, not each view
+        return MetaParams, (self.structure, self.hidden_size, self.buffer)
 
     @property
     def names(self):
         return list(self.tensors)
 
-    def sampler(self):
-        return GroupSampler(
-            structure=self.structure,
-            down_kernel=self.tensors["down_kernel"],
-            up_kernel=self.tensors["up_kernel"],
-        )
-
-    def gru(self, index):
-        """Layer ``index`` holding this rule's own tensors (no copies)."""
-        prefix = f"gru{index}."
-        return ComplexGruLayer(*(self.tensors[prefix + name] for name in _GRU_FIELDS))
-
-    @property
-    def out_weight(self):
-        return self.tensors["out.weight"]
-
-    @property
-    def out_bias(self):
-        return self.tensors["out.bias"]
-
     def complex_count(self):
-        return sum(t.size for t in self.tensors.values())
+        return self.buffer.size
 
     def zeros_like(self):
-        return {name: np.zeros_like(t) for name, t in self.tensors.items()}
+        """A zero gradient holder with this rule's layout."""
+        return MetaParams(self.structure, self.hidden_size)
 
     def copy(self):
-        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
+        return MetaParams(self.structure, self.hidden_size, self.buffer.copy())
 
     def to_flat(self):
-        """Interleaved real vector [re0, im0, re1, im1, ...] in tensor order."""
-        return tensors_to_flat(self.tensors)
-
-    def from_flat(self, vec):
-        """Inverse of to_flat; returns a new MetaParams."""
-        out = self.copy()
-        flat_into_tensors(vec, out.tensors)
-        return out
-
-
-def tensors_to_flat(tensors):
-    parts = []
-    for t in tensors.values():
-        pair = np.empty(t.size * 2)
-        pair[0::2] = t.real.ravel()
-        pair[1::2] = t.imag.ravel()
-        parts.append(pair)
-    return np.concatenate(parts)
-
-
-def flat_into_tensors(vec, tensors):
-    pos = 0
-    for name, t in tensors.items():
-        n = t.size * 2
-        pair = vec[pos : pos + n]
-        tensors[name] = (pair[0::2] + 1j * pair[1::2]).reshape(t.shape)
-        pos += n
-    if pos != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, expected {pos}")
+        """Copy of the interleaved real vector [re0, im0, re1, im1, ...] in buffer order."""
+        return self.buffer.view(np.float64).copy()
 
 
 def init_meta_params(structure, hidden_size, seed=0):
     """Glorot-initialized update rule; biases start at zero."""
     rng = np.random.default_rng(seed)
     h = hidden_size
+    params = MetaParams(structure, h)
     sampler = GroupSampler.init(rng, structure, h)
-    gru0 = ComplexGruLayer.init(rng, h, h)
-    gru1 = ComplexGruLayer.init(rng, h, h)
-    tensors = {"down_kernel": sampler.down_kernel}
-    for idx, gru in ((0, gru0), (1, gru1)):
-        for name, tensor in gru.tensor_items():
-            tensors[f"gru{idx}.{name}"] = tensor
-    tensors["out.weight"] = complex_glorot(rng, (h, h), h, h)
-    tensors["out.bias"] = np.zeros(h, dtype=complex)
-    tensors["up_kernel"] = sampler.up_kernel
-    return MetaParams(structure=structure, hidden_size=hidden_size, tensors=tensors)
+    params.sampler.down_kernel[...] = sampler.down_kernel
+    params.sampler.up_kernel[...] = sampler.up_kernel
+    for layer in params.grus:
+        fresh = ComplexGruLayer.init(rng, h, h)
+        layer.w[...] = fresh.w
+        layer.u[...] = fresh.u
+    params.out_weight[...] = complex_glorot(rng, (h, h), h, h)
+    return params
 
 
 @dataclass
@@ -178,44 +195,44 @@ def optimizer_step(params, features, state, counter=None):
 
 
 def _optimizer_forward(params, features, state, counter=None):
-    sampler = params.sampler()
-    groups, down_cache = sampler.downsample(features, counter=counter)
-    h0, cache0 = params.gru(0).step(groups, state.h0, counter=counter)
-    h1, cache1 = params.gru(1).step(h0, state.h1, counter=counter)
+    gru0, gru1 = params.grus
+    groups, down_cache = params.sampler.downsample(features, counter=counter)
+    h0, cache0 = gru0.step(groups, state.h0, counter=counter)
+    h1, cache1 = gru1.step(h0, state.h1, counter=counter)
     out = dense(h1, params.out_weight, params.out_bias, counter=counter)
-    delta, up_cache = sampler.upsample(out, counter=counter)
+    delta, up_cache = params.sampler.upsample(out, counter=counter)
     cache = (down_cache, cache0, cache1, h1, up_cache)
     return delta, GroupState(h0=h0, h1=h1), cache
 
 
-def _optimizer_backward(params, g_delta, g_state, cache, g_tensors):
+def _optimizer_backward(params, g_delta, g_state, cache, grads):
     """Backward through one step.
 
     g_state carries dL/d(new hidden); returns (g_features, g_prev_state) and
-    accumulates parameter gradients into g_tensors in place.
+    accumulates parameter gradients in place into ``grads``, a holder from
+    ``params.zeros_like()``.
     """
     down_cache, cache0, cache1, h1, up_cache = cache
-    sampler = params.sampler()
 
-    g_out, g_up = sampler.upsample_backward(g_delta, up_cache)
-    g_tensors["up_kernel"] += g_up
+    g_out, g_up = params.sampler.upsample_backward(g_delta, up_cache)
+    grads.sampler.up_kernel += g_up
 
     g_h1, g_ow, g_ob = dense_backward(g_out, h1, params.out_weight)
-    g_tensors["out.weight"] += g_ow
-    g_tensors["out.bias"] += g_ob
+    grads.out_weight += g_ow
+    grads.out_bias += g_ob
     g_h1 = g_h1 + g_state.h1
 
-    g_h0, g_h1_prev, grads1 = params.gru(1).backward(g_h1, cache1)
+    g_h0, g_h1_prev, grads1 = params.grus[1].backward(g_h1, cache1)
     for name, g in grads1.items():
-        g_tensors[f"gru1.{name}"] += g
+        getattr(grads.grus[1], name)[...] += g
     g_h0 = g_h0 + g_state.h0
 
-    g_groups, g_h0_prev, grads0 = params.gru(0).backward(g_h0, cache0)
+    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, cache0)
     for name, g in grads0.items():
-        g_tensors[f"gru0.{name}"] += g
+        getattr(grads.grus[0], name)[...] += g
 
-    g_features, g_down = sampler.downsample_backward(g_groups, down_cache)
-    g_tensors["down_kernel"] += g_down
+    g_features, g_down = params.sampler.downsample_backward(g_groups, down_cache)
+    grads.sampler.down_kernel += g_down
     return g_features, GroupState(h0=g_h0_prev, h1=g_h1_prev)
 
 

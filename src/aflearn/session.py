@@ -74,8 +74,9 @@ def _session_signals(u, d, cfg):
         raise ValueError(f"signal shapes differ: {u.shape} vs {d.shape}")
     if u.ndim not in (1, 2):
         raise ValueError(f"session signals must have 1 or 2 axes, got {u.ndim}")
-    if u.shape[-1] < cfg.hop:
-        raise ValueError(f"need at least {cfg.hop} samples, got {u.shape[-1]}")
+    if u.shape[-1] < cfg.hop:  # a ConfigError, so the CLI exits 2 even from a worker
+        raise ConfigError("length", f"need at least one hop of {cfg.hop} samples, "
+                                    f"got {u.shape[-1]}")
     return u, d
 
 

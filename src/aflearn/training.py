@@ -12,6 +12,8 @@ equivalent to averaging per-scene gradients but keeps the matrix products
 large enough to be efficient.  Windows use the sessions' frame builder and
 hop kernel (``ols.stream_frame``, ``ols.hop_forward``); validation and
 ``aflearn eval`` score scenes through ``scene_scores``, in lockstep chunks.
+Clipping scales the gradient holder (``MetaParams.zeros_like``) in place, and
+Adam updates the float view of the parameter buffer in place.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .optimizer import (
     _optimizer_backward,
     _optimizer_forward,
     init_meta_params,
-    tensors_to_flat,
-    flat_into_tensors,
 )
 from .ols import feature_spectra, hop_forward, hop_spectrum, project_filter, stream_frame
 from .scenes import gen_scene
@@ -84,8 +84,9 @@ def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=
     """Forward/backward over one truncated window.
 
     frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
-    (loss, grads-or-None, w_out, state_out, y_hops); grads follow the
-    paired-real convention and already include the batch mean.
+    (loss, grads-or-None, w_out, state_out, y_hops); grads is a holder laid
+    out like ``params`` (``params.zeros_like()``), follows the paired-real
+    convention and already includes the batch mean.
     """
     length = frames.shape[0]
     k, r = cfg.dft_size, cfg.hop
@@ -142,25 +143,29 @@ class AdamState:
 
 
 def adam_step(flat, grad, adam, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update on the interleaved real parameter vector."""
+    """One Adam update of the real parameter vector ``flat``, in place; returns it."""
     adam.step += 1
     adam.m = beta1 * adam.m + (1.0 - beta1) * grad
     adam.v = beta2 * adam.v + (1.0 - beta2) * grad**2
     m_hat = adam.m / (1.0 - beta1**adam.step)
     v_hat = adam.v / (1.0 - beta2**adam.step)
-    return flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return flat
 
 
 def clip_gradients(g_tensors, max_norm):
-    """Global-norm clip over all tensors; returns the pre-clip norm."""
+    """Global-norm clip over all tensors, scaling them in place; returns the pre-clip norm.
+
+    The norm is summed tensor by tensor in the dict's order.
+    """
     total = 0.0
     for g in g_tensors.values():
         total += float(np.sum(g.real**2 + g.imag**2))
     norm = np.sqrt(total)
     if max_norm and max_norm < norm < np.inf:  # a non-finite norm is the caller's to report
         scale = max_norm / norm
-        for name in g_tensors:
-            g_tensors[name] = g_tensors[name] * scale
+        for g in g_tensors.values():
+            g *= scale
     return norm
 
 
@@ -241,10 +246,10 @@ def train_update_rule(
         for _ in range(start_epoch):  # replay the shuffle stream
             shuffle_rng.permutation(len(train_seeds))
 
-    flat = params.to_flat()
+    flat = params.buffer.view(np.float64)  # Adam updates the parameters through it
     adam = AdamState.zeros(flat.size)
     val_scenes = [gen_scene(scene_spec, s) for s in val_seeds]
-    best_flat = flat.copy()
+    best = params.copy()
     history = []
 
     for epoch in range(start_epoch, epochs):
@@ -277,11 +282,10 @@ def train_update_rule(
                 except NumericError as exc:
                     raise NumericError(f"{exc} in {where}") from exc
                 losses.append(loss)
-                norm = clip_gradients(grads, schedule.clip_norm)
+                norm = clip_gradients(grads.tensors, schedule.clip_norm)
                 if not np.isfinite(norm):  # stop before Adam spreads it into the parameters
                     raise NumericError(f"non-finite gradient norm {norm} in {where}")
-                flat = adam_step(flat, tensors_to_flat(grads), adam, lr)
-                flat_into_tensors(flat, params.tensors)
+                adam_step(flat, grads.buffer.view(np.float64), adam, lr)
 
         score = evaluate_mean_serle(params, val_scenes, cfg)
         history.append(
@@ -298,7 +302,7 @@ def train_update_rule(
 
         if score > best_score:
             best_score = score
-            best_flat = flat.copy()
+            best = params.copy()
             since_improve = 0
         else:
             since_improve += 1
@@ -306,7 +310,7 @@ def train_update_rule(
                 lr *= schedule.decay
         if checkpoint_cb:
             checkpoint_cb(
-                params.from_flat(best_flat),
+                best,
                 {
                     "epoch": epoch,
                     "lr": lr,
@@ -317,5 +321,4 @@ def train_update_rule(
         if since_improve >= schedule.stop_patience:
             break
 
-    best = params.from_flat(best_flat)
     return best, history

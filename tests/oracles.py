@@ -48,10 +48,13 @@ def gru_step_reference(layer, x, h):
     def tanh(a):
         return np.tanh(a.real) + 1j * np.tanh(a.imag)
 
-    z = sigmoid(x @ layer.w_z.T + h @ layer.u_z.T + layer.b_z)
-    r = sigmoid(x @ layer.w_r.T + h @ layer.u_r.T + layer.b_r)
+    w_z, w_r, w_c = np.split(layer.w, 3)
+    u_z, u_r, u_c = np.split(layer.u, 3)
+    b_z, b_r, b_c = np.split(layer.b, 3)
+    z = sigmoid(x @ w_z.T + h @ u_z.T + b_z)
+    r = sigmoid(x @ w_r.T + h @ u_r.T + b_r)
     rh = r * h
-    c = tanh(x @ layer.w_c.T + rh @ layer.u_c.T + layer.b_c)
+    c = tanh(x @ w_c.T + rh @ u_c.T + b_c)
     h_new = (1.0 - z) * c + z * h
     return h_new, z, r, rh, c
 

@@ -211,7 +211,7 @@ def test_unrolled_meta_gradient_matches_fd(structure):
     worst = 0.0
     for name in params.names:
         fd = fd_gradient(lambda: unroll_loss(frozen), params.tensors[name], eps=1e-6)
-        err = rel_error(grads[name], fd)
+        err = rel_error(grads.tensors[name], fd)
         worst = max(worst, err)
         assert err < 1e-3, name
     print(f"\n[bptt {structure.label}] worst tensor rel err {worst:.2e}")

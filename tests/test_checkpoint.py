@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -81,6 +82,25 @@ def _nan_in_last_value(header, body):
     body[-8:] = struct.pack("<d", float("nan"))
 
 
+def _huge_hidden_size(header, body):
+    # a consistent header for H = 2**20: its buffer would need petabytes, so
+    # the loader must reject the entries before it allocates anything
+    hidden = 2**20
+    width = header["structure"]["width"]
+    header["hidden_size"] = hidden
+    for entry in header["tensors"]:
+        name = entry["name"]
+        if name == "down_kernel":
+            shape = [hidden, 5 * width]
+        elif name == "up_kernel":
+            shape = [width, hidden]
+        elif name == "out.bias" or ".b_" in name:
+            shape = [hidden]
+        else:
+            shape = [hidden, hidden]
+        entry.update(shape=shape, nbytes=16 * math.prod(shape))
+
+
 # each case edits the parsed header (and possibly the tensor bytes) of a valid
 # banded:4, H=4, K=64 checkpoint
 CORRUPTIONS = {
@@ -93,6 +113,7 @@ CORRUPTIONS = {
     "negative-offset": lambda h, body: h["tensors"][0].update(offset=-16),
     "shape-3x3": lambda h, body: h["tensors"][0].update(shape=[3, 3]),
     "hidden-size-mismatch": lambda h, body: h.update(hidden_size=8),
+    "huge-hidden-size": _huge_hidden_size,
     "unknown-kind": lambda h, body: h["structure"].update(kind="spiral"),
     "odd-banded-width": lambda h, body: h["structure"].update(width=3),
     "wider-structure": lambda h, body: h["structure"].update(width=8),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aflearn.classic import (
     kf_step,
@@ -62,6 +64,38 @@ def test_nlms_reduces_replayed_error():
     y, _ = ols_apply(cfg, w, frame)
     e_hop, _ = af_error(d_hop, y, cfg)
     assert float(e_hop @ e_hop) < 0.9 * before
+
+
+def _hermitian_error(w):
+    """Relative size of the part of w that breaks w[k] = conj(w[-k])."""
+    k = w.shape[-1]
+    return rel_error(w, np.conj(w[..., -np.arange(k) % k]))
+
+
+@pytest.mark.parametrize("algorithm", ["nlms", "rls", "kf"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_k=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
+    # the spectra of real signals, and a filter that is the spectrum of a real
+    # response inside the tap support: one step must keep both properties
+    cfg = OlsConfig(2**log_k)
+    k = cfg.dft_size
+    rng = np.random.default_rng(seed)
+    response = np.zeros(k)
+    response[: cfg.taps] = rng.standard_normal(cfg.taps)
+    w = dft(response)
+    state, step = {
+        "nlms": (make_nlms_state(), nlms_step),
+        "rls": (make_rls_state(k), rls_step),
+        "kf": (make_kf_state(k), kf_step),
+    }[algorithm]
+    if algorithm == "kf":
+        w = state.transition * w
+    _, _, u_freq, _, e_freq = hop_forward(cfg, w, rng.standard_normal(k),
+                                          rng.standard_normal(cfg.hop))
+    w_new, _ = step(state, u_freq, e_freq, w)
+    assert _hermitian_error(w_new) < 1e-12
+    assert rel_error(project_filter(w_new), w_new) < 1e-12
 
 
 def test_rls_unit_forget_accumulates_inverse_power():

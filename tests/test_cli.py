@@ -252,6 +252,22 @@ def test_sample_rate_comes_from_the_inputs(tmp_path, dataset):
     assert main(["cancel", str(farend), str(mic), str(ckpt), str(out)]) == 0
 
 
+def test_signals_shorter_than_one_hop_are_config_errors(tmp_path, capsys):
+    short = tmp_path / "short.wav"
+    write_wav(short, np.random.default_rng(0).standard_normal(100) * 0.1, 16000)
+    assert main(["cancel", str(short), str(short), "nlms", str(tmp_path / "o.wav")]) == 2
+    assert "config error: length:" in capsys.readouterr().err
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({**SPEC, "duration": 0.01}))
+    data = tmp_path / "data"
+    assert main(["gen-data", str(spec_file), str(data), "--count", "3", "--seed", "0",
+                 "--split", "0,0,1"]) == 0
+    for jobs in ("1", "2"):
+        assert main(["eval", "nlms", str(data), str(tmp_path / "o.csv"),
+                     "--jobs", jobs]) == 2, jobs
+        assert "config error: length:" in capsys.readouterr().err
+
+
 def test_cancel_silent_farend_passes_mic_through(tmp_path, dataset):
     mic = dataset / "scene_00004.mic.wav"
     silent = tmp_path / "silent.wav"

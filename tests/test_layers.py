@@ -96,7 +96,7 @@ def test_dense_backward_matches_fd():
 def test_gru_zero_state_and_zero_weights_gives_zero():
     rng = np.random.default_rng(14)
     layer = ComplexGruLayer.init(rng, 3, 4)
-    for name, tensor in layer.tensor_items():
+    for name, tensor in vars(layer).items():
         tensor[...] = 0.0
     x = _random_complex(rng, (2, 3))
     h_new, _ = layer.step(x, np.zeros((2, 4), dtype=complex))
@@ -108,8 +108,8 @@ def test_gru_zero_state_and_zero_weights_gives_zero():
 def test_gru_step_matches_per_gate_reference(hidden, batch):
     rng = np.random.default_rng(21)
     layer = ComplexGruLayer.init(rng, hidden, hidden)
-    for name, tensor in layer.tensor_items():
-        if name.startswith("b_"):
+    for name, tensor in vars(layer).items():
+        if name == "b":
             tensor[...] = _random_complex(rng, tensor.shape, scale=0.3)
     x = _random_complex(rng, batch + (hidden,))
     h = _random_complex(rng, batch + (hidden,), scale=0.5)
@@ -148,7 +148,7 @@ def test_gru_backward_matches_fd():
     g_x, g_h, grads = layer.backward(g_out, cache)
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_h, fd_gradient(loss, h)) < TOL
-    for name, tensor in layer.tensor_items():
+    for name, tensor in vars(layer).items():
         assert rel_error(grads[name], fd_gradient(loss, tensor)) < TOL, name
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aflearn.errors import NumericError
 from aflearn.ols import (
@@ -52,6 +54,19 @@ def test_project_filter_matches_dense_constraint():
         assert rel_error(z @ z, z) < 1e-10
         assert rel_error(z.conj().T, z) < 1e-10
         assert rel_error(project_filter(project_filter(w)), project_filter(w)) < 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log_k=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_project_filter_is_idempotent_across_sizes(log_k, seed):
+    k = 2**log_k
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for taps in (k // 2, int(rng.integers(1, k + 1))):
+        once = project_filter(w, taps)
+        assert rel_error(project_filter(once, taps), once) < 1e-12
+        tail = np.abs(np.fft.ifft(once)[taps:])
+        assert np.max(tail, initial=0.0) <= 1e-12 * np.abs(w).max()
 
 
 def test_project_filter_keeps_short_responses():

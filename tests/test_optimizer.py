@@ -1,5 +1,7 @@
 """Learned update rule: parameter bookkeeping and step-level gradient checks."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from aflearn.errors import NumericError
 from aflearn.optimizer import (
     FEATURE_CHANNELS,
     GroupState,
+    MetaParams,
     _build_input_backward,
     _build_input_forward,
     _optimizer_backward,
@@ -50,11 +53,14 @@ def test_flat_round_trip_interleaves_real_imag():
     assert flat.size == 2 * params.complex_count()
     first = params.tensors["down_kernel"].ravel()[0]
     assert flat[0] == first.real and flat[1] == first.imag
-    rebuilt = params.from_flat(flat)
+    rebuilt = MetaParams(params.structure, params.hidden_size, flat.view(complex))
     for name in params.names:
         assert np.array_equal(rebuilt.tensors[name], params.tensors[name])
     with pytest.raises(ValueError):
-        params.from_flat(flat[:-2])
+        MetaParams(params.structure, params.hidden_size, flat[:-2].view(complex))
+    # a copy: writing into it leaves the parameters alone
+    params.to_flat()[0] += 1.0
+    assert params.buffer[0] == first
 
 
 def test_zero_params_and_state_give_zero_update():
@@ -131,7 +137,7 @@ def test_step_backward_matches_fd(structure):
     assert rel_error(g_prev.h0, fd_gradient(loss, state.h0)) < 1e-5
     assert rel_error(g_prev.h1, fd_gradient(loss, state.h1)) < 1e-5
     for name in params.names:
-        assert rel_error(g_tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
+        assert rel_error(g_tensors.tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
 
 
 def test_batched_step_matches_loop():
@@ -163,6 +169,8 @@ def test_apply_update_validates():
 
 def test_gru_views_share_storage_with_tensors():
     params = init_meta_params(DependencyStructure.diagonal(), 4, seed=10)
-    gru = params.gru(0)
-    gru.w_z[0, 0] = 123.0 + 0j
-    assert params.tensors["gru0.w_z"][0, 0] == 123.0 + 0j
+    # a pickled rule, as `aflearn eval --jobs` sends it to workers, keeps its views
+    for rule in (params, pickle.loads(pickle.dumps(params))):
+        gru = rule.grus[0]
+        gru.w[0, 0] = 123.0 + 0j
+        assert rule.tensors["gru0.w_z"][0, 0] == 123.0 + 0j

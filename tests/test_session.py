@@ -157,9 +157,15 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
                             counted(name, getattr(aflearn.session, name)))
     if algorithm == "learned":
         params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
+        monkeypatch.setattr(np, "concatenate", counted("concatenate", np.concatenate))
+        run_learned_session(params, u[: CFG.hop], d[: CFG.hop], CFG)
+        one_hop = calls.get("concatenate", 0)
+        calls.clear()
         run_learned_session(params, u, d, CFG)
         for name in ("build_input", "optimizer_step", "apply_update"):
             assert calls[name] == hops, name
+        # the GRU gate stacks are views of the parameters: no hop assembles them
+        assert calls.get("concatenate", 0) == one_hop
     else:
         run_classic_session(algorithm, u, d, CFG)
         assert calls == {"fft": calls["fft"], f"{algorithm}_step": hops}

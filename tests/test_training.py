@@ -108,7 +108,7 @@ def test_window_gradient_matches_fd(structure):
         fd = fd_gradient(
             lambda: unroll_loss(frozen)[0], params.tensors[name], eps=1e-6
         )
-        assert rel_error(grads[name], fd) < 1e-3, name
+        assert rel_error(grads.tensors[name], fd) < 1e-3, name
 
 
 def test_window_gradient_state_carry_matches_long_window():
@@ -156,6 +156,37 @@ def test_clip_gradients_global_norm():
     norm2 = clip_gradients(g2, max_norm=1.0)
     assert abs(norm2 - 0.3) < 1e-12
     assert g2["a"][0] == 0.3 + 0j
+
+
+def test_clip_and_adam_update_the_parameter_buffer_in_place():
+    structure = DependencyStructure.banded(4)
+    cfg = OlsConfig(16)
+    params = init_meta_params(structure, 4, seed=3)
+    rng = np.random.default_rng(4)
+    frames = rng.standard_normal((3, 2, 16))
+    d_hops = rng.standard_normal((3, 2, 8))
+    w = np.zeros((2, 16), dtype=complex)
+    state = GroupState.zeros(structure, 16, 4, batch_shape=(2,))
+    _, grads, _, _, _ = window_gradient(params, cfg, w, state, frames, d_hops)
+
+    max_norm = 1e-3
+    assert clip_gradients(grads.tensors, max_norm) > max_norm
+    # a clip that rebinds the views would leave the holder's buffer, which Adam reads, unclipped
+    assert abs(np.linalg.norm(grads.buffer.view(np.float64)) - max_norm) < 1e-12 * max_norm
+    before = params.to_flat()
+    adam = AdamState.zeros(before.size)
+    adam_step(params.buffer.view(np.float64), grads.buffer.view(np.float64), adam, lr=0.1)
+    assert not np.array_equal(params.to_flat(), before)
+
+    for holder in (params, grads):
+        views = [*holder.tensors.values(), holder.sampler.down_kernel,
+                 holder.sampler.up_kernel, holder.out_weight, holder.out_bias]
+        views += [field for layer in holder.grus for field in vars(layer).values()]
+        for view in views:
+            assert np.shares_memory(view, holder.buffer)
+        # the stacked gate fields and the named tensors are the same memory
+        assert np.array_equal(holder.grus[1].b[8:], holder.tensors["gru1.b_c"])
+        assert np.array_equal(holder.grus[0].u[4:8], holder.tensors["gru0.u_r"])
 
 
 def test_batched_outputs_match_sequential_session():
@@ -276,7 +307,7 @@ def test_non_finite_gradient_stops_training_before_the_update(bad, monkeypatch):
         if len(calls) == 2:
             if bad == "loss":
                 raise NumericError("non-finite training loss")
-            grads["gru1.b_c"][0] = float(bad)
+            grads.tensors["gru1.b_c"][0] = float(bad)
         return loss, grads, w, state, y_hops
 
     monkeypatch.setattr(aflearn.training, "window_gradient", poisoned)
