@@ -1,7 +1,8 @@
 """Overlap-save block filtering from first principles.
 
-Walks one signal through the streaming loop hop by hop and checks the output
-against plain time-domain convolution, then shows what the constraint
+Walks one signal through the streaming loop hop by hop, reading each frame
+from the strided frame view ``hop_frames``, and checks the output against
+plain time-domain convolution, then shows what the constraint
 projection does to a filter with energy in the forbidden tail.
 
 Run:  python3 demos/01_overlap_save_filtering.py
@@ -9,7 +10,7 @@ Run:  python3 demos/01_overlap_save_filtering.py
 import numpy as np
 
 from aflearn import OlsConfig, af_error, filter_gradient, ols_apply, project_filter
-from aflearn.ols import dft, stream_hops
+from aflearn.ols import dft, hop_frames
 
 rng = np.random.default_rng(0)
 cfg = OlsConfig(64)
@@ -20,8 +21,11 @@ taps = rng.standard_normal(cfg.taps) * 0.5 ** np.arange(cfg.taps)
 w = dft(np.concatenate([taps, np.zeros(cfg.hop)]))
 signal = rng.standard_normal(20 * cfg.hop)
 
+frames = hop_frames(signal, cfg)        # (hops, K) view, no copy per hop
+print(f"frame view {frames.shape}: frame t ends at sample (t+1)*R, "
+      f"its last R samples are hop t")
 streamed = []
-for frame, _hop in stream_hops(signal, cfg):
+for frame in frames:
     y_hop, _ = ols_apply(cfg, w, frame)
     streamed.append(y_hop)
 streamed = np.concatenate(streamed)

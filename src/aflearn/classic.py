@@ -63,23 +63,16 @@ class KfState:
     noise_smoothing: float = 0.99
 
 
-def make_nlms_state(step_size=0.5, eps=1e-3):
-    return NlmsState(step_size=step_size, eps=eps)
+def make_nlms_state(**hyper):
+    return NlmsState(**hyper)
 
 
-def make_rls_state(num_bins, p0=1e2, forget=0.99, eps=1e-8):
-    return RlsState(p=np.full(num_bins, float(p0)), forget=forget, eps=eps)
+def make_rls_state(num_bins, p0=1e2, **hyper):
+    return RlsState(p=np.full(num_bins, float(p0)), **hyper)
 
 
-def make_kf_state(num_bins, p0=1.0, obs_noise=1e-2, process_noise=1e-3,
-                  transition=0.999, noise_smoothing=0.99):
-    return KfState(
-        p=np.full(num_bins, float(p0)),
-        obs_noise=float(obs_noise),
-        process_noise=process_noise,
-        transition=transition,
-        noise_smoothing=noise_smoothing,
-    )
+def make_kf_state(num_bins, p0=1.0, obs_noise=1e-2, **hyper):
+    return KfState(p=np.full(num_bins, float(p0)), obs_noise=float(obs_noise), **hyper)
 
 
 def nlms_step(state, u_freq, e_freq, w):

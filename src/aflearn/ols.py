@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
 
@@ -33,9 +34,9 @@ __all__ = [
     "af_error",
     "filter_gradient",
     "hop_forward",
+    "hop_backward",
     "feature_spectra",
-    "stream_frame",
-    "stream_hops",
+    "hop_frames",
 ]
 
 
@@ -183,6 +184,15 @@ def hop_forward(cfg, w, u_frame, d_hop):
     return y_hop, e_hop, u_freq, y_freq, e_freq
 
 
+def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):
+    """Adjoint of ``hop_forward``: the gradient w.r.t. the conjugate filter,
+    given the gradients of y_hop, e_freq and y_freq (e_hop = d_hop - y_hop)."""
+    k = cfg.dft_size
+    g_y_hop = g_y_hop - k * spectrum_to_hop(g_e_freq, cfg)
+    g_y_freq = g_y_freq + hop_spectrum(g_y_hop, cfg) / k
+    return project_filter(np.conj(u_freq) * g_y_freq, cfg.taps)
+
+
 def _gradient(u_freq, e_freq, cfg):
     return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size), cfg.taps)
 
@@ -207,33 +217,17 @@ def feature_spectra(cfg, d_hop, u_freq, y_freq, e_freq):
             e_freq, y_freq)
 
 
-def stream_frame(x, cfg, hop_index):
-    """Frame (..., K) of the last K samples of x (..., N) up to (hop_index + 1) * R.
+def hop_frames(x, cfg):
+    """Read-only (..., hops, K) view of the whole hops of x (..., N).
 
-    Zero-padded at the stream head and, for a partial final hop, at the tail.
+    Frame t is the last K samples up to (t + 1) * R, zero-padded at the stream
+    head; its last R samples are hop t, so ``hop_frames(d, cfg)[..., cfg.hop:]``
+    is the (..., hops, R) view of d's hops.  x must hold at least one hop; a
+    trailing partial hop is dropped.
     """
     x = np.asarray(x)
     k, r = cfg.dft_size, cfg.hop
-    stop = (hop_index + 1) * r
-    lo = max(0, stop - k)
-    avail = x[..., lo:stop]
-    frame = np.zeros(x.shape[:-1] + (k,), dtype=x.dtype)
-    head = k - (stop - lo)
-    frame[..., head : head + avail.shape[-1]] = avail
-    return frame
-
-
-def stream_hops(x, cfg, pad_tail=False):
-    """Yield (u_frame, hop_slice) pairs walking a 1-D signal in R-sample hops.
-
-    Each frame is the last K samples ending at the hop boundary, zero-padded
-    at the stream head.  ``pad_tail`` zero-fills a final partial hop instead of
-    dropping it.
-    """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("stream must be 1-D")
-    r = cfg.hop
-    hops = -(-x.size // r) if pad_tail else x.size // r
-    for t in range(hops):
-        yield stream_frame(x, cfg, t), slice(t * r, min((t + 1) * r, x.size))
+    n = x.shape[-1] // r * r
+    padded = np.zeros(x.shape[:-1] + (k - r + n,), dtype=x.dtype)
+    padded[..., k - r :] = x[..., :n]
+    return sliding_window_view(padded, k, axis=-1)[..., ::r, :]

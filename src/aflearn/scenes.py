@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -337,30 +338,42 @@ def spec_from_json(d):
 
 
 def load_scene(directory, stem):
-    """Rebuild a scene from save_scene output (regenerates nothing)."""
+    """Rebuild a scene from save_scene output (regenerates nothing).
+
+    A sidecar or echo-path file that does not parse raises an OSError naming it.
+    """
     directory = Path(directory)
-    meta = json.loads((directory / f"{stem}.json").read_text())
-    spec = spec_from_json(meta["spec"])
+    sidecar = directory / f"{stem}.json"
+    try:
+        meta = json.loads(sidecar.read_text())
+        spec = spec_from_json(meta["spec"])
+        nl = Nonlinearity(meta["nonlinearity"]["kind"], meta["nonlinearity"]["amount"])
+        seed, ser_db, snr_db = meta["seed"], meta["ser_db"], meta["snr_db"]
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and ConfigErrors are ValueErrors
+        raise OSError(f"{sidecar}: not a scene sidecar: {exc!r}") from exc
     rate = spec.sample_rate
     signals = {}
     for name in ("farend", "mic", "echo", "near", "noise"):
         _, signals[name] = read_wav(directory / f"{stem}.{name}.wav", expect_rate=rate)
-    with np.load(directory / f"{stem}.rir.npz") as paths:
-        rir = paths["rir"]
-        rir_switch = None  # absent for scenes without a path change and in older files
-        if "rir_after" in paths:
-            rir_switch = (int(paths["switch_at"]), paths["rir_after"])
-    nl = meta["nonlinearity"]
+    paths_file = directory / f"{stem}.rir.npz"
+    try:
+        with np.load(paths_file) as paths:
+            rir = paths["rir"]
+            rir_switch = None  # absent for scenes without a path change and in older files
+            if "rir_after" in paths:
+                rir_switch = (int(paths["switch_at"]), paths["rir_after"])
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise OSError(f"{paths_file}: not a scene echo-path file: {exc!r}") from exc
     return Scene(
         spec=spec,
-        seed=meta["seed"],
+        seed=seed,
         far_end=signals["farend"],
         echo=signals["echo"],
         near_speech=signals["near"],
         near_noise=signals["noise"],
         rir=rir,
-        nonlinearity=Nonlinearity(nl["kind"], nl["amount"]),
-        ser_db=meta["ser_db"],
-        snr_db=meta["snr_db"],
+        nonlinearity=nl,
+        ser_db=ser_db,
+        snr_db=snr_db,
         rir_switch=rir_switch,
     )

@@ -29,7 +29,7 @@ from .classic import (
 from .errors import ConfigError, NumericError
 from .flops import FlopCounter
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import feature_spectra, hop_forward, stream_frame
+from .ols import feature_spectra, hop_forward, hop_frames
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
@@ -81,10 +81,10 @@ def _session_signals(u, d, cfg):
 
 
 def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flops=False):
-    r = cfg.hop
-    frames = u.shape[-1] // r
-    n = frames * r
-    error = np.empty(u.shape[:-1] + (n,))
+    u_frames = hop_frames(u, cfg)
+    d_hops = hop_frames(d, cfg)[..., cfg.hop :]
+    frames = u_frames.shape[-2]
+    error = np.empty(d_hops.shape)
     output = np.empty_like(error)
     snapshots = []
     counter = FlopCounter() if count_flops else None
@@ -93,14 +93,13 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
         for t in range(frames):
-            hop = slice(t * r, (t + 1) * r)
-            d_hop = d[..., hop]
-            w, y_hop, e_hop = update_fn(w, stream_frame(u, cfg, t), d_hop, counter)
+            d_hop = d_hops[..., t, :]
+            w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop, counter)
             if not np.all(np.isfinite(e_hop)):
                 raise NumericError("non-finite residual", frame=t)
 
-            error[..., hop] = e_hop
-            output[..., hop] = y_hop
+            error[..., t, :] = e_hop
+            output[..., t, :] = y_hop
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snapshots.append((t, w.copy()))
             if telemetry is not None:
@@ -111,12 +110,11 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
         if telemetry is not None:
             telemetry.close()
 
-    hops_shape = u.shape[:-1] + (frames, r)
     return SessionResult(
-        error=error,
-        output=output,
+        error=error.reshape(u.shape[:-1] + (-1,)),
+        output=output.reshape(u.shape[:-1] + (-1,)),
         weights=w,
-        erle_db=_erle_db(d[..., :n].reshape(hops_shape), error.reshape(hops_shape)),
+        erle_db=_erle_db(d_hops, error),
         frames=frames,
         flops=counter.total if counter else 0,
         snapshots=snapshots,

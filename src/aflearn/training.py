@@ -9,9 +9,12 @@ incoming filter state and hidden state of each window are constants.
 
 Scenes in a batch run in lockstep with a leading batch axis, which is exactly
 equivalent to averaging per-scene gradients but keeps the matrix products
-large enough to be efficient.  Windows use the sessions' frame builder and
-hop kernel (``ols.stream_frame``, ``ols.hop_forward``); validation and
-``aflearn eval`` score scenes through ``scene_scores``, in lockstep chunks.
+large enough to be efficient.  Each batch builds its frame and desired-hop
+views once with the sessions' frame builder (``ols.hop_frames``), and a window
+is a time-major slice of them; the window runs the sessions' hop kernel
+(``ols.hop_forward``) forward and its adjoint (``ols.hop_backward``) backward.
+Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
+lockstep chunks.
 Clipping scales the gradient holder (``MetaParams.zeros_like``) in place, and
 Adam updates the float view of the parameter buffer in place.
 """
@@ -34,7 +37,7 @@ from .optimizer import (
     _optimizer_forward,
     init_meta_params,
 )
-from .ols import feature_spectra, hop_forward, hop_spectrum, project_filter, stream_frame
+from .ols import feature_spectra, hop_backward, hop_forward, hop_frames
 from .scenes import gen_scene
 from .session import run_learned_session
 
@@ -64,7 +67,7 @@ class TrainSchedule:
     clip_norm: float = 10.0
 
 
-def meta_loss(d_hops, y_hops, eps=LOSS_EPS):
+def meta_loss(d_hops, y_hops):
     """ln of the window mean-square residual, averaged over the batch.
 
     Inputs are (L, batch, R) or (L, R); the log is taken per scene.
@@ -77,20 +80,19 @@ def meta_loss(d_hops, y_hops, eps=LOSS_EPS):
     if diff.ndim == 2:
         diff = diff[:, None, :]
     mse = np.mean(diff**2, axis=(0, 2))
-    return float(np.mean(np.log(mse + eps)))
+    return float(np.mean(np.log(mse + LOSS_EPS)))
 
 
-def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=LOSS_EPS):
+def window_gradient(params, cfg, w, state, frames, d_hops):
     """Forward/backward over one truncated window.
 
     frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
-    (loss, grads-or-None, w_out, state_out, y_hops); grads is a holder laid
+    (loss, grads, w_out, state_out, y_hops); grads is a holder laid
     out like ``params`` (``params.zeros_like()``), follows the paired-real
     convention and already includes the batch mean.
     """
     length = frames.shape[0]
-    k, r = cfg.dft_size, cfg.hop
-    caches = [] if want_grads else None
+    caches = []
     y_hops = np.empty(d_hops.shape)
 
     for t in range(length):
@@ -99,19 +101,16 @@ def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=
         delta, state, opt_cache = _optimizer_forward(params, xi, state)
         w = w + delta
         y_hops[t] = y_hop
-        if want_grads:
-            caches.append((u_freq, raw, opt_cache))
+        caches.append((u_freq, raw, opt_cache))
 
     diff = d_hops - y_hops
     mse = np.mean(diff**2, axis=(0, 2))
-    loss = float(np.mean(np.log(mse + eps)))
+    loss = float(np.mean(np.log(mse + LOSS_EPS)))
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
-    if not want_grads:
-        return loss, None, w, state, y_hops
 
     batch = diff.shape[1]
-    g_y_hops = -2.0 * diff / (length * r) / (mse + eps)[None, :, None] / batch
+    g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
     g_state = GroupState(h0=np.zeros_like(state.h0), h1=np.zeros_like(state.h1))
     g_tensors = params.zeros_like()
@@ -120,13 +119,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, want_grads=True, eps=
         u_freq, raw, opt_cache = caches[t]
         g_xi, g_state = _optimizer_backward(params, g_w, g_state, opt_cache, g_tensors)
         channel_grads = _build_input_backward(raw, g_xi)
-        g_e_freq, g_y_freq = channel_grads[3], channel_grads[4]
-        # adjoint of e_freq = fft(pad(e_hop)) back to the real hop
-        g_e_hop = (k * np.fft.ifft(g_e_freq, axis=-1)[..., r:]).real
-        g_y_hop = g_y_hops[t] - g_e_hop
-        # adjoint of y_hop = Re(ifft(y_freq)[r:])
-        g_y_freq = g_y_freq + hop_spectrum(g_y_hop, cfg) / k
-        g_w = g_w + project_filter(np.conj(u_freq) * g_y_freq, cfg.taps)
+        g_w = g_w + hop_backward(cfg, u_freq, g_y_hops[t], channel_grads[3], channel_grads[4])
 
     return loss, g_tensors, w, state, y_hops
 
@@ -259,25 +252,22 @@ def train_update_rule(
         for lo in range(0, len(order), batch_size):
             seeds = order[lo : lo + batch_size]
             scenes = [gen_scene(scene_spec, int(s)) for s in seeds]
-            u = np.stack([s.far_end for s in scenes])
-            d = np.stack([s.mic for s in scenes])
-            hops = u.shape[1] // cfg.hop
+            u_frames = hop_frames(np.stack([s.far_end for s in scenes]), cfg)
+            d_hops = hop_frames(np.stack([s.mic for s in scenes]), cfg)[..., cfg.hop :]
+            hops = u_frames.shape[1]
             w = np.zeros((len(seeds), cfg.dft_size), dtype=complex)
             state = GroupState.zeros(structure, cfg.dft_size, hidden_size,
                                      batch_shape=(len(seeds),))
             for win_start in range(0, hops - unroll + 1, unroll):
-                frames = np.stack(
-                    [stream_frame(u, cfg, win_start + t) for t in range(unroll)]
-                )
-                d_hops = np.stack(
-                    [d[:, (win_start + t) * cfg.hop : (win_start + t + 1) * cfg.hop]
-                     for t in range(unroll)]
-                )
+                window = slice(win_start, win_start + unroll)
+                # time-major; the desired hops contiguous, as the loss reduction expects
+                frames = u_frames[:, window].swapaxes(0, 1)
+                d_window = np.ascontiguousarray(d_hops[:, window].swapaxes(0, 1))
                 where = (f"epoch {epoch}, window from hop {win_start}, "
                          f"scene seeds {seeds.tolist()}")
                 try:
                     loss, grads, w, state, _ = window_gradient(
-                        params, cfg, w, state, frames, d_hops
+                        params, cfg, w, state, frames, d_window
                     )
                 except NumericError as exc:
                     raise NumericError(f"{exc} in {where}") from exc

@@ -31,7 +31,7 @@ from aflearn import (
 from aflearn.cli import main
 from aflearn.flops import FlopCounter
 from aflearn.layers import ComplexGruLayer, GroupSampler, log_scale, log_scale_backward
-from aflearn.ols import af_error, dft, filter_gradient, hop_spectrum, ols_apply, stream_hops
+from aflearn.ols import af_error, dft, filter_gradient, hop_frames, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
 from aflearn.training import meta_loss, window_gradient
@@ -58,7 +58,7 @@ def test_streaming_filter_matches_direct_convolution():
             taps = rng.standard_normal(cfg.taps)
             w = dft(np.concatenate([taps, np.zeros(cfg.hop)]))
             x = rng.standard_normal(6 * k + cfg.hop)
-            hops = [ols_apply(cfg, w, frame)[0] for frame, _ in stream_hops(x, cfg)]
+            hops = [ols_apply(cfg, w, frame)[0] for frame in hop_frames(x, cfg)]
             y = np.concatenate(hops)
             ref = np.convolve(x, taps)[: y.size]
             worst = max(worst, rel_error(y, ref))

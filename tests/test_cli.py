@@ -175,6 +175,38 @@ def test_eval_missing_inputs_are_io_errors(tmp_path, dataset):
                  str(tmp_path / "o.csv")]) == 4
 
 
+def _drop_nonlinearity(path):
+    meta = json.loads(path.read_text())
+    del meta["nonlinearity"]
+    path.write_text(json.dumps(meta))
+
+
+def _add_spec_field(path):
+    meta = json.loads(path.read_text())
+    meta["spec"]["bogus"] = 1
+    path.write_text(json.dumps(meta))
+
+
+CORRUPT_SCENE_FILES = {
+    "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
+    "unknown-spec-field": ("json", _add_spec_field),
+    "invalid-sidecar-json": ("json", lambda path: path.write_text("{not json")),
+    "rir-not-npz": ("rir.npz", lambda path: path.write_bytes(b"not an npz archive")),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_SCENE_FILES))
+def test_eval_corrupt_scene_files_are_io_errors(tmp_path, dataset, case, jobs, capsys):
+    suffix, corrupt = CORRUPT_SCENE_FILES[case]
+    path = dataset / f"scene_00001.{suffix}"
+    corrupt(path)
+    assert main(["eval", "nlms", str(dataset), str(tmp_path / "o.csv"), "--split", "all",
+                 "--dft-size", "64", "--jobs", jobs]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and str(path) in err
+
+
 def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):
     # a hand-merged manifest: three 0.4 s scenes among the 0.6 s ones
     spec_file = tmp_path / "short.json"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aflearn.errors import NumericError
@@ -12,12 +12,12 @@ from aflearn.ols import (
     dft,
     enforce_conjugate_symmetry,
     filter_gradient,
+    hop_frames,
     hop_spectrum,
     idft,
     ols_apply,
     project_filter,
     spectrum_to_hop,
-    stream_hops,
 )
 
 from oracles import constraint_matrix, dft_matrix, fd_gradient, linear_convolve, rel_error
@@ -89,21 +89,30 @@ def test_ols_identity_filter_passes_input_through():
     assert y_freq.shape == (8,)
 
 
-def test_ols_matches_direct_convolution_streamwise():
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_k=st.integers(3, 9), hops=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(log_k=4, hops=6, seed=3)
+@example(log_k=6, hops=6, seed=3)
+def test_ols_matches_direct_convolution_streamwise(log_k, hops, seed):
     # the alias-free tail of each frame must reproduce linear convolution
-    rng = np.random.default_rng(3)
-    for k in (16, 64):
-        cfg = OlsConfig.for_dft_size(k)
-        taps = cfg.taps
-        h = rng.standard_normal(taps)
-        w = dft(np.concatenate([h, np.zeros(k - taps)]))
-        x = rng.standard_normal(6 * cfg.hop)
-        ref = linear_convolve(h, x)[: x.size]
-        out = np.zeros_like(x)
-        for frame, sl in stream_hops(x, cfg):
-            y_hop, _ = ols_apply(cfg, w, frame)
-            out[sl] = y_hop
-        assert rel_error(out, ref) < 1e-10
+    rng = np.random.default_rng(seed)
+    cfg = OlsConfig.for_dft_size(2**log_k)
+    r = cfg.hop
+    h = rng.standard_normal(cfg.taps)
+    w = dft(np.concatenate([h, np.zeros(cfg.dft_size - cfg.taps)]))
+    # a 2-row stack with a partial final hop, which the frame view drops
+    x = rng.standard_normal((2, hops * r + int(rng.integers(r))))
+    frames = hop_frames(x, cfg)
+    assert frames.shape == (2, hops, cfg.dft_size)
+    out = np.zeros((2, hops * r))
+    for t in range(hops):
+        y_hop, _ = ols_apply(cfg, w, frames[:, t])
+        out[:, t * r : (t + 1) * r] = y_hop
+    for row in range(2):
+        # a stack's frames are each row's own frames
+        assert np.array_equal(frames[row], hop_frames(x[row], cfg))
+        ref = linear_convolve(h, x[row])[: hops * r]
+        assert rel_error(out[row], ref) < 1e-10
 
 
 def test_ols_rejects_bad_input():
@@ -199,15 +208,14 @@ def test_conjugate_symmetry_projection():
 def test_stream_hops_covers_signal():
     cfg = OlsConfig(8)
     x = np.arange(10.0)
-    frames = list(stream_hops(x, cfg, pad_tail=True))
-    assert len(frames) == 3
-    rebuilt = np.zeros(10)
-    for frame, sl in frames:
-        width = sl.stop - sl.start
-        rebuilt[sl] = frame[cfg.hop : cfg.hop + width]
-    assert rel_error(rebuilt, x) < 1e-12
-    # zero history at the head
-    assert np.abs(frames[0][0][:4]).max() == 0.0
+    frames = hop_frames(x, cfg)
+    assert frames.shape == (2, 8)  # the partial final hop is dropped
+    # the hop view is the signal's whole hops, in order
+    assert rel_error(frames[:, cfg.hop :].ravel(), x[:8]) < 1e-12
+    # zero history at the head; frame t is the last K samples up to (t + 1) * R
+    assert np.abs(frames[0][:4]).max() == 0.0
+    assert np.array_equal(frames[1], x[:8])
+    assert not frames.flags.writeable
 
 
 def test_batched_calls_match_loop():

@@ -9,7 +9,7 @@ import aflearn.session
 from aflearn.errors import ConfigError, NumericError
 from aflearn.flops import flops_per_frame
 from aflearn.classic import make_kf_state
-from aflearn.ols import OlsConfig, ols_apply, stream_frame
+from aflearn.ols import OlsConfig, hop_frames, ols_apply
 from aflearn.optimizer import init_meta_params
 from aflearn.session import CLASSIC_ALGORITHMS, run_classic_session, run_learned_session
 from aflearn.structures import DependencyStructure
@@ -126,7 +126,7 @@ def test_kf_residual_is_the_innovation():
     posteriors = [np.zeros(CFG.dft_size, dtype=complex)] + [w for _, w in result.snapshots]
     assert [t for t, _ in result.snapshots] == list(range(hops))
     for t in range(hops):
-        y_pred, _ = ols_apply(CFG, transition * posteriors[t], stream_frame(u, CFG, t))
+        y_pred, _ = ols_apply(CFG, transition * posteriors[t], hop_frames(u, CFG)[t])
         hop = slice(t * CFG.hop, (t + 1) * CFG.hop)
         assert rel_error(result.error[hop], d[hop] - y_pred) < 1e-12, t
     assert rel_error(result.weights, posteriors[-1]) == 0.0

@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aflearn.errors import ConfigError
 from aflearn.structures import DependencyStructure
+
+# power-of-two bin counts K = 4 ... 512 and widths 2 ... K, drawn derandomized
+LAWS = settings(max_examples=60, derandomize=True, deadline=None)
+LOG_K = st.integers(2, 9)
+LOG_WIDTH = st.integers(1, 9)
+
+
+def _drawn(kind, log_width, k):
+    width = 1 if kind == "diagonal" else min(2**log_width, k)
+    return DependencyStructure(kind, width)
 
 
 def test_group_counts():
@@ -14,7 +26,9 @@ def test_group_counts():
     assert DependencyStructure.banded(8).group_count(64) == 16
 
 
-def test_bins_for_groups_inverts_group_count():
+@LAWS
+@given(kind=st.sampled_from(["diagonal", "block", "banded"]), log_k=LOG_K, log_width=LOG_WIDTH)
+def test_bins_for_groups_inverts_group_count(kind, log_k, log_width):
     for s in (
         DependencyStructure.diagonal(),
         DependencyStructure.block(8),
@@ -22,16 +36,26 @@ def test_bins_for_groups_inverts_group_count():
     ):
         for k in (16, 32, 64):
             assert s.bins_for_groups(s.group_count(k)) == k
+    k = 2**log_k
+    s = _drawn(kind, log_width, k)
+    assert s.group_count(k) * s.hop == k
+    assert s.bins_for_groups(s.group_count(k)) == k
 
 
-def test_diagonal_and_block_windows_partition_bins():
-    for s in (DependencyStructure.diagonal(), DependencyStructure.block(4)):
-        bins = s.window_bins(16)
-        assert sorted(bins.ravel().tolist()) == list(range(16))
-        assert np.array_equal(s.coverage(16), np.ones(16, dtype=int))
+@LAWS
+@given(kind=st.sampled_from(["diagonal", "block"]), log_k=LOG_K, log_width=LOG_WIDTH)
+def test_diagonal_and_block_windows_partition_bins(kind, log_k, log_width):
+    k = 2**log_k
+    for s, num_bins in ((DependencyStructure.diagonal(), 16), (DependencyStructure.block(4), 16),
+                        (_drawn(kind, log_width, k), k)):
+        bins = s.window_bins(num_bins)
+        assert sorted(bins.ravel().tolist()) == list(range(num_bins))
+        assert np.array_equal(s.coverage(num_bins), np.ones(num_bins, dtype=int))
 
 
-def test_banded_windows_cover_each_bin_twice():
+@LAWS
+@given(log_k=LOG_K, log_width=LOG_WIDTH)
+def test_banded_windows_cover_each_bin_twice(log_k, log_width):
     s = DependencyStructure.banded(4)
     bins = s.window_bins(16)
     assert bins.shape == (8, 4)
@@ -40,6 +64,13 @@ def test_banded_windows_cover_each_bin_twice():
     assert bins[0].tolist() == [0, 1, 2, 3]
     assert bins[1].tolist() == [2, 3, 4, 5]
     assert bins[-1].tolist() == [14, 15, 0, 1]
+    k = 2**log_k
+    s = _drawn("banded", log_width, k)
+    bins = s.window_bins(k)
+    assert bins.shape == (2 * k // s.width, s.width)
+    assert np.array_equal(s.coverage(k), np.full(k, 2))
+    starts = np.arange(0, k, s.width // 2)
+    assert np.array_equal(bins, (starts[:, None] + np.arange(s.width)) % k)
 
 
 def test_validation_errors():

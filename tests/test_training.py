@@ -123,13 +123,13 @@ def test_window_gradient_state_carry_matches_long_window():
     state = GroupState.zeros(structure, 16, 4, batch_shape=(1,))
 
     _, _, w_a, state_a, y_a = window_gradient(
-        params, cfg, w, state, frames[:3], d_hops[:3], want_grads=False
+        params, cfg, w, state, frames[:3], d_hops[:3]
     )
     _, _, w_a, state_a, y_b = window_gradient(
-        params, cfg, w_a, state_a, frames[3:], d_hops[3:], want_grads=False
+        params, cfg, w_a, state_a, frames[3:], d_hops[3:]
     )
     _, _, w_full, state_full, y_full = window_gradient(
-        params, cfg, w, state, frames, d_hops, want_grads=False
+        params, cfg, w, state, frames, d_hops
     )
     assert rel_error(np.concatenate([y_a, y_b]), y_full) < 1e-12
     assert rel_error(w_a, w_full) < 1e-12
