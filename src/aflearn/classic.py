@@ -3,9 +3,11 @@
 All three share the overlap-save geometry and the hop kernel from ols.py and
 keep the filter constrained via project_filter after every update.  Every step
 has the same contract, ``step(state, u_freq, e_freq, w) -> (w_new, state)``:
-u_freq is the K-point DFT of the current input frame and e_freq the
-zero-padded error-hop spectrum that ``ols.hop_forward`` produced by filtering
-that frame through ``w``.
+u_freq is the DFT of the current input frame and e_freq the zero-padded
+error-hop spectrum that ``ols.hop_forward`` produced by filtering that frame
+through ``w``.  Sessions pass K/2+1-bin half spectra (``rfft`` layout, RLS/KF
+``p`` sized to match), so the filter stays the projected spectrum of a real
+response; full K-bin spectra give the same first K/2+1 bins.
 
 The Kalman filter models the echo path as a scalar-gain random walk per bin
 (w' = A w + process noise) and re-estimates the observation noise from a
@@ -108,7 +110,13 @@ def kf_step(state, u_freq, e_freq, w):
     w_new = project_filter(w + gain * e_freq)
     p_new = p_pred * state.obs_noise / innovation_var
 
-    residual = np.sum(e_freq.real**2 + e_freq.imag**2, axis=-1, keepdims=True) / e_freq.shape[-1]
+    e_power = e_freq.real**2 + e_freq.imag**2
+    n = e_freq.shape[-1]
+    if n % 2:  # a half spectrum of K = 2(n - 1) bins: Parseval counts bins 1 ... K/2-1 twice
+        inner = np.sum(e_power[..., 1:-1], axis=-1, keepdims=True)
+        residual = (2.0 * inner + e_power[..., :1] + e_power[..., -1:]) / (2 * (n - 1))
+    else:
+        residual = np.sum(e_power, axis=-1, keepdims=True) / n
     beta = state.noise_smoothing
     obs_new = beta * state.obs_noise + (1.0 - beta) * residual
     return w_new, replace(state, p=p_new, obs_noise=obs_new)

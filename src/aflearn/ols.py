@@ -1,10 +1,15 @@
 """Overlap-save frequency-domain filtering primitives.
 
-Spectra are full K-bin complex vectors.  A valid filter spectrum is the K-point
-DFT of an impulse response whose last R taps vanish; ``project_filter`` enforces
-that support constraint.  Each hop consumes R fresh input samples (the analysis
-window is the last K samples of the input stream) and emits R output samples,
-the alias-free tail of the circular convolution.
+A spectrum is either a full K-bin complex vector or, for a real signal, its
+K/2+1-bin half spectrum in ``rfft`` layout; K is even and K/2+1 odd, so
+``project_filter`` and ``hop_forward`` tell the two apart by the spectrum's
+length.  A valid filter spectrum is the DFT of an impulse response whose last R
+taps vanish; ``project_filter`` enforces that support constraint.  The hop
+kernel projects a K-bin filter on use; a half-spectrum filter must already be
+projected (the classic filters keep it so with their own update), and its hop
+runs on ``rfft``/``irfft``.  Each hop consumes R fresh input samples (the
+analysis window is the last K samples of the input stream) and emits R output
+samples, the alias-free tail of the circular convolution.
 
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
@@ -28,6 +33,7 @@ __all__ = [
     "idft",
     "project_filter",
     "enforce_conjugate_symmetry",
+    "hermitian_spectrum",
     "hop_spectrum",
     "spectrum_to_hop",
     "ols_apply",
@@ -99,14 +105,21 @@ def project_filter(w, taps=None):
     """Zero the last K - taps time-domain taps of a filter spectrum.
 
     Defaults to taps = K/2, the overlap-save support constraint.  Idempotent,
-    linear, and Hermitian as an operator on C^K.
+    linear, and Hermitian as an operator on C^K.  A half spectrum (odd length
+    K/2+1) is projected through ``irfft``/``rfft`` and so also onto the
+    spectra of real responses.
     """
     w = np.asarray(w, dtype=complex)
-    k = w.shape[-1]
+    n = w.shape[-1]
+    k = 2 * (n - 1) if n % 2 else n
     if taps is None:
         taps = k // 2
     if not 0 < taps <= k:
         raise ValueError(f"taps must lie in [1, {k}], got {taps}")
+    if n % 2:
+        wt = np.fft.irfft(w, k, axis=-1)
+        wt[..., taps:] = 0.0
+        return np.fft.rfft(wt, axis=-1)
     wt = np.fft.ifft(w, axis=-1)
     wt[..., taps:] = 0.0
     return np.fft.fft(wt, axis=-1)
@@ -123,13 +136,24 @@ def enforce_conjugate_symmetry(w):
     return 0.5 * (w + np.conj(w[..., flip]))
 
 
+def hermitian_spectrum(half):
+    """The K-bin spectrum of a real signal from its K/2+1-bin half spectrum."""
+    half = np.asarray(half)
+    return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
+
+
+def _zero_headed(hop_samples, cfg, transform):
+    """``transform`` of one R-sample hop placed in the tail of a K frame."""
+    frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
+    frame[..., cfg.dft_size - cfg.hop :] = hop_samples
+    return transform(frame, axis=-1)
+
+
 def hop_spectrum(hop_samples, cfg):
     """DFT of one R-sample hop placed in the tail of a K frame (leading zeros)."""
     hop_samples = np.asarray(hop_samples)
     _check_len(hop_samples, cfg.hop, "hop")
-    frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
-    frame[..., cfg.dft_size - cfg.hop :] = hop_samples
-    return np.fft.fft(frame, axis=-1)
+    return _zero_headed(hop_samples, cfg, np.fft.fft)
 
 
 def spectrum_to_hop(spec, cfg):
@@ -140,13 +164,23 @@ def spectrum_to_hop(spec, cfg):
 
 
 def _filter_frame(cfg, w, u_frame):
-    """(u_freq, y_freq, y_hop) of one K-sample frame filtered through w."""
+    """(u_freq, y_freq, y_hop) of one K-sample frame filtered through w.
+
+    A K-bin w is projected on use; a K/2+1-bin w is taken as projected, and
+    its spectra are half spectra.
+    """
     u_frame = np.asarray(u_frame)
     _check_len(u_frame, cfg.dft_size, "input frame")
     w = np.asarray(w)
-    _check_len(w, cfg.dft_size, "filter")
+    k = cfg.dft_size
+    if w.shape[-1] not in (k, k // 2 + 1):
+        raise ValueError(f"filter must have last axis {k} or {k // 2 + 1}, got {w.shape[-1]}")
     if not np.all(np.isfinite(u_frame)):
         raise NumericError("non-finite input frame")
+    if w.shape[-1] != k:
+        u_freq = np.fft.rfft(u_frame, axis=-1)
+        y_freq = u_freq * w
+        return u_freq, y_freq, np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :]
     u_freq = np.fft.fft(u_frame, axis=-1)
     y_freq = u_freq * project_filter(w, cfg.taps)
     y_hop = np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
@@ -156,31 +190,43 @@ def _filter_frame(cfg, w, u_frame):
 def ols_apply(cfg, w, u_frame):
     """Filter one K-sample input frame through spectrum w.
 
-    Returns (y_hop, y_freq): the R valid output samples and the full output
-    spectrum diag(U) . project(w).  The input frame is the last K samples of
-    the far-end stream, so consecutive calls overlap by R samples.
+    Returns (y_hop, y_freq): the R valid output samples and the output
+    spectrum diag(U) . project(w), a half spectrum if w is one.  The input
+    frame is the last K samples of the far-end stream, so consecutive calls
+    overlap by R samples.
     """
     _, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
     return y_hop, y_freq
 
 
-def af_error(d_hop, y_hop, cfg):
-    """Error hop e = d - y and its zero-padded frame spectrum."""
+def _error_hop(d_hop, y_hop, cfg):
     d_hop = np.asarray(d_hop)
     y_hop = np.asarray(y_hop)
     _check_len(d_hop, cfg.hop, "desired hop")
     _check_len(y_hop, cfg.hop, "output hop")
-    e_hop = d_hop - y_hop
+    return d_hop - y_hop
+
+
+def af_error(d_hop, y_hop, cfg):
+    """Error hop e = d - y and its zero-padded frame spectrum."""
+    e_hop = _error_hop(d_hop, y_hop, cfg)
     return e_hop, hop_spectrum(e_hop, cfg)
 
 
 def hop_forward(cfg, w, u_frame, d_hop):
     """One hop: filter the frame through w and score it against d, each FFT once.
 
-    Returns (y_hop, e_hop, u_freq, y_freq, e_freq).
+    Returns (y_hop, e_hop, u_freq, y_freq, e_freq).  A K/2+1-bin w must be
+    projected already; it is filtered with ``rfft``/``irfft`` and the three
+    spectra come back as half spectra (three real transforms in all, where a
+    K-bin w takes five complex ones).
     """
     u_freq, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
-    e_hop, e_freq = af_error(d_hop, y_hop, cfg)
+    if u_freq.shape[-1] == cfg.dft_size:
+        e_hop, e_freq = af_error(d_hop, y_hop, cfg)
+    else:
+        e_hop = _error_hop(d_hop, y_hop, cfg)
+        e_freq = _zero_headed(e_hop, cfg, np.fft.rfft)
     return y_hop, e_hop, u_freq, y_freq, e_freq
 
 

@@ -340,7 +340,9 @@ def spec_from_json(d):
 def load_scene(directory, stem):
     """Rebuild a scene from save_scene output (regenerates nothing).
 
-    A sidecar or echo-path file that does not parse raises an OSError naming it.
+    A sidecar or echo-path file that does not parse, or a WAV that does not
+    match the sidecar (not mono, another sample rate), raises an OSError
+    naming it.
     """
     directory = Path(directory)
     sidecar = directory / f"{stem}.json"
@@ -354,7 +356,11 @@ def load_scene(directory, stem):
     rate = spec.sample_rate
     signals = {}
     for name in ("farend", "mic", "echo", "near", "noise"):
-        _, signals[name] = read_wav(directory / f"{stem}.{name}.wav", expect_rate=rate)
+        path = directory / f"{stem}.{name}.wav"
+        try:
+            _, signals[name] = read_wav(path, expect_rate=rate)
+        except ConfigError as exc:  # a corrupt scene file, not a bad option
+            raise OSError(f"{exc.message}, unlike its sidecar {sidecar.name}") from exc
     paths_file = directory / f"{stem}.rir.npz"
     try:
         with np.load(paths_file) as paths:

@@ -29,7 +29,7 @@ from .classic import (
 from .errors import ConfigError, NumericError
 from .flops import FlopCounter
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import feature_spectra, hop_forward, hop_frames
+from .ols import feature_spectra, hermitian_spectrum, hop_forward, hop_frames
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
@@ -80,7 +80,10 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
-def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flops=False):
+def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0, count_flops=False):
+    """Walk the hops from initial weights w: K bins, or a K/2+1-bin half
+    spectrum that the snapshots and the result expand to K bins."""
+    spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
     u_frames = hop_frames(u, cfg)
     d_hops = hop_frames(d, cfg)[..., cfg.hop :]
     frames = u_frames.shape[-2]
@@ -88,7 +91,6 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
     output = np.empty_like(error)
     snapshots = []
     counter = FlopCounter() if count_flops else None
-    w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
@@ -101,7 +103,7 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
             error[..., t, :] = e_hop
             output[..., t, :] = y_hop
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
-                snapshots.append((t, w.copy()))
+                snapshots.append((t, spectrum(w)))
             if telemetry is not None:
                 row = {"frame": t, "erle_db": np.round(_erle_db(d_hop, e_hop), 4).tolist(),
                        "residual_power": _power(e_hop).tolist()}
@@ -113,7 +115,7 @@ def _run(u, d, cfg, update_fn, telemetry_path=None, snapshot_stride=0, count_flo
     return SessionResult(
         error=error.reshape(u.shape[:-1] + (-1,)),
         output=output.reshape(u.shape[:-1] + (-1,)),
-        weights=w,
+        weights=spectrum(w),
         erle_db=_erle_db(d_hops, error),
         frames=frames,
         flops=counter.total if counter else 0,
@@ -138,7 +140,8 @@ def run_learned_session(params, u, d, cfg, **kwargs):
         delta, state = optimizer_step(params, xi, state, counter=counter)
         return apply_update(w, delta), y_hop, e_hop
 
-    return _run(u, d, cfg, update, **kwargs)
+    w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
+    return _run(u, d, cfg, w, update, **kwargs)
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
@@ -147,12 +150,12 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         raise ConfigError("algorithm", f"unknown baseline {algorithm!r}")
     u, d = _session_signals(u, d, cfg)
     hyper = dict(hyper or {})
-    k = cfg.dft_size
+    bins = cfg.dft_size // 2 + 1  # real signals: the filter and its spectra are half spectra
     # built per call, so a step patched into this module's namespace is the one that runs
     make_state, step = {
         "nlms": (lambda: make_nlms_state(**hyper), nlms_step),
-        "rls": (lambda: make_rls_state(k, **hyper), rls_step),
-        "kf": (lambda: make_kf_state(k, **hyper), kf_step),
+        "rls": (lambda: make_rls_state(bins, **hyper), rls_step),
+        "kf": (lambda: make_kf_state(bins, **hyper), kf_step),
     }[algorithm]
     try:
         state = make_state()
@@ -167,4 +170,5 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         w_new, state = step(state, u_freq, e_freq, w)
         return w_new, y_hop, e_hop
 
-    return _run(u, d, cfg, update, **kwargs)
+    w = np.zeros(u.shape[:-1] + (bins,), dtype=complex)
+    return _run(u, d, cfg, w, update, **kwargs)

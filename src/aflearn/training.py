@@ -27,7 +27,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import MetricUndefinedError, NumericError
+from .errors import ConfigError, MetricUndefinedError, NumericError
 from .metrics import serle_db
 from .optimizer import (
     GroupState,
@@ -222,6 +222,10 @@ def train_update_rule(
     ``resume`` restores a schedule state: a dict with params, epoch, lr,
     best_val, and since_improve (optimizer moments restart from zero).
     """
+    hops = scene_spec.num_samples // cfg.hop
+    if unroll > hops:  # no window would fit, so no epoch would ever update the rule
+        raise ConfigError("unroll", f"{unroll} hops per window, but a scene has only "
+                                    f"{hops} whole hops of {cfg.hop} samples")
     schedule = schedule or TrainSchedule()
     params = init_meta_params(structure, hidden_size, seed=init_seed)
     shuffle_rng = np.random.default_rng(init_seed + 1)

@@ -1,9 +1,12 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is deliberately naive: dense DFT matrices, O(n^2) convolutions,
-scalar finite differences.  The library must agree with these, never the other
+scalar finite differences, and the classic filters on full K-bin spectra with
+the filter projected on use.  The library must agree with these, never the other
 way round.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -104,3 +107,63 @@ def rel_error(actual, expected):
     expected = np.asarray(expected)
     scale = np.linalg.norm(expected.ravel())
     return np.linalg.norm((actual - expected).ravel()) / max(scale, 1e-30)
+
+
+def _project_full_k(w, taps):
+    """Zero the last K - taps taps of a full K-bin spectrum (ifft, then fft)."""
+    wt = np.fft.ifft(w, axis=-1)
+    wt[..., taps:] = 0.0
+    return np.fft.fft(wt, axis=-1)
+
+
+def full_k_hop(w, u_frame, d_hop):
+    """One overlap-save hop on full K-bin complex spectra, the filter projected
+    on use: 7 complex FFTs with ``full_k_step``.  Returns (y_hop, e_hop,
+    u_freq, e_freq)."""
+    k = u_frame.shape[-1]
+    r = k // 2
+    u_freq = np.fft.fft(u_frame, axis=-1)
+    y_hop = np.fft.ifft(u_freq * _project_full_k(w, k - r), axis=-1)[..., r:].real
+    e_hop = d_hop - y_hop
+    e_frame = np.zeros(e_hop.shape[:-1] + (k,))
+    e_frame[..., r:] = e_hop
+    return y_hop, e_hop, u_freq, np.fft.fft(e_frame, axis=-1)
+
+
+def full_k_step(algorithm, state, u_freq, e_freq, w):
+    """The NLMS, RLS or KF update on full K-bin spectra, with the
+    hyperparameters and the K-bin ``p`` of ``state``; returns (w_new, state).
+    For KF, ``w`` is the prediction ``state.transition * w_post``."""
+    k = u_freq.shape[-1]
+    power = u_freq.real**2 + u_freq.imag**2
+    if algorithm == "nlms":
+        gain = state.step_size * np.conj(u_freq) / (power + state.eps)
+        return _project_full_k(w + gain * e_freq, k // 2), state
+    if algorithm == "rls":
+        denom = state.forget + state.p * power + state.eps
+        w_new = _project_full_k(w + state.p * np.conj(u_freq) / denom * e_freq, k // 2)
+        return w_new, replace(state, p=state.p / denom)
+    p_pred = state.transition**2 * state.p + state.process_noise
+    innovation_var = p_pred * power + state.obs_noise
+    w_new = _project_full_k(w + p_pred * np.conj(u_freq) / innovation_var * e_freq, k // 2)
+    residual = np.sum(e_freq.real**2 + e_freq.imag**2, axis=-1, keepdims=True) / k
+    obs_new = state.noise_smoothing * state.obs_noise + (1.0 - state.noise_smoothing) * residual
+    return w_new, replace(state, p=p_pred * state.obs_noise / innovation_var, obs_noise=obs_new)
+
+
+def full_k_session(algorithm, state, u, d, k):
+    """A classic session on full K-bin spectra over 1-D signals, hop by hop
+    from the zero filter; returns (output, error, final K-bin weights)."""
+    r = k // 2
+    hops = u.size // r
+    padded = np.concatenate([np.zeros(k - r), u[: hops * r]])
+    output = np.empty(hops * r)
+    w = np.zeros(k, dtype=complex)
+    for t in range(hops):
+        if algorithm == "kf":
+            w = state.transition * w
+        span = slice(t * r, (t + 1) * r)
+        y_hop, _, u_freq, e_freq = full_k_hop(w, padded[t * r : t * r + k], d[span])
+        output[span] = y_hop
+        w, state = full_k_step(algorithm, state, u_freq, e_freq, w)
+    return output, d[: hops * r] - output, w

@@ -1,5 +1,7 @@
 """Classical baseline update laws plus convergence on synthetic scenes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from aflearn.ols import OlsConfig, dft, hop_forward, hop_spectrum, ols_apply, pr
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.session import run_classic_session
 
-from oracles import rel_error
+from oracles import full_k_hop, full_k_session, full_k_step, rel_error
 
 CFG = OlsConfig.for_dft_size(512)
 IDENT_SPEC = desk_spec(duration=10.0, near_speech_prob=0.0, noise_prob=0.0,
@@ -96,6 +98,67 @@ def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
     w_new, _ = step(state, u_freq, e_freq, w)
     assert _hermitian_error(w_new) < 1e-12
     assert rel_error(project_filter(w_new), w_new) < 1e-12
+
+
+@pytest.mark.parametrize("algorithm", ["nlms", "rls", "kf"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_k=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
+    # one hop and one update on K/2+1 bins give the first K/2+1 bins of the
+    # full K-bin hop and update, for a real frame and a projected real filter
+    cfg = OlsConfig(2**log_k)
+    k, bins = cfg.dft_size, cfg.dft_size // 2 + 1
+    rng = np.random.default_rng(seed)
+    response = np.zeros(k)
+    response[: cfg.taps] = rng.standard_normal(cfg.taps)
+    frame, d_hop = rng.standard_normal(k), rng.standard_normal(cfg.hop)
+    p_half = rng.uniform(0.1, 10.0, bins)
+    p_full = np.concatenate([p_half, p_half[-2:0:-1]])  # p[k] = p[-k], as real signals give
+    state, step = {
+        "nlms": (make_nlms_state(), nlms_step),
+        "rls": (make_rls_state(k), rls_step),
+        "kf": (make_kf_state(k, obs_noise=rng.uniform(0.01, 1.0)), kf_step),
+    }[algorithm]
+    w = dft(response) * getattr(state, "transition", 1.0)
+    y_full, e_full, u_full, e_freq_full = full_k_hop(w, frame, d_hop)
+    if algorithm != "nlms":
+        state = replace(state, p=p_full)
+    w_full, state_full = full_k_step(algorithm, state, u_full, e_freq_full, w)
+
+    y_hop, e_hop, u_freq, _, e_freq = hop_forward(cfg, w[:bins], frame, d_hop)
+    assert u_freq.shape == e_freq.shape == (bins,)
+    assert rel_error(y_hop, y_full) < 1e-12
+    assert rel_error(e_hop, e_full) < 1e-12
+    if algorithm != "nlms":
+        state = replace(state, p=p_half)
+    w_half, state_half = step(state, u_freq, e_freq, w[:bins])
+    assert rel_error(w_half, w_full[:bins]) < 1e-12
+    if algorithm != "nlms":
+        assert rel_error(state_half.p, state_full.p[:bins]) < 1e-12
+    if algorithm == "kf":
+        assert rel_error(state_half.obs_noise, state_full.obs_noise) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def path_change_scene():
+    return gen_scene(desk_spec(duration=60.0), seed=0, path_change_at=30.0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algorithm", ["nlms", "rls", "kf"])
+def test_session_matches_the_full_k_reference(algorithm, path_change_scene):
+    # a minute of a path-change scene on half spectra stays on the full K-bin
+    # filter with on-use projection, and the session still reports K bins
+    scene = path_change_scene
+    state = {"nlms": make_nlms_state(), "rls": make_rls_state(CFG.dft_size),
+             "kf": make_kf_state(CFG.dft_size)}[algorithm]
+    output, error, weights = full_k_session(algorithm, state, scene.far_end, scene.mic,
+                                            CFG.dft_size)
+    res = run_classic_session(algorithm, scene.far_end, scene.mic, CFG)
+    assert res.weights.shape == (CFG.dft_size,)
+    assert rel_error(res.output, output) < 1e-12
+    assert rel_error(res.error, error) < 1e-12
+    assert rel_error(res.weights, weights) < 1e-12
 
 
 def test_rls_unit_forget_accumulates_inverse_power():

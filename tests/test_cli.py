@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from aflearn.checkpoint import load_checkpoint, save_checkpoint
 from aflearn.cli import main, validate_train_config
@@ -187,11 +188,24 @@ def _add_spec_field(path):
     path.write_text(json.dumps(meta))
 
 
+def _stereo(path):
+    rate, data = wavfile.read(path)
+    wavfile.write(path, rate, np.stack([data, data], axis=1))
+
+
+def _resampled(path):
+    _, data = wavfile.read(path)
+    wavfile.write(path, 8000, data)
+
+
 CORRUPT_SCENE_FILES = {
     "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
     "unknown-spec-field": ("json", _add_spec_field),
     "invalid-sidecar-json": ("json", lambda path: path.write_text("{not json")),
     "rir-not-npz": ("rir.npz", lambda path: path.write_bytes(b"not an npz archive")),
+    # a WAV that does not match its sidecar is a corrupt scene file too
+    "stereo-mic-wav": ("mic.wav", _stereo),
+    "mic-wav-at-another-rate": ("mic.wav", _resampled),
 }
 
 
@@ -205,6 +219,23 @@ def test_eval_corrupt_scene_files_are_io_errors(tmp_path, dataset, case, jobs, c
                  "--dft-size", "64", "--jobs", jobs]) == 4
     err = capsys.readouterr().err
     assert "i/o error" in err and str(path) in err
+
+
+def test_cancel_on_a_stereo_wav_is_a_config_error(tmp_path, dataset):
+    # the same WAV that makes a scene corrupt is a bad argument to cancel
+    mic = dataset / "scene_00001.mic.wav"
+    _stereo(mic)
+    assert main(["cancel", str(dataset / "scene_00001.farend.wav"), str(mic), "nlms",
+                 str(tmp_path / "x.wav")]) == 2
+
+
+def test_train_unroll_longer_than_a_scene_exits_2(tmp_path, dataset, capsys):
+    # 0.6 s scenes at dft_size 64 hold 300 whole hops
+    config_path, config = _train_config(tmp_path, dataset, unroll=301)
+    assert main(["train", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unroll" in err and "300" in err
+    assert not Path(config["checkpoint"]).exists()
 
 
 def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):

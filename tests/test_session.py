@@ -132,7 +132,10 @@ def test_kf_residual_is_the_innovation():
     assert rel_error(result.weights, posteriors[-1]) == 0.0
 
 
-FFT_CALLS_PER_HOP = {"learned": 8, "nlms": 7, "rls": 7, "kf": 7}
+# (transform kind, calls per hop): complex fft/ifft on K bins for the learned
+# rule, real rfft/irfft on K/2+1 bins for the classic filters
+FFT_CALLS_PER_HOP = {"learned": ("fft", 8), "nlms": ("rfft", 5), "rls": ("rfft", 5),
+                     "kf": ("rfft", 5)}
 
 
 @pytest.mark.parametrize("algorithm", sorted(FFT_CALLS_PER_HOP))
@@ -150,11 +153,14 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted("rfft", getattr(np.fft, name)))
     # perfbench/tracing.py times hops through these names in aflearn.session
     steps = tuple(f"{name}_step" for name in CLASSIC_ALGORITHMS)
     for name in ("build_input", "optimizer_step", "apply_update") + steps:
         monkeypatch.setattr(aflearn.session, name,
                             counted(name, getattr(aflearn.session, name)))
+    kind, per_hop = FFT_CALLS_PER_HOP[algorithm]
     if algorithm == "learned":
         params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
         monkeypatch.setattr(np, "concatenate", counted("concatenate", np.concatenate))
@@ -166,7 +172,9 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
             assert calls[name] == hops, name
         # the GRU gate stacks are views of the parameters: no hop assembles them
         assert calls.get("concatenate", 0) == one_hop
+        assert "rfft" not in calls
     else:
         run_classic_session(algorithm, u, d, CFG)
-        assert calls == {"fft": calls["fft"], f"{algorithm}_step": hops}
-    assert calls["fft"] == FFT_CALLS_PER_HOP[algorithm] * hops
+        # no complex transform at all: only the real ones and the step
+        assert calls == {"rfft": calls["rfft"], f"{algorithm}_step": hops}
+    assert calls[kind] == per_hop * hops

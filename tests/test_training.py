@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import aflearn.training
-from aflearn.errors import NumericError
+from aflearn.errors import ConfigError, NumericError
 from aflearn.metrics import serle_db
 from aflearn.ols import OlsConfig, af_error, dft, filter_gradient, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
@@ -294,6 +294,19 @@ def test_train_update_rule_miniature():
         float(np.abs(params.tensors[n] - fresh.tensors[n]).max()) for n in params.names
     )
     assert moved > 0.0
+
+
+def test_unroll_longer_than_a_scene_is_a_config_error():
+    # 0.05 s at 16 kHz is 25 whole hops of 32 samples: a 25-hop window fits ...
+    spec = desk_spec(duration=0.05, rir_taps=16)
+    args = (DependencyStructure.block(4), 4, OlsConfig(64), spec, [0, 1], [2])
+    _, history = train_update_rule(*args, epochs=1, batch_size=2, unroll=25)
+    assert np.isfinite(history[0]["train_loss"])
+    # ... and a 30-hop one fails before the first epoch, naming both lengths
+    with pytest.raises(ConfigError) as info:
+        train_update_rule(*args, epochs=2, batch_size=2, unroll=30)
+    assert info.value.field == "unroll"
+    assert "30" in info.value.message and "25" in info.value.message
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "loss"])
