@@ -14,7 +14,7 @@ from aflearn.ols import dft, hop_frames
 
 rng = np.random.default_rng(0)
 cfg = OlsConfig(64)
-print(f"DFT size K={cfg.dft_size}, hop R={cfg.hop}, usable taps={cfg.taps}")
+print(f"DFT size K={cfg.dft_size}, hop R={cfg.hop}, usable taps {cfg.taps}")
 
 # ---- stream a random signal through a known filter -------------------------
 taps = rng.standard_normal(cfg.taps) * 0.5 ** np.arange(cfg.taps)
@@ -35,10 +35,10 @@ print(f"streamed vs direct convolution: max |diff| = {np.abs(streamed - direct).
 
 # ---- the constraint projection keeps filters causal and short ---------------
 leaky = dft(rng.standard_normal(cfg.dft_size))          # energy everywhere
-clean = project_filter(leaky, cfg.taps)
+clean = project_filter(leaky)
 tail = np.fft.ifft(clean)[cfg.taps:]
 print(f"tail energy after projection: {np.abs(tail).max():.3e} (idempotent: "
-      f"{np.abs(project_filter(clean, cfg.taps) - clean).max():.3e})")
+      f"{np.abs(project_filter(clean) - clean).max():.3e})")
 
 # ---- the analytic gradient points down the error surface --------------------
 frame = signal[: cfg.dft_size]

@@ -3,9 +3,12 @@
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 with sorted keys, then the raw little-endian complex128 tensor blobs in header
 order, which is ``MetaParams.tensors`` order (each GRU layer gate by gate),
-not buffer order.  Serialization is fully deterministic, so saving a loaded
-checkpoint reproduces the file byte for byte.  Loading checks every entry
-against ``optimizer.param_layout`` before it allocates the parameter buffer.
+not buffer order.  The blobs are packed: each entry's offset is the sum of the
+earlier entries' byte counts, and the file ends with the last blob.
+Serialization is fully deterministic, so saving a loaded checkpoint reproduces
+the file byte for byte.  Loading checks every entry against
+``optimizer.param_layout`` and the packing before it allocates the parameter
+buffer.
 """
 
 from __future__ import annotations
@@ -128,6 +131,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unexpected tensor set")
     body = start + header_len
     blobs = {}
+    packed = 0  # where the next blob must start: no overlaps, no gaps
     for entry in header["tensors"]:
         name, shape, offset, nbytes = (entry[key] for key in ENTRY_KEYS)
         if shape != list(shapes[name]):
@@ -138,6 +142,10 @@ def load_checkpoint(path):
                 and _is_int(offset) and offset >= 0):
             raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r} and "
                                   f"{nbytes!r} bytes for shape {shape}")
+        if offset != packed:
+            raise CheckpointError(f"{path}: tensor {name!r} starts at offset {offset}, "
+                                  f"expected {packed} after the earlier tensors")
+        packed += nbytes
         lo = body + offset
         if lo + nbytes > len(data):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
@@ -145,6 +153,8 @@ def load_checkpoint(path):
         if not np.all(np.isfinite(blob)):
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         blobs[name] = blob.reshape(shape)
+    if body + packed != len(data):
+        raise CheckpointError(f"{path}: {len(data) - body - packed} bytes after the last tensor")
     params = MetaParams(structure, hidden)  # every entry has passed its checks
     for name, blob in blobs.items():
         params.tensors[name][...] = blob

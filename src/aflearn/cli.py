@@ -355,25 +355,26 @@ def cmd_train(args):
     if ckpt_path.parent != Path("."):
         ckpt_path.parent.mkdir(parents=True, exist_ok=True)
 
-    curve = None
-    writer = None
-    if config["curve_csv"]:
-        Path(config["curve_csv"]).parent.mkdir(parents=True, exist_ok=True)
-        curve = open(config["curve_csv"], "w", newline="")
-        writer = csv.DictWriter(
-            curve, fieldnames=["epoch", "train_loss", "val_serle_db", "lr", "seconds"]
-        )
-        writer.writeheader()
+    curve = writer = None
 
     def log_row(row):
+        nonlocal curve, writer
         print(
             f"epoch {row['epoch']:3d}  loss {row['train_loss']:+.4f}  "
             f"val SERLE {row['val_serle_db']:6.2f} dB  lr {row['lr']:.2e}  "
             f"{row['seconds']:.1f}s"
         )
-        if writer:
-            writer.writerow(row)
-            curve.flush()
+        if not config["curve_csv"]:
+            return
+        if writer is None:  # opened with the first row, so a run that fails before it leaves none
+            Path(config["curve_csv"]).parent.mkdir(parents=True, exist_ok=True)
+            curve = open(config["curve_csv"], "w", newline="")
+            writer = csv.DictWriter(
+                curve, fieldnames=["epoch", "train_loss", "val_serle_db", "lr", "seconds"]
+            )
+            writer.writeheader()
+        writer.writerow(row)
+        curve.flush()
 
     def save_progress(best_params, state):
         save_checkpoint(ckpt_path, best_params, dft_size=cfg.dft_size,
@@ -441,6 +442,13 @@ def _parse_hyper(text):
     return hyper
 
 
+def _session_for(target, params, hyper):
+    """``session(u, d, cfg, **kwargs)`` of a baseline name or a loaded rule."""
+    if params is None:
+        return partial(run_classic_session, target, hyper=hyper)
+    return partial(run_learned_session, params)
+
+
 def _eval_chunk_task(task):
     """Rows of scenes scored in lockstep; module-level so --jobs workers can pickle it."""
     directory, entries, label, cfg, params, hyper = task
@@ -450,8 +458,7 @@ def _eval_chunk_task(task):
             raise ConfigError("sample_rate",
                               f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
                               f"session expects {cfg.sample_rate} Hz")
-    session = (partial(run_classic_session, label, cfg=cfg, hyper=hyper) if params is None
-               else partial(run_learned_session, params, cfg=cfg))
+    session = partial(_session_for(label, params, hyper), cfg=cfg)
     return [
         {"scene": e["stem"], "seed": e["seed"], "split": e["split"], "algorithm": label,
          "serle_db": "" if serle is None else round(serle, 4), "erle_db": round(erle, 4),
@@ -578,8 +585,7 @@ def cmd_cancel(args):
         raise ConfigError("length", f"far end has {u.size} samples, mic has {d.size}")
     cfg, params = _session_config_for(args.target, args.dft_size, rate_u)
 
-    session = (partial(run_classic_session, args.target, hyper=hyper) if params is None
-               else partial(run_learned_session, params))
+    session = _session_for(args.target, params, hyper)
     result = session(u, d, cfg, telemetry_path=args.telemetry)
 
     out = np.array(d)  # unprocessed tail (partial hop) passes through

@@ -5,7 +5,8 @@ Counts complex multiply-accumulate operations of the matrix products only
 layers, the output projection, and the per-bin upsampling).  Elementwise gate
 products and activations are excluded; under that convention the GRU term
 scales exactly with H^2 and the closed form below must match an instrumented
-count of the actual matmul shapes, operation for operation.
+count of the actual matmul shapes, operation for operation.  That count is
+taken by passing a ``FlopCounter`` to ``optimizer.optimizer_step(counter=)``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,3 @@ class FlopCounter:
 
     def tally_matmul(self, batch_elems, n_in, n_out):
         self.total += int(batch_elems) * int(n_in) * int(n_out)
-
-    def reset(self):
-        self.total = 0

@@ -3,7 +3,8 @@
 Frame-based ratios work on non-overlapping hops of ``frame`` samples; frames
 whose reference power falls below a relative silence threshold are discarded
 so speech pauses do not dominate the averages.  Individual frame ratios are
-capped to +-80 dB before averaging.
+capped to +-80 dB before averaging.  Bootstrap intervals use a fixed level,
+resample count and seed, so a summary of the same scores is reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ __all__ = [
 
 CAP_DB = 80.0
 SILENCE_REL = 1e-6
+CI_CONFIDENCE = 0.95  # bootstrap_mean_ci: two-sided level, resamples, fixed seed
+CI_DRAWS = 2000
+CI_SEED = 0
 
 
 def frame_powers(x, frame):
@@ -78,12 +82,11 @@ def erle_curve_db(desired, error, frame):
     return np.clip(ratios, -CAP_DB, CAP_DB)
 
 
-def si_sdr_db(estimate, reference, variant="standard"):
+def si_sdr_db(estimate, reference):
     """Scale-invariant signal-to-distortion ratio in dB.
 
-    ``standard`` projects the estimate onto the reference with
-    a = <est, ref> / ||ref||^2; ``norm`` uses a = <est, ref> / ||ref||, a
-    single-power variant kept for comparability with some published numbers.
+    The target is the projection of the estimate onto the reference,
+    a = <est, ref> / ||ref||^2.
     """
     estimate = np.asarray(estimate, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -92,13 +95,7 @@ def si_sdr_db(estimate, reference, variant="standard"):
     ref_energy = float(reference @ reference)
     if ref_energy <= 0.0:
         raise MetricUndefinedError("silent reference")
-    inner = float(estimate @ reference)
-    if variant == "standard":
-        alpha = inner / ref_energy
-    elif variant == "norm":
-        alpha = inner / np.sqrt(ref_energy)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    alpha = float(estimate @ reference) / ref_energy
     target = alpha * reference
     distortion = estimate - target
     dist_energy = float(distortion @ distortion)
@@ -147,14 +144,14 @@ def measure_rtf(session_fn, scene, repeats=1):
     }
 
 
-def bootstrap_mean_ci(values, confidence=0.95, draws=2000, seed=0):
-    """Percentile bootstrap CI for the mean of a small sample."""
+def bootstrap_mean_ci(values):
+    """Percentile bootstrap CI for the mean of a small sample: (mean, lo, hi)."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise MetricUndefinedError("no values")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, values.size, size=(draws, values.size))
+    rng = np.random.default_rng(CI_SEED)
+    idx = rng.integers(0, values.size, size=(CI_DRAWS, values.size))
     means = values[idx].mean(axis=1)
-    lo = float(np.percentile(means, 100.0 * (1.0 - confidence) / 2.0))
-    hi = float(np.percentile(means, 100.0 * (1.0 + confidence) / 2.0))
+    lo = float(np.percentile(means, 100.0 * (1.0 - CI_CONFIDENCE) / 2.0))
+    hi = float(np.percentile(means, 100.0 * (1.0 + CI_CONFIDENCE) / 2.0))
     return float(values.mean()), lo, hi

@@ -4,12 +4,12 @@ A spectrum is either a full K-bin complex vector or, for a real signal, its
 K/2+1-bin half spectrum in ``rfft`` layout; K is even and K/2+1 odd, so
 ``project_filter`` and ``hop_forward`` tell the two apart by the spectrum's
 length.  A valid filter spectrum is the DFT of an impulse response whose last R
-taps vanish; ``project_filter`` enforces that support constraint.  The hop
-kernel projects a K-bin filter on use; a half-spectrum filter must already be
-projected (the classic filters keep it so with their own update), and its hop
-runs on ``rfft``/``irfft``.  Each hop consumes R fresh input samples (the
-analysis window is the last K samples of the input stream) and emits R output
-samples, the alias-free tail of the circular convolution.
+taps vanish; ``project_filter`` enforces that support constraint and no other.
+The hop kernel projects a K-bin filter on use; a half-spectrum filter must
+already be projected (the classic filters keep it so with their own update),
+and its hop runs on ``rfft``/``irfft``.  Each hop consumes R fresh input
+samples (the analysis window is the last K samples of the input stream) and
+emits R output samples, the alias-free tail of the circular convolution.
 
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
@@ -30,7 +30,6 @@ from .errors import NumericError
 __all__ = [
     "OlsConfig",
     "dft",
-    "idft",
     "project_filter",
     "enforce_conjugate_symmetry",
     "hermitian_spectrum",
@@ -85,43 +84,28 @@ def _check_len(x, n, name):
         raise ValueError(f"{name} must have last axis {n}, got {x.shape[-1]}")
 
 
-def dft(x, size=None):
-    """DFT along the last axis.  ``size`` asserts the expected length."""
-    x = np.asarray(x)
-    if size is not None:
-        _check_len(x, size, "dft input")
+def dft(x):
+    """DFT along the last axis."""
     return np.fft.fft(x, axis=-1)
 
 
-def idft(x, size=None):
-    """Inverse DFT along the last axis."""
-    x = np.asarray(x)
-    if size is not None:
-        _check_len(x, size, "idft input")
-    return np.fft.ifft(x, axis=-1)
+def project_filter(w):
+    """Zero the last K/2 time-domain taps of a filter spectrum.
 
-
-def project_filter(w, taps=None):
-    """Zero the last K - taps time-domain taps of a filter spectrum.
-
-    Defaults to taps = K/2, the overlap-save support constraint.  Idempotent,
-    linear, and Hermitian as an operator on C^K.  A half spectrum (odd length
-    K/2+1) is projected through ``irfft``/``rfft`` and so also onto the
-    spectra of real responses.
+    This is the overlap-save support constraint.  Idempotent, linear, and
+    Hermitian as an operator on C^K.  A half spectrum (odd length K/2+1) is
+    projected through ``irfft``/``rfft`` and so also onto the spectra of real
+    responses.
     """
     w = np.asarray(w, dtype=complex)
     n = w.shape[-1]
     k = 2 * (n - 1) if n % 2 else n
-    if taps is None:
-        taps = k // 2
-    if not 0 < taps <= k:
-        raise ValueError(f"taps must lie in [1, {k}], got {taps}")
     if n % 2:
         wt = np.fft.irfft(w, k, axis=-1)
-        wt[..., taps:] = 0.0
+        wt[..., k // 2 :] = 0.0
         return np.fft.rfft(wt, axis=-1)
     wt = np.fft.ifft(w, axis=-1)
-    wt[..., taps:] = 0.0
+    wt[..., k // 2 :] = 0.0
     return np.fft.fft(wt, axis=-1)
 
 
@@ -182,7 +166,7 @@ def _filter_frame(cfg, w, u_frame):
         y_freq = u_freq * w
         return u_freq, y_freq, np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :]
     u_freq = np.fft.fft(u_frame, axis=-1)
-    y_freq = u_freq * project_filter(w, cfg.taps)
+    y_freq = u_freq * project_filter(w)
     y_hop = np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
     return u_freq, y_freq, y_hop
 
@@ -236,11 +220,11 @@ def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):
     k = cfg.dft_size
     g_y_hop = g_y_hop - k * spectrum_to_hop(g_e_freq, cfg)
     g_y_freq = g_y_freq + hop_spectrum(g_y_hop, cfg) / k
-    return project_filter(np.conj(u_freq) * g_y_freq, cfg.taps)
+    return project_filter(np.conj(u_freq) * g_y_freq)
 
 
 def _gradient(u_freq, e_freq, cfg):
-    return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size), cfg.taps)
+    return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size))
 
 
 def filter_gradient(u_freq, e_hop, cfg):

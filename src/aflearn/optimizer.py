@@ -121,9 +121,6 @@ class MetaParams:
     def names(self):
         return list(self.tensors)
 
-    def complex_count(self):
-        return self.buffer.size
-
     def zeros_like(self):
         """A zero gradient holder with this rule's layout."""
         return MetaParams(self.structure, self.hidden_size)
@@ -164,9 +161,6 @@ class GroupState:
         c = structure.group_count(num_bins)
         shape = tuple(batch_shape) + (c, hidden_size)
         return cls(h0=np.zeros(shape, dtype=complex), h1=np.zeros(shape, dtype=complex))
-
-    def copy(self):
-        return GroupState(h0=self.h0.copy(), h1=self.h1.copy())
 
 
 def build_input(grad, u_freq, d_freq, e_freq, y_freq):

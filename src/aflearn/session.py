@@ -8,7 +8,8 @@ before the hop-t update.
 Only whole hops are processed; a trailing partial hop is dropped and outputs
 are trimmed accordingly.  Every session, learned or classic, also takes
 (batch, samples) stacks and runs the scenes in lockstep; a 1-D signal pair is
-the batch-free case of the same loop.
+the batch-free case of the same loop.  A learned session's matrix products
+cost ``frames * FlopModel.total`` multiply-accumulates per stream.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .classic import (
     rls_step,
 )
 from .errors import ConfigError, NumericError
-from .flops import FlopCounter
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
 from .ols import feature_spectra, hermitian_spectrum, hop_forward, hop_frames
 
@@ -45,7 +45,6 @@ class SessionResult:
     weights: np.ndarray
     erle_db: np.ndarray
     frames: int
-    flops: int
     snapshots: list
 
     @property
@@ -80,7 +79,7 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
-def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0, count_flops=False):
+def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
     """Walk the hops from initial weights w: K bins, or a K/2+1-bin half
     spectrum that the snapshots and the result expand to K bins."""
     spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
@@ -90,13 +89,12 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0, count_
     error = np.empty(d_hops.shape)
     output = np.empty_like(error)
     snapshots = []
-    counter = FlopCounter() if count_flops else None
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
         for t in range(frames):
             d_hop = d_hops[..., t, :]
-            w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop, counter)
+            w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop)
             if not np.all(np.isfinite(e_hop)):
                 raise NumericError("non-finite residual", frame=t)
 
@@ -118,7 +116,6 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0, count_
         weights=spectrum(w),
         erle_db=_erle_db(d_hops, error),
         frames=frames,
-        flops=counter.total if counter else 0,
         snapshots=snapshots,
     )
 
@@ -133,11 +130,11 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
                              batch_shape=u.shape[:-1])
 
-    def update(w, frame, d_hop, counter):
+    def update(w, frame, d_hop):
         nonlocal state
         y_hop, e_hop, *spectra = hop_forward(cfg, w, frame, d_hop)
         xi = build_input(*feature_spectra(cfg, d_hop, *spectra))
-        delta, state = optimizer_step(params, xi, state, counter=counter)
+        delta, state = optimizer_step(params, xi, state)
         return apply_update(w, delta), y_hop, e_hop
 
     w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
@@ -162,7 +159,7 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
     except TypeError as exc:  # a hyperparameter this baseline does not take
         raise ConfigError("hyper", f"{algorithm}: {exc}") from None
 
-    def update(w, frame, d_hop, counter):
+    def update(w, frame, d_hop):
         nonlocal state
         if algorithm == "kf":
             w = state.transition * w  # the hop is filtered through the prediction

@@ -82,6 +82,17 @@ def _nan_in_last_value(header, body):
     body[-8:] = struct.pack("<d", float("nan"))
 
 
+# the body must hold the blobs packed in header order, with nothing after them
+def _overlapping_entry(header, body):
+    next(e for e in header["tensors"] if e["name"] == "out.bias")["offset"] = 0
+
+
+def _gap_before_last_entry(header, body):
+    last = header["tensors"][-1]
+    body[last["offset"] : last["offset"]] = bytes(16)
+    last["offset"] += 16
+
+
 def _huge_hidden_size(header, body):
     # a consistent header for H = 2**20: its buffer would need petabytes, so
     # the loader must reject the entries before it allocates anything
@@ -121,6 +132,9 @@ CORRUPTIONS = {
     "non-power-of-two-dft-size": lambda h, body: h.update(dft_size=48),
     "tensors-not-a-list": lambda h, body: h.update(tensors={}),
     "non-finite-value": _nan_in_last_value,
+    "overlapping-entry": _overlapping_entry,
+    "gap-before-last-entry": _gap_before_last_entry,
+    "trailing-bytes": lambda h, body: body.extend(b"\x00" * 13),
 }
 
 

@@ -236,6 +236,7 @@ def test_train_unroll_longer_than_a_scene_exits_2(tmp_path, dataset, capsys):
     err = capsys.readouterr().err
     assert "unroll" in err and "300" in err
     assert not Path(config["checkpoint"]).exists()
+    assert not Path(config["curve_csv"]).exists()
 
 
 def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):

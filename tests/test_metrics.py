@@ -60,9 +60,6 @@ def test_si_sdr_hand_computed():
     ref = np.ones(4)
     est = np.array([1.1, 0.9, 1.0, 1.0])
     assert abs(si_sdr_db(est, ref) - 23.010299956639813) < 1e-10
-    assert abs(si_sdr_db(est, ref, variant="norm") - 5.998939295714547) < 1e-10
-    with pytest.raises(ValueError):
-        si_sdr_db(est, ref, variant="bogus")
 
 
 def test_si_sdr_scale_invariance():
@@ -71,11 +68,6 @@ def test_si_sdr_scale_invariance():
     est = ref + 0.1 * rng.standard_normal(256)
     base = si_sdr_db(est, ref)
     assert abs(si_sdr_db(7.3 * est, ref) - base) < 1e-6
-    # the norm variant rescales with the reference energy; the two agree
-    # exactly when the reference has unit energy
-    unit = ref / np.linalg.norm(ref)
-    assert abs(si_sdr_db(est, unit, variant="norm") - si_sdr_db(est, unit)) < 1e-9
-    assert abs(si_sdr_db(est, unit, variant="norm") - si_sdr_db(est, ref, variant="norm")) > 1.0
 
 
 def test_si_sdr_identity_is_capped():
@@ -96,7 +88,7 @@ def test_misalignment_hand_computed():
 def test_bootstrap_ci_brackets_mean():
     rng = np.random.default_rng(2)
     values = rng.standard_normal(30) + 5.0
-    mean, lo, hi = bootstrap_mean_ci(values, seed=3)
+    mean, lo, hi = bootstrap_mean_ci(values)
     assert lo <= mean <= hi
     assert abs(mean - values.mean()) < 1e-12
     assert hi - lo < 2.0

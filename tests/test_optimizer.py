@@ -44,13 +44,13 @@ def test_parameter_counts_match_closed_form():
         params = init_meta_params(structure, h, seed=0)
         b = structure.width
         closed = 5 * b * h + 2 * (6 * h * h + 3 * h) + h * h + h + b * h
-        assert params.complex_count() == closed == expected
+        assert params.buffer.size == closed == expected
 
 
 def test_flat_round_trip_interleaves_real_imag():
     params = init_meta_params(DependencyStructure.block(2), 3, seed=1)
     flat = params.to_flat()
-    assert flat.size == 2 * params.complex_count()
+    assert flat.size == 2 * params.buffer.size
     first = params.tensors["down_kernel"].ravel()[0]
     assert flat[0] == first.real and flat[1] == first.imag
     rebuilt = MetaParams(params.structure, params.hidden_size, flat.view(complex))
