@@ -347,6 +347,9 @@ def cmd_train(args):
                 f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
                 f"config wants {structure.label}/H={config['hidden_size']}",
             )
+        if header["dft_size"] not in (None, cfg.dft_size):
+            raise ConfigError("resume", f"checkpoint was trained at dft_size "
+                                        f"{header['dft_size']}, config wants {cfg.dft_size}")
         state = header["metadata"].get("schedule_state")
         _require(state is not None, "resume", "checkpoint has no schedule state")
         resume = {"params": params, **state}

@@ -55,10 +55,13 @@ def _log_gain_deriv(m):
     return np.where(small, series, deriv)
 
 
-def log_scale(z):
-    """Magnitude compression ln(1 + |z|) e^{j arg z}; phase preserving."""
+def log_scale(z, out=None):
+    """Magnitude compression ln(1 + |z|) e^{j arg z}; phase preserving.
+
+    ``out``, if given, receives the result.
+    """
     z = np.asarray(z)
-    return _log_gain(np.abs(z)) * z
+    return np.multiply(_log_gain(np.abs(z)), z, out=out)
 
 
 def log_scale_backward(z, g_out):
@@ -70,11 +73,11 @@ def log_scale_backward(z, g_out):
     return gain * g_out + correction * z
 
 
-def _matmul(x, weight, counter):
+def _matmul(x, weight, counter, out=None):
     # x (..., n_in) @ weight (n_out, n_in)^T
     if counter is not None:
         counter.tally_matmul(x.size // x.shape[-1], weight.shape[1], weight.shape[0])
-    return x @ weight.T
+    return np.matmul(x, weight.T, out=out)
 
 
 def dense(x, weight, bias=None, counter=None):
@@ -130,7 +133,7 @@ def _split_tanh_backward(g, t, out):
     np.multiply(g.view(np.float64), local, out=out.view(np.float64))
 
 
-GruCache = namedtuple("GruCache", "x h z r rh c")
+GruCache = namedtuple("GruCache", "x h z r c")
 
 
 @dataclass
@@ -160,31 +163,39 @@ class ComplexGruLayer:
     def hidden_size(self):
         return self.u.shape[1]
 
-    def step(self, x, h, counter=None):
+    def step(self, x, h, counter=None, out=None):
         """One recurrence step.  x (..., in), h (..., H) -> (h_new, cache).
 
         The three input products and the two gate products on h run as one
         stacked product each; the cached z and r are views of one buffer.
+        ``out``, if given, is (h_new, zr, c) with zr (..., 2H): arrays shaped
+        like h's batch that the step writes h_new, z|r and c into instead of
+        allocating them.
         """
         hidden = self.hidden_size
+        h_new, zr, c = out or (None, None, None)
         x_gates = _matmul(x, self.w, counter)
-        zr = x_gates[..., : 2 * hidden] + _matmul(h, self.u[: 2 * hidden], counter)
+        zr = _matmul(h, self.u[: 2 * hidden], counter, out=zr)
+        zr += x_gates[..., : 2 * hidden]
         zr += self.b[: 2 * hidden]
         _split_sigmoid(zr)
         z, r = zr[..., :hidden], zr[..., hidden:]
         rh = r * h
-        c = _matmul(rh, self.u[2 * hidden :], counter)
+        c = _matmul(rh, self.u[2 * hidden :], counter, out=c)
         c += x_gates[..., 2 * hidden :]
         c += self.b[2 * hidden :]
         _split_tanh(c)
-        h_new = np.subtract(1.0, z)
+        h_new = np.subtract(1.0, z, out=h_new)
         h_new *= c
-        h_new += z * h
-        return h_new, GruCache(x, h, z, r, rh, c)
+        h_new += np.multiply(z, h, out=rh)
+        return h_new, GruCache(x, h, z, r, c)
 
     def backward(self, g_h_new, cache):
-        """Returns (g_x, g_h, grads) with grads keyed like the fields: w, u, b."""
-        x, h, z, r, rh, c = cache
+        """Returns (g_x, g_h, grads) with grads keyed like the fields: w, u, b.
+
+        r * h is rebuilt here, as the step computed it, rather than cached.
+        """
+        x, h, z, r, c = cache
         hidden = self.hidden_size
         w_z, w_r, w_c = (self.w[i * hidden : (i + 1) * hidden] for i in range(3))
         u_z, u_r, u_c = (self.u[i * hidden : (i + 1) * hidden] for i in range(3))
@@ -196,7 +207,7 @@ class ComplexGruLayer:
         g_h = np.conj(z) * g_h_new
 
         g_u = np.empty_like(self.u)
-        g_rh, g_u[2 * hidden :], _ = dense_backward(g_ac, rh, u_c, with_bias=False)
+        g_rh, g_u[2 * hidden :], _ = dense_backward(g_ac, r * h, u_c, with_bias=False)
         _split_sigmoid_backward(np.conj(h) * g_rh, r, out=g_ar)
         g_h += np.conj(r) * g_rh
 
@@ -244,11 +255,14 @@ class GroupSampler:
         return self.down_kernel.shape[0]
 
     def downsample(self, features, counter=None):
-        """(..., K, 5) -> (..., C, H) group inputs; returns (groups, cache)."""
+        """(..., K, 5) -> (..., C, H) group inputs; returns (groups, cache).
+
+        The cache is (flat windows, K); ``dense(flat, down_kernel)`` rebuilds
+        the group inputs from it.
+        """
         num_bins = features.shape[-2]
-        bins = cached_window_bins(self.structure, num_bins)
-        windows = features[..., bins, :]
-        flat = windows.reshape(*windows.shape[:-3], bins.shape[0], -1)
+        windows = self._gather_windows(features, num_bins)
+        flat = windows.reshape(*windows.shape[:-2], -1)
         return dense(flat, self.down_kernel, counter=counter), (flat, num_bins)
 
     def downsample_backward(self, g_groups, cache):
@@ -268,10 +282,21 @@ class GroupSampler:
 
     def upsample_backward(self, g_delta, cache):
         groups, num_bins = cache
-        bins = cached_window_bins(self.structure, num_bins)
-        g_per_bin = g_delta[..., bins]
+        g_per_bin = self._gather_windows(g_delta[..., None], num_bins)[..., 0]
         g_groups, g_up, _ = dense_backward(g_per_bin, groups, self.up_kernel, with_bias=False)
         return g_groups, g_up
+
+    def _gather_windows(self, x, num_bins):
+        """Per-group windows (..., C, width, ch) of x (..., K, ch).
+
+        Diagonal and block windows are disjoint runs of bins, so they are a
+        reshape (a view of a contiguous x); banded windows overlap and are
+        gathered.
+        """
+        if self.structure.kind == "banded":
+            return x[..., cached_window_bins(self.structure, num_bins), :]
+        groups = self.structure.group_count(num_bins)
+        return x.reshape(*x.shape[:-2], groups, self.structure.width, x.shape[-1])
 
     def _scatter_windows(self, windows, num_bins):
         """Adjoint of the window gather: overlap-add (..., C, width, ch) -> (..., K, ch)."""

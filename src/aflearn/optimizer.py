@@ -169,11 +169,12 @@ def build_input(grad, u_freq, d_freq, e_freq, y_freq):
     return xi
 
 
-def _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq):
+def _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq, out=(None, None)):
+    """(xi, raw); ``out``, if given, is the (raw, xi) pair of arrays to write them into."""
     raw = np.stack(
-        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-1
-    ).astype(complex)
-    return log_scale(raw), raw
+        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-1, out=out[0]
+    ).astype(complex, copy=False)
+    return log_scale(raw, out=out[1]), raw
 
 
 def _build_input_backward(raw, g_xi):
@@ -188,14 +189,22 @@ def optimizer_step(params, features, state, counter=None):
     return delta, new_state
 
 
-def _optimizer_forward(params, features, state, counter=None):
+def _optimizer_forward(params, features, state, counter=None, out=(None, None)):
+    """One step; returns (delta, new state, cache).
+
+    ``out`` holds each GRU layer's step destinations (see
+    ``ComplexGruLayer.step``).  The cache keeps only what the backward cannot
+    rebuild in one operation: the layer-0 input is dropped (it is
+    ``dense(flat, down_kernel)`` of the downsample cache) and so is the output
+    dense layer's result (``dense(h1, out_weight, out_bias)``).
+    """
     gru0, gru1 = params.grus
     groups, down_cache = params.sampler.downsample(features, counter=counter)
-    h0, cache0 = gru0.step(groups, state.h0, counter=counter)
-    h1, cache1 = gru1.step(h0, state.h1, counter=counter)
-    out = dense(h1, params.out_weight, params.out_bias, counter=counter)
-    delta, up_cache = params.sampler.upsample(out, counter=counter)
-    cache = (down_cache, cache0, cache1, h1, up_cache)
+    h0, cache0 = gru0.step(groups, state.h0, counter=counter, out=out[0])
+    h1, cache1 = gru1.step(h0, state.h1, counter=counter, out=out[1])
+    delta, _ = params.sampler.upsample(
+        dense(h1, params.out_weight, params.out_bias, counter=counter), counter=counter)
+    cache = (down_cache, cache0._replace(x=None), cache1, h1)
     return delta, GroupState(h0=h0, h1=h1), cache
 
 
@@ -204,11 +213,15 @@ def _optimizer_backward(params, g_delta, g_state, cache, grads):
 
     g_state carries dL/d(new hidden); returns (g_features, g_prev_state) and
     accumulates parameter gradients in place into ``grads``, a holder from
-    ``params.zeros_like()``.
+    ``params.zeros_like()``.  The output dense layer's result and the layer-0
+    input are rebuilt with the forward's own operations, so the gradients are
+    those of a full cache, bit for bit.
     """
-    down_cache, cache0, cache1, h1, up_cache = cache
+    down_cache, cache0, cache1, h1 = cache
+    flat, num_bins = down_cache
 
-    g_out, g_up = params.sampler.upsample_backward(g_delta, up_cache)
+    out = dense(h1, params.out_weight, params.out_bias)
+    g_out, g_up = params.sampler.upsample_backward(g_delta, (out, num_bins))
     grads.sampler.up_kernel += g_up
 
     g_h1, g_ow, g_ob = dense_backward(g_out, h1, params.out_weight)
@@ -221,7 +234,8 @@ def _optimizer_backward(params, g_delta, g_state, cache, grads):
         getattr(grads.grus[1], name)[...] += g
     g_h0 = g_h0 + g_state.h0
 
-    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, cache0)
+    groups = dense(flat, params.sampler.down_kernel)
+    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, cache0._replace(x=groups))
     for name, g in grads0.items():
         getattr(grads.grus[0], name)[...] += g
 

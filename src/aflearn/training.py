@@ -13,6 +13,16 @@ large enough to be efficient.  Each batch builds its frame and desired-hop
 views once with the sessions' frame builder (``ols.hop_frames``), and a window
 is a time-major slice of them; the window runs the sessions' hop kernel
 (``ols.hop_forward``) forward and its adjoint (``ols.hop_backward``) backward.
+
+What a window caches, per hop, is only what the backward cannot rebuild with
+one operation: the far-end spectrum, the raw and log-scaled features, and per
+GRU layer the hidden state, the z|r gates and the candidate c.  The backward
+recomputes r * h, the layer-0 input ``dense(flat, down_kernel)`` and the
+output dense layer's result ``dense(h1, out_weight, out_bias)`` with the
+forward's own operations and operands, so the gradients are bit-identical to
+those of a full cache.  The cache lives in a ``WindowWorkspace`` of
+time-major arrays; ``train_update_rule`` keeps one per batch size and reuses
+it for every window, so training maps that memory once.
 Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
 lockstep chunks.
 Clipping scales the gradient holder (``MetaParams.zeros_like``) in place, and
@@ -30,6 +40,7 @@ import numpy as np
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .metrics import serle_db
 from .optimizer import (
+    FEATURE_CHANNELS,
     GroupState,
     _build_input_backward,
     _build_input_forward,
@@ -45,6 +56,7 @@ __all__ = [
     "TrainSchedule",
     "AdamState",
     "meta_loss",
+    "WindowWorkspace",
     "window_gradient",
     "adam_step",
     "clip_gradients",
@@ -83,25 +95,67 @@ def meta_loss(d_hops, y_hops):
     return float(np.mean(np.log(mse + LOSS_EPS)))
 
 
-def window_gradient(params, cfg, w, state, frames, d_hops):
+class WindowWorkspace:
+    """Time-major arrays a training window writes its cache into.
+
+    For a window of ``length`` hops over a (batch,) stack: per GRU layer the
+    hidden trajectory (length + 1, batch, C, H), whose row 0 is the incoming
+    state and row t + 1 step t's new state, the z|r gates (length, batch, C,
+    2H) and the candidate c (length, batch, C, H); and the raw and
+    log-scaled features (length, batch, K, 5) and the far-end spectra
+    (length, batch, K).  ``window_gradient`` overwrites it on every call, so
+    one workspace serves every window of its shape in turn.
+    """
+
+    def __init__(self, structure, hidden_size, num_bins, batch, length):
+        groups = structure.group_count(num_bins)
+        state = (batch, groups, hidden_size)
+
+        def arrays(shape):
+            return tuple(np.empty(shape, dtype=complex) for _ in range(2))
+
+        self.shape = (structure, hidden_size, num_bins, batch, length)
+        self.hidden = arrays((length + 1,) + state)
+        self.zr = arrays((length,) + state[:-1] + (2 * hidden_size,))
+        self.c = arrays((length,) + state)
+        self.raw, self.xi = arrays((length, batch, num_bins, len(FEATURE_CHANNELS)))
+        self.u_freq = np.empty((length, batch, num_bins), dtype=complex)
+
+    def step_out(self, t):
+        """Step t's GRU destinations, as ``_optimizer_forward`` takes them."""
+        return tuple((hidden[t + 1], zr[t], c[t])
+                     for hidden, zr, c in zip(self.hidden, self.zr, self.c))
+
+
+def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     """Forward/backward over one truncated window.
 
     frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
     (loss, grads, w_out, state_out, y_hops); grads is a holder laid
     out like ``params`` (``params.zeros_like()``), follows the paired-real
-    convention and already includes the batch mean.
+    convention and already includes the batch mean.  The cache goes into
+    ``workspace`` (a ``WindowWorkspace`` of this window's shape; a fresh one
+    if None); nothing returned aliases it.
     """
-    length = frames.shape[0]
+    length, batch = frames.shape[:2]
+    shape = (params.structure, params.hidden_size, cfg.dft_size, batch, length)
+    ws = workspace or WindowWorkspace(*shape)
+    if ws.shape != shape:
+        raise ValueError(f"workspace is for {ws.shape}, window needs {shape}")
+    ws.hidden[0][0], ws.hidden[1][0] = state.h0, state.h1
+    state = GroupState(h0=ws.hidden[0][0], h1=ws.hidden[1][0])
     caches = []
     y_hops = np.empty(d_hops.shape)
 
     for t in range(length):
         y_hop, _, u_freq, y_freq, e_freq = hop_forward(cfg, w, frames[t], d_hops[t])
-        xi, raw = _build_input_forward(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq))
-        delta, state, opt_cache = _optimizer_forward(params, xi, state)
+        ws.u_freq[t] = u_freq
+        xi, _ = _build_input_forward(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq),
+                                     out=(ws.raw[t], ws.xi[t]))
+        delta, state, opt_cache = _optimizer_forward(params, xi, state, out=ws.step_out(t))
         w = w + delta
         y_hops[t] = y_hop
-        caches.append((u_freq, raw, opt_cache))
+        caches.append(opt_cache)
 
     diff = d_hops - y_hops
     mse = np.mean(diff**2, axis=(0, 2))
@@ -109,19 +163,18 @@ def window_gradient(params, cfg, w, state, frames, d_hops):
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
 
-    batch = diff.shape[1]
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
     g_state = GroupState(h0=np.zeros_like(state.h0), h1=np.zeros_like(state.h1))
     g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
-        u_freq, raw, opt_cache = caches[t]
-        g_xi, g_state = _optimizer_backward(params, g_w, g_state, opt_cache, g_tensors)
-        channel_grads = _build_input_backward(raw, g_xi)
-        g_w = g_w + hop_backward(cfg, u_freq, g_y_hops[t], channel_grads[3], channel_grads[4])
+        g_xi, g_state = _optimizer_backward(params, g_w, g_state, caches[t], g_tensors)
+        channel_grads = _build_input_backward(ws.raw[t], g_xi)
+        g_w = g_w + hop_backward(cfg, ws.u_freq[t], g_y_hops[t],
+                                 channel_grads[3], channel_grads[4])
 
-    return loss, g_tensors, w, state, y_hops
+    return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 
 
 @dataclass
@@ -246,6 +299,7 @@ def train_update_rule(
     flat = params.buffer.view(np.float64)  # Adam updates the parameters through it
     adam = AdamState.zeros(flat.size)
     val_scenes = [gen_scene(scene_spec, s) for s in val_seeds]
+    workspaces = {}  # one per batch size, reused by every window of every epoch
     best = params.copy()
     history = []
 
@@ -262,6 +316,9 @@ def train_update_rule(
             w = np.zeros((len(seeds), cfg.dft_size), dtype=complex)
             state = GroupState.zeros(structure, cfg.dft_size, hidden_size,
                                      batch_shape=(len(seeds),))
+            if len(seeds) not in workspaces:
+                workspaces[len(seeds)] = WindowWorkspace(structure, hidden_size, cfg.dft_size,
+                                                         len(seeds), unroll)
             for win_start in range(0, hops - unroll + 1, unroll):
                 window = slice(win_start, win_start + unroll)
                 # time-major; the desired hops contiguous, as the loss reduction expects
@@ -271,7 +328,7 @@ def train_update_rule(
                          f"scene seeds {seeds.tolist()}")
                 try:
                     loss, grads, w, state, _ = window_gradient(
-                        params, cfg, w, state, frames, d_window
+                        params, cfg, w, state, frames, d_window, workspaces[len(seeds)]
                     )
                 except NumericError as exc:
                     raise NumericError(f"{exc} in {where}") from exc

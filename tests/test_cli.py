@@ -121,6 +121,18 @@ def test_train_resume_restores_schedule_state(tmp_path, dataset):
     assert header["metadata"]["schedule_state"]["epoch"] == 2
 
 
+def test_train_resume_rejects_another_dft_size(tmp_path, dataset, capsys):
+    config_path, config = _train_config(tmp_path, dataset, epochs=1)
+    assert main(["train", str(config_path)]) == 0
+    resumed = tmp_path / "resumed.ckpt"
+    config_path, _ = _train_config(tmp_path, dataset, dft_size=128, epochs=2,
+                                   resume=config["checkpoint"], checkpoint=str(resumed))
+    assert main(["train", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "resume" in err and "64" in err and "128" in err
+    assert not resumed.exists()
+
+
 def test_eval_baseline_csv_schema_and_jobs_determinism(tmp_path, dataset):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert main(["eval", "nlms", str(dataset), str(out1), "--split", "all",

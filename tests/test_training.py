@@ -1,6 +1,7 @@
 """Truncated-BPTT gradients, Adam bookkeeping, and a miniature training run."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aflearn.structures import DependencyStructure
 from aflearn.training import (
     AdamState,
     TrainSchedule,
+    WindowWorkspace,
     adam_step,
     clip_gradients,
     evaluate_mean_serle,
@@ -134,6 +136,69 @@ def test_window_gradient_state_carry_matches_long_window():
     assert rel_error(np.concatenate([y_a, y_b]), y_full) < 1e-12
     assert rel_error(w_a, w_full) < 1e-12
     assert rel_error(state_a.h1, state_full.h1) < 1e-12
+
+
+def _window_inputs(structure, k=16, hidden=4, batch=2, length=3, seed=4):
+    cfg = OlsConfig(k)
+    params = init_meta_params(structure, hidden, seed=3)
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((2 * length, batch, k))
+    d_hops = rng.standard_normal((2 * length, batch, k // 2))
+    w = 0.1 * (rng.standard_normal((batch, k)) + 1j * rng.standard_normal((batch, k)))
+    c = structure.group_count(k)
+    state = GroupState(*(0.3 * (rng.standard_normal((batch, c, hidden))
+                                + 1j * rng.standard_normal((batch, c, hidden))) for _ in range(2)))
+    return params, cfg, w, state, frames, d_hops
+
+
+def _returned_arrays(result):
+    """loss, gradient buffer, w, h0, h1 and y of a ``window_gradient`` result."""
+    loss, grads, w, state, y_hops = result
+    return [np.array(loss), grads.buffer, w, state.h0, state.h1, y_hops]
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_reused_workspace_matches_fresh_windows(structure):
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure)
+    length, batch = 3, frames.shape[1]
+    workspace = WindowWorkspace(structure, 4, cfg.dft_size, batch, length)
+    carry_fresh = carry_reused = (w, state)
+    returned = []
+    for win in (slice(0, length), slice(length, 2 * length)):
+        fresh = window_gradient(params, cfg, *carry_fresh, frames[win], d_hops[win])
+        reused = window_gradient(params, cfg, *carry_reused, frames[win], d_hops[win], workspace)
+        for a, b in zip(_returned_arrays(fresh), _returned_arrays(reused)):
+            assert np.array_equal(a, b)
+        returned.append(_returned_arrays(reused)[2:])  # w, h0, h1, y
+        carry_fresh, carry_reused = fresh[2:4], reused[2:4]
+    # the second window overwrote the workspace, not what the first one returned
+    first_again = window_gradient(params, cfg, w, state, frames[:length], d_hops[:length])
+    for got, want in zip(returned[0], _returned_arrays(first_again)[2:]):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="workspace"):
+        window_gradient(params, cfg, w, state, frames[:2], d_hops[:2], workspace)
+
+
+def test_window_cache_memory_budget():
+    # tracemalloc's peak over one call, in units of one (L, B, C, H) complex
+    # array.  A fresh call reads 12.2 units; caching r*h per GRU layer, the
+    # layer-0 input or the output dense result again adds at least 1 unit
+    # each.  With a reused workspace the call itself holds only its
+    # transient arrays, 2.6 units.
+    structure, k, hidden, batch, length = DependencyStructure.diagonal(), 64, 8, 4, 8
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, k, hidden, batch, length)
+    frames, d_hops = frames[:length], d_hops[:length]
+    unit = length * batch * structure.group_count(k) * hidden * 16
+    workspace = WindowWorkspace(structure, hidden, k, batch, length)
+    window_gradient(params, cfg, w, state, frames, d_hops, workspace)  # warm caches
+    for extra, budget in (((), 13.0), ((workspace,), 3.0)):
+        tracemalloc.start()
+        try:
+            window_gradient(params, cfg, w, state, frames, d_hops, *extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < budget, ("reused" if extra else "fresh", peak / unit)
 
 
 def test_adam_step_first_update_is_lr_sized():
