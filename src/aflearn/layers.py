@@ -11,7 +11,6 @@ tallied (see flops.py for the convention).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,6 @@ def _split_tanh_backward(g, t, out):
     np.multiply(g.view(np.float64), local, out=out.view(np.float64))
 
 
-GruCache = namedtuple("GruCache", "x h z r c")
-
-
 @dataclass
 class ComplexGruLayer:
     """Complex GRU with split re/im activations, reset applied before the candidate.
@@ -164,13 +160,12 @@ class ComplexGruLayer:
         return self.u.shape[1]
 
     def step(self, x, h, counter=None, out=None):
-        """One recurrence step.  x (..., in), h (..., H) -> (h_new, cache).
+        """One recurrence step.  x (..., in), h (..., H) -> (h_new, zr, c).
 
         The three input products and the two gate products on h run as one
-        stacked product each; the cached z and r are views of one buffer.
-        ``out``, if given, is (h_new, zr, c) with zr (..., 2H): arrays shaped
-        like h's batch that the step writes h_new, z|r and c into instead of
-        allocating them.
+        stacked product each, so z and r are the two halves of zr (..., 2H).
+        ``out``, if given, is an (h_new, zr, c) triple of arrays shaped like
+        h's batch that the step writes into instead of allocating them.
         """
         hidden = self.hidden_size
         h_new, zr, c = out or (None, None, None)
@@ -188,15 +183,16 @@ class ComplexGruLayer:
         h_new = np.subtract(1.0, z, out=h_new)
         h_new *= c
         h_new += np.multiply(z, h, out=rh)
-        return h_new, GruCache(x, h, z, r, c)
+        return h_new, zr, c
 
-    def backward(self, g_h_new, cache):
+    def backward(self, g_h_new, x, h, zr, c):
         """Returns (g_x, g_h, grads) with grads keyed like the fields: w, u, b.
 
-        r * h is rebuilt here, as the step computed it, rather than cached.
+        x and h are the step's inputs and zr, c what it returned; r * h is
+        rebuilt here, as the step computed it.
         """
-        x, h, z, r, c = cache
         hidden = self.hidden_size
+        z, r = zr[..., :hidden], zr[..., hidden:]
         w_z, w_r, w_c = (self.w[i * hidden : (i + 1) * hidden] for i in range(3))
         u_z, u_r, u_c = (self.u[i * hidden : (i + 1) * hidden] for i in range(3))
         # gate pre-activation gradients, laid out like the stacked z|r|c products
@@ -255,36 +251,34 @@ class GroupSampler:
         return self.down_kernel.shape[0]
 
     def downsample(self, features, counter=None):
-        """(..., K, 5) -> (..., C, H) group inputs; returns (groups, cache).
+        """(..., K, 5) -> (..., C, H) group inputs."""
+        return dense(self._flat_windows(features), self.down_kernel, counter=counter)
 
-        The cache is (flat windows, K); ``dense(flat, down_kernel)`` rebuilds
-        the group inputs from it.
-        """
-        num_bins = features.shape[-2]
-        windows = self._gather_windows(features, num_bins)
-        flat = windows.reshape(*windows.shape[:-2], -1)
-        return dense(flat, self.down_kernel, counter=counter), (flat, num_bins)
-
-    def downsample_backward(self, g_groups, cache):
-        flat, num_bins = cache
+    def downsample_backward(self, g_groups, features):
+        """Returns (g_features, g_down) given the gradient of ``downsample(features)``."""
+        flat = self._flat_windows(features)
         g_flat, g_down, _ = dense_backward(g_groups, flat, self.down_kernel, with_bias=False)
         width = self.structure.width
         g_windows = g_flat.reshape(*g_flat.shape[:-1], width, self.NUM_CHANNELS)
-        g_features = self._scatter_windows(g_windows, num_bins)
+        g_features = self._scatter_windows(g_windows, features.shape[-2])
         return g_features, g_down
 
     def upsample(self, groups, counter=None):
-        """(..., C, H) -> (..., K) per-bin corrections; returns (delta, cache)."""
+        """(..., C, H) -> (..., K) per-bin corrections."""
         per_bin = dense(groups, self.up_kernel, counter=counter)
         num_bins = self.structure.bins_for_groups(groups.shape[-2])
-        delta = self._scatter_windows(per_bin[..., None], num_bins)[..., 0]
-        return delta, (groups, num_bins)
+        return self._scatter_windows(per_bin[..., None], num_bins)[..., 0]
 
-    def upsample_backward(self, g_delta, cache):
-        groups, num_bins = cache
-        g_per_bin = self._gather_windows(g_delta[..., None], num_bins)[..., 0]
+    def upsample_backward(self, g_delta, groups):
+        """Returns (g_groups, g_up) given the gradient of ``upsample(groups)``."""
+        g_per_bin = self._gather_windows(g_delta[..., None], g_delta.shape[-1])[..., 0]
         g_groups, g_up, _ = dense_backward(g_per_bin, groups, self.up_kernel, with_bias=False)
         return g_groups, g_up
+
+    def _flat_windows(self, features):
+        """Per-group windows of features (..., K, 5), flattened to (..., C, 5*width)."""
+        windows = self._gather_windows(features, features.shape[-2])
+        return windows.reshape(*windows.shape[:-2], -1)
 
     def _gather_windows(self, x, num_bins):
         """Per-group windows (..., C, width, ch) of x (..., K, ch).

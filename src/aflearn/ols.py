@@ -29,7 +29,6 @@ from .errors import NumericError
 
 __all__ = [
     "OlsConfig",
-    "dft",
     "project_filter",
     "enforce_conjugate_symmetry",
     "hermitian_spectrum",
@@ -66,13 +65,8 @@ class OlsConfig:
 
     @property
     def hop(self):
-        """Fresh samples per hop, R = K/2."""
+        """Fresh samples per hop, R = K/2; also the usable filter length K - R."""
         return self.dft_size // 2
-
-    @property
-    def taps(self):
-        """Usable time-domain filter length, K - R."""
-        return self.dft_size - self.hop
 
     @property
     def frame_seconds(self):
@@ -82,11 +76,6 @@ class OlsConfig:
 def _check_len(x, n, name):
     if x.shape[-1] != n:
         raise ValueError(f"{name} must have last axis {n}, got {x.shape[-1]}")
-
-
-def dft(x):
-    """DFT along the last axis."""
-    return np.fft.fft(x, axis=-1)
 
 
 def project_filter(w):

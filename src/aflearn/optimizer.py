@@ -12,6 +12,12 @@ GRU per group, and scatters the output back to a K-bin filter correction:
 
 Parameters are shared across groups; only the hidden state is per group.
 They live in one complex buffer whose layout ``param_layout`` defines.
+
+``build_input`` and ``optimizer_step`` are the one forward of sessions and
+training windows alike.  A training window passes ``out=`` arrays (the raw
+and compressed features, and each GRU layer's new state, z|r gates and
+candidate), and ``_optimizer_backward`` reads the step's operands back from
+them.
 """
 
 from __future__ import annotations
@@ -163,18 +169,17 @@ class GroupState:
         return cls(h0=np.zeros(shape, dtype=complex), h1=np.zeros(shape, dtype=complex))
 
 
-def build_input(grad, u_freq, d_freq, e_freq, y_freq):
-    """Stack the five per-bin descriptors and compress magnitudes."""
-    xi, _ = _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq)
-    return xi
+def build_input(grad, u_freq, d_freq, e_freq, y_freq, out=None):
+    """Stack the five per-bin descriptors and compress magnitudes.
 
-
-def _build_input_forward(grad, u_freq, d_freq, e_freq, y_freq, out=(None, None)):
-    """(xi, raw); ``out``, if given, is the (raw, xi) pair of arrays to write them into."""
+    ``out``, if given, is a (raw, xi) pair of (..., K, 5) arrays that receive
+    the stacked descriptors and the result.
+    """
+    raw, xi = out or (None, None)
     raw = np.stack(
-        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-1, out=out[0]
+        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-1, out=raw
     ).astype(complex, copy=False)
-    return log_scale(raw, out=out[1]), raw
+    return log_scale(raw, out=xi)
 
 
 def _build_input_backward(raw, g_xi):
@@ -183,45 +188,36 @@ def _build_input_backward(raw, g_xi):
     return tuple(g_raw[..., i] for i in range(len(FEATURE_CHANNELS)))
 
 
-def optimizer_step(params, features, state, counter=None):
-    """Inference path: features (..., K, 5) -> (delta (..., K), new state)."""
-    delta, new_state, _ = _optimizer_forward(params, features, state, counter)
-    return delta, new_state
+def optimizer_step(params, features, state, counter=None, out=None):
+    """One step: features (..., K, 5) -> (delta (..., K), new state).
 
-
-def _optimizer_forward(params, features, state, counter=None, out=(None, None)):
-    """One step; returns (delta, new state, cache).
-
-    ``out`` holds each GRU layer's step destinations (see
-    ``ComplexGruLayer.step``).  The cache keeps only what the backward cannot
-    rebuild in one operation: the layer-0 input is dropped (it is
-    ``dense(flat, down_kernel)`` of the downsample cache) and so is the output
-    dense layer's result (``dense(h1, out_weight, out_bias)``).
+    ``out``, if given, holds each GRU layer's (h_new, zr, c) destinations
+    (see ``ComplexGruLayer.step``); the new state's arrays are then its h_new.
     """
     gru0, gru1 = params.grus
-    groups, down_cache = params.sampler.downsample(features, counter=counter)
-    h0, cache0 = gru0.step(groups, state.h0, counter=counter, out=out[0])
-    h1, cache1 = gru1.step(h0, state.h1, counter=counter, out=out[1])
-    delta, _ = params.sampler.upsample(
+    out0, out1 = out or (None, None)
+    groups = params.sampler.downsample(features, counter=counter)
+    h0, _, _ = gru0.step(groups, state.h0, counter=counter, out=out0)
+    h1, _, _ = gru1.step(h0, state.h1, counter=counter, out=out1)
+    delta = params.sampler.upsample(
         dense(h1, params.out_weight, params.out_bias, counter=counter), counter=counter)
-    cache = (down_cache, cache0._replace(x=None), cache1, h1)
-    return delta, GroupState(h0=h0, h1=h1), cache
+    return delta, GroupState(h0=h0, h1=h1)
 
 
-def _optimizer_backward(params, g_delta, g_state, cache, grads):
-    """Backward through one step.
+def _optimizer_backward(params, g_delta, g_state, features, state, out, grads):
+    """Backward through one ``optimizer_step(params, features, state, out=out)``.
 
     g_state carries dL/d(new hidden); returns (g_features, g_prev_state) and
     accumulates parameter gradients in place into ``grads``, a holder from
-    ``params.zeros_like()``.  The output dense layer's result and the layer-0
-    input are rebuilt with the forward's own operations, so the gradients are
-    those of a full cache, bit for bit.
+    ``params.zeros_like()``.  The step's operands are read back from
+    ``features``, ``state`` and ``out``; the layer-0 input and the output
+    dense layer's result are rebuilt with the forward's own operations, so
+    the gradients are those of a step that kept them, bit for bit.
     """
-    down_cache, cache0, cache1, h1 = cache
-    flat, num_bins = down_cache
+    (h0, zr0, c0), (h1, zr1, c1) = out
 
-    out = dense(h1, params.out_weight, params.out_bias)
-    g_out, g_up = params.sampler.upsample_backward(g_delta, (out, num_bins))
+    dense_out = dense(h1, params.out_weight, params.out_bias)
+    g_out, g_up = params.sampler.upsample_backward(g_delta, dense_out)
     grads.sampler.up_kernel += g_up
 
     g_h1, g_ow, g_ob = dense_backward(g_out, h1, params.out_weight)
@@ -229,17 +225,17 @@ def _optimizer_backward(params, g_delta, g_state, cache, grads):
     grads.out_bias += g_ob
     g_h1 = g_h1 + g_state.h1
 
-    g_h0, g_h1_prev, grads1 = params.grus[1].backward(g_h1, cache1)
+    g_h0, g_h1_prev, grads1 = params.grus[1].backward(g_h1, h0, state.h1, zr1, c1)
     for name, g in grads1.items():
         getattr(grads.grus[1], name)[...] += g
     g_h0 = g_h0 + g_state.h0
 
-    groups = dense(flat, params.sampler.down_kernel)
-    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, cache0._replace(x=groups))
+    groups = params.sampler.downsample(features)
+    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, groups, state.h0, zr0, c0)
     for name, g in grads0.items():
         getattr(grads.grus[0], name)[...] += g
 
-    g_features, g_down = params.sampler.downsample_backward(g_groups, down_cache)
+    g_features, g_down = params.sampler.downsample_backward(g_groups, features)
     grads.sampler.down_kernel += g_down
     return g_features, GroupState(h0=g_h0_prev, h1=g_h1_prev)
 

@@ -26,7 +26,6 @@ from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from .errors import ConfigError
-from .ols import dft
 
 __all__ = [
     "Nonlinearity",
@@ -124,10 +123,10 @@ class Scene:
     def path_spectrum(self, cfg, which=0):
         """DFT of the (possibly truncated) echo path padded to dft_size."""
         rir = self.rir if which == 0 or self.rir_switch is None else self.rir_switch[1]
-        taps = min(rir.size, cfg.taps)
+        taps = min(rir.size, cfg.hop)
         padded = np.zeros(cfg.dft_size)
         padded[:taps] = rir[:taps]
-        return dft(padded)
+        return np.fft.fft(padded)
 
 
 def pink_noise(rng, n):

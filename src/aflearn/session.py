@@ -94,7 +94,10 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
     try:
         for t in range(frames):
             d_hop = d_hops[..., t, :]
-            w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop)
+            try:
+                w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop)
+            except NumericError as exc:  # a non-finite input frame or filter update
+                raise NumericError(str(exc), frame=t) from exc
             if not np.all(np.isfinite(e_hop)):
                 raise NumericError("non-finite residual", frame=t)
 

@@ -14,15 +14,16 @@ views once with the sessions' frame builder (``ols.hop_frames``), and a window
 is a time-major slice of them; the window runs the sessions' hop kernel
 (``ols.hop_forward``) forward and its adjoint (``ols.hop_backward``) backward.
 
-What a window caches, per hop, is only what the backward cannot rebuild with
-one operation: the far-end spectrum, the raw and log-scaled features, and per
-GRU layer the hidden state, the z|r gates and the candidate c.  The backward
-recomputes r * h, the layer-0 input ``dense(flat, down_kernel)`` and the
-output dense layer's result ``dense(h1, out_weight, out_bias)`` with the
-forward's own operations and operands, so the gradients are bit-identical to
-those of a full cache.  The cache lives in a ``WindowWorkspace`` of
-time-major arrays; ``train_update_rule`` keeps one per batch size and reuses
-it for every window, so training maps that memory once.
+A window's forward is the sessions' own (``build_input``, ``optimizer_step``),
+told to write into a ``WindowWorkspace`` of time-major arrays, which is the
+window's only cache.  Per hop it holds only what the backward cannot rebuild
+with one operation: the far-end spectrum, the raw and log-scaled features,
+and per GRU layer the hidden state, the z|r gates and the candidate c.  The
+backward reads a step's operands from those rows and recomputes r * h, the
+layer-0 input ``downsample(xi)`` and the output dense layer's result with the
+forward's own operations, so the gradients are bit-identical to those of a
+full cache.  ``train_update_rule`` keeps one workspace per batch size and
+reuses it for every window, so training maps that memory once.
 Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
 lockstep chunks.
 Clipping scales the gradient holder (``MetaParams.zeros_like``) in place, and
@@ -43,10 +44,10 @@ from .optimizer import (
     FEATURE_CHANNELS,
     GroupState,
     _build_input_backward,
-    _build_input_forward,
     _optimizer_backward,
-    _optimizer_forward,
+    build_input,
     init_meta_params,
+    optimizer_step,
 )
 from .ols import feature_spectra, hop_backward, hop_forward, hop_frames
 from .scenes import gen_scene
@@ -96,7 +97,7 @@ def meta_loss(d_hops, y_hops):
 
 
 class WindowWorkspace:
-    """Time-major arrays a training window writes its cache into.
+    """Time-major arrays a training window's forward writes and its backward reads.
 
     For a window of ``length`` hops over a (batch,) stack: per GRU layer the
     hidden trajectory (length + 1, batch, C, H), whose row 0 is the incoming
@@ -121,8 +122,12 @@ class WindowWorkspace:
         self.raw, self.xi = arrays((length, batch, num_bins, len(FEATURE_CHANNELS)))
         self.u_freq = np.empty((length, batch, num_bins), dtype=complex)
 
+    def state(self, t):
+        """The hidden state step t starts from: row t of both trajectories."""
+        return GroupState(h0=self.hidden[0][t], h1=self.hidden[1][t])
+
     def step_out(self, t):
-        """Step t's GRU destinations, as ``_optimizer_forward`` takes them."""
+        """Step t's GRU destinations, as ``optimizer_step`` takes them."""
         return tuple((hidden[t + 1], zr[t], c[t])
                      for hidden, zr, c in zip(self.hidden, self.zr, self.c))
 
@@ -133,9 +138,10 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
     (loss, grads, w_out, state_out, y_hops); grads is a holder laid
     out like ``params`` (``params.zeros_like()``), follows the paired-real
-    convention and already includes the batch mean.  The cache goes into
-    ``workspace`` (a ``WindowWorkspace`` of this window's shape; a fresh one
-    if None); nothing returned aliases it.
+    convention and already includes the batch mean.  The forward writes
+    every operand the backward reads into ``workspace`` (a
+    ``WindowWorkspace`` of this window's shape; a fresh one if None);
+    nothing returned aliases it.
     """
     length, batch = frames.shape[:2]
     shape = (params.structure, params.hidden_size, cfg.dft_size, batch, length)
@@ -143,19 +149,17 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     if ws.shape != shape:
         raise ValueError(f"workspace is for {ws.shape}, window needs {shape}")
     ws.hidden[0][0], ws.hidden[1][0] = state.h0, state.h1
-    state = GroupState(h0=ws.hidden[0][0], h1=ws.hidden[1][0])
-    caches = []
+    state = ws.state(0)
     y_hops = np.empty(d_hops.shape)
 
     for t in range(length):
         y_hop, _, u_freq, y_freq, e_freq = hop_forward(cfg, w, frames[t], d_hops[t])
         ws.u_freq[t] = u_freq
-        xi, _ = _build_input_forward(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq),
-                                     out=(ws.raw[t], ws.xi[t]))
-        delta, state, opt_cache = _optimizer_forward(params, xi, state, out=ws.step_out(t))
+        build_input(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq),
+                    out=(ws.raw[t], ws.xi[t]))
+        delta, state = optimizer_step(params, ws.xi[t], state, out=ws.step_out(t))
         w = w + delta
         y_hops[t] = y_hop
-        caches.append(opt_cache)
 
     diff = d_hops - y_hops
     mse = np.mean(diff**2, axis=(0, 2))
@@ -169,7 +173,8 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
-        g_xi, g_state = _optimizer_backward(params, g_w, g_state, caches[t], g_tensors)
+        g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
+                                            ws.step_out(t), g_tensors)
         channel_grads = _build_input_backward(ws.raw[t], g_xi)
         g_w = g_w + hop_backward(cfg, ws.u_freq[t], g_y_hops[t],
                                  channel_grads[3], channel_grads[4])

@@ -31,7 +31,7 @@ from aflearn import (
 from aflearn.cli import main
 from aflearn.flops import FlopCounter
 from aflearn.layers import ComplexGruLayer, GroupSampler, log_scale, log_scale_backward
-from aflearn.ols import af_error, dft, filter_gradient, hop_frames, hop_spectrum, ols_apply
+from aflearn.ols import af_error, filter_gradient, hop_frames, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
 from aflearn.training import meta_loss, window_gradient
@@ -55,8 +55,8 @@ def test_streaming_filter_matches_direct_convolution():
     for k in (16, 64):
         cfg = OlsConfig(k)
         for _ in range(50):
-            taps = rng.standard_normal(cfg.taps)
-            w = dft(np.concatenate([taps, np.zeros(cfg.hop)]))
+            taps = rng.standard_normal(cfg.hop)
+            w = np.fft.fft(np.concatenate([taps, np.zeros(cfg.hop)]))
             x = rng.standard_normal(6 * k + cfg.hop)
             hops = [ols_apply(cfg, w, frame)[0] for frame in hop_frames(x, cfg)]
             y = np.concatenate(hops)
@@ -83,8 +83,8 @@ def test_filter_gradient_matches_finite_differences():
     cfg = OlsConfig(16)
     frame = rng.standard_normal(cfg.dft_size)
     d_hop = rng.standard_normal(cfg.hop)
-    u_freq = dft(frame)
-    w = dft(np.concatenate([rng.standard_normal(cfg.taps), np.zeros(cfg.hop)]))
+    u_freq = np.fft.fft(frame)
+    w = np.fft.fft(np.concatenate([rng.standard_normal(cfg.hop), np.zeros(cfg.hop)]))
 
     def loss(w_probe):
         y_hop, _ = ols_apply(cfg, w_probe, frame)
@@ -99,8 +99,8 @@ def test_filter_gradient_matches_finite_differences():
     eps = 1e-4
     worst = 0.0
     for _ in range(25):
-        v_taps = rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps)
-        v = dft(np.concatenate([v_taps, np.zeros(cfg.hop)]))
+        v_taps = rng.standard_normal(cfg.hop) + 1j * rng.standard_normal(cfg.hop)
+        v = np.fft.fft(np.concatenate([v_taps, np.zeros(cfg.hop)]))
         fd = (loss(w + eps * v) - loss(w - eps * v)) / (2.0 * eps)
         analytic = 2.0 * float(np.sum(np.real(np.conj(grad) * v)))
         worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-30))
@@ -124,8 +124,8 @@ def test_gru_layer_backward_matches_fd():
     h = 0.5 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
     c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
 
-    h_new, cache = layer.step(x, h)
-    g_x, g_h, grads = layer.backward(c, cache)
+    h_new, zr, cand = layer.step(x, h)
+    g_x, g_h, grads = layer.backward(c, x, h, zr, cand)
 
     worst = 0.0
 
@@ -151,16 +151,15 @@ def test_group_sampler_backward_matches_fd(structure):
         (structure.group_count(k), h)
     )
 
-    groups, cache = sampler.downsample(feats)
-    g_feats, g_down = sampler.downsample_backward(c_groups, cache)
-    loss_down = lambda: _probe_loss(sampler.downsample(feats)[0], c_groups)
+    groups = sampler.downsample(feats)
+    g_feats, g_down = sampler.downsample_backward(c_groups, feats)
+    loss_down = lambda: _probe_loss(sampler.downsample(feats), c_groups)
     assert rel_error(g_feats, fd_gradient(loss_down, feats)) < 1e-5
     assert rel_error(g_down, fd_gradient(loss_down, sampler.down_kernel)) < 1e-5
 
     c_bins = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    _, up_cache = sampler.upsample(groups)
-    g_groups, g_up = sampler.upsample_backward(c_bins, up_cache)
-    loss_up = lambda: _probe_loss(sampler.upsample(groups)[0], c_bins)
+    g_groups, g_up = sampler.upsample_backward(c_bins, groups)
+    loss_up = lambda: _probe_loss(sampler.upsample(groups), c_bins)
     assert rel_error(g_groups, fd_gradient(loss_up, groups)) < 1e-5
     assert rel_error(g_up, fd_gradient(loss_up, sampler.up_kernel)) < 1e-5
 
@@ -188,7 +187,7 @@ def test_unrolled_meta_gradient_matches_fd(structure):
         w, state = w0, state0
         y_hops = np.empty(d_hops.shape)
         for t in range(unroll):
-            u_freq = dft(frames[t])
+            u_freq = np.fft.fft(frames[t])
             y_hop, y_freq = ols_apply(cfg, w, frames[t])
             e_hop, e_freq = af_error(d_hops[t], y_hop, cfg)
             if grad_channel is None:

@@ -16,7 +16,7 @@ from aflearn.classic import (
     rls_step,
 )
 from aflearn.metrics import misalignment_db
-from aflearn.ols import OlsConfig, dft, hop_forward, hop_spectrum, ols_apply, project_filter
+from aflearn.ols import OlsConfig, hop_forward, hop_spectrum, ols_apply, project_filter
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.session import run_classic_session
 
@@ -29,7 +29,7 @@ IDENT_SPEC = desk_spec(duration=10.0, near_speech_prob=0.0, noise_prob=0.0,
 
 def _random_state(seed, k=16):
     rng = np.random.default_rng(seed)
-    u_freq = dft(rng.standard_normal(k))
+    u_freq = np.fft.fft(rng.standard_normal(k))
     w = project_filter(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     return rng, u_freq, w
 
@@ -62,7 +62,7 @@ def test_nlms_reduces_replayed_error():
     y, _ = ols_apply(cfg, w, frame)
     e_hop, e_freq = af_error(d_hop, y, cfg)
     before = float(e_hop @ e_hop)
-    w, _ = nlms_step(make_nlms_state(), dft(frame), e_freq, w)
+    w, _ = nlms_step(make_nlms_state(), np.fft.fft(frame), e_freq, w)
     y, _ = ols_apply(cfg, w, frame)
     e_hop, _ = af_error(d_hop, y, cfg)
     assert float(e_hop @ e_hop) < 0.9 * before
@@ -84,8 +84,8 @@ def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
     k = cfg.dft_size
     rng = np.random.default_rng(seed)
     response = np.zeros(k)
-    response[: cfg.taps] = rng.standard_normal(cfg.taps)
-    w = dft(response)
+    response[: cfg.hop] = rng.standard_normal(cfg.hop)
+    w = np.fft.fft(response)
     state, step = {
         "nlms": (make_nlms_state(), nlms_step),
         "rls": (make_rls_state(k), rls_step),
@@ -110,7 +110,7 @@ def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
     k, bins = cfg.dft_size, cfg.dft_size // 2 + 1
     rng = np.random.default_rng(seed)
     response = np.zeros(k)
-    response[: cfg.taps] = rng.standard_normal(cfg.taps)
+    response[: cfg.hop] = rng.standard_normal(cfg.hop)
     frame, d_hop = rng.standard_normal(k), rng.standard_normal(cfg.hop)
     p_half = rng.uniform(0.1, 10.0, bins)
     p_full = np.concatenate([p_half, p_half[-2:0:-1]])  # p[k] = p[-k], as real signals give
@@ -119,7 +119,7 @@ def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
         "rls": (make_rls_state(k), rls_step),
         "kf": (make_kf_state(k, obs_noise=rng.uniform(0.01, 1.0)), kf_step),
     }[algorithm]
-    w = dft(response) * getattr(state, "transition", 1.0)
+    w = np.fft.fft(response) * getattr(state, "transition", 1.0)
     y_full, e_full, u_full, e_freq_full = full_k_hop(w, frame, d_hop)
     if algorithm != "nlms":
         state = replace(state, p=p_full)
@@ -169,7 +169,7 @@ def test_rls_unit_forget_accumulates_inverse_power():
     w = np.zeros(k, dtype=complex)
     inv = 1.0 / state.p.copy()
     for _ in range(5):
-        u_freq = dft(rng.standard_normal(k))
+        u_freq = np.fft.fft(rng.standard_normal(k))
         state_before = state
         w, state = rls_step(state, u_freq, np.zeros(k, dtype=complex), w)
         inv += np.abs(u_freq) ** 2

@@ -99,7 +99,7 @@ def test_gru_zero_state_and_zero_weights_gives_zero():
     for name, tensor in vars(layer).items():
         tensor[...] = 0.0
     x = _random_complex(rng, (2, 3))
-    h_new, _ = layer.step(x, np.zeros((2, 4), dtype=complex))
+    h_new, _, _ = layer.step(x, np.zeros((2, 4), dtype=complex))
     assert np.abs(h_new).max() == 0.0
 
 
@@ -114,10 +114,11 @@ def test_gru_step_matches_per_gate_reference(hidden, batch):
     x = _random_complex(rng, batch + (hidden,))
     h = _random_complex(rng, batch + (hidden,), scale=0.5)
     counter = FlopCounter()
-    h_new, cache = layer.step(x, h, counter=counter)
+    h_new, zr, c = layer.step(x, h, counter=counter)
     expected = gru_step_reference(layer, x, h)
-    # r * h is not cached; the backward rebuilds it as the step computed it
-    for got, want in zip((h_new, cache.z, cache.r, cache.r * cache.h, cache.c), expected):
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    # r * h is not returned; the backward rebuilds it as the step computed it
+    for got, want in zip((h_new, z, r, r * h, c), expected):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     # six H x H products per group, as FlopModel.gru_term counts them
@@ -141,12 +142,12 @@ def test_gru_backward_matches_fd():
     target = _random_complex(rng, (2, 5, 4))
 
     def loss():
-        h_new, _ = layer.step(x, h)
+        h_new, _, _ = layer.step(x, h)
         return _quadratic_loss(h_new, target)
 
-    h_new, cache = layer.step(x, h)
+    h_new, zr, c = layer.step(x, h)
     g_out = 2.0 * (h_new - target)
-    g_x, g_h, grads = layer.backward(g_out, cache)
+    g_x, g_h, grads = layer.backward(g_out, x, h, zr, c)
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_h, fd_gradient(loss, h)) < TOL
     for name, tensor in vars(layer).items():
@@ -166,7 +167,7 @@ def test_downsample_matches_window_enumeration(structure):
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
     features = _random_complex(rng, (k, 5))
-    groups, _ = sampler.downsample(features)
+    groups = sampler.downsample(features)
     bins = structure.window_bins(k)
     for c in range(bins.shape[0]):
         window = features[bins[c]].reshape(-1)
@@ -180,7 +181,7 @@ def test_upsample_matches_scatter_enumeration(structure):
     sampler = GroupSampler.init(rng, structure, h)
     bins = structure.window_bins(k)
     groups = _random_complex(rng, (bins.shape[0], h))
-    delta, _ = sampler.upsample(groups)
+    delta = sampler.upsample(groups)
     expected = np.zeros(k, dtype=complex)
     for c in range(bins.shape[0]):
         np.add.at(expected, bins[c], sampler.up_kernel @ groups[c])
@@ -192,7 +193,7 @@ def test_upsample_zero_input_is_zero(structure):
     rng = np.random.default_rng(18)
     sampler = GroupSampler.init(rng, structure, 3)
     c = structure.group_count(16)
-    delta, _ = sampler.upsample(np.zeros((c, 3), dtype=complex))
+    delta = sampler.upsample(np.zeros((c, 3), dtype=complex))
     assert np.abs(delta).max() == 0.0
 
 
@@ -206,24 +207,24 @@ def test_sampler_backward_matches_fd(structure):
     t_delta = _random_complex(rng, (2, k))
 
     def down_loss():
-        groups, _ = sampler.downsample(features)
+        groups = sampler.downsample(features)
         return _quadratic_loss(groups, t_groups)
 
-    groups, cache = sampler.downsample(features)
+    groups = sampler.downsample(features)
     g_groups = 2.0 * (groups - t_groups)
-    g_features, g_down = sampler.downsample_backward(g_groups, cache)
+    g_features, g_down = sampler.downsample_backward(g_groups, features)
     assert rel_error(g_features, fd_gradient(down_loss, features)) < TOL
     assert rel_error(g_down, fd_gradient(down_loss, sampler.down_kernel)) < TOL
 
     group_in = _random_complex(rng, (2, structure.group_count(k), h), scale=0.5)
 
     def up_loss():
-        delta, _ = sampler.upsample(group_in)
+        delta = sampler.upsample(group_in)
         return _quadratic_loss(delta, t_delta)
 
-    delta, cache = sampler.upsample(group_in)
+    delta = sampler.upsample(group_in)
     g_delta = 2.0 * (delta - t_delta)
-    g_groups, g_up = sampler.upsample_backward(g_delta, cache)
+    g_groups, g_up = sampler.upsample_backward(g_delta, group_in)
     assert rel_error(g_groups, fd_gradient(up_loss, group_in)) < TOL
     assert rel_error(g_up, fd_gradient(up_loss, sampler.up_kernel)) < TOL
 

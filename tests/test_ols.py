@@ -9,7 +9,6 @@ from aflearn.errors import NumericError
 from aflearn.ols import (
     OlsConfig,
     af_error,
-    dft,
     enforce_conjugate_symmetry,
     filter_gradient,
     hop_frames,
@@ -19,12 +18,12 @@ from aflearn.ols import (
     spectrum_to_hop,
 )
 
-from oracles import constraint_matrix, dft_matrix, fd_gradient, linear_convolve, rel_error
+from oracles import constraint_matrix, fd_gradient, linear_convolve, rel_error
 
 
 def test_config_validates_geometry():
     cfg = OlsConfig(16)
-    assert cfg.hop == cfg.taps == 8
+    assert cfg.hop == 8
     with pytest.raises(ValueError):
         OlsConfig(12)
     with pytest.raises(TypeError):  # the hop is derived; a second positional is an error
@@ -32,12 +31,6 @@ def test_config_validates_geometry():
     with pytest.raises(ValueError):
         OlsConfig(16, sample_rate=0)
     assert OlsConfig.for_dft_size(64).hop == 32
-
-
-def test_dft_matches_dense_matrix():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert rel_error(dft(x), dft_matrix(16) @ x) < 1e-12
 
 
 def test_project_filter_matches_dense_constraint():
@@ -67,7 +60,7 @@ def test_project_filter_is_idempotent_across_sizes(log_k, seed):
 def test_project_filter_keeps_short_responses():
     h = np.zeros(16)
     h[:8] = np.arange(1.0, 9.0)
-    w = dft(h)
+    w = np.fft.fft(h)
     assert rel_error(project_filter(w), w) < 1e-12
 
 
@@ -75,7 +68,7 @@ def test_ols_identity_filter_passes_input_through():
     cfg = OlsConfig(8)
     impulse = np.zeros(8)
     impulse[0] = 1.0
-    w = dft(impulse)
+    w = np.fft.fft(impulse)
     rng = np.random.default_rng(2)
     frame = rng.standard_normal(8)
     y_hop, y_freq = ols_apply(cfg, w, frame)
@@ -92,8 +85,8 @@ def test_ols_matches_direct_convolution_streamwise(log_k, hops, seed):
     rng = np.random.default_rng(seed)
     cfg = OlsConfig.for_dft_size(2**log_k)
     r = cfg.hop
-    h = rng.standard_normal(cfg.taps)
-    w = dft(np.concatenate([h, np.zeros(cfg.dft_size - cfg.taps)]))
+    h = rng.standard_normal(cfg.hop)
+    w = np.fft.fft(np.concatenate([h, np.zeros(cfg.dft_size - cfg.hop)]))
     # a 2-row stack with a partial final hop, which the frame view drops
     x = rng.standard_normal((2, hops * r + int(rng.integers(r))))
     frames = hop_frames(x, cfg)
@@ -159,7 +152,7 @@ def test_filter_gradient_matches_finite_differences():
     fd = fd_gradient(loss, w, eps=1e-6)
     y_hop, _ = ols_apply(cfg, w, frame)
     e_hop, _ = af_error(d_hop, y_hop, cfg)
-    grad = filter_gradient(dft(frame), e_hop, cfg)
+    grad = filter_gradient(np.fft.fft(frame), e_hop, cfg)
     assert rel_error(grad, fd / 2.0) < 1e-7
 
 
@@ -171,13 +164,13 @@ def test_filter_gradient_ignores_constrained_taps():
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     tail = np.zeros(16, dtype=complex)
     tail_time = np.zeros(16)
-    tail_time[cfg.taps :] = rng.standard_normal(cfg.hop)
-    tail = dft(tail_time)
+    tail_time[cfg.hop :] = rng.standard_normal(cfg.hop)
+    tail = np.fft.fft(tail_time)
 
     def run(weights):
         y_hop, _ = ols_apply(cfg, weights, frame)
         e_hop, _ = af_error(d_hop, y_hop, cfg)
-        return filter_gradient(dft(frame), e_hop, cfg)
+        return filter_gradient(np.fft.fft(frame), e_hop, cfg)
 
     assert rel_error(run(w + tail), run(w)) < 1e-12
 
@@ -185,7 +178,7 @@ def test_filter_gradient_ignores_constrained_taps():
 def test_filter_gradient_zero_error_is_zero():
     cfg = OlsConfig(16)
     rng = np.random.default_rng(8)
-    u_freq = dft(rng.standard_normal(16))
+    u_freq = np.fft.fft(rng.standard_normal(16))
     grad = filter_gradient(u_freq, np.zeros(8), cfg)
     assert np.abs(grad).max() == 0.0
 
@@ -195,7 +188,7 @@ def test_conjugate_symmetry_projection():
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     sym = enforce_conjugate_symmetry(w)
     assert np.abs(np.fft.ifft(sym).imag).max() < 1e-12
-    real_spec = dft(rng.standard_normal(16))
+    real_spec = np.fft.fft(rng.standard_normal(16))
     assert rel_error(enforce_conjugate_symmetry(real_spec), real_spec) < 1e-12
 
 

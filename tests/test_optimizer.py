@@ -11,9 +11,7 @@ from aflearn.optimizer import (
     GroupState,
     MetaParams,
     _build_input_backward,
-    _build_input_forward,
     _optimizer_backward,
-    _optimizer_forward,
     apply_update,
     build_input,
     init_meta_params,
@@ -99,7 +97,8 @@ def test_build_input_backward_matches_fd():
         d = xi - target
         return float(np.sum(d.real**2 + d.imag**2))
 
-    xi, raw = _build_input_forward(*spectra)
+    raw, xi = np.empty((2, 6, 5), dtype=complex)
+    build_input(*spectra, out=(raw, xi))
     grads = _build_input_backward(raw, 2.0 * (xi - target))
     for spec, g in zip(spectra, grads):
         assert rel_error(g, fd_gradient(loss, spec)) < 1e-5
@@ -120,18 +119,22 @@ def test_step_backward_matches_fd(structure):
     t_h1 = _random_complex(rng, state.h1.shape)
 
     def loss():
-        delta, new_state, _ = _optimizer_forward(params, features, state)
+        delta, new_state = optimizer_step(params, features, state)
         return float(
             np.sum(np.abs(delta - t_delta) ** 2)
             + np.sum(np.abs(new_state.h0 - t_h0) ** 2)
             + np.sum(np.abs(new_state.h1 - t_h1) ** 2)
         )
 
-    delta, new_state, cache = _optimizer_forward(params, features, state)
+    # each GRU layer's (h_new, zr, c), which the backward reads back
+    out = [(np.empty_like(state.h0), np.empty(state.h0.shape[:-1] + (2 * h,), dtype=complex),
+            np.empty_like(state.h0)) for _ in range(2)]
+    delta, new_state = optimizer_step(params, features, state, out=out)
     g_delta = 2.0 * (delta - t_delta)
     g_state = GroupState(h0=2.0 * (new_state.h0 - t_h0), h1=2.0 * (new_state.h1 - t_h1))
     g_tensors = params.zeros_like()
-    g_features, g_prev = _optimizer_backward(params, g_delta, g_state, cache, g_tensors)
+    g_features, g_prev = _optimizer_backward(params, g_delta, g_state, features, state, out,
+                                             g_tensors)
 
     assert rel_error(g_features, fd_gradient(loss, features)) < 1e-5
     assert rel_error(g_prev.h0, fd_gradient(loss, state.h0)) < 1e-5

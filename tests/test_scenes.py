@@ -71,7 +71,7 @@ def test_path_spectrum_matches_truncated_rir():
     w = scene.path_spectrum(cfg)
     back = np.fft.ifft(w).real
     assert np.allclose(back[: SPEC.rir_taps], scene.rir, atol=1e-12)
-    assert np.abs(back[cfg.taps :]).max() < 1e-12
+    assert np.abs(back[cfg.hop :]).max() < 1e-12
 
 
 def test_path_change_scene_switches_echo():

@@ -21,7 +21,7 @@ CFG = OlsConfig(32)
 def _signals(n, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n)
-    h = rng.standard_normal(CFG.taps) * 0.5 ** np.arange(CFG.taps)
+    h = rng.standard_normal(CFG.hop) * 0.5 ** np.arange(CFG.hop)
     d = np.convolve(u, h)[:n]
     return u, d
 
@@ -95,6 +95,17 @@ def test_numeric_failure_reports_frame_index():
     with pytest.raises(NumericError) as info, np.errstate(invalid="ignore"):
         run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
     assert info.value.frame == 1
+    # a NaN far-end sample reaches the first frame whose window holds it
+    u, d = _signals(6 * CFG.hop)
+    u[3 * CFG.hop + 1] = np.nan
+    params = init_meta_params(DependencyStructure.block(4), 4, seed=0)
+    sessions = {"learned": lambda: run_learned_session(params, u, d, CFG)}
+    sessions.update({alg: lambda alg=alg: run_classic_session(alg, u, d, CFG)
+                     for alg in CLASSIC_ALGORITHMS})
+    for name, session in sessions.items():
+        with pytest.raises(NumericError, match="non-finite input frame") as info:
+            session()
+        assert info.value.frame == 3, name
 
 
 def test_learned_session_smoke():

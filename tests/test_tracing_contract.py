@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` patches the functions and methods it lists into the
 namespaces where the package's callers find them.  A name deleted or renamed
-in the package breaks every traced benchmark run, so this test reads the
+in the package breaks every traced benchmark run, so these tests read the
 tracer's tables (without importing it as a module, so nothing is written
-next to it) and resolves each entry.
+next to it) and resolve each entry, and run a traced session and training
+epoch through the tracer's own statistics.
 """
 
 import importlib
@@ -12,6 +13,8 @@ import types
 from pathlib import Path
 
 import numpy as np
+
+import aflearn
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +46,45 @@ def test_every_traced_method_resolves():
         assert isinstance(cls, type), f"aflearn.layers.{cls_name}"
         for method in methods:
             assert callable(getattr(cls, method, None)), f"aflearn.layers.{cls_name}.{method}"
+
+
+def _children(spans, index, name):
+    return sum(1 for span in spans if span[3] == index and span[0] == name)
+
+
+def test_traced_session_and_epoch_parse_with_one_forward_per_hop():
+    tracing = _tracing()
+    cfg = aflearn.OlsConfig(32)
+    structure = aflearn.DependencyStructure.block(4)
+    spec = aflearn.desk_spec(duration=0.05, rir_taps=16)
+    unroll = 10
+    hops = spec.num_samples // cfg.hop
+    scene = aflearn.gen_scene(spec, 3)
+    params = aflearn.init_meta_params(structure, 4, seed=0)
+    with tracing.Tracer() as tracer:  # the wrappers are looked up through the package
+        aflearn.run_learned_session(params, scene.far_end, scene.mic, cfg)
+        session = tracer.take()
+        aflearn.train_update_rule(structure, 4, cfg, spec, [0, 1], [2], epochs=1,
+                                  batch_size=2, unroll=unroll)
+        epoch = tracer.take()
+
+    stats = tracing.session_stats(session, "session.run_learned_session",
+                                  "optimizer.apply_update", hops)
+    assert len(stats["optimizer_step_s"]) == len(stats["build_input_s"]) == hops
+    assert len(stats["gru0_s"]) == len(stats["gru1_s"]) == hops
+
+    train = tracing.train_stats(epoch)
+    assert len(train["window_s"]) == hops // unroll
+    assert len(train["gru_backward_s"]) == 2 * unroll * (hops // unroll)
+    # training windows and validation sessions run the one traced forward
+    per_hop = {"training.window_gradient": (unroll, 0), "session.run_learned_session": (hops, hops)}
+    seen = set()
+    for index, span in enumerate(epoch):
+        name = span[0]
+        if name in per_hop:
+            seen.add(name)
+            steps, updates = per_hop[name]
+            assert _children(epoch, index, "optimizer.optimizer_step") == steps, name
+            assert _children(epoch, index, "optimizer.build_input") == steps, name
+            assert _children(epoch, index, "optimizer.apply_update") == updates, name
+    assert seen == set(per_hop)
