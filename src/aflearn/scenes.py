@@ -11,19 +11,22 @@ loudspeaker plus intermittent near-end speech and stationary noise:
 Levels are drawn per scene: the speech-to-echo ratio (SER) measures near
 speech against the echo, the echo-to-noise ratio (SNR) the echo against the
 noise floor.
+
+The module needs NumPy only: the echo is an FFT convolution sized like
+SciPy's ``fftconvolve`` (and bit-identical to it), and scenes persist as mono
+float32 WAV files written and read with ``struct`` and ``np.fromfile``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import fftconvolve
 
 from .errors import ConfigError
 
@@ -201,6 +204,28 @@ def _draw_nonlinearity(rng, probs):
     raise ConfigError("nonlinearity_probs", f"unknown kind {kind!r}")
 
 
+def _fast_len(n):
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, the real-input FFT sizes that are fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fftconvolve(a, b):
+    """Full linear convolution of two 1-D real arrays, as ``scipy.signal.fftconvolve``."""
+    if a.size == 1 or b.size == 1:  # fftconvolve multiplies instead of transforming
+        return a * b
+    n = a.size + b.size - 1
+    size = _fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
 def gen_scene(spec, seed, far_end=None, path_change_at=None):
     """Draw one scene.  Deterministic in (spec, seed, path_change_at).
 
@@ -224,13 +249,13 @@ def gen_scene(spec, seed, far_end=None, path_change_at=None):
     rir = exp_decay_rir(rng, spec.rir_taps, rt60, spec.sample_rate)
     nonlinearity = _draw_nonlinearity(rng, spec.nonlinearity_probs)
     driven = nonlinearity.apply(far_end)
-    echo = fftconvolve(driven, rir)[:n]
+    echo = _fftconvolve(driven, rir)[:n]
 
     rir_switch = None
     if path_change_at is not None:
         rir2 = exp_decay_rir(rng, spec.rir_taps, float(rng.uniform(*spec.rt60_range)),
                              spec.sample_rate)
-        echo2 = fftconvolve(driven, rir2)[:n]
+        echo2 = _fftconvolve(driven, rir2)[:n]
         switch = int(path_change_at * spec.sample_rate)
         if not 0 < switch < n:
             raise ConfigError("path_change_at", "must fall inside the scene")
@@ -268,27 +293,112 @@ def gen_scene(spec, seed, far_end=None, path_change_at=None):
     )
 
 
+# WAVE format tags; an extensible fmt chunk names PCM or float by a GUID
+# that ends in this tail (RFC 2361), stored little- or big-endian.
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+
+
 def write_wav(path, signal, sample_rate):
-    """Mono float32 WAV."""
-    wavfile.write(path, sample_rate, np.asarray(signal, dtype=np.float32))
+    """Mono float32 WAV: RIFF header, 18-byte IEEE-float ``fmt `` chunk, ``fact``, ``data``."""
+    data = np.ascontiguousarray(signal, dtype="<f4")
+    if data.ndim != 1:
+        raise ValueError(f"expected a mono signal, got shape {data.shape}")
+    if data.nbytes > 0xFFFFFFFF - 50:
+        raise OSError(f"{path}: {data.size} samples do not fit a RIFF WAV file")
+    header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
+                         b"RIFF", 50 + data.nbytes, b"WAVE",
+                         b"fmt ", 18, _IEEE_FLOAT, 1, sample_rate, 4 * sample_rate, 4, 32, 0,
+                         b"fact", 4, data.size,
+                         b"data", data.nbytes)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(data)
+
+
+def _read_fmt(body, order):
+    """(format tag, channels, rate, sample width in bytes, sample dtype) of a ``fmt `` chunk."""
+    if len(body) < 16:
+        raise ValueError(f"fmt chunk of {len(body)} bytes")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack(order + "HHIIHH",
+                                                                      body[:16])
+    if tag == _EXTENSIBLE and len(body) >= 18:
+        if struct.unpack(order + "H", body[16:18])[0] < 22 or len(body) < 40:
+            raise ValueError("extensible fmt chunk too short")
+        if body[28:40] == _GUID_TAIL[order]:
+            tag = struct.unpack(order + "I", body[24:28])[0]
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise ValueError(f"unsupported format tag {tag:#06x} (PCM and IEEE float only)")
+    if channels == 0 or block_align % channels:
+        raise ValueError(f"{channels} channels in blocks of {block_align} bytes")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise ValueError(f"byte rate {byte_rate} is not {rate} Hz x {block_align} bytes")
+    width = block_align // channels
+    if tag == _PCM and (width == 1 and 0 < bits <= 8 or 2 <= width <= 4 and 8 < bits <= 8 * width):
+        dtype = "u1" if width in (1, 3) else f"{order}i{width}"  # 24-bit reads as bytes
+    elif tag == _IEEE_FLOAT and bits in (32, 64) and bits == 8 * width:
+        dtype = f"{order}f{width}"
+    else:
+        kind = "integer" if tag == _PCM else "floating-point"
+        raise ValueError(f"unsupported sample format: {bits}-bit {kind} in {width} bytes")
+    return tag, channels, rate, width, np.dtype(dtype)
 
 
 def read_wav(path, expect_rate=None):
-    try:
-        rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise OSError(f"{path}: not a readable WAV file: {exc}") from exc
-    if expect_rate is not None and rate != expect_rate:
-        raise ConfigError("sample_rate", f"{path}: expected {expect_rate} Hz, got {rate}")
-    if data.ndim != 1:
-        raise ConfigError("wav", f"{path}: expected mono audio")
-    if data.dtype == np.int16:
-        data = data / 32768.0
-    elif data.dtype == np.int32:
-        data = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        data = (data - 128.0) / 128.0
-    return rate, np.asarray(data, dtype=float)
+    """(sample rate, float64 samples) of a mono WAV file.
+
+    Reads RIFF (little-endian) and RIFX (big-endian) files whose plain or
+    WAVE_FORMAT_EXTENSIBLE ``fmt `` chunk declares integer PCM (8-bit unsigned;
+    16-, 24- or 32-bit signed containers, which may hold fewer valid bits) or
+    IEEE float at 32 or 64 bits.  PCM is rescaled to [-1, 1) by its container's
+    full scale.  Other chunks are skipped.  A file that is none of these, or is
+    cut short, raises OSError naming it; another sample rate than
+    ``expect_rate``, or more than one channel, raises ConfigError.
+    """
+    with open(path, "rb") as f:
+        try:
+            riff = f.read(12)
+            if len(riff) < 12 or riff[:4] not in (b"RIFF", b"RIFX") or riff[8:] != b"WAVE":
+                raise ValueError(f"starts {riff!r}, not a RIFF or RIFX WAVE header")
+            order = ">" if riff[:4] == b"RIFX" else "<"
+            total = os.fstat(f.fileno()).st_size
+            fmt = None
+            while True:
+                head = f.read(8)
+                if len(head) < 8:
+                    raise ValueError("no data chunk" if fmt else "no fmt chunk")
+                chunk, size = struct.unpack(order + "4sI", head)
+                if chunk in (b"fmt ", b"data") and f.tell() + size > total:
+                    raise ValueError(f"{chunk.decode()} chunk declares {size} bytes, "
+                                     f"holds {total - f.tell()}")
+                if chunk == b"data":
+                    break
+                if chunk == b"fmt ":
+                    fmt = _read_fmt(f.read(size), order)
+                else:
+                    f.seek(size, os.SEEK_CUR)
+                f.seek(size % 2, os.SEEK_CUR)  # chunks are padded to an even size
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+        except (ValueError, struct.error) as exc:
+            raise OSError(f"{path}: not a readable WAV file: {exc}") from exc
+        tag, channels, rate, width, dtype = fmt
+        if expect_rate is not None and rate != expect_rate:
+            raise ConfigError("sample_rate", f"{path}: expected {expect_rate} Hz, got {rate}")
+        if channels != 1:
+            raise ConfigError("wav", f"{path}: expected mono audio")
+        count = size // width
+        data = np.fromfile(f, dtype=dtype, count=count * width // dtype.itemsize)
+    if tag == _IEEE_FLOAT:
+        return rate, np.asarray(data, dtype=float)
+    if width == 1:
+        return rate, (data - 128.0) / 128.0
+    if width == 3:  # left-justified in an int32, so it scales like 32-bit PCM
+        wide = np.zeros((count, 4), dtype="u1")
+        (wide[:, 1:] if order == "<" else wide[:, :3])[...] = data.reshape(count, 3)
+        data = wide.view(order + "i4")[:, 0]
+    return rate, data / float(2 ** (8 * data.itemsize - 1))
 
 
 def save_scene(scene, directory, stem):
@@ -340,8 +450,8 @@ def load_scene(directory, stem):
     """Rebuild a scene from save_scene output (regenerates nothing).
 
     A sidecar or echo-path file that does not parse, or a WAV that does not
-    match the sidecar (not mono, another sample rate), raises an OSError
-    naming it.
+    match the sidecar (not mono, another sample rate or length), raises an
+    OSError naming it.
     """
     directory = Path(directory)
     sidecar = directory / f"{stem}.json"
@@ -360,6 +470,9 @@ def load_scene(directory, stem):
             _, signals[name] = read_wav(path, expect_rate=rate)
         except ConfigError as exc:  # a corrupt scene file, not a bad option
             raise OSError(f"{exc.message}, unlike its sidecar {sidecar.name}") from exc
+        if signals[name].size != spec.num_samples:
+            raise OSError(f"{path}: {signals[name].size} samples, but its sidecar "
+                          f"{sidecar.name} gives {spec.num_samples}")
     paths_file = directory / f"{stem}.rir.npz"
     try:
         with np.load(paths_file) as paths:

@@ -255,6 +255,16 @@ def evaluate_mean_serle(params, scenes, cfg, chunk=8):
     return float(np.mean(scores))
 
 
+def _has_audible_echo(scene, cfg):
+    """Whether a session on ``scene`` gets a score, whatever its output: serle_db
+    skips the frames where the echo is silent and raises if every frame is."""
+    try:
+        serle_db(scene.echo, scene.echo, cfg.hop)
+    except MetricUndefinedError:
+        return False
+    return True
+
+
 def train_update_rule(
     structure,
     hidden_size,
@@ -304,6 +314,9 @@ def train_update_rule(
     flat = params.buffer.view(np.float64)  # Adam updates the parameters through it
     adam = AdamState.zeros(flat.size)
     val_scenes = [gen_scene(scene_spec, s) for s in val_seeds]
+    if not any(_has_audible_echo(scene, cfg) for scene in val_scenes):  # fail before an epoch
+        raise MetricUndefinedError("no scene with audible echo among validation seeds "
+                                   f"{[int(s) for s in val_seeds]}")
     workspaces = {}  # one per batch size, reused by every window of every epoch
     best = params.copy()
     history = []

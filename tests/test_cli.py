@@ -210,6 +210,11 @@ def _resampled(path):
     wavfile.write(path, 8000, data)
 
 
+def _shortened(path):
+    rate, data = read_wav(path)
+    write_wav(path, data[:-300], rate)
+
+
 CORRUPT_SCENE_FILES = {
     "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
     "unknown-spec-field": ("json", _add_spec_field),
@@ -218,6 +223,8 @@ CORRUPT_SCENE_FILES = {
     # a WAV that does not match its sidecar is a corrupt scene file too
     "stereo-mic-wav": ("mic.wav", _stereo),
     "mic-wav-at-another-rate": ("mic.wav", _resampled),
+    "truncated-echo-wav": ("echo.wav", _shortened),
+    "truncated-farend-wav": ("farend.wav", _shortened),
 }
 
 

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
+from scipy.signal import fftconvolve
 
+from aflearn import scenes
 from aflearn.errors import ConfigError
 from aflearn.ols import OlsConfig
 from aflearn.scenes import (
@@ -86,6 +91,28 @@ def test_path_change_scene_switches_echo():
     assert not np.allclose(scene.echo[switch:], baseline.echo[switch:])
     with pytest.raises(ConfigError):
         gen_scene(spec, seed=3, path_change_at=2.0)
+
+
+def test_fast_length_is_scipys_real_fast_length():
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 4000), *rng.integers(4000, 3_000_000, 2000).tolist()]:
+        assert scenes._fast_len(n) == next_fast_len(n, real=True), n
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(a_size=st.integers(1, 20000), b_size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+@example(a_size=38865, b_size=1, seed=0)  # fftconvolve multiplies when an input has one sample
+@example(a_size=1, b_size=256, seed=0)
+@example(a_size=9600, b_size=256, seed=0)  # desk scenes of 0.6, 4 and 15 s
+@example(a_size=64000, b_size=256, seed=0)
+@example(a_size=240000, b_size=256, seed=0)
+@example(a_size=160000, b_size=2048, seed=0)  # a default 10 s scene
+def test_convolution_is_bit_identical_to_fftconvolve(a_size, b_size, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(a_size), rng.standard_normal(b_size)
+    got = scenes._fftconvolve(a, b)
+    assert got.shape == (a_size + b_size - 1,)
+    np.testing.assert_array_equal(got, fftconvolve(a, b))
 
 
 def test_speech_surrogate_has_pauses_and_activity():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import aflearn.training
-from aflearn.errors import ConfigError, NumericError
+from aflearn.errors import ConfigError, MetricUndefinedError, NumericError
 from aflearn.metrics import serle_db
 from aflearn.ols import OlsConfig, af_error, filter_gradient, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
@@ -407,3 +407,28 @@ def test_non_finite_gradient_stops_training_before_the_update(bad, monkeypatch):
     assert "epoch 0" in message and "hop 5" in message
     seeds = re.search(r"scene seeds \[([0-9, ]+)\]", message).group(1)
     assert sorted(int(x) for x in seeds.split(",")) == [5, 6]
+
+
+def test_silent_validation_set_fails_before_the_first_window(monkeypatch):
+    # at 0.2 s, desk seeds 105 and 109 draw a far end that pauses throughout
+    spec = desk_spec(duration=0.2, rir_taps=32)
+    for seed in (105, 109):
+        assert not gen_scene(spec, seed).echo.any()
+    real = aflearn.training.window_gradient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(aflearn.training, "window_gradient", counted)
+    args = (DependencyStructure.block(4), 4, OlsConfig(64), spec)
+    with pytest.raises(MetricUndefinedError) as info:
+        train_update_rule(*args, train_seeds=[2, 3], val_seeds=[105, 109], epochs=1,
+                          batch_size=2, unroll=5)
+    assert calls == []
+    assert "[105, 109]" in str(info.value)
+    # one silent scene among audible ones is skipped, as evaluate_mean_serle does
+    _, history = train_update_rule(*args, train_seeds=[2, 3], val_seeds=[105, 100], epochs=1,
+                                   batch_size=2, unroll=5)
+    assert calls and np.isfinite(history[0]["val_serle_db"])
