@@ -230,6 +230,8 @@ def cmd_gen_data(args):
         raise ConfigError("split", f"expected three ratios like 8,1,1, got {args.split!r}")
     if args.count < 1:
         raise ConfigError("count", "must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("seed", f"scene seeds must be non-negative, got {args.seed}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,8 +284,8 @@ def _load_manifest(path):
         check(isinstance(entry, dict) and {"stem", "seed", "split"} <= entry.keys(),
               f"scene {i} needs 'stem', 'seed' and 'split'")
         check(isinstance(entry["stem"], str) and entry["stem"], f"scene {i}: bad stem")
-        check(isinstance(entry["seed"], int) and not isinstance(entry["seed"], bool),
-              f"scene {i}: seed must be an integer")
+        check(isinstance(entry["seed"], int) and not isinstance(entry["seed"], bool)
+              and entry["seed"] >= 0, f"scene {i}: seed must be a non-negative integer")
         check(entry["split"] in _SPLITS, f"scene {i}: unknown split {entry['split']!r}")
     return spec, entries
 
@@ -495,7 +497,7 @@ def _run_eval(directory, entries, rate, target, hyper, args):
     cfg, params = _session_config_for(target, args.dft_size, rate)
     label = target if params is None else Path(target).stem
     # lockstep chunks of up to 8 scenes, small enough that every --jobs worker gets one
-    chunk = min(8, math.ceil(len(entries) / max(args.jobs, 1)))
+    chunk = min(8, math.ceil(len(entries) / args.jobs))
     tasks = [(str(directory), entries[lo : lo + chunk], label, cfg, params, hyper)
              for lo in range(0, len(entries), chunk)]
     if args.jobs > 1:
@@ -532,6 +534,8 @@ def _write_csv(path, columns, rows):
 
 
 def cmd_eval(args):
+    if args.jobs < 1:
+        raise ConfigError("jobs", f"must be at least 1, got {args.jobs}")
     hyper = _parse_hyper(args.hyper)
     directory, entries, rate = _manifest_entries(args.manifest, args.split)
 

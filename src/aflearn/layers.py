@@ -3,7 +3,8 @@
 Gradient convention: for a real scalar loss L and a complex array z, gradient
 arrays hold dL/dRe(z) + 1j * dL/dIm(z).  Complex parameters are then exactly
 pairs of real parameters and every backward pass here can be checked against
-central finite differences over those pairs.
+central finite differences over those pairs.  A backward pass returns its
+input gradients and adds its parameter gradients into the holders it is given.
 
 Forward passes optionally take a FlopCounter; only matrix products are
 tallied (see flops.py for the convention).
@@ -87,14 +88,14 @@ def dense(x, weight, bias=None, counter=None):
     return y
 
 
-def dense_backward(g_y, x, weight, with_bias=True):
-    """Returns (g_x, g_weight, g_bias); leading axes are summed into weights."""
-    g_x = g_y @ np.conj(weight)
+def dense_backward(g_y, x, weight, g_weight, g_bias=None):
+    """Returns g_x; adds the weight (and, given its holder, bias) gradients into
+    ``g_weight`` and ``g_bias``.  Leading axes are summed into them."""
     flat_g = g_y.reshape(-1, g_y.shape[-1])
-    flat_x = x.reshape(-1, x.shape[-1])
-    g_w = flat_g.T @ np.conj(flat_x)
-    g_b = flat_g.sum(axis=0) if with_bias else None
-    return g_x, g_w, g_b
+    g_weight += flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
+    if g_bias is not None:
+        g_bias += flat_g.sum(axis=0)
+    return g_y @ np.conj(weight)
 
 
 def _split_sigmoid(z):
@@ -185,8 +186,9 @@ class ComplexGruLayer:
         h_new += np.multiply(z, h, out=rh)
         return h_new, zr, c
 
-    def backward(self, g_h_new, x, h, zr, c):
-        """Returns (g_x, g_h, grads) with grads keyed like the fields: w, u, b.
+    def backward(self, g_h_new, x, h, zr, c, grads):
+        """Returns (g_x, g_h) and adds the parameter gradients into ``grads``,
+        a layer of this shape whose fields hold them.
 
         x and h are the step's inputs and zr, c what it returned; r * h is
         rebuilt here, as the step computed it.
@@ -202,8 +204,7 @@ class ComplexGruLayer:
         _split_tanh_backward(np.conj(1.0 - z) * g_h_new, c, out=g_ac)
         g_h = np.conj(z) * g_h_new
 
-        g_u = np.empty_like(self.u)
-        g_rh, g_u[2 * hidden :], _ = dense_backward(g_ac, r * h, u_c, with_bias=False)
+        g_rh = dense_backward(g_ac, r * h, u_c, grads.u[2 * hidden :])
         _split_sigmoid_backward(np.conj(h) * g_rh, r, out=g_ar)
         g_h += np.conj(r) * g_rh
 
@@ -212,15 +213,15 @@ class ComplexGruLayer:
         # one stacked product would reorder those sums, and Adam turns such
         # last-bit differences into different trained checkpoints.
         flat_g = g_gates.reshape(-1, 3 * hidden)
-        g_w = flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
-        g_b = flat_g.sum(axis=0)
-        g_u[: 2 * hidden] = flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
+        grads.w += flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
+        grads.b += flat_g.sum(axis=0)
+        grads.u[: 2 * hidden] += flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
         g_x = g_ac @ np.conj(w_c)
         g_x += g_ar @ np.conj(w_r)
         g_x += g_az @ np.conj(w_z)
         g_h += g_ar @ np.conj(u_r)
         g_h += g_az @ np.conj(u_z)
-        return g_x, g_h, {"w": g_w, "u": g_u, "b": g_b}
+        return g_x, g_h
 
 
 @dataclass
@@ -254,14 +255,14 @@ class GroupSampler:
         """(..., K, 5) -> (..., C, H) group inputs."""
         return dense(self._flat_windows(features), self.down_kernel, counter=counter)
 
-    def downsample_backward(self, g_groups, features):
-        """Returns (g_features, g_down) given the gradient of ``downsample(features)``."""
+    def downsample_backward(self, g_groups, features, grads):
+        """Returns g_features given the gradient of ``downsample(features)``,
+        and adds the kernel's gradient into ``grads.down_kernel``."""
         flat = self._flat_windows(features)
-        g_flat, g_down, _ = dense_backward(g_groups, flat, self.down_kernel, with_bias=False)
+        g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel)
         width = self.structure.width
         g_windows = g_flat.reshape(*g_flat.shape[:-1], width, self.NUM_CHANNELS)
-        g_features = self._scatter_windows(g_windows, features.shape[-2])
-        return g_features, g_down
+        return self._scatter_windows(g_windows, features.shape[-2])
 
     def upsample(self, groups, counter=None):
         """(..., C, H) -> (..., K) per-bin corrections."""
@@ -269,11 +270,11 @@ class GroupSampler:
         num_bins = self.structure.bins_for_groups(groups.shape[-2])
         return self._scatter_windows(per_bin[..., None], num_bins)[..., 0]
 
-    def upsample_backward(self, g_delta, groups):
-        """Returns (g_groups, g_up) given the gradient of ``upsample(groups)``."""
+    def upsample_backward(self, g_delta, groups, grads):
+        """Returns g_groups given the gradient of ``upsample(groups)``, and adds
+        the kernel's gradient into ``grads.up_kernel``."""
         g_per_bin = self._gather_windows(g_delta[..., None], g_delta.shape[-1])[..., 0]
-        g_groups, g_up, _ = dense_backward(g_per_bin, groups, self.up_kernel, with_bias=False)
-        return g_groups, g_up
+        return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel)
 
     def _flat_windows(self, features):
         """Per-group windows of features (..., K, 5), flattened to (..., C, 5*width)."""

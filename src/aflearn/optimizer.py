@@ -17,7 +17,7 @@ They live in one complex buffer whose layout ``param_layout`` defines.
 training windows alike.  A training window passes ``out=`` arrays (the raw
 and compressed features, and each GRU layer's new state, z|r gates and
 candidate), and ``_optimizer_backward`` reads the step's operands back from
-them.
+them; each layer's backward adds into its part of a ``zeros_like`` holder.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .layers import (
     dense,
     dense_backward,
     log_scale,
-    log_scale_backward,
 )
 
 __all__ = [
@@ -182,12 +181,6 @@ def build_input(grad, u_freq, d_freq, e_freq, y_freq, out=None):
     return log_scale(raw, out=xi)
 
 
-def _build_input_backward(raw, g_xi):
-    """Per-channel gradients, ordered like FEATURE_CHANNELS."""
-    g_raw = log_scale_backward(raw, g_xi)
-    return tuple(g_raw[..., i] for i in range(len(FEATURE_CHANNELS)))
-
-
 def optimizer_step(params, features, state, counter=None, out=None):
     """One step: features (..., K, 5) -> (delta (..., K), new state).
 
@@ -207,36 +200,23 @@ def optimizer_step(params, features, state, counter=None, out=None):
 def _optimizer_backward(params, g_delta, g_state, features, state, out, grads):
     """Backward through one ``optimizer_step(params, features, state, out=out)``.
 
-    g_state carries dL/d(new hidden); returns (g_features, g_prev_state) and
-    accumulates parameter gradients in place into ``grads``, a holder from
-    ``params.zeros_like()``.  The step's operands are read back from
-    ``features``, ``state`` and ``out``; the layer-0 input and the output
-    dense layer's result are rebuilt with the forward's own operations, so
-    the gradients are those of a step that kept them, bit for bit.
+    g_state carries dL/d(new hidden); returns (g_features, g_prev_state).
+    Each layer's backward adds its parameter gradients into its part of
+    ``grads``, a holder from ``params.zeros_like()``.  The step's operands are
+    read back from ``features``, ``state`` and ``out``; the layer-0 input and
+    the output dense layer's result are rebuilt with the forward's own
+    operations, so the gradients are those of a step that kept them, bit for bit.
     """
     (h0, zr0, c0), (h1, zr1, c1) = out
-
+    gru0, gru1 = params.grus
     dense_out = dense(h1, params.out_weight, params.out_bias)
-    g_out, g_up = params.sampler.upsample_backward(g_delta, dense_out)
-    grads.sampler.up_kernel += g_up
-
-    g_h1, g_ow, g_ob = dense_backward(g_out, h1, params.out_weight)
-    grads.out_weight += g_ow
-    grads.out_bias += g_ob
-    g_h1 = g_h1 + g_state.h1
-
-    g_h0, g_h1_prev, grads1 = params.grus[1].backward(g_h1, h0, state.h1, zr1, c1)
-    for name, g in grads1.items():
-        getattr(grads.grus[1], name)[...] += g
-    g_h0 = g_h0 + g_state.h0
-
+    g_out = params.sampler.upsample_backward(g_delta, dense_out, grads.sampler)
+    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias)
+    g_h0, g_h1_prev = gru1.backward(g_h1 + g_state.h1, h0, state.h1, zr1, c1, grads.grus[1])
     groups = params.sampler.downsample(features)
-    g_groups, g_h0_prev, grads0 = params.grus[0].backward(g_h0, groups, state.h0, zr0, c0)
-    for name, g in grads0.items():
-        getattr(grads.grus[0], name)[...] += g
-
-    g_features, g_down = params.sampler.downsample_backward(g_groups, features)
-    grads.sampler.down_kernel += g_down
+    g_groups, g_h0_prev = gru0.backward(g_h0 + g_state.h0, groups, state.h0, zr0, c0,
+                                        grads.grus[0])
+    g_features = params.sampler.downsample_backward(g_groups, features, grads.sampler)
     return g_features, GroupState(h0=g_h0_prev, h1=g_h1_prev)
 
 

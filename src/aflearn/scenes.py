@@ -449,9 +449,10 @@ def spec_from_json(d):
 def load_scene(directory, stem):
     """Rebuild a scene from save_scene output (regenerates nothing).
 
-    A sidecar or echo-path file that does not parse, or a WAV that does not
-    match the sidecar (not mono, another sample rate or length), raises an
-    OSError naming it.
+    A sidecar or echo-path file that does not parse, a WAV that does not
+    match the sidecar (not mono, another sample rate or length), or a mic WAV
+    whose samples are not echo + near + noise to float32 rounding raises an
+    OSError naming it.  ``Scene.mic`` stays the sum of the components.
     """
     directory = Path(directory)
     sidecar = directory / f"{stem}.json"
@@ -473,6 +474,13 @@ def load_scene(directory, stem):
         if signals[name].size != spec.num_samples:
             raise OSError(f"{path}: {signals[name].size} samples, but its sidecar "
                           f"{sidecar.name} gives {spec.num_samples}")
+    parts = [signals[name] for name in ("echo", "near", "noise")]
+    # each of the four files rounds to float32 once: 2^-24 relative apiece, 2x margin
+    bad = np.abs(signals["mic"] - sum(parts)) > 2.0**-22 * sum(np.abs(x) for x in parts)
+    if bad.any():
+        raise OSError(f"{directory / f'{stem}.mic.wav'}: {bad.sum()} samples are not "
+                      f"echo + near + noise to float32 rounding, the first at "
+                      f"{bad.argmax()}")
     paths_file = directory / f"{stem}.rir.npz"
     try:
         with np.load(paths_file) as paths:

@@ -16,18 +16,20 @@ is a time-major slice of them; the window runs the sessions' hop kernel
 
 A window's forward is the sessions' own (``build_input``, ``optimizer_step``),
 told to write into a ``WindowWorkspace`` of time-major arrays, which is the
-window's only cache.  Per hop it holds only what the backward cannot rebuild
-with one operation: the far-end spectrum, the raw and log-scaled features,
-and per GRU layer the hidden state, the z|r gates and the candidate c.  The
-backward reads a step's operands from those rows and recomputes r * h, the
-layer-0 input ``downsample(xi)`` and the output dense layer's result with the
-forward's own operations, so the gradients are bit-identical to those of a
-full cache.  ``train_update_rule`` keeps one workspace per batch size and
-reuses it for every window, so training maps that memory once.
+window's only cache.  Per hop it holds each operand the backward cannot
+rebuild with one operation once: the raw features (whose far-end channel
+the hop kernel's adjoint reads), the log-scaled features, and per GRU layer
+the hidden state, the z|r gates and the candidate c.  The backward reads a
+step's operands from those rows and recomputes r * h, the layer-0 input
+``downsample(xi)`` and the output dense layer's result with the forward's
+own operations, so the gradients are bit-identical to those of a full cache.
+``train_update_rule`` keeps one workspace per batch size and reuses it for
+every window, so training maps that memory once.
+Every layer's backward adds its parameter gradients into the window's one
+gradient holder (``MetaParams.zeros_like``); clipping scales it in place, and
+Adam updates the float view of the parameter buffer in place.
 Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
 lockstep chunks.
-Clipping scales the gradient holder (``MetaParams.zeros_like``) in place, and
-Adam updates the float view of the parameter buffer in place.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import numpy as np
 
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .metrics import serle_db
+from .layers import log_scale_backward
 from .optimizer import (
     FEATURE_CHANNELS,
     GroupState,
-    _build_input_backward,
     _optimizer_backward,
     build_input,
     init_meta_params,
@@ -103,9 +105,9 @@ class WindowWorkspace:
     hidden trajectory (length + 1, batch, C, H), whose row 0 is the incoming
     state and row t + 1 step t's new state, the z|r gates (length, batch, C,
     2H) and the candidate c (length, batch, C, H); and the raw and
-    log-scaled features (length, batch, K, 5) and the far-end spectra
-    (length, batch, K).  ``window_gradient`` overwrites it on every call, so
-    one workspace serves every window of its shape in turn.
+    log-scaled features (length, batch, K, 5).  ``window_gradient``
+    overwrites it on every call, so one workspace serves every window of its
+    shape in turn.
     """
 
     def __init__(self, structure, hidden_size, num_bins, batch, length):
@@ -120,7 +122,6 @@ class WindowWorkspace:
         self.zr = arrays((length,) + state[:-1] + (2 * hidden_size,))
         self.c = arrays((length,) + state)
         self.raw, self.xi = arrays((length, batch, num_bins, len(FEATURE_CHANNELS)))
-        self.u_freq = np.empty((length, batch, num_bins), dtype=complex)
 
     def state(self, t):
         """The hidden state step t starts from: row t of both trajectories."""
@@ -154,7 +155,6 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
 
     for t in range(length):
         y_hop, _, u_freq, y_freq, e_freq = hop_forward(cfg, w, frames[t], d_hops[t])
-        ws.u_freq[t] = u_freq
         build_input(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq),
                     out=(ws.raw[t], ws.xi[t]))
         delta, state = optimizer_step(params, ws.xi[t], state, out=ws.step_out(t))
@@ -175,9 +175,9 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     for t in reversed(range(length)):
         g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
                                             ws.step_out(t), g_tensors)
-        channel_grads = _build_input_backward(ws.raw[t], g_xi)
-        g_w = g_w + hop_backward(cfg, ws.u_freq[t], g_y_hops[t],
-                                 channel_grads[3], channel_grads[4])
+        # channels 3 and 4 (error, output) carry gradient; channel 1 is the far end
+        g_ey = log_scale_backward(ws.raw[t][..., 3:], g_xi[..., 3:])
+        g_w = g_w + hop_backward(cfg, ws.raw[t][..., 1], g_y_hops[t], g_ey[..., 0], g_ey[..., 1])
 
     return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 

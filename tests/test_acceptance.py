@@ -125,7 +125,8 @@ def test_gru_layer_backward_matches_fd():
     c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
 
     h_new, zr, cand = layer.step(x, h)
-    g_x, g_h, grads = layer.backward(c, x, h, zr, cand)
+    grads = ComplexGruLayer(*(np.zeros_like(t) for t in (layer.w, layer.u, layer.b)))
+    g_x, g_h = layer.backward(c, x, h, zr, cand, grads)
 
     worst = 0.0
 
@@ -134,7 +135,7 @@ def test_gru_layer_backward_matches_fd():
 
     worst = max(worst, rel_error(g_x, fd_gradient(loss, x)))
     worst = max(worst, rel_error(g_h, fd_gradient(loss, h)))
-    for name, g in grads.items():
+    for name, g in vars(grads).items():
         fd = fd_gradient(loss, getattr(layer, name))
         worst = max(worst, rel_error(g, fd))
     assert worst < 1e-5
@@ -152,16 +153,18 @@ def test_group_sampler_backward_matches_fd(structure):
     )
 
     groups = sampler.downsample(feats)
-    g_feats, g_down = sampler.downsample_backward(c_groups, feats)
+    grads = GroupSampler(structure, np.zeros_like(sampler.down_kernel),
+                         np.zeros_like(sampler.up_kernel))
+    g_feats = sampler.downsample_backward(c_groups, feats, grads)
     loss_down = lambda: _probe_loss(sampler.downsample(feats), c_groups)
     assert rel_error(g_feats, fd_gradient(loss_down, feats)) < 1e-5
-    assert rel_error(g_down, fd_gradient(loss_down, sampler.down_kernel)) < 1e-5
+    assert rel_error(grads.down_kernel, fd_gradient(loss_down, sampler.down_kernel)) < 1e-5
 
     c_bins = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    g_groups, g_up = sampler.upsample_backward(c_bins, groups)
+    g_groups = sampler.upsample_backward(c_bins, groups, grads)
     loss_up = lambda: _probe_loss(sampler.upsample(groups), c_bins)
     assert rel_error(g_groups, fd_gradient(loss_up, groups)) < 1e-5
-    assert rel_error(g_up, fd_gradient(loss_up, sampler.up_kernel)) < 1e-5
+    assert rel_error(grads.up_kernel, fd_gradient(loss_up, sampler.up_kernel)) < 1e-5
 
 
 @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.label)

@@ -61,6 +61,15 @@ def test_gen_data_split_counts_and_determinism(tmp_path):
     assert (a / "scene_00000.mic.wav").read_bytes() == (b / "scene_00000.mic.wav").read_bytes()
 
 
+def test_gen_data_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(SPEC))
+    out = tmp_path / "out"
+    assert main(["gen-data", str(spec_file), str(out), "--seed", "-1"]) == 2
+    assert "config error: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_print_config_canonicalizes(capsys):
     assert main(["print-config"]) == 0
     config = json.loads(capsys.readouterr().out)
@@ -215,6 +224,12 @@ def _shortened(path):
     write_wav(path, data[:-300], rate)
 
 
+def _nudged(path):
+    rate, data = read_wav(path)
+    data[1234] += 1e-4
+    write_wav(path, data, rate)
+
+
 CORRUPT_SCENE_FILES = {
     "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
     "unknown-spec-field": ("json", _add_spec_field),
@@ -225,6 +240,8 @@ CORRUPT_SCENE_FILES = {
     "mic-wav-at-another-rate": ("mic.wav", _resampled),
     "truncated-echo-wav": ("echo.wav", _shortened),
     "truncated-farend-wav": ("farend.wav", _shortened),
+    # the mic recording must be the sum of its components, to float32 rounding
+    "mic-wav-disagrees-with-components": ("mic.wav", _nudged),
 }
 
 
@@ -292,6 +309,7 @@ def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):
     {"spec": {}, "scenes": {"stem": "x"}},
     {"spec": {"bogus": 1}, "scenes": []},
     [],
+    {"spec": {}, "scenes": [{"stem": "x", "seed": -1, "split": "train"}]},
 ])
 def test_malformed_manifests_are_config_errors(tmp_path, manifest, capsys):
     data = tmp_path / "data"
@@ -301,6 +319,15 @@ def test_malformed_manifests_are_config_errors(tmp_path, manifest, capsys):
     config_path, _ = _train_config(tmp_path, data)
     assert main(["train", str(config_path)]) == 2
     assert "config error: manifest:" in capsys.readouterr().err
+
+
+def test_eval_jobs_below_one_exits_2(tmp_path, dataset, capsys):
+    out_csv = tmp_path / "o.csv"
+    for jobs in ("0", "-3"):
+        assert main(["eval", "nlms", str(dataset), str(out_csv), "--split", "all",
+                     "--dft-size", "64", "--jobs", jobs]) == 2
+        assert "config error: jobs:" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_bad_dft_size_and_hyper_are_config_errors(tmp_path, dataset, capsys):

@@ -31,6 +31,14 @@ def _quadratic_loss(y, target):
     return float(np.sum(d.real**2 + d.imag**2))
 
 
+def _gru_holder(layer, fill=np.zeros_like):
+    return ComplexGruLayer(*(fill(tensor) for tensor in (layer.w, layer.u, layer.b)))
+
+
+def _sampler_holder(sampler, fill=np.zeros_like):
+    return GroupSampler(sampler.structure, fill(sampler.down_kernel), fill(sampler.up_kernel))
+
+
 def test_log_scale_values():
     assert log_scale(np.array([0.0 + 0.0j]))[0] == 0.0
     out = log_scale(np.array([1.0 + 0.0j, 0.0 + 3.0j]))
@@ -87,7 +95,8 @@ def test_dense_backward_matches_fd():
         return _quadratic_loss(dense(x, w, b), target)
 
     g_y = 2.0 * (dense(x, w, b) - target)
-    g_x, g_w, g_b = dense_backward(g_y, x, w)
+    g_w, g_b = np.zeros_like(w), np.zeros_like(b)
+    g_x = dense_backward(g_y, x, w, g_w, g_b)
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_w, fd_gradient(loss, w)) < TOL
     assert rel_error(g_b, fd_gradient(loss, b)) < TOL
@@ -147,11 +156,12 @@ def test_gru_backward_matches_fd():
 
     h_new, zr, c = layer.step(x, h)
     g_out = 2.0 * (h_new - target)
-    g_x, g_h, grads = layer.backward(g_out, x, h, zr, c)
+    grads = _gru_holder(layer)
+    g_x, g_h = layer.backward(g_out, x, h, zr, c, grads)
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_h, fd_gradient(loss, h)) < TOL
     for name, tensor in vars(layer).items():
-        assert rel_error(grads[name], fd_gradient(loss, tensor)) < TOL, name
+        assert rel_error(getattr(grads, name), fd_gradient(loss, tensor)) < TOL, name
 
 
 STRUCTURES = [
@@ -212,9 +222,10 @@ def test_sampler_backward_matches_fd(structure):
 
     groups = sampler.downsample(features)
     g_groups = 2.0 * (groups - t_groups)
-    g_features, g_down = sampler.downsample_backward(g_groups, features)
+    grads = _sampler_holder(sampler)
+    g_features = sampler.downsample_backward(g_groups, features, grads)
     assert rel_error(g_features, fd_gradient(down_loss, features)) < TOL
-    assert rel_error(g_down, fd_gradient(down_loss, sampler.down_kernel)) < TOL
+    assert rel_error(grads.down_kernel, fd_gradient(down_loss, sampler.down_kernel)) < TOL
 
     group_in = _random_complex(rng, (2, structure.group_count(k), h), scale=0.5)
 
@@ -224,9 +235,66 @@ def test_sampler_backward_matches_fd(structure):
 
     delta = sampler.upsample(group_in)
     g_delta = 2.0 * (delta - t_delta)
-    g_groups, g_up = sampler.upsample_backward(g_delta, group_in)
+    g_groups = sampler.upsample_backward(g_delta, group_in, grads)
     assert rel_error(g_groups, fd_gradient(up_loss, group_in)) < TOL
-    assert rel_error(g_up, fd_gradient(up_loss, sampler.up_kernel)) < TOL
+    assert rel_error(grads.up_kernel, fd_gradient(up_loss, sampler.up_kernel)) < TOL
+
+
+def _preloaded(rng):
+    return lambda tensor: _random_complex(rng, tensor.shape)
+
+
+def test_dense_backward_adds_into_its_holders():
+    rng = np.random.default_rng(25)
+    x = _random_complex(rng, (3, 4, 5))
+    w = _random_complex(rng, (2, 5))
+    g_y = _random_complex(rng, (3, 4, 2))
+    fresh = np.zeros_like(w), np.zeros((2,), dtype=complex)
+    loaded = _random_complex(rng, w.shape), _random_complex(rng, (2,))
+    preload = [g.copy() for g in loaded]
+    g_x = dense_backward(g_y, x, w, *fresh)
+    assert np.array_equal(dense_backward(g_y, x, w, *loaded), g_x)
+    for got, base, delta in zip(loaded, preload, fresh):
+        assert np.array_equal(got, base + delta)
+    # without a bias holder only the weight gradient is formed
+    g_w = np.zeros_like(w)
+    assert np.array_equal(dense_backward(g_y, x, w, g_w), g_x)
+    assert np.array_equal(g_w, fresh[0])
+
+
+def test_gru_backward_adds_into_its_holder():
+    rng = np.random.default_rng(26)
+    layer = ComplexGruLayer.init(rng, 3, 4)
+    x = _random_complex(rng, (2, 5, 3), scale=0.5)
+    h = _random_complex(rng, (2, 5, 4), scale=0.5)
+    h_new, zr, c = layer.step(x, h)
+    g_out = _random_complex(rng, h_new.shape)
+    fresh, loaded = _gru_holder(layer), _gru_holder(layer, _preloaded(rng))
+    preload = _gru_holder(loaded, np.copy)
+    want = layer.backward(g_out, x, h, zr, c, fresh)
+    for got, expected in zip(layer.backward(g_out, x, h, zr, c, loaded), want):
+        assert np.array_equal(got, expected)
+    for name in ("w", "u", "b"):
+        assert np.array_equal(getattr(loaded, name),
+                              getattr(preload, name) + getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_sampler_backward_adds_into_its_holder(structure):
+    rng = np.random.default_rng(27)
+    k, h = 16, 3
+    sampler = GroupSampler.init(rng, structure, h)
+    features = _random_complex(rng, (2, k, 5))
+    g_groups = _random_complex(rng, (2, structure.group_count(k), h))
+    g_delta = _random_complex(rng, (2, k))
+    fresh, loaded = _sampler_holder(sampler), _sampler_holder(sampler, _preloaded(rng))
+    preload = _sampler_holder(loaded, np.copy)
+    g_features = sampler.downsample_backward(g_groups, features, fresh)
+    g_groups_up = sampler.upsample_backward(g_delta, g_groups, fresh)
+    assert np.array_equal(sampler.downsample_backward(g_groups, features, loaded), g_features)
+    assert np.array_equal(sampler.upsample_backward(g_delta, g_groups, loaded), g_groups_up)
+    assert np.array_equal(loaded.down_kernel, preload.down_kernel + fresh.down_kernel)
+    assert np.array_equal(loaded.up_kernel, preload.up_kernel + fresh.up_kernel)
 
 
 def test_complex_glorot_scale():

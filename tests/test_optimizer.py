@@ -10,13 +10,13 @@ from aflearn.optimizer import (
     FEATURE_CHANNELS,
     GroupState,
     MetaParams,
-    _build_input_backward,
     _optimizer_backward,
     apply_update,
     build_input,
     init_meta_params,
     optimizer_step,
 )
+from aflearn.layers import log_scale_backward
 from aflearn.structures import DependencyStructure
 
 from oracles import fd_gradient, rel_error
@@ -99,9 +99,9 @@ def test_build_input_backward_matches_fd():
 
     raw, xi = np.empty((2, 6, 5), dtype=complex)
     build_input(*spectra, out=(raw, xi))
-    grads = _build_input_backward(raw, 2.0 * (xi - target))
-    for spec, g in zip(spectra, grads):
-        assert rel_error(g, fd_gradient(loss, spec)) < 1e-5
+    g_raw = log_scale_backward(raw, 2.0 * (xi - target))
+    for i, spec in enumerate(spectra):
+        assert rel_error(g_raw[..., i], fd_gradient(loss, spec)) < 1e-5
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -141,6 +141,31 @@ def test_step_backward_matches_fd(structure):
     assert rel_error(g_prev.h1, fd_gradient(loss, state.h1)) < 1e-5
     for name in params.names:
         assert rel_error(g_tensors.tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_step_backward_adds_into_the_holder(structure):
+    rng = np.random.default_rng(11)
+    k, h, batch = 16, 3, 2
+    params = init_meta_params(structure, h, seed=12)
+    shape = (batch, structure.group_count(k), h)
+    state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
+    features = _random_complex(rng, (batch, k, 5), 0.5)
+    out = [(np.empty(shape, dtype=complex), np.empty(shape[:-1] + (2 * h,), dtype=complex),
+            np.empty(shape, dtype=complex)) for _ in range(2)]
+    optimizer_step(params, features, state, out=out)
+    g_delta = _random_complex(rng, (batch, k))
+    g_state = GroupState(h0=_random_complex(rng, shape), h1=_random_complex(rng, shape))
+
+    fresh, loaded = params.zeros_like(), params.zeros_like()
+    loaded.buffer[...] = _random_complex(rng, loaded.buffer.shape)
+    preload = loaded.buffer.copy()
+    want = _optimizer_backward(params, g_delta, g_state, features, state, out, fresh)
+    got = _optimizer_backward(params, g_delta, g_state, features, state, out, loaded)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].h0, want[1].h0) and np.array_equal(got[1].h1, want[1].h1)
+    # every parameter receives exactly one addition per step
+    assert np.array_equal(loaded.buffer, preload + fresh.buffer)
 
 
 def test_batched_step_matches_loop():
