@@ -38,6 +38,7 @@ from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
 from .scenes import (
     SceneSpec,
+    _finite,
     desk_spec,
     gen_scene,
     load_scene,
@@ -92,8 +93,7 @@ def _check_number(value, field, kind=float, minimum=None):
         _require(isinstance(value, int) and not isinstance(value, bool), field,
                  f"expected an integer, got {value!r}")
     else:
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 field, f"expected a number, got {value!r}")
+        _require(_finite(value), field, f"expected a finite number, got {value!r}")
     if minimum is not None:
         _require(value >= minimum, field, f"must be >= {minimum}, got {value}")
     return kind(value)
@@ -442,8 +442,7 @@ def _parse_hyper(text):
     hyper = json.loads(text) if text else {}
     _require(isinstance(hyper, dict), "hyper", f"expected a JSON object, got {text!r}")
     for name, value in hyper.items():
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool), "hyper",
-                 f"{name} must be a number, got {value!r}")
+        _require(_finite(value), "hyper", f"{name} must be a finite number, got {value!r}")
     return hyper
 
 

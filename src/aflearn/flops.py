@@ -4,16 +4,16 @@ Counts complex multiply-accumulate operations of the matrix products only
 (feature downsampling, the six recurrent/input projections of the two GRU
 layers, the output projection, and the per-bin upsampling).  Elementwise gate
 products and activations are excluded; under that convention the GRU term
-scales exactly with H^2 and the closed form below must match an instrumented
-count of the actual matmul shapes, operation for operation.  That count is
-taken by passing a ``FlopCounter`` to ``optimizer.optimizer_step(counter=)``.
+scales exactly with H^2 and the closed form below must match a count of the
+actual matmul shapes, operation for operation.  Every forward matrix product
+goes through ``layers._matmul``, so the tests take that count by wrapping it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FlopModel", "FlopCounter", "flops_per_frame"]
+__all__ = ["FlopModel", "flops_per_frame"]
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,3 @@ class FlopModel:
 def flops_per_frame(structure, dft_size, hidden_size):
     return FlopModel(structure, dft_size, hidden_size).total
 
-
-class FlopCounter:
-    """Tallies multiply-accumulates from actual matmul shapes at run time."""
-
-    def __init__(self):
-        self.total = 0
-
-    def tally_matmul(self, batch_elems, n_in, n_out):
-        self.total += int(batch_elems) * int(n_in) * int(n_out)

@@ -6,8 +6,9 @@ pairs of real parameters and every backward pass here can be checked against
 central finite differences over those pairs.  A backward pass returns its
 input gradients and adds its parameter gradients into the holders it is given.
 
-Forward passes optionally take a FlopCounter; only matrix products are
-tallied (see flops.py for the convention).
+Every forward matrix product goes through ``_matmul``; flops.py's cost model
+counts exactly those products.  ``GroupSampler`` leaves the group layout to
+its structure's ``gather`` and ``scatter``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .structures import cached_window_bins
 
 __all__ = [
     "complex_glorot",
@@ -73,16 +72,14 @@ def log_scale_backward(z, g_out):
     return gain * g_out + correction * z
 
 
-def _matmul(x, weight, counter, out=None):
+def _matmul(x, weight, out=None):
     # x (..., n_in) @ weight (n_out, n_in)^T
-    if counter is not None:
-        counter.tally_matmul(x.size // x.shape[-1], weight.shape[1], weight.shape[0])
     return np.matmul(x, weight.T, out=out)
 
 
-def dense(x, weight, bias=None, counter=None):
+def dense(x, weight, bias=None):
     """y = x W^T (+ b) over the last axis."""
-    y = _matmul(x, weight, counter)
+    y = _matmul(x, weight)
     if bias is not None:
         y = y + bias
     return y
@@ -160,7 +157,7 @@ class ComplexGruLayer:
     def hidden_size(self):
         return self.u.shape[1]
 
-    def step(self, x, h, counter=None, out=None):
+    def step(self, x, h, out=None):
         """One recurrence step.  x (..., in), h (..., H) -> (h_new, zr, c).
 
         The three input products and the two gate products on h run as one
@@ -170,14 +167,14 @@ class ComplexGruLayer:
         """
         hidden = self.hidden_size
         h_new, zr, c = out or (None, None, None)
-        x_gates = _matmul(x, self.w, counter)
-        zr = _matmul(h, self.u[: 2 * hidden], counter, out=zr)
+        x_gates = _matmul(x, self.w)
+        zr = _matmul(h, self.u[: 2 * hidden], out=zr)
         zr += x_gates[..., : 2 * hidden]
         zr += self.b[: 2 * hidden]
         _split_sigmoid(zr)
         z, r = zr[..., :hidden], zr[..., hidden:]
         rh = r * h
-        c = _matmul(rh, self.u[2 * hidden :], counter, out=c)
+        c = _matmul(rh, self.u[2 * hidden :], out=c)
         c += x_gates[..., 2 * hidden :]
         c += self.b[2 * hidden :]
         _split_tanh(c)
@@ -247,59 +244,28 @@ class GroupSampler:
         up = complex_glorot(rng, (structure.width, hidden_size), hidden_size, structure.width)
         return cls(structure=structure, down_kernel=down, up_kernel=up)
 
-    @property
-    def hidden_size(self):
-        return self.down_kernel.shape[0]
-
-    def downsample(self, features, counter=None):
+    def downsample(self, features):
         """(..., K, 5) -> (..., C, H) group inputs."""
-        return dense(self._flat_windows(features), self.down_kernel, counter=counter)
+        return dense(self._flat_windows(features), self.down_kernel)
 
     def downsample_backward(self, g_groups, features, grads):
         """Returns g_features given the gradient of ``downsample(features)``,
         and adds the kernel's gradient into ``grads.down_kernel``."""
         flat = self._flat_windows(features)
         g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel)
-        width = self.structure.width
-        g_windows = g_flat.reshape(*g_flat.shape[:-1], width, self.NUM_CHANNELS)
-        return self._scatter_windows(g_windows, features.shape[-2])
+        return self.structure.scatter(g_flat.reshape(*g_flat.shape[:-1], -1, self.NUM_CHANNELS))
 
-    def upsample(self, groups, counter=None):
+    def upsample(self, groups):
         """(..., C, H) -> (..., K) per-bin corrections."""
-        per_bin = dense(groups, self.up_kernel, counter=counter)
-        num_bins = self.structure.bins_for_groups(groups.shape[-2])
-        return self._scatter_windows(per_bin[..., None], num_bins)[..., 0]
+        return self.structure.scatter(dense(groups, self.up_kernel)[..., None])[..., 0]
 
     def upsample_backward(self, g_delta, groups, grads):
         """Returns g_groups given the gradient of ``upsample(groups)``, and adds
         the kernel's gradient into ``grads.up_kernel``."""
-        g_per_bin = self._gather_windows(g_delta[..., None], g_delta.shape[-1])[..., 0]
+        g_per_bin = self.structure.gather(g_delta[..., None])[..., 0]
         return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel)
 
     def _flat_windows(self, features):
         """Per-group windows of features (..., K, 5), flattened to (..., C, 5*width)."""
-        windows = self._gather_windows(features, features.shape[-2])
+        windows = self.structure.gather(features)
         return windows.reshape(*windows.shape[:-2], -1)
-
-    def _gather_windows(self, x, num_bins):
-        """Per-group windows (..., C, width, ch) of x (..., K, ch).
-
-        Diagonal and block windows are disjoint runs of bins, so they are a
-        reshape (a view of a contiguous x); banded windows overlap and are
-        gathered.
-        """
-        if self.structure.kind == "banded":
-            return x[..., cached_window_bins(self.structure, num_bins), :]
-        groups = self.structure.group_count(num_bins)
-        return x.reshape(*x.shape[:-2], groups, self.structure.width, x.shape[-1])
-
-    def _scatter_windows(self, windows, num_bins):
-        """Adjoint of the window gather: overlap-add (..., C, width, ch) -> (..., K, ch)."""
-        chans = windows.shape[-1]
-        if self.structure.kind == "banded":
-            even = windows[..., 0::2, :, :]
-            odd = windows[..., 1::2, :, :]
-            out = even.reshape(*even.shape[:-3], num_bins, chans)
-            odd_flat = odd.reshape(*odd.shape[:-3], num_bins, chans)
-            return out + np.roll(odd_flat, self.structure.width // 2, axis=-2)
-        return windows.reshape(*windows.shape[:-3], num_bins, chans)

@@ -181,7 +181,7 @@ def build_input(grad, u_freq, d_freq, e_freq, y_freq, out=None):
     return log_scale(raw, out=xi)
 
 
-def optimizer_step(params, features, state, counter=None, out=None):
+def optimizer_step(params, features, state, out=None):
     """One step: features (..., K, 5) -> (delta (..., K), new state).
 
     ``out``, if given, holds each GRU layer's (h_new, zr, c) destinations
@@ -189,11 +189,10 @@ def optimizer_step(params, features, state, counter=None, out=None):
     """
     gru0, gru1 = params.grus
     out0, out1 = out or (None, None)
-    groups = params.sampler.downsample(features, counter=counter)
-    h0, _, _ = gru0.step(groups, state.h0, counter=counter, out=out0)
-    h1, _, _ = gru1.step(h0, state.h1, counter=counter, out=out1)
-    delta = params.sampler.upsample(
-        dense(h1, params.out_weight, params.out_bias, counter=counter), counter=counter)
+    groups = params.sampler.downsample(features)
+    h0, _, _ = gru0.step(groups, state.h0, out=out0)
+    h1, _, _ = gru1.step(h0, state.h1, out=out1)
+    delta = params.sampler.upsample(dense(h1, params.out_weight, params.out_bias))
     return delta, GroupState(h0=h0, h1=h1)
 
 

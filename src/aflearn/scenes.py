@@ -20,6 +20,8 @@ float32 WAV files written and read with ``struct`` and ``np.fromfile``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import struct
 import zipfile
@@ -43,6 +45,16 @@ __all__ = [
     "spec_to_json",
     "spec_from_json",
 ]
+
+
+NONLINEARITY_KINDS = ("identity", "hardclip", "tanh")
+
+
+def _finite(value):
+    """Whether ``value`` is a finite real number; a bool is not one, and NaN and
+    the infinities (which ``json.loads`` accepts) are not finite."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -81,15 +93,35 @@ class SceneSpec:
     far_rms: float = 0.1
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate", "must be positive")
-        if self.duration <= 0:
-            raise ConfigError("duration", "must be positive")
-        if self.rir_taps < 1:
-            raise ConfigError("rir_taps", "must be at least 1")
-        total = sum(self.nonlinearity_probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError("nonlinearity_probs", f"probabilities sum to {total}, not 1")
+        def check(name, ok, expected):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(name, f"expected {expected}, got {value!r}")
+
+        def count(n):
+            return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+        def span(r):
+            return (isinstance(r, (tuple, list)) and len(r) == 2 and all(map(_finite, r))
+                    and r[0] <= r[1])
+
+        def probability(p):
+            return _finite(p) and 0.0 <= p <= 1.0
+
+        def kinds(d):
+            return (isinstance(d, dict) and set(d) <= set(NONLINEARITY_KINDS)
+                    and all(map(probability, d.values())) and abs(sum(d.values()) - 1.0) <= 1e-9)
+
+        check("sample_rate", count, "an integer >= 1")
+        check("rir_taps", count, "an integer >= 1")
+        check("duration", lambda s: _finite(s) and _finite(s * self.sample_rate)
+              and self.num_samples >= 1, f"a finite time of >= 1 sample at {self.sample_rate} Hz")
+        for name in ("rt60_range", "ser_range_db", "snr_range_db"):
+            check(name, span, "two finite numbers lo <= hi")
+        for name in ("near_speech_prob", "noise_prob"):
+            check(name, probability, "a probability in [0, 1]")
+        check("nonlinearity_probs", kinds, f"probabilities of {NONLINEARITY_KINDS} summing to 1")
+        check("far_rms", lambda v: _finite(v) and v > 0, "a finite number > 0")
 
     @property
     def num_samples(self):
@@ -199,9 +231,7 @@ def _draw_nonlinearity(rng, probs):
         return Nonlinearity()
     if kind == "hardclip":
         return Nonlinearity("hardclip", float(rng.uniform(0.5, 0.9)))
-    if kind == "tanh":
-        return Nonlinearity("tanh", float(rng.uniform(1.0, 4.0)))
-    raise ConfigError("nonlinearity_probs", f"unknown kind {kind!r}")
+    return Nonlinearity("tanh", float(rng.uniform(1.0, 4.0)))  # SceneSpec allows no other kind
 
 
 def _fast_len(n):

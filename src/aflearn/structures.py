@@ -7,12 +7,14 @@ group.  Three layouts:
 - ``block``: disjoint windows of ``width`` bins (K / width groups).
 - ``banded``: windows of ``width`` bins hopping by width/2, wrapping
   circularly, so every bin is covered exactly twice (2K / width groups).
+
+``DependencyStructure.gather`` cuts per-bin arrays into per-group windows and
+``scatter`` overlap-adds them back; no other module knows the layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -99,13 +101,9 @@ class DependencyStructure:
         """Inverse of group_count."""
         return group_count * self.hop
 
-    def window_starts(self, num_bins):
-        self.group_count(num_bins)
-        return np.arange(0, num_bins, self.hop)
-
     def window_bins(self, num_bins):
         """(C, width) array of bin indices per group, wrapping circularly."""
-        starts = self.window_starts(num_bins)
+        starts = np.arange(0, self.group_count(num_bins) * self.hop, self.hop)
         return (starts[:, None] + np.arange(self.width)[None, :]) % num_bins
 
     def coverage(self, num_bins):
@@ -114,12 +112,27 @@ class DependencyStructure:
         np.add.at(counts, self.window_bins(num_bins).ravel(), 1)
         return counts
 
+    def gather(self, x):
+        """Per-group windows (..., C, width, ch) of x (..., K, ch), cut from C
+        tiles of ``hop`` bins.  Diagonal and block windows are the tiles (a
+        view of a contiguous x); a banded window copies tile g, then tile g + 1
+        (the last wrapping to the first)."""
+        *batch, num_bins, chans = x.shape
+        hop = self.hop
+        tiles = x.reshape(*batch, self.group_count(num_bins), hop, chans)
+        if self.kind != "banded":
+            return tiles
+        windows = np.empty(tiles.shape[:-2] + (self.width, chans), dtype=x.dtype)
+        windows[..., :hop, :] = tiles
+        windows[..., :-1, hop:, :] = tiles[..., 1:, :, :]
+        windows[..., -1, hop:, :] = tiles[..., 0, :, :]
+        return windows
 
-@lru_cache(maxsize=64)
-def _cached_bins(kind, width, num_bins):
-    return DependencyStructure(kind, width).window_bins(num_bins)
-
-
-def cached_window_bins(structure, num_bins):
-    """Memoized window_bins; layouts are tiny but rebuilt in hot loops."""
-    return _cached_bins(structure.kind, structure.width, num_bins)
+    def scatter(self, windows):
+        """Adjoint of ``gather``: overlap-add (..., C, width, ch) -> (..., K, ch);
+        a banded window's tail half lands on the next tile, the last on the first."""
+        *batch, groups, _, chans = windows.shape
+        if self.kind == "banded":
+            hop = self.hop
+            windows = windows[..., :hop, :] + np.roll(windows[..., hop:, :], 1, axis=-3)
+        return windows.reshape(*batch, groups * self.hop, chans)

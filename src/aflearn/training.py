@@ -243,12 +243,12 @@ def scene_scores(session, scenes, cfg, chunk=8):
     return scores
 
 
-def evaluate_mean_serle(params, scenes, cfg, chunk=8):
+def evaluate_mean_serle(params, scenes, cfg):
     """Mean echo-suppression score of lockstep sessions over ``scenes``.
 
     Scenes without a single audible echo frame are skipped.
     """
-    scores = scene_scores(lambda u, d: run_learned_session(params, u, d, cfg), scenes, cfg, chunk)
+    scores = scene_scores(lambda u, d: run_learned_session(params, u, d, cfg), scenes, cfg)
     scores = [serle for serle, _, _ in scores if serle is not None]
     if not scores:
         raise MetricUndefinedError("no scene with audible echo")

@@ -6,9 +6,13 @@ the filter projected on use.  The library must agree with these, never the other
 way round.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+
+from aflearn import layers
 
 
 def dft_matrix(k):
@@ -60,6 +64,28 @@ def gru_step_reference(layer, x, h):
     c = tanh(x @ w_c.T + rh @ u_c.T + b_c)
     h_new = (1.0 - z) * c + z * h
     return h_new, z, r, rh, c
+
+
+@contextmanager
+def counted_macs():
+    """Tally the complex multiply-accumulates of every forward matrix product.
+
+    Every dense layer and GRU step runs its products through
+    ``aflearn.layers._matmul``; while the context is active that function is
+    wrapped to add batch * n_in * n_out per call to the yielded ``.total``.
+    """
+    tally = SimpleNamespace(total=0)
+    matmul = layers._matmul
+
+    def counting(x, weight, out=None):
+        tally.total += (x.size // x.shape[-1]) * weight.shape[1] * weight.shape[0]
+        return matmul(x, weight, out=out)
+
+    layers._matmul = counting
+    try:
+        yield tally
+    finally:
+        layers._matmul = matmul
 
 
 def fd_gradient(f, z, eps=1e-6):

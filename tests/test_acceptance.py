@@ -29,14 +29,13 @@ from aflearn import (
     train_update_rule,
 )
 from aflearn.cli import main
-from aflearn.flops import FlopCounter
 from aflearn.layers import ComplexGruLayer, GroupSampler, log_scale, log_scale_backward
 from aflearn.ols import af_error, filter_gradient, hop_frames, hop_spectrum, ols_apply
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
 from aflearn.training import meta_loss, window_gradient
 
-from oracles import fd_gradient, rel_error
+from oracles import counted_macs, fd_gradient, rel_error
 
 ALL_STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -327,11 +326,11 @@ def test_flop_count_matches_instrumented_execution():
             for h in (2, 5):
                 params = init_meta_params(structure, h, seed=51)
                 xi = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
-                counter = FlopCounter()
-                optimizer_step(params, xi, GroupState.zeros(structure, k, h), counter=counter)
-                assert counter.total == flops_per_frame(structure, k, h)
+                with counted_macs() as counted:
+                    optimizer_step(params, xi, GroupState.zeros(structure, k, h))
+                assert counted.total == flops_per_frame(structure, k, h)
                 checked += 1
-    print(f"\n[flops] counter == closed form on {checked} layouts")
+    print(f"\n[flops] counted MACs == closed form on {checked} layouts")
 
 
 def test_diagonal_recurrent_cost_scales_quadratically_in_state_size():

@@ -70,6 +70,55 @@ def test_gen_data_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+# scene specs that crashed gen-data or quietly wrote broken scenes
+BAD_SPECS = {
+    "nan-duration": ("duration", float("nan")),
+    "infinite-duration": ("duration", float("inf")),
+    "duration-below-one-sample": ("duration", 1e-6),
+    "fractional-sample-rate": ("sample_rate", 16000.5),
+    "fractional-rir-taps": ("rir_taps", 2.5),
+    "nan-in-rt60-range": ("rt60_range", [float("nan"), 0.1]),
+    "one-element-ser-range": ("ser_range_db", [1]),
+    "nan-far-rms": ("far_rms", float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_gen_data_bad_spec_exits_2_and_writes_nothing(tmp_path, case, capsys):
+    field, value = BAD_SPECS[case]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({**SPEC, field: value}))  # writes NaN and Infinity bare
+    out = tmp_path / "out"
+    assert main(["gen-data", str(spec_file), str(out), "--count", "1"]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_train_non_finite_scene_duration_exits_2(tmp_path, duration, capsys):
+    config_path, config = _train_config(
+        tmp_path, tmp_path, scenes={"preset": "desk", "overrides": {"duration": duration}})
+    assert main(["train", str(config_path)]) == 2
+    assert "config error: scenes.overrides: duration:" in capsys.readouterr().err
+    assert not Path(config["checkpoint"]).exists()
+
+
+def test_train_non_finite_learning_rate_exits_2(tmp_path, dataset, capsys):
+    config_path, config = _train_config(tmp_path, dataset, schedule={"lr": float("inf")})
+    assert main(["train", str(config_path)]) == 2
+    assert "config error: schedule.lr:" in capsys.readouterr().err
+    assert not Path(config["checkpoint"]).exists()
+
+
+def test_cancel_non_finite_hyper_exits_2(tmp_path, dataset, capsys):
+    far, mic = (str(dataset / f"scene_00000.{name}.wav") for name in ("farend", "mic"))
+    for hyper in ('{"step_size": NaN}', '{"eps": Infinity}', '{"eps": -Infinity}'):
+        assert main(["cancel", far, mic, "nlms", str(tmp_path / "o.wav"), "--dft-size", "64",
+                     "--hyper", hyper]) == 2, hyper
+        assert "config error: hyper:" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_print_config_canonicalizes(capsys):
     assert main(["print-config"]) == 0
     config = json.loads(capsys.readouterr().out)
@@ -203,10 +252,12 @@ def _drop_nonlinearity(path):
     path.write_text(json.dumps(meta))
 
 
-def _add_spec_field(path):
-    meta = json.loads(path.read_text())
-    meta["spec"]["bogus"] = 1
-    path.write_text(json.dumps(meta))
+def _spec_value(field, value):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta["spec"][field] = value
+        path.write_text(json.dumps(meta))
+    return corrupt
 
 
 def _stereo(path):
@@ -232,7 +283,9 @@ def _nudged(path):
 
 CORRUPT_SCENE_FILES = {
     "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
-    "unknown-spec-field": ("json", _add_spec_field),
+    "unknown-spec-field": ("json", _spec_value("bogus", 1)),
+    "non-finite-duration-in-sidecar": ("json", _spec_value("duration", float("nan"))),
+    "fractional-sample-rate-in-sidecar": ("json", _spec_value("sample_rate", 16000.5)),
     "invalid-sidecar-json": ("json", lambda path: path.write_text("{not json")),
     "rir-not-npz": ("rir.npz", lambda path: path.write_bytes(b"not an npz archive")),
     # a WAV that does not match its sidecar is a corrupt scene file too
@@ -310,6 +363,8 @@ def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):
     {"spec": {"bogus": 1}, "scenes": []},
     [],
     {"spec": {}, "scenes": [{"stem": "x", "seed": -1, "split": "train"}]},
+    {"spec": {"duration": float("nan")}, "scenes": []},
+    {"spec": {"rir_taps": 2.5}, "scenes": []},
 ])
 def test_malformed_manifests_are_config_errors(tmp_path, manifest, capsys):
     data = tmp_path / "data"

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from aflearn.flops import FlopCounter, FlopModel, flops_per_frame
+from aflearn.flops import FlopModel, flops_per_frame
 from aflearn.ols import OlsConfig
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.structures import DependencyStructure
+
+from oracles import counted_macs
 
 STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -34,9 +36,9 @@ def test_closed_form_matches_instrumented_count(structure):
     rng = np.random.default_rng(1)
     z = lambda: rng.standard_normal(cfg.dft_size) + 1j * rng.standard_normal(cfg.dft_size)
     xi = build_input(z(), z(), z(), z(), z())
-    counter = FlopCounter()
-    optimizer_step(params, xi, state, counter=counter)
-    assert counter.total == flops_per_frame(structure, cfg.dft_size, hidden)
+    with counted_macs() as counted:
+        optimizer_step(params, xi, state)
+    assert counted.total == flops_per_frame(structure, cfg.dft_size, hidden)
 
 
 def test_counter_scales_with_batch():
@@ -50,9 +52,9 @@ def test_counter_scales_with_batch():
         (batch, cfg.dft_size)
     )
     xi = build_input(z(), z(), z(), z(), z())
-    counter = FlopCounter()
-    optimizer_step(params, xi, state, counter=counter)
-    assert counter.total == batch * flops_per_frame(structure, cfg.dft_size, 4)
+    with counted_macs() as counted:
+        optimizer_step(params, xi, state)
+    assert counted.total == batch * flops_per_frame(structure, cfg.dft_size, 4)
 
 
 def test_gru_term_quadruples_when_hidden_doubles():

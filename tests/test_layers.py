@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from aflearn.flops import FlopCounter
 from aflearn.layers import (
     ComplexGruLayer,
     GroupSampler,
@@ -17,7 +16,7 @@ from aflearn.layers import (
 )
 from aflearn.structures import DependencyStructure
 
-from oracles import fd_gradient, gru_step_reference, rel_error
+from oracles import counted_macs, fd_gradient, gru_step_reference, rel_error
 
 TOL = 1e-5
 
@@ -122,8 +121,8 @@ def test_gru_step_matches_per_gate_reference(hidden, batch):
             tensor[...] = _random_complex(rng, tensor.shape, scale=0.3)
     x = _random_complex(rng, batch + (hidden,))
     h = _random_complex(rng, batch + (hidden,), scale=0.5)
-    counter = FlopCounter()
-    h_new, zr, c = layer.step(x, h, counter=counter)
+    with counted_macs() as counted:
+        h_new, zr, c = layer.step(x, h)
     expected = gru_step_reference(layer, x, h)
     z, r = zr[..., :hidden], zr[..., hidden:]
     # r * h is not returned; the backward rebuilds it as the step computed it
@@ -131,7 +130,7 @@ def test_gru_step_matches_per_gate_reference(hidden, batch):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     # six H x H products per group, as FlopModel.gru_term counts them
-    assert counter.total == int(np.prod(batch)) * 6 * hidden * hidden
+    assert counted.total == int(np.prod(batch)) * 6 * hidden * hidden
 
 
 def test_split_activations_match_real_imag_forms():

@@ -153,6 +153,22 @@ def test_spec_validation():
         SceneSpec(nonlinearity_probs={"identity": 0.5})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("near_speech_prob", 1.5),
+    ("noise_prob", -0.1),
+    ("noise_prob", float("nan")),
+    ("nonlinearity_probs", {"identity": 0.5, "cubic": 0.5}),
+    ("nonlinearity_probs", {"identity": float("nan")}),  # a NaN sum is not "far from 1"
+    ("snr_range_db", (10.0, 5.0)),
+    ("far_rms", 0.0),
+    ("rir_taps", True),
+])
+def test_spec_rejects_values_that_break_scenes(field, value):
+    with pytest.raises(ConfigError) as info:
+        SceneSpec(**{field: value})
+    assert info.value.field == field
+
+
 def test_scene_round_trip(tmp_path):
     scene = gen_scene(SPEC, seed=4)
     save_scene(scene, tmp_path, "s0004")

@@ -73,6 +73,28 @@ def test_banded_windows_cover_each_bin_twice(log_k, log_width):
     assert np.array_equal(bins, (starts[:, None] + np.arange(s.width)) % k)
 
 
+@LAWS
+@given(kind=st.sampled_from(["diagonal", "block", "banded"]), log_k=LOG_K, log_width=LOG_WIDTH,
+       batch=st.integers(1, 3), chans=st.sampled_from([1, 5]), seed=st.integers(0, 2**16))
+def test_gather_enumerates_windows_and_scatter_is_its_adjoint(kind, log_k, log_width, batch,
+                                                              chans, seed):
+    k = 2**log_k
+    s = _drawn(kind, log_width, k)
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = draw((batch, k, chans))
+    windows = s.gather(x)
+    assert np.array_equal(windows, x[..., s.window_bins(k), :])
+    y = draw(windows.shape)
+    scattered = s.scatter(y)
+    assert scattered.shape == x.shape
+    lhs, rhs = np.vdot(windows, y), np.vdot(x, scattered)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(windows) * np.linalg.norm(y)
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         DependencyStructure("banded", 3)

@@ -334,7 +334,7 @@ def test_evaluate_mean_serle_runs():
     params = init_meta_params(structure, 4, seed=6)
     spec = desk_spec(duration=0.2, rir_taps=32)
     scenes = [gen_scene(spec, seed) for seed in range(3)]
-    score = evaluate_mean_serle(params, scenes, cfg, chunk=2)
+    score = evaluate_mean_serle(params, scenes, cfg)
     assert np.isfinite(score)
 
 
