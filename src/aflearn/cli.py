@@ -16,6 +16,9 @@ CSV schemas
 
 Telemetry (``--telemetry``) is JSON lines, one object per processed frame:
 {"frame": int, "erle_db": float, "residual_power": float}.
+
+``train``'s ``schedule`` object is ``TrainSchedule``'s fields, which that class
+names, defaults and checks; every scene is drawn at the config's ``sample_rate``.
 """
 
 from __future__ import annotations
@@ -26,19 +29,20 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .errors import ConfigError, MetricUndefinedError, NumericError
+from .errors import (ConfigError, MetricUndefinedError, NumericError, check_number,
+                     is_finite_real, require)
 from .flops import flops_per_frame
 from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
 from .scenes import (
     SceneSpec,
-    _finite,
     desk_spec,
     gen_scene,
     load_scene,
@@ -54,14 +58,6 @@ from .training import TrainSchedule, scene_scores, train_update_rule
 
 __all__ = ["main", "build_parser", "validate_train_config", "TRAIN_DEFAULTS"]
 
-_SCHEDULE_DEFAULTS = {
-    "lr": TrainSchedule.lr,
-    "lr_decay": TrainSchedule.decay,
-    "plateau_patience": TrainSchedule.plateau_patience,
-    "stop_patience": TrainSchedule.stop_patience,
-    "clip": TrainSchedule.clip_norm,
-}
-
 TRAIN_DEFAULTS = {
     "structure": "diagonal",
     "hidden_size": 16,
@@ -74,7 +70,7 @@ TRAIN_DEFAULTS = {
     "epochs": 20,
     "batch_size": 8,
     "unroll": 20,
-    "schedule": dict(_SCHEDULE_DEFAULTS),
+    "schedule": asdict(TrainSchedule()),
     "checkpoint": "aflearn.ckpt",
     "curve_csv": None,
     "resume": None,
@@ -83,109 +79,87 @@ TRAIN_DEFAULTS = {
 _VAL_SEED_OFFSET = 1_000_000  # keeps validation scene seeds out of the train range
 
 
-def _require(condition, field, message):
-    if not condition:
-        raise ConfigError(field, message)
-
-
-def _check_number(value, field, kind=float, minimum=None):
-    if kind is int:
-        _require(isinstance(value, int) and not isinstance(value, bool), field,
-                 f"expected an integer, got {value!r}")
-    else:
-        _require(_finite(value), field, f"expected a finite number, got {value!r}")
-    if minimum is not None:
-        _require(value >= minimum, field, f"must be >= {minimum}, got {value}")
-    return kind(value)
-
-
 def validate_train_config(raw):
     """Merge ``raw`` over the defaults and validate every field.
 
     Returns the canonical config dict; raises ConfigError naming the
-    offending field otherwise.
+    offending field otherwise.  ``TrainSchedule`` checks the schedule.
     """
-    _require(isinstance(raw, dict), "config", "top level must be a JSON object")
+    require(isinstance(raw, dict), "config", "top level must be a JSON object")
     raw = dict(raw)
     hop = raw.pop("hop", None)  # older configs spell out the derived hop
     for key in raw:
-        _require(key in TRAIN_DEFAULTS, key, "unknown field")
+        require(key in TRAIN_DEFAULTS, key, "unknown field")
 
     out = json.loads(json.dumps(TRAIN_DEFAULTS))  # deep copy
     for key, value in raw.items():
         if key in ("scenes", "schedule"):
-            _require(isinstance(value, dict), key, "must be an object")
+            require(isinstance(value, dict), key, "must be an object")
             for sub in value:
-                _require(sub in out[key], f"{key}.{sub}", "unknown field")
+                require(sub in out[key], f"{key}.{sub}", "unknown field")
             out[key].update(value)
         else:
             out[key] = value
 
-    _require(isinstance(out["structure"], str), "structure", "must be a string")
+    require(isinstance(out["structure"], str), "structure", "must be a string")
     structure = DependencyStructure.parse(out["structure"])
 
-    out["hidden_size"] = _check_number(out["hidden_size"], "hidden_size", int, 1)
-    out["dft_size"] = _check_number(out["dft_size"], "dft_size", int, 2)
-    out["sample_rate"] = _check_number(out["sample_rate"], "sample_rate", int, 1)
+    out["hidden_size"] = check_number(out["hidden_size"], "hidden_size", int, 1)
+    out["dft_size"] = check_number(out["dft_size"], "dft_size", int, 2)
+    out["sample_rate"] = check_number(out["sample_rate"], "sample_rate", int, 1)
     try:
         OlsConfig(out["dft_size"], sample_rate=out["sample_rate"])
     except ValueError as exc:
         raise ConfigError("dft_size", str(exc)) from None
     if hop is not None:
-        hop = _check_number(hop, "hop", int, 1)
-        _require(hop == out["dft_size"] // 2, "hop",
-                 f"must be dft_size/2 = {out['dft_size'] // 2}, got {hop}")
+        hop = check_number(hop, "hop", int, 1)
+        require(hop == out["dft_size"] // 2, "hop",
+                f"must be dft_size/2 = {out['dft_size'] // 2}, got {hop}")
     structure.group_count(out["dft_size"])  # names the offending width field
 
     scenes = out["scenes"]
     if scenes["manifest"] is None:
-        _require(scenes["preset"] in ("desk", "default"), "scenes.preset",
-                 f"expected 'desk' or 'default', got {scenes['preset']!r}")
-        _require(isinstance(scenes["overrides"], dict), "scenes.overrides",
-                 "must be an object")
-        try:
-            _resolve_spec_preset(scenes["preset"], scenes["overrides"])
-        except (TypeError, ConfigError) as exc:
-            raise ConfigError("scenes.overrides", str(exc)) from None
+        require(scenes["preset"] in ("desk", "default"), "scenes.preset",
+                f"expected 'desk' or 'default', got {scenes['preset']!r}")
+        require(isinstance(scenes["overrides"], dict), "scenes.overrides",
+                "must be an object")
+        _preset_train_spec(out)
     else:
-        _require(isinstance(scenes["manifest"], str), "scenes.manifest",
-                 "must be a path string")
+        require(isinstance(scenes["manifest"], str), "scenes.manifest",
+                "must be a path string")
 
-    out["train_scenes"] = _check_number(out["train_scenes"], "train_scenes", int, 1)
-    out["val_scenes"] = _check_number(out["val_scenes"], "val_scenes", int, 1)
-    out["seed"] = _check_number(out["seed"], "seed", int, 0)
-    out["epochs"] = _check_number(out["epochs"], "epochs", int, 1)
-    out["batch_size"] = _check_number(out["batch_size"], "batch_size", int, 1)
-    out["unroll"] = _check_number(out["unroll"], "unroll", int, 1)
-    _require(out["train_scenes"] < _VAL_SEED_OFFSET, "train_scenes",
-             f"must stay below {_VAL_SEED_OFFSET}")
+    out["train_scenes"] = check_number(out["train_scenes"], "train_scenes", int, 1)
+    out["val_scenes"] = check_number(out["val_scenes"], "val_scenes", int, 1)
+    out["seed"] = check_number(out["seed"], "seed", int, 0)
+    out["epochs"] = check_number(out["epochs"], "epochs", int, 1)
+    out["batch_size"] = check_number(out["batch_size"], "batch_size", int, 1)
+    out["unroll"] = check_number(out["unroll"], "unroll", int, 1)
+    require(out["train_scenes"] < _VAL_SEED_OFFSET, "train_scenes",
+            f"must stay below {_VAL_SEED_OFFSET}")
 
-    sched = out["schedule"]
-    sched["lr"] = _check_number(sched["lr"], "schedule.lr", float, 0.0)
-    sched["lr_decay"] = _check_number(sched["lr_decay"], "schedule.lr_decay", float, 0.0)
-    _require(sched["lr_decay"] <= 1.0, "schedule.lr_decay", "must be <= 1")
-    sched["plateau_patience"] = _check_number(
-        sched["plateau_patience"], "schedule.plateau_patience", int, 1
-    )
-    sched["stop_patience"] = _check_number(
-        sched["stop_patience"], "schedule.stop_patience", int, 1
-    )
-    sched["clip"] = _check_number(sched["clip"], "schedule.clip", float, 0.0)
+    out["schedule"] = asdict(TrainSchedule(**out["schedule"]))
 
-    _require(isinstance(out["checkpoint"], str) and out["checkpoint"],
-             "checkpoint", "must be a path string")
+    require(isinstance(out["checkpoint"], str) and out["checkpoint"],
+            "checkpoint", "must be a path string")
     if out["curve_csv"] is not None:
-        _require(isinstance(out["curve_csv"], str), "curve_csv", "must be a path string")
+        require(isinstance(out["curve_csv"], str), "curve_csv", "must be a path string")
     if out["resume"] is not None:
-        _require(isinstance(out["resume"], str), "resume", "must be a path string")
+        require(isinstance(out["resume"], str), "resume", "must be a path string")
     return out
 
 
-def _resolve_spec_preset(preset, overrides):
-    overrides = {key: tuple(v) if isinstance(v, list) else v for key, v in overrides.items()}
-    if preset == "desk":
-        return desk_spec(**overrides)
-    return SceneSpec(**overrides)
+def _preset_train_spec(config):
+    """The scene spec of a config without a manifest: its preset and overrides, drawn
+    at the config's ``sample_rate``, which an override may repeat but not contradict."""
+    scenes, rate = config["scenes"], config["sample_rate"]
+    overrides = {key: tuple(v) if isinstance(v, list) else v
+                 for key, v in scenes["overrides"].items()}
+    require(overrides.setdefault("sample_rate", rate) == rate, "scenes.overrides.sample_rate",
+            f"the scenes are drawn at sample_rate {rate} Hz, got {overrides['sample_rate']!r}")
+    try:
+        return (desk_spec if scenes["preset"] == "desk" else SceneSpec)(**overrides)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError("scenes.overrides", str(exc)) from None
 
 
 def _load_json(path, field):
@@ -197,7 +171,7 @@ def _load_json(path, field):
 
 def _load_spec_argument(spec_arg):
     if spec_arg in ("desk", "default"):
-        return _resolve_spec_preset(spec_arg, {})
+        return desk_spec() if spec_arg == "desk" else SceneSpec()
     raw = _load_json(spec_arg, "spec")
     try:
         return spec_from_json(raw)
@@ -270,7 +244,7 @@ def _load_manifest(path):
     manifest = _load_json(path, "manifest")
 
     def check(condition, message):
-        _require(condition, "manifest", f"{path}: {message}")
+        require(condition, "manifest", f"{path}: {message}")
 
     check(isinstance(manifest, dict) and "spec" in manifest and "scenes" in manifest,
           "expected an object with 'spec' and 'scenes'")
@@ -316,26 +290,17 @@ def cmd_train(args):
     config = validate_train_config(raw)
     structure = DependencyStructure.parse(config["structure"])
     cfg = OlsConfig(config["dft_size"], sample_rate=config["sample_rate"])
-    schedule = TrainSchedule(
-        lr=config["schedule"]["lr"],
-        decay=config["schedule"]["lr_decay"],
-        plateau_patience=config["schedule"]["plateau_patience"],
-        stop_patience=config["schedule"]["stop_patience"],
-        clip_norm=config["schedule"]["clip"],
-    )
 
     if config["scenes"]["manifest"] is not None:
         spec, by_split = _manifest_seeds(config["scenes"]["manifest"])
         train_seeds = by_split["train"]
         val_seeds = by_split["val"] or by_split["test"]
-        _require(train_seeds, "scenes.manifest", "manifest has no train scenes")
-        _require(val_seeds, "scenes.manifest", "manifest has no val/test scenes")
-        if spec.sample_rate != config["sample_rate"]:
-            raise ConfigError("sample_rate",
-                              f"manifest scenes are {spec.sample_rate} Hz")
+        require(train_seeds, "scenes.manifest", "manifest has no train scenes")
+        require(val_seeds, "scenes.manifest", "manifest has no val/test scenes")
+        require(spec.sample_rate == config["sample_rate"], "sample_rate",
+                f"manifest scenes are {spec.sample_rate} Hz")
     else:
-        spec = _resolve_spec_preset(config["scenes"]["preset"],
-                                    config["scenes"]["overrides"])
+        spec = _preset_train_spec(config)
         base = config["seed"]
         train_seeds = [base + i for i in range(config["train_scenes"])]
         val_seeds = [base + _VAL_SEED_OFFSET + i for i in range(config["val_scenes"])]
@@ -353,7 +318,7 @@ def cmd_train(args):
             raise ConfigError("resume", f"checkpoint was trained at dft_size "
                                         f"{header['dft_size']}, config wants {cfg.dft_size}")
         state = header["metadata"].get("schedule_state")
-        _require(state is not None, "resume", "checkpoint has no schedule state")
+        require(state is not None, "resume", "checkpoint has no schedule state")
         resume = {"params": params, **state}
 
     ckpt_path = Path(config["checkpoint"])
@@ -393,7 +358,7 @@ def cmd_train(args):
             spec,
             train_seeds,
             val_seeds,
-            schedule=schedule,
+            schedule=TrainSchedule(**config["schedule"]),
             epochs=config["epochs"],
             batch_size=config["batch_size"],
             unroll=config["unroll"],
@@ -440,9 +405,9 @@ def _session_config_for(target, dft_size, sample_rate):
 def _parse_hyper(text):
     """``--hyper``: a JSON object of numeric baseline hyperparameters, {} if absent."""
     hyper = json.loads(text) if text else {}
-    _require(isinstance(hyper, dict), "hyper", f"expected a JSON object, got {text!r}")
+    require(isinstance(hyper, dict), "hyper", f"expected a JSON object, got {text!r}")
     for name, value in hyper.items():
-        _require(_finite(value), "hyper", f"{name} must be a finite number, got {value!r}")
+        require(is_finite_real(value), "hyper", f"{name} must be a finite number, got {value!r}")
     return hyper
 
 

@@ -1,6 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the field checks that raise them."""
 
-__all__ = ["ConfigError", "NumericError", "MetricUndefinedError"]
+import math
+import numbers
+
+__all__ = ["ConfigError", "NumericError", "MetricUndefinedError",
+           "require", "is_finite_real", "check_number"]
 
 
 class ConfigError(ValueError):
@@ -27,3 +31,27 @@ class NumericError(ArithmeticError):
 
 class MetricUndefinedError(ValueError):
     """The requested metric has no defined value on this input."""
+
+
+def require(condition, field, message):
+    """Raise ``ConfigError(field, message)`` unless ``condition`` holds."""
+    if not condition:
+        raise ConfigError(field, message)
+
+
+def is_finite_real(value):
+    """Whether ``value`` is a real number other than a bool, NaN or an infinity."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+def check_number(value, field, kind=float, minimum=None):
+    """``value`` as a ``kind`` (an integer, or any finite real) >= ``minimum``, if given."""
+    if kind is int:
+        require(isinstance(value, numbers.Integral) and not isinstance(value, bool), field,
+                f"expected an integer, got {value!r}")
+    else:
+        require(is_finite_real(value), field, f"expected a finite number, got {value!r}")
+    if minimum is not None:
+        require(value >= minimum, field, f"must be >= {minimum}, got {value}")
+    return kind(value)

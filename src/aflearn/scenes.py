@@ -20,7 +20,6 @@ float32 WAV files written and read with ``struct`` and ``np.fromfile``.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import struct
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_real, require
 
 __all__ = [
     "Nonlinearity",
@@ -48,13 +47,6 @@ __all__ = [
 
 
 NONLINEARITY_KINDS = ("identity", "hardclip", "tanh")
-
-
-def _finite(value):
-    """Whether ``value`` is a finite real number; a bool is not one, and NaN and
-    the infinities (which ``json.loads`` accepts) are not finite."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -95,18 +87,17 @@ class SceneSpec:
     def __post_init__(self):
         def check(name, ok, expected):
             value = getattr(self, name)
-            if not ok(value):
-                raise ConfigError(name, f"expected {expected}, got {value!r}")
+            require(ok(value), name, f"expected {expected}, got {value!r}")
 
         def count(n):
             return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
         def span(r):
-            return (isinstance(r, (tuple, list)) and len(r) == 2 and all(map(_finite, r))
-                    and r[0] <= r[1])
+            return (isinstance(r, (tuple, list)) and len(r) == 2
+                    and all(map(is_finite_real, r)) and r[0] <= r[1])
 
         def probability(p):
-            return _finite(p) and 0.0 <= p <= 1.0
+            return is_finite_real(p) and 0.0 <= p <= 1.0
 
         def kinds(d):
             return (isinstance(d, dict) and set(d) <= set(NONLINEARITY_KINDS)
@@ -114,14 +105,14 @@ class SceneSpec:
 
         check("sample_rate", count, "an integer >= 1")
         check("rir_taps", count, "an integer >= 1")
-        check("duration", lambda s: _finite(s) and _finite(s * self.sample_rate)
+        check("duration", lambda s: is_finite_real(s) and is_finite_real(s * self.sample_rate)
               and self.num_samples >= 1, f"a finite time of >= 1 sample at {self.sample_rate} Hz")
         for name in ("rt60_range", "ser_range_db", "snr_range_db"):
             check(name, span, "two finite numbers lo <= hi")
         for name in ("near_speech_prob", "noise_prob"):
             check(name, probability, "a probability in [0, 1]")
         check("nonlinearity_probs", kinds, f"probabilities of {NONLINEARITY_KINDS} summing to 1")
-        check("far_rms", lambda v: _finite(v) and v > 0, "a finite number > 0")
+        check("far_rms", lambda v: is_finite_real(v) and v > 0, "a finite number > 0")
 
     @property
     def num_samples(self):

@@ -97,10 +97,6 @@ class DependencyStructure:
             )
         return num_bins // self.hop
 
-    def bins_for_groups(self, group_count):
-        """Inverse of group_count."""
-        return group_count * self.hop
-
     def window_bins(self, num_bins):
         """(C, width) array of bin indices per group, wrapping circularly."""
         starts = np.arange(0, self.group_count(num_bins) * self.hop, self.hop)

@@ -28,6 +28,8 @@ every window, so training maps that memory once.
 Every layer's backward adds its parameter gradients into the window's one
 gradient holder (``MetaParams.zeros_like``); clipping scales it in place, and
 Adam updates the float view of the parameter buffer in place.
+``TrainSchedule`` is the one owner of the schedule: the names, defaults and
+checks of the ``schedule`` keys of ``aflearn train``'s config.
 Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
 lockstep chunks.
 """
@@ -40,7 +42,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, MetricUndefinedError, NumericError
+from .errors import MetricUndefinedError, NumericError, check_number, require
 from .metrics import serle_db
 from .layers import log_scale_backward
 from .optimizer import (
@@ -73,13 +75,27 @@ LOSS_EPS = 1e-9
 
 @dataclass
 class TrainSchedule:
-    """Adam learning rate plus plateau handling on the validation metric."""
+    """Adam learning rate plus plateau handling on the validation metric.
+
+    Every ``plateau_patience`` epochs without a better validation score the rate
+    is multiplied by ``lr_decay``; after ``stop_patience`` training stops.
+    ``clip`` is the global gradient-norm ceiling (0: none).  Building one checks
+    and coerces every field, raising ``ConfigError("schedule.<field>", ...)``.
+    """
 
     lr: float = 1e-4
-    decay: float = 0.5
+    lr_decay: float = 0.5
     plateau_patience: int = 5
     stop_patience: int = 16
-    clip_norm: float = 10.0
+    clip: float = 10.0
+
+    def __post_init__(self):
+        self.lr = check_number(self.lr, "schedule.lr", float, 0.0)
+        self.lr_decay = check_number(self.lr_decay, "schedule.lr_decay", float, 0.0)
+        require(self.lr_decay <= 1.0, "schedule.lr_decay", "must be <= 1")
+        for name in ("plateau_patience", "stop_patience"):
+            setattr(self, name, check_number(getattr(self, name), f"schedule.{name}", int, 1))
+        self.clip = check_number(self.clip, "schedule.clip", float, 0.0)
 
 
 def meta_loss(d_hops, y_hops):
@@ -289,11 +305,14 @@ def train_update_rule(
     state dict) so callers can persist progress before a possible divergence.
     ``resume`` restores a schedule state: a dict with params, epoch, lr,
     best_val, and since_improve (optimizer moments restart from zero).
+    A ``batch_size`` or ``unroll`` below 1, or an ``unroll`` longer than a
+    scene (no window would fit), raises ConfigError naming it.
     """
+    require(batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}")
+    require(unroll >= 1, "unroll", f"must be >= 1, got {unroll}")
     hops = scene_spec.num_samples // cfg.hop
-    if unroll > hops:  # no window would fit, so no epoch would ever update the rule
-        raise ConfigError("unroll", f"{unroll} hops per window, but a scene has only "
-                                    f"{hops} whole hops of {cfg.hop} samples")
+    require(unroll <= hops, "unroll", f"{unroll} hops per window, but a scene has only "
+                                      f"{hops} whole hops of {cfg.hop} samples")
     schedule = schedule or TrainSchedule()
     params = init_meta_params(structure, hidden_size, seed=init_seed)
     shuffle_rng = np.random.default_rng(init_seed + 1)
@@ -351,7 +370,7 @@ def train_update_rule(
                 except NumericError as exc:
                     raise NumericError(f"{exc} in {where}") from exc
                 losses.append(loss)
-                norm = clip_gradients(grads.tensors, schedule.clip_norm)
+                norm = clip_gradients(grads.tensors, schedule.clip)
                 if not np.isfinite(norm):  # stop before Adam spreads it into the parameters
                     raise NumericError(f"non-finite gradient norm {norm} in {where}")
                 adam_step(flat, grads.buffer.view(np.float64), adam, lr)
@@ -376,7 +395,7 @@ def train_update_rule(
         else:
             since_improve += 1
             if since_improve % schedule.plateau_patience == 0:
-                lr *= schedule.decay
+                lr *= schedule.lr_decay
         if checkpoint_cb:
             checkpoint_cb(
                 best,

@@ -1,6 +1,7 @@
 """Command-line workflows: dataset, config validation, train/eval/cancel."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -8,14 +9,16 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import aflearn.cli
 from aflearn.checkpoint import load_checkpoint, save_checkpoint
 from aflearn.cli import main, validate_train_config
 from aflearn.errors import ConfigError
 from aflearn.optimizer import init_meta_params
-from aflearn.scenes import read_wav, write_wav
+from aflearn.scenes import desk_spec, read_wav, write_wav
 from aflearn.structures import DependencyStructure
 
 SPEC = {"duration": 0.6, "rir_taps": 64, "rt60_range": [0.02, 0.04]}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -142,6 +145,42 @@ def test_config_rejections_name_the_field(capsys):
         with pytest.raises(ConfigError) as info:
             validate_train_config(raw)
         assert info.value.field == field
+
+
+def test_readme_training_config_block_is_the_defaults():
+    section = README.read_text().split("### Training config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(re.sub(r"\s*//.*", "", block)) == validate_train_config({})
+
+
+def test_train_scenes_are_drawn_at_the_config_sample_rate(tmp_path, monkeypatch):
+    specs = []
+
+    def captured(structure, hidden_size, cfg, scene_spec, *args, **kwargs):
+        specs.append((cfg.sample_rate, scene_spec))
+        return init_meta_params(structure, hidden_size), []
+
+    monkeypatch.setattr(aflearn.cli, "train_update_rule", captured)
+    ckpt = str(tmp_path / "model.ckpt")
+    for overrides in ({}, {"sample_rate": 8000}, {"sample_rate": 8000, "duration": 2.0}):
+        config_path, _ = _train_config(
+            tmp_path, tmp_path, sample_rate=8000, checkpoint=ckpt,
+            scenes={"preset": "desk", "overrides": overrides})
+        assert main(["train", str(config_path)]) == 0
+        rate, spec = specs.pop()
+        assert rate == spec.sample_rate == 8000
+        assert spec == desk_spec(**{"sample_rate": 8000, **overrides})
+
+
+def test_train_overrides_contradicting_the_sample_rate_exit_2(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(aflearn.cli, "train_update_rule", lambda *a, **k: calls.append(a))
+    config_path, config = _train_config(
+        tmp_path, tmp_path, scenes={"preset": "desk", "overrides": {"sample_rate": 8000}})
+    assert main(["train", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenes.overrides.sample_rate:" in err and "16000" in err
+    assert not calls and not Path(config["checkpoint"]).exists()
 
 
 def test_train_writes_checkpoint_and_curve(tmp_path, dataset):

@@ -28,18 +28,17 @@ def test_group_counts():
 
 @LAWS
 @given(kind=st.sampled_from(["diagonal", "block", "banded"]), log_k=LOG_K, log_width=LOG_WIDTH)
-def test_bins_for_groups_inverts_group_count(kind, log_k, log_width):
+def test_groups_times_hop_cover_every_bin(kind, log_k, log_width):
     for s in (
         DependencyStructure.diagonal(),
         DependencyStructure.block(8),
         DependencyStructure.banded(4),
     ):
         for k in (16, 32, 64):
-            assert s.bins_for_groups(s.group_count(k)) == k
+            assert s.group_count(k) * s.hop == k
     k = 2**log_k
     s = _drawn(kind, log_width, k)
     assert s.group_count(k) * s.hop == k
-    assert s.bins_for_groups(s.group_count(k)) == k
 
 
 @LAWS

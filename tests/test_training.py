@@ -343,7 +343,7 @@ def test_train_update_rule_miniature():
     structure = DependencyStructure.block(4)
     cfg = OlsConfig(64)
     spec = desk_spec(duration=0.2, rir_taps=32)
-    schedule = TrainSchedule(lr=1e-3, clip_norm=10.0)
+    schedule = TrainSchedule(lr=1e-3, clip=10.0)
     params, history = train_update_rule(
         structure,
         hidden_size=4,
@@ -380,6 +380,39 @@ def test_unroll_longer_than_a_scene_is_a_config_error():
         train_update_rule(*args, epochs=2, batch_size=2, unroll=30)
     assert info.value.field == "unroll"
     assert "30" in info.value.message and "25" in info.value.message
+
+
+def test_train_schedule_coerces_its_fields():
+    schedule = TrainSchedule(lr=1, lr_decay=1, clip=0)  # 0 turns clipping off
+    assert (schedule.lr, schedule.lr_decay, schedule.clip) == (1.0, 1.0, 0.0)
+    assert all(type(x) is float for x in (schedule.lr, schedule.lr_decay, schedule.clip))
+    assert type(TrainSchedule(plateau_patience=np.int64(3)).plateau_patience) is int
+
+
+BAD_SCHEDULES = [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -float("inf")), ("lr", -1e-3),
+    ("lr", "0.1"), ("lr_decay", -0.1), ("lr_decay", 1.5), ("lr_decay", float("nan")),
+    ("plateau_patience", 0), ("plateau_patience", 2.0), ("plateau_patience", True),
+    ("stop_patience", 0), ("stop_patience", 1.5), ("clip", -1.0), ("clip", float("inf")),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SCHEDULES)
+def test_train_schedule_rejects_bad_fields(field, value):
+    with pytest.raises(ConfigError) as info:
+        TrainSchedule(**{field: value})
+    assert info.value.field == f"schedule.{field}"
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -2),
+                                          ("unroll", 0), ("unroll", -3)])
+def test_empty_batch_or_window_is_a_config_error(field, value):
+    args = (DependencyStructure.block(4), 4, OlsConfig(64),
+            desk_spec(duration=0.05, rir_taps=16), [0, 1], [2])
+    with pytest.raises(ConfigError) as info:
+        train_update_rule(*args, epochs=1, **{"batch_size": 2, "unroll": 5, field: value})
+    assert info.value.field == field
+    assert str(value) in info.value.message
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "loss"])
