@@ -77,22 +77,27 @@ def _matmul(x, weight, out=None):
     return np.matmul(x, weight.T, out=out)
 
 
-def dense(x, weight, bias=None):
-    """y = x W^T (+ b) over the last axis."""
-    y = _matmul(x, weight)
+def dense(x, weight, bias=None, out=None):
+    """y = x W^T (+ b) over the last axis; ``out``, if given, receives y."""
+    y = _matmul(x, weight, out=out)
     if bias is not None:
-        y = y + bias
+        y = np.add(y, bias, out=out)
     return y
 
 
-def dense_backward(g_y, x, weight, g_weight, g_bias=None):
+def dense_backward(g_y, x, weight, g_weight, g_bias=None, out=None):
     """Returns g_x; adds the weight (and, given its holder, bias) gradients into
-    ``g_weight`` and ``g_bias``.  Leading axes are summed into them."""
+    ``g_weight`` and ``g_bias``.  Leading axes are summed into them.
+
+    ``out``, if given, is an array shaped like x, not g_y, that receives
+    conj(x) for the weight gradient and then g_x; it may be x itself.
+    """
     flat_g = g_y.reshape(-1, g_y.shape[-1])
-    g_weight += flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
+    x_conj = np.conjugate(x, out=out)
+    g_weight += flat_g.T @ x_conj.reshape(-1, x.shape[-1])
     if g_bias is not None:
         g_bias += flat_g.sum(axis=0)
-    return g_y @ np.conj(weight)
+    return np.matmul(g_y, np.conj(weight), out=out)
 
 
 def _split_sigmoid(z):
@@ -115,19 +120,25 @@ def _split_tanh(z):
     return z
 
 
-def _split_sigmoid_backward(g, s, out):
-    """out <- g * s * (1 - s) on the real and imaginary parts separately."""
-    sv = s.view(np.float64)
-    local = np.subtract(1.0, sv)
-    local *= sv
-    np.multiply(g.view(np.float64), local, out=out.view(np.float64))
+def _split_sigmoid_backward(g, s, out, local):
+    """out <- g * s * (1 - s) on the real and imaginary parts separately.
+
+    ``local``, a contiguous array shaped like g, receives s * (1 - s) first:
+    out is a slice of the gate gradients, and passes over a slice are slower.
+    """
+    sv, lv = s.view(np.float64), local.view(np.float64)
+    np.subtract(1.0, sv, out=lv)
+    lv *= sv
+    np.multiply(g.view(np.float64), lv, out=out.view(np.float64))
 
 
-def _split_tanh_backward(g, t, out):
-    """out <- g * (1 - t^2) on the real and imaginary parts separately."""
-    local = np.square(t.view(np.float64))
-    np.subtract(1.0, local, out=local)
-    np.multiply(g.view(np.float64), local, out=out.view(np.float64))
+def _split_tanh_backward(g, t, out, local):
+    """out <- g * (1 - t^2) on the real and imaginary parts separately;
+    ``local`` as in ``_split_sigmoid_backward``."""
+    lv = local.view(np.float64)
+    np.square(t.view(np.float64), out=lv)
+    np.subtract(1.0, lv, out=lv)
+    np.multiply(g.view(np.float64), lv, out=out.view(np.float64))
 
 
 @dataclass
@@ -183,41 +194,54 @@ class ComplexGruLayer:
         h_new += np.multiply(z, h, out=rh)
         return h_new, zr, c
 
-    def backward(self, g_h_new, x, h, zr, c, grads):
+    def backward(self, g_h_new, x, h, zr, c, grads, out=None):
         """Returns (g_x, g_h) and adds the parameter gradients into ``grads``,
         a layer of this shape whose fields hold them.
 
         x and h are the step's inputs and zr, c what it returned; r * h is
-        rebuilt here, as the step computed it.
+        rebuilt here, as the step computed it.  ``out``, if given, is a
+        (g_x, g_h, g_gates, work) tuple to write into instead of allocating:
+        g_x shaped like x (it may be g_h_new, read before g_x is written), g_h
+        like h, g_gates like zr with 3H on the last axis, which receives the
+        z|r|c pre-activation gradients, and work a pair of arrays like h.
         """
         hidden = self.hidden_size
+        if out is None:
+            batch = g_h_new.shape[:-1]
+            out = (np.empty(batch + x.shape[-1:], dtype=complex),
+                   np.empty(batch + (hidden,), dtype=complex),
+                   np.empty(batch + (3 * hidden,), dtype=complex),
+                   np.empty((2,) + batch + (hidden,), dtype=complex))
+        g_x, g_h, g_gates, (work, local) = out
         z, r = zr[..., :hidden], zr[..., hidden:]
-        w_z, w_r, w_c = (self.w[i * hidden : (i + 1) * hidden] for i in range(3))
-        u_z, u_r, u_c = (self.u[i * hidden : (i + 1) * hidden] for i in range(3))
-        # gate pre-activation gradients, laid out like the stacked z|r|c products
-        g_gates = np.empty(g_h_new.shape[:-1] + (3 * hidden,), dtype=complex)
         g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden] for i in range(3))
-        _split_sigmoid_backward(np.conj(h - c) * g_h_new, z, out=g_az)
-        _split_tanh_backward(np.conj(1.0 - z) * g_h_new, c, out=g_ac)
-        g_h = np.conj(z) * g_h_new
+        np.subtract(h, c, out=work)
+        np.conjugate(work, out=work)
+        work *= g_h_new
+        _split_sigmoid_backward(work, z, g_az, local)
+        np.subtract(1.0, z, out=work)
+        np.conjugate(work, out=work)
+        work *= g_h_new
+        _split_tanh_backward(work, c, g_ac, local)
+        np.conjugate(z, out=g_h)
+        g_h *= g_h_new
 
-        g_rh = dense_backward(g_ac, r * h, u_c, grads.u[2 * hidden :])
-        _split_sigmoid_backward(np.conj(h) * g_rh, r, out=g_ar)
-        g_h += np.conj(r) * g_rh
+        np.multiply(r, h, out=work)
+        g_rh = dense_backward(g_ac, work, self.u[2 * hidden :], grads.u[2 * hidden :], out=work)
+        np.conjugate(r, out=local)
+        local *= g_rh
+        g_h += local
+        np.conjugate(h, out=local)
+        local *= g_rh
+        _split_sigmoid_backward(local, r, g_ar, work)
 
-        # Weight and bias gradients come from the stacked products.  The input
-        # and state gradients are summed gate by gate in a fixed c, r, z order:
-        # one stacked product would reorder those sums, and Adam turns such
-        # last-bit differences into different trained checkpoints.
         flat_g = g_gates.reshape(-1, 3 * hidden)
-        grads.w += flat_g.T @ np.conj(x.reshape(-1, x.shape[-1]))
+        grads.w += flat_g.T @ np.conjugate(x, out=g_x).reshape(-1, x.shape[-1])
         grads.b += flat_g.sum(axis=0)
-        grads.u[: 2 * hidden] += flat_g[:, : 2 * hidden].T @ np.conj(h.reshape(-1, hidden))
-        g_x = g_ac @ np.conj(w_c)
-        g_x += g_ar @ np.conj(w_r)
-        g_x += g_az @ np.conj(w_z)
-        g_h += g_ar @ np.conj(u_r)
-        g_h += g_az @ np.conj(u_z)
+        grads.u[: 2 * hidden] += (flat_g[:, : 2 * hidden].T
+                                  @ np.conjugate(h, out=work).reshape(-1, hidden))
+        np.matmul(g_gates, np.conj(self.w), out=g_x)
+        g_h += np.matmul(g_gates[..., : 2 * hidden], np.conj(self.u[: 2 * hidden]), out=work)
         return g_x, g_h
 
 
@@ -244,26 +268,29 @@ class GroupSampler:
         up = complex_glorot(rng, (structure.width, hidden_size), hidden_size, structure.width)
         return cls(structure=structure, down_kernel=down, up_kernel=up)
 
-    def downsample(self, features):
-        """(..., K, 5) -> (..., C, H) group inputs."""
-        return dense(self._flat_windows(features), self.down_kernel)
+    def downsample(self, features, out=None):
+        """(..., K, 5) -> (..., C, H) group inputs; ``out``, if given, receives them."""
+        return dense(self._flat_windows(features), self.down_kernel, out=out)
 
-    def downsample_backward(self, g_groups, features, grads):
+    def downsample_backward(self, g_groups, features, grads, out=None):
         """Returns g_features given the gradient of ``downsample(features)``,
-        and adds the kernel's gradient into ``grads.down_kernel``."""
+        and adds the kernel's gradient into ``grads.down_kernel``.  ``out``, if
+        given, is a (..., C, 5*width) array that receives the per-window
+        gradients; for diagonal and block layouts g_features is a view of it."""
         flat = self._flat_windows(features)
-        g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel)
+        g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel, out=out)
         return self.structure.scatter(g_flat.reshape(*g_flat.shape[:-1], -1, self.NUM_CHANNELS))
 
     def upsample(self, groups):
         """(..., C, H) -> (..., K) per-bin corrections."""
         return self.structure.scatter(dense(groups, self.up_kernel)[..., None])[..., 0]
 
-    def upsample_backward(self, g_delta, groups, grads):
+    def upsample_backward(self, g_delta, groups, grads, out=None):
         """Returns g_groups given the gradient of ``upsample(groups)``, and adds
-        the kernel's gradient into ``grads.up_kernel``."""
+        the kernel's gradient into ``grads.up_kernel``.  ``out``, if given,
+        receives g_groups as in ``dense_backward``; it may be groups itself."""
         g_per_bin = self.structure.gather(g_delta[..., None])[..., 0]
-        return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel)
+        return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel, out=out)
 
     def _flat_windows(self, features):
         """Per-group windows of features (..., K, 5), flattened to (..., C, 5*width)."""

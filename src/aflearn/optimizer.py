@@ -17,13 +17,15 @@ They live in one complex buffer whose layout ``param_layout`` defines.
 training windows alike.  A training window passes ``out=`` arrays (the raw
 and compressed features, and each GRU layer's new state, z|r gates and
 candidate), and ``_optimizer_backward`` reads the step's operands back from
-them; each layer's backward adds into its part of a ``zeros_like`` holder.
+them; each layer's backward adds into its part of a ``zeros_like`` holder
+and writes its intermediates into the window's ``BackwardBuffers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,7 +198,35 @@ def optimizer_step(params, features, state, out=None):
     return delta, GroupState(h0=h0, h1=h1)
 
 
-def _optimizer_backward(params, g_delta, g_state, features, state, out, grads):
+class BackwardBuffers(NamedTuple):
+    """Arrays one ``_optimizer_backward`` step writes into instead of allocating.
+
+    Both GRU layers use ``gates`` (..., C, 3H), their gate gradients, and
+    ``work``, four (..., C, H) arrays, in turn.  ``state`` receives the
+    returned state gradient and ``windows`` (..., C, 5*width) the downsample's
+    window gradients, of which the returned feature gradient is a view for
+    diagonal and block layouts.
+    """
+
+    gates: np.ndarray
+    work: tuple
+    state: GroupState
+    windows: np.ndarray
+
+    @classmethod
+    def empty(cls, state_shape, window_size):
+        """Fresh buffers for hidden states shaped ``state_shape`` (..., C, H)."""
+        *groups, hidden = state_shape
+
+        def empty(size):
+            return np.empty((*groups, size), dtype=complex)
+
+        return cls(gates=empty(3 * hidden), work=tuple(empty(hidden) for _ in range(4)),
+                   state=GroupState(h0=empty(hidden), h1=empty(hidden)),
+                   windows=empty(window_size))
+
+
+def _optimizer_backward(params, g_delta, g_state, features, state, out, grads, buffers=None):
     """Backward through one ``optimizer_step(params, features, state, out=out)``.
 
     g_state carries dL/d(new hidden); returns (g_features, g_prev_state).
@@ -205,18 +235,28 @@ def _optimizer_backward(params, g_delta, g_state, features, state, out, grads):
     read back from ``features``, ``state`` and ``out``; the layer-0 input and
     the output dense layer's result are rebuilt with the forward's own
     operations, so the gradients are those of a step that kept them, bit for bit.
+    Every intermediate goes into ``buffers`` (a ``BackwardBuffers``; fresh
+    ones if None), and the returned gradients are views of them.
     """
     (h0, zr0, c0), (h1, zr1, c1) = out
     gru0, gru1 = params.grus
-    dense_out = dense(h1, params.out_weight, params.out_bias)
-    g_out = params.sampler.upsample_backward(g_delta, dense_out, grads.sampler)
-    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias)
-    g_h0, g_h1_prev = gru1.backward(g_h1 + g_state.h1, h0, state.h1, zr1, c1, grads.grus[1])
-    groups = params.sampler.downsample(features)
-    g_groups, g_h0_prev = gru0.backward(g_h0 + g_state.h0, groups, state.h0, zr0, c0,
-                                        grads.grus[0])
-    g_features = params.sampler.downsample_backward(g_groups, features, grads.sampler)
-    return g_features, GroupState(h0=g_h0_prev, h1=g_h1_prev)
+    sampler = params.sampler
+    buffers = buffers or BackwardBuffers.empty(h0.shape, sampler.down_kernel.shape[1])
+    rebuilt, flow, *work = buffers.work
+    dense_out = dense(h1, params.out_weight, params.out_bias, out=rebuilt)
+    g_out = sampler.upsample_backward(g_delta, dense_out, grads.sampler, out=rebuilt)
+    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias,
+                          out=flow)
+    g_h1 += g_state.h1
+    g_h0, _ = gru1.backward(g_h1, h0, state.h1, zr1, c1, grads.grus[1],
+                            out=(flow, buffers.state.h1, buffers.gates, work))
+    g_h0 += g_state.h0
+    groups = sampler.downsample(features, out=rebuilt)
+    g_groups, _ = gru0.backward(g_h0, groups, state.h0, zr0, c0, grads.grus[0],
+                                out=(flow, buffers.state.h0, buffers.gates, work))
+    g_features = sampler.downsample_backward(g_groups, features, grads.sampler,
+                                             out=buffers.windows)
+    return g_features, buffers.state
 
 
 def apply_update(w, delta):

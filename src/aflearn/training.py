@@ -23,6 +23,12 @@ the hidden state, the z|r gates and the candidate c.  The backward reads a
 step's operands from those rows and recomputes r * h, the layer-0 input
 ``downsample(xi)`` and the output dense layer's result with the forward's
 own operations, so the gradients are bit-identical to those of a full cache.
+The backward allocates no per-step arrays either: the workspace also holds
+one step's worth of backward buffers (the gate gradients, conjugate
+products, rebuilt operands and two state gradients that steps alternate
+between), which every step and both GRU layers reuse while they are still
+in cache.  The last step has no backward at all: its delta only sets the
+carried filter, which no loss term of the window reads.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
 every window, so training maps that memory once.
 Every layer's backward adds its parameter gradients into the window's one
@@ -47,6 +53,7 @@ from .metrics import serle_db
 from .layers import log_scale_backward
 from .optimizer import (
     FEATURE_CHANNELS,
+    BackwardBuffers,
     GroupState,
     _optimizer_backward,
     build_input,
@@ -121,9 +128,11 @@ class WindowWorkspace:
     hidden trajectory (length + 1, batch, C, H), whose row 0 is the incoming
     state and row t + 1 step t's new state, the z|r gates (length, batch, C,
     2H) and the candidate c (length, batch, C, H); and the raw and
-    log-scaled features (length, batch, K, 5).  ``window_gradient``
-    overwrites it on every call, so one workspace serves every window of its
-    shape in turn.
+    log-scaled features (length, batch, K, 5).  The backward writes one
+    step's intermediates into ``BackwardBuffers`` that both GRU layers and
+    every step share, and that alternate between two state gradients.
+    ``window_gradient`` overwrites it all on every call, so one workspace
+    serves every window of its shape in turn.
     """
 
     def __init__(self, structure, hidden_size, num_bins, batch, length):
@@ -138,6 +147,8 @@ class WindowWorkspace:
         self.zr = arrays((length,) + state[:-1] + (2 * hidden_size,))
         self.c = arrays((length,) + state)
         self.raw, self.xi = arrays((length, batch, num_bins, len(FEATURE_CHANNELS)))
+        shared = BackwardBuffers.empty(state, len(FEATURE_CHANNELS) * structure.width)
+        self._backward = (shared, shared._replace(state=GroupState(*arrays(state))))
 
     def state(self, t):
         """The hidden state step t starts from: row t of both trajectories."""
@@ -148,6 +159,11 @@ class WindowWorkspace:
         return tuple((hidden[t + 1], zr[t], c[t])
                      for hidden, zr, c in zip(self.hidden, self.zr, self.c))
 
+    def backward_buffers(self, t):
+        """Step t's ``BackwardBuffers``: neighbouring steps get different state
+        gradients, so a step never writes over the one it reads."""
+        return self._backward[t % 2]
+
 
 def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     """Forward/backward over one truncated window.
@@ -157,8 +173,8 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     out like ``params`` (``params.zeros_like()``), follows the paired-real
     convention and already includes the batch mean.  The forward writes
     every operand the backward reads into ``workspace`` (a
-    ``WindowWorkspace`` of this window's shape; a fresh one if None);
-    nothing returned aliases it.
+    ``WindowWorkspace`` of this window's shape; a fresh one if None), and
+    the backward keeps its intermediates there; nothing returned aliases it.
     """
     length, batch = frames.shape[:2]
     shape = (params.structure, params.hidden_size, cfg.dft_size, batch, length)
@@ -185,15 +201,21 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
 
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
-    g_state = GroupState(h0=np.zeros_like(state.h0), h1=np.zeros_like(state.h1))
+    # The last step's delta and new state only set the carried w and state,
+    # which no loss term of this window reads: that step has no backward, and
+    # its hop's error and output features carry no gradient.
+    g_state = GroupState(h0=0.0, h1=0.0)
+    g_ey = np.zeros(ws.raw.shape[1:-1] + (2,), dtype=complex)
     g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
-        g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
-                                            ws.step_out(t), g_tensors)
-        # channels 3 and 4 (error, output) carry gradient; channel 1 is the far end
-        g_ey = log_scale_backward(ws.raw[t][..., 3:], g_xi[..., 3:])
-        g_w = g_w + hop_backward(cfg, ws.raw[t][..., 1], g_y_hops[t], g_ey[..., 0], g_ey[..., 1])
+        if t < length - 1:
+            g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
+                                                ws.step_out(t), g_tensors,
+                                                ws.backward_buffers(t))
+            # channels 3 and 4 (error, output) carry gradient; channel 1 is the far end
+            g_ey = log_scale_backward(ws.raw[t][..., 3:], g_xi[..., 3:])
+        g_w += hop_backward(cfg, ws.raw[t][..., 1], g_y_hops[t], g_ey[..., 0], g_ey[..., 1])
 
     return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 
@@ -305,9 +327,11 @@ def train_update_rule(
     state dict) so callers can persist progress before a possible divergence.
     ``resume`` restores a schedule state: a dict with params, epoch, lr,
     best_val, and since_improve (optimizer moments restart from zero).
-    A ``batch_size`` or ``unroll`` below 1, or an ``unroll`` longer than a
-    scene (no window would fit), raises ConfigError naming it.
+    An empty ``train_seeds``, a ``batch_size`` or ``unroll`` below 1, or an
+    ``unroll`` longer than a scene (no window would fit), raises ConfigError
+    naming it.
     """
+    require(len(train_seeds) >= 1, "train_seeds", "must name at least one scene")
     require(batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}")
     require(unroll >= 1, "unroll", f"must be >= 1, got {unroll}")
     hops = scene_spec.num_samples // cfg.hop

@@ -66,6 +66,45 @@ def gru_step_reference(layer, x, h):
     return h_new, z, r, rh, c
 
 
+def gru_backward_reference(layer, g_h_new, x, h, zr, c):
+    """Complex GRU backward gate by gate: the input and state gradients are
+    summed product by product in c, r, z order, split-activation derivatives
+    written with .real/.imag.  Returns (g_x, g_h, g_w, g_u, g_b), the
+    parameter gradients stacked z|r|c like the layer's fields."""
+
+    def sigmoid_backward(g, s):
+        return g.real * s.real * (1.0 - s.real) + 1j * (g.imag * s.imag * (1.0 - s.imag))
+
+    def tanh_backward(g, t):
+        return g.real * (1.0 - t.real**2) + 1j * (g.imag * (1.0 - t.imag**2))
+
+    hidden = layer.hidden_size
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    w_z, w_r, w_c = np.split(layer.w, 3)
+    u_z, u_r, u_c = np.split(layer.u, 3)
+    g_az = sigmoid_backward(np.conj(h - c) * g_h_new, z)
+    g_ac = tanh_backward(np.conj(1.0 - z) * g_h_new, c)
+    g_h = np.conj(z) * g_h_new
+    rh = r * h
+    g_rh = g_ac @ np.conj(u_c)
+    g_ar = sigmoid_backward(np.conj(h) * g_rh, r)
+    g_h += np.conj(r) * g_rh
+    g_x = g_ac @ np.conj(w_c)
+    g_x += g_ar @ np.conj(w_r)
+    g_x += g_az @ np.conj(w_z)
+    g_h += g_ar @ np.conj(u_r)
+    g_h += g_az @ np.conj(u_z)
+
+    def outer(g, a):  # sum over the leading axes of g^T conj(a)
+        return g.reshape(-1, g.shape[-1]).T @ np.conj(a.reshape(-1, a.shape[-1]))
+
+    g_gates = (g_az, g_ar, g_ac)
+    g_w = np.concatenate([outer(g, x) for g in g_gates])
+    g_u = np.concatenate([outer(g_az, h), outer(g_ar, h), outer(g_ac, rh)])
+    g_b = np.concatenate([g.reshape(-1, hidden).sum(axis=0) for g in g_gates])
+    return g_x, g_h, g_w, g_u, g_b
+
+
 @contextmanager
 def counted_macs():
     """Tally the complex multiply-accumulates of every forward matrix product.

@@ -16,7 +16,13 @@ from aflearn.layers import (
 )
 from aflearn.structures import DependencyStructure
 
-from oracles import counted_macs, fd_gradient, gru_step_reference, rel_error
+from oracles import (
+    counted_macs,
+    fd_gradient,
+    gru_backward_reference,
+    gru_step_reference,
+    rel_error,
+)
 
 TOL = 1e-5
 
@@ -131,6 +137,26 @@ def test_gru_step_matches_per_gate_reference(hidden, batch):
         assert np.array_equal(got, want)
     # six H x H products per group, as FlopModel.gru_term counts them
     assert counted.total == int(np.prod(batch)) * 6 * hidden * hidden
+
+
+@pytest.mark.parametrize("hidden", [4, 8, 16])
+@pytest.mark.parametrize("batch", [(), (6,), (2, 6)], ids=lambda b: f"batch{len(b)}d")
+def test_gru_backward_matches_per_gate_reference(hidden, batch):
+    # the two stacked products reorder the gate-by-gate sums, nothing more
+    rng = np.random.default_rng(28)
+    layer = ComplexGruLayer.init(rng, hidden, hidden)
+    layer.b[...] = _random_complex(rng, layer.b.shape, scale=0.3)
+    x = _random_complex(rng, batch + (hidden,))
+    h = _random_complex(rng, batch + (hidden,), scale=0.5)
+    _, zr, c = layer.step(x, h)
+    g_h_new = _random_complex(rng, batch + (hidden,))
+    grads = _gru_holder(layer)
+    g_x, g_h = layer.backward(g_h_new, x, h, zr, c, grads)
+    got = (g_x, g_h, grads.w, grads.u, grads.b)
+    for name, a, want in zip(("g_x", "g_h", "w", "u", "b"), got,
+                             gru_backward_reference(layer, g_h_new, x, h, zr, c)):
+        assert a.shape == want.shape, name
+        assert rel_error(a, want) <= 1e-12, name
 
 
 def test_split_activations_match_real_imag_forms():

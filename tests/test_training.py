@@ -179,12 +179,38 @@ def test_reused_workspace_matches_fresh_windows(structure):
         window_gradient(params, cfg, w, state, frames[:2], d_hops[:2], workspace)
 
 
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_window_backward_skips_the_last_step(structure, monkeypatch):
+    # the last step's delta only sets the carried w, which no loss term reads
+    real = aflearn.training._optimizer_backward
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(aflearn.training, "_optimizer_backward", counted)
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, length=4)
+    window_gradient(params, cfg, w, state, frames[:4], d_hops[:4])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_one_hop_window_has_a_zero_parameter_gradient(structure):
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, length=1)
+    loss, grads, _, _, _ = window_gradient(params, cfg, w, state, frames[:1], d_hops[:1])
+    assert np.isfinite(loss)
+    assert not grads.buffer.any()
+
+
 # (fresh, reused-workspace) peak budgets of one window, in units of one
-# (L, B, C, H) complex array.  Measured: diagonal 12.2 and 2.5, block:4 18.0
-# and 4.2, banded:4 14.6 and 3.6.  Caching r*h per GRU layer, the layer-0
-# input or the output dense result again adds at least 1 unit each; keeping
-# a banded window's L gathered feature windows adds 2.3 (reused: 5.9).
-MEMORY_BUDGETS = {"diagonal": (13.0, 3.0), "block:4": (18.5, 4.7), "banded:4": (15.2, 4.2)}
+# (L, B, C, H) complex array.  Measured: diagonal 11.7 and 0.90, block:4 17.0
+# and 2.2, banded:4 14.0 and 1.7; the workspace holds the backward's
+# buffers too, so a reused one leaves mostly the forward's transients.
+# Caching r*h per GRU layer, the layer-0 input or the output dense result
+# again adds at least 1 unit each; keeping a banded window's L gathered
+# feature windows adds 2.3 (reused: 5.9).
+MEMORY_BUDGETS = {"diagonal": (12.5, 1.4), "block:4": (17.5, 2.7), "banded:4": (14.6, 2.3)}
 
 
 def test_window_cache_memory_budget():
@@ -413,6 +439,14 @@ def test_empty_batch_or_window_is_a_config_error(field, value):
         train_update_rule(*args, epochs=1, **{"batch_size": 2, "unroll": 5, field: value})
     assert info.value.field == field
     assert str(value) in info.value.message
+
+
+def test_empty_train_seeds_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        train_update_rule(DependencyStructure.block(4), 4, OlsConfig(64),
+                          desk_spec(duration=0.05, rir_taps=16), [], [2], epochs=1,
+                          batch_size=2, unroll=5)
+    assert info.value.field == "train_seeds"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "loss"])
