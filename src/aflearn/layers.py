@@ -6,6 +6,10 @@ pairs of real parameters and every backward pass here can be checked against
 central finite differences over those pairs.  A backward pass returns its
 input gradients and adds its parameter gradients into the holders it is given.
 
+Activations are group-last: a layer maps (..., n_in, C) to (..., n_out, C),
+with the C frequency groups on the last axis and the channels on axis -2, so
+a weight multiplies from the left (``W @ x``), a bias broadcasts down the
+columns and each gate of a stacked GRU product is a contiguous row block.
 Every forward matrix product goes through ``_matmul``; flops.py's cost model
 counts exactly those products.  ``GroupSampler`` leaves the group layout to
 its structure's ``gather`` and ``scatter``.
@@ -25,6 +29,7 @@ __all__ = [
     "dense_backward",
     "ComplexGruLayer",
     "GroupSampler",
+    "FEATURE_CHANNELS",
 ]
 
 _TINY = 1e-12
@@ -66,22 +71,36 @@ def log_scale(z, out=None):
 def log_scale_backward(z, g_out):
     """Backward of log_scale at input z."""
     m = np.abs(z)
-    gain = _log_gain(m)
     radial = np.real(np.conj(z) * g_out) * _log_gain_deriv(m)
-    correction = np.where(m < _TINY, 0.0, radial / np.where(m < _TINY, 1.0, m))
-    return gain * g_out + correction * z
+    radial = np.where(m < _TINY, 0.0, radial / np.where(m < _TINY, 1.0, m))
+    g_z = _log_gain(m) * g_out
+    g_z += radial * z
+    return g_z
 
 
-def _matmul(x, weight, out=None):
-    # x (..., n_in) @ weight (n_out, n_in)^T
-    return np.matmul(x, weight.T, out=out)
+def _matmul(weight, x, out=None):
+    # weight (n_out, n_in) @ x (..., n_in, C)
+    return np.matmul(weight, x, out=out)
+
+
+def _add_outer(holder, g, x_conj):
+    """holder += g @ x_conj^T, summed over the leading axes: the weight gradient
+    of a product ``weight @ x`` from g (..., n_out, C) and conj(x) (..., n_in, C)."""
+    prod = np.matmul(g, x_conj.swapaxes(-1, -2))
+    holder += prod if prod.ndim == 2 else prod.reshape((-1,) + holder.shape).sum(axis=0)
+
+
+def _add_bias_gradient(holder, g):
+    """holder += g (..., n, C) summed over every axis but the channel axis -2."""
+    holder += g.sum(axis=-1).reshape((-1,) + holder.shape).sum(axis=0)
 
 
 def dense(x, weight, bias=None, out=None):
-    """y = x W^T (+ b) over the last axis; ``out``, if given, receives y."""
-    y = _matmul(x, weight, out=out)
+    """y = W x (+ b) over the channel axis -2 of x (..., n_in, C); ``out``,
+    if given, receives y."""
+    y = _matmul(weight, x, out=out)
     if bias is not None:
-        y = np.add(y, bias, out=out)
+        y += bias[:, None]
     return y
 
 
@@ -92,12 +111,10 @@ def dense_backward(g_y, x, weight, g_weight, g_bias=None, out=None):
     ``out``, if given, is an array shaped like x, not g_y, that receives
     conj(x) for the weight gradient and then g_x; it may be x itself.
     """
-    flat_g = g_y.reshape(-1, g_y.shape[-1])
-    x_conj = np.conjugate(x, out=out)
-    g_weight += flat_g.T @ x_conj.reshape(-1, x.shape[-1])
+    _add_outer(g_weight, g_y, np.conjugate(x, out=out))
     if g_bias is not None:
-        g_bias += flat_g.sum(axis=0)
-    return np.matmul(g_y, np.conj(weight), out=out)
+        _add_bias_gradient(g_bias, g_y)
+    return np.matmul(np.conj(weight).T, g_y, out=out)
 
 
 def _split_sigmoid(z):
@@ -120,25 +137,25 @@ def _split_tanh(z):
     return z
 
 
-def _split_sigmoid_backward(g, s, out, local):
+def _split_sigmoid_backward(g, s, out):
     """out <- g * s * (1 - s) on the real and imaginary parts separately.
 
-    ``local``, a contiguous array shaped like g, receives s * (1 - s) first:
-    out is a slice of the gate gradients, and passes over a slice are slower.
+    out is a gate block of the gate gradients: (H, C) contiguous per leading
+    index, so every pass runs over whole rows of groups.
     """
-    sv, lv = s.view(np.float64), local.view(np.float64)
-    np.subtract(1.0, sv, out=lv)
-    lv *= sv
-    np.multiply(g.view(np.float64), lv, out=out.view(np.float64))
+    ov, sv = out.view(np.float64), s.view(np.float64)
+    np.subtract(1.0, sv, out=ov)
+    ov *= sv
+    ov *= g.view(np.float64)
 
 
-def _split_tanh_backward(g, t, out, local):
+def _split_tanh_backward(g, t, out):
     """out <- g * (1 - t^2) on the real and imaginary parts separately;
-    ``local`` as in ``_split_sigmoid_backward``."""
-    lv = local.view(np.float64)
-    np.square(t.view(np.float64), out=lv)
-    np.subtract(1.0, lv, out=lv)
-    np.multiply(g.view(np.float64), lv, out=out.view(np.float64))
+    out as in ``_split_sigmoid_backward``."""
+    ov = out.view(np.float64)
+    np.square(t.view(np.float64), out=ov)
+    np.subtract(1.0, ov, out=ov)
+    ov *= g.view(np.float64)
 
 
 @dataclass
@@ -169,25 +186,26 @@ class ComplexGruLayer:
         return self.u.shape[1]
 
     def step(self, x, h, out=None):
-        """One recurrence step.  x (..., in), h (..., H) -> (h_new, zr, c).
+        """One recurrence step.  x (..., in, C), h (..., H, C) -> (h_new, zr, c).
 
         The three input products and the two gate products on h run as one
-        stacked product each, so z and r are the two halves of zr (..., 2H).
-        ``out``, if given, is an (h_new, zr, c) triple of arrays shaped like
-        h's batch that the step writes into instead of allocating them.
+        stacked product each, so z and r are the two halves of zr (..., 2H, C),
+        each a contiguous (H, C) block per leading index.  ``out``, if given,
+        is an (h_new, zr, c) triple of arrays shaped like that which the step
+        writes into instead of allocating them.
         """
         hidden = self.hidden_size
         h_new, zr, c = out or (None, None, None)
-        x_gates = _matmul(x, self.w)
-        zr = _matmul(h, self.u[: 2 * hidden], out=zr)
-        zr += x_gates[..., : 2 * hidden]
-        zr += self.b[: 2 * hidden]
+        x_gates = _matmul(self.w, x)
+        zr = _matmul(self.u[: 2 * hidden], h, out=zr)
+        zr += x_gates[..., : 2 * hidden, :]
+        zr += self.b[: 2 * hidden, None]
         _split_sigmoid(zr)
-        z, r = zr[..., :hidden], zr[..., hidden:]
+        z, r = zr[..., :hidden, :], zr[..., hidden:, :]
         rh = r * h
-        c = _matmul(rh, self.u[2 * hidden :], out=c)
-        c += x_gates[..., 2 * hidden :]
-        c += self.b[2 * hidden :]
+        c = _matmul(self.u[2 * hidden :], rh, out=c)
+        c += x_gates[..., 2 * hidden :, :]
+        c += self.b[2 * hidden :, None]
         _split_tanh(c)
         h_new = np.subtract(1.0, z, out=h_new)
         h_new *= c
@@ -202,27 +220,27 @@ class ComplexGruLayer:
         rebuilt here, as the step computed it.  ``out``, if given, is a
         (g_x, g_h, g_gates, work) tuple to write into instead of allocating:
         g_x shaped like x (it may be g_h_new, read before g_x is written), g_h
-        like h, g_gates like zr with 3H on the last axis, which receives the
-        z|r|c pre-activation gradients, and work a pair of arrays like h.
+        like h, g_gates like zr with 3H on axis -2, which receives the z|r|c
+        pre-activation gradients, and work a pair of arrays like h.
         """
         hidden = self.hidden_size
         if out is None:
-            batch = g_h_new.shape[:-1]
-            out = (np.empty(batch + x.shape[-1:], dtype=complex),
-                   np.empty(batch + (hidden,), dtype=complex),
-                   np.empty(batch + (3 * hidden,), dtype=complex),
-                   np.empty((2,) + batch + (hidden,), dtype=complex))
+            *batch, _, groups = g_h_new.shape
+            out = (np.empty((*batch, x.shape[-2], groups), dtype=complex),
+                   np.empty((*batch, hidden, groups), dtype=complex),
+                   np.empty((*batch, 3 * hidden, groups), dtype=complex),
+                   np.empty((2, *batch, hidden, groups), dtype=complex))
         g_x, g_h, g_gates, (work, local) = out
-        z, r = zr[..., :hidden], zr[..., hidden:]
-        g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden] for i in range(3))
+        z, r = zr[..., :hidden, :], zr[..., hidden:, :]
+        g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden, :] for i in range(3))
         np.subtract(h, c, out=work)
         np.conjugate(work, out=work)
         work *= g_h_new
-        _split_sigmoid_backward(work, z, g_az, local)
+        _split_sigmoid_backward(work, z, g_az)
         np.subtract(1.0, z, out=work)
         np.conjugate(work, out=work)
         work *= g_h_new
-        _split_tanh_backward(work, c, g_ac, local)
+        _split_tanh_backward(work, c, g_ac)
         np.conjugate(z, out=g_h)
         g_h *= g_h_new
 
@@ -233,66 +251,71 @@ class ComplexGruLayer:
         g_h += local
         np.conjugate(h, out=local)
         local *= g_rh
-        _split_sigmoid_backward(local, r, g_ar, work)
+        _split_sigmoid_backward(local, r, g_ar)
 
-        flat_g = g_gates.reshape(-1, 3 * hidden)
-        grads.w += flat_g.T @ np.conjugate(x, out=g_x).reshape(-1, x.shape[-1])
-        grads.b += flat_g.sum(axis=0)
-        grads.u[: 2 * hidden] += (flat_g[:, : 2 * hidden].T
-                                  @ np.conjugate(h, out=work).reshape(-1, hidden))
-        np.matmul(g_gates, np.conj(self.w), out=g_x)
-        g_h += np.matmul(g_gates[..., : 2 * hidden], np.conj(self.u[: 2 * hidden]), out=work)
+        _add_outer(grads.w, g_gates, np.conjugate(x, out=g_x))
+        _add_bias_gradient(grads.b, g_gates)
+        _add_outer(grads.u[: 2 * hidden], g_gates[..., : 2 * hidden, :],
+                   np.conjugate(h, out=work))
+        np.matmul(np.conj(self.w).T, g_gates, out=g_x)
+        g_h += np.matmul(np.conj(self.u[: 2 * hidden]).T, g_gates[..., : 2 * hidden, :],
+                         out=work)
         return g_x, g_h
+
+
+FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
 
 
 @dataclass
 class GroupSampler:
     """Gathers per-group feature windows and scatters per-group outputs back.
 
-    down_kernel (H, 5*width) maps a flattened window (width bins x 5 channels,
-    bin-major) to the group input; up_kernel (width, H) maps the group output
-    to per-bin corrections, overlap-added for banded layouts.  Both are
-    bias-free so zero activations map to zero corrections.
+    Features are (..., 5, K), one row per ``FEATURE_CHANNELS`` entry, and
+    group activations (..., H, C).  down_kernel (H, 5*width) maps a flattened
+    window (width bins x 5 channels, bin-major) to the group input; up_kernel
+    (width, H) maps the group output to per-bin corrections, overlap-added
+    for banded layouts.  Both are bias-free so zero activations map to zero
+    corrections.
     """
 
     structure: object
     down_kernel: np.ndarray
     up_kernel: np.ndarray
 
-    NUM_CHANNELS = 5
-
     @classmethod
     def init(cls, rng, structure, hidden_size):
-        n_in = cls.NUM_CHANNELS * structure.width
+        n_in = len(FEATURE_CHANNELS) * structure.width
         down = complex_glorot(rng, (hidden_size, n_in), n_in, hidden_size)
         up = complex_glorot(rng, (structure.width, hidden_size), hidden_size, structure.width)
         return cls(structure=structure, down_kernel=down, up_kernel=up)
 
     def downsample(self, features, out=None):
-        """(..., K, 5) -> (..., C, H) group inputs; ``out``, if given, receives them."""
+        """(..., 5, K) -> (..., H, C) group inputs; ``out``, if given, receives them."""
         return dense(self._flat_windows(features), self.down_kernel, out=out)
 
     def downsample_backward(self, g_groups, features, grads, out=None):
         """Returns g_features given the gradient of ``downsample(features)``,
         and adds the kernel's gradient into ``grads.down_kernel``.  ``out``, if
-        given, is a (..., C, 5*width) array that receives the per-window
-        gradients; for diagonal and block layouts g_features is a view of it."""
+        given, is a (..., 5*width, C) array that receives the per-window
+        gradients; for the diagonal layout g_features is a view of it."""
         flat = self._flat_windows(features)
         g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel, out=out)
-        return self.structure.scatter(g_flat.reshape(*g_flat.shape[:-1], -1, self.NUM_CHANNELS))
+        *batch, _, groups = g_flat.shape
+        return self.structure.scatter(
+            g_flat.reshape(*batch, self.structure.width, len(FEATURE_CHANNELS), groups))
 
     def upsample(self, groups):
-        """(..., C, H) -> (..., K) per-bin corrections."""
-        return self.structure.scatter(dense(groups, self.up_kernel)[..., None])[..., 0]
+        """(..., H, C) -> (..., K) per-bin corrections."""
+        return self.structure.scatter(dense(groups, self.up_kernel)[..., None, :])[..., 0, :]
 
     def upsample_backward(self, g_delta, groups, grads, out=None):
         """Returns g_groups given the gradient of ``upsample(groups)``, and adds
         the kernel's gradient into ``grads.up_kernel``.  ``out``, if given,
         receives g_groups as in ``dense_backward``; it may be groups itself."""
-        g_per_bin = self.structure.gather(g_delta[..., None])[..., 0]
+        g_per_bin = self.structure.gather(g_delta[..., None, :])[..., 0, :]
         return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel, out=out)
 
     def _flat_windows(self, features):
-        """Per-group windows of features (..., K, 5), flattened to (..., C, 5*width)."""
+        """Per-group windows of features (..., 5, K), flattened to (..., 5*width, C)."""
         windows = self.structure.gather(features)
-        return windows.reshape(*windows.shape[:-2], -1)
+        return windows.reshape(*windows.shape[:-3], -1, windows.shape[-1])

@@ -231,7 +231,7 @@ def filter_gradient(u_freq, e_hop, cfg):
 
 def feature_spectra(cfg, d_hop, u_freq, y_freq, e_freq):
     """(gradient, far end, desired, error, output) spectra of a hop, as in
-    ``optimizer.FEATURE_CHANNELS``; the gradient reuses ``hop_forward``'s e_freq."""
+    ``layers.FEATURE_CHANNELS``; the gradient reuses ``hop_forward``'s e_freq."""
     return (_gradient(u_freq, e_freq, cfg), u_freq, hop_spectrum(d_hop, cfg),
             e_freq, y_freq)
 

@@ -5,11 +5,14 @@ filter gradient, far-end input, desired, error, and filter output), compresses
 their magnitudes, folds them into frequency groups, runs a two-layer complex
 GRU per group, and scatters the output back to a K-bin filter correction:
 
-    xi     = log_scale(stack(grad, u, d, e, y))          (..., K, 5)
-    g      = downsample(xi)                              (..., C, H)
-    h0'    = gru0(g, h0); h1' = gru1(h0', h1)            (..., C, H)
+    xi     = log_scale(stack(grad, u, d, e, y))          (..., 5, K)
+    g      = downsample(xi)                              (..., H, C)
+    h0'    = gru0(g, h0); h1' = gru1(h0', h1)            (..., H, C)
     delta  = upsample(out_dense(h1'))                    (..., K)
 
+Activations are group-last (see ``layers``): the C groups run along the last
+axis, so every weight multiplies from the left and every gate is a contiguous
+(H, C) block per scene.
 Parameters are shared across groups; only the hidden state is per group.
 They live in one complex buffer whose layout ``param_layout`` defines.
 
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import NumericError
 from .layers import (
+    FEATURE_CHANNELS,
     ComplexGruLayer,
     GroupSampler,
     complex_glorot,
@@ -50,7 +54,6 @@ __all__ = [
     "apply_update",
 ]
 
-FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
 _GATES = "zrc"
 
 
@@ -62,7 +65,7 @@ def param_layout(structure, hidden_size):
     nothing, so a checkpoint header can be checked against it first.
     """
     h = hidden_size
-    layout = [("down_kernel", (h, GroupSampler.NUM_CHANNELS * structure.width))]
+    layout = [("down_kernel", (h, len(FEATURE_CHANNELS) * structure.width))]
     for index in (0, 1):
         for field, shape in (("w", (h, h)), ("u", (h, h)), ("b", (h,))):
             layout += [(f"gru{index}.{field}_{gate}", shape) for gate in _GATES]
@@ -158,7 +161,7 @@ def init_meta_params(structure, hidden_size, seed=0):
 
 @dataclass
 class GroupState:
-    """Per-group hidden state of the two GRU layers."""
+    """Per-group hidden state of the two GRU layers, each (..., H, C)."""
 
     h0: np.ndarray
     h1: np.ndarray
@@ -166,25 +169,26 @@ class GroupState:
     @classmethod
     def zeros(cls, structure, num_bins, hidden_size, batch_shape=()):
         c = structure.group_count(num_bins)
-        shape = tuple(batch_shape) + (c, hidden_size)
+        shape = tuple(batch_shape) + (hidden_size, c)
         return cls(h0=np.zeros(shape, dtype=complex), h1=np.zeros(shape, dtype=complex))
 
 
 def build_input(grad, u_freq, d_freq, e_freq, y_freq, out=None):
     """Stack the five per-bin descriptors and compress magnitudes.
 
-    ``out``, if given, is a (raw, xi) pair of (..., K, 5) arrays that receive
+    The result is (..., 5, K), one row per ``FEATURE_CHANNELS`` entry.
+    ``out``, if given, is a (raw, xi) pair of (..., 5, K) arrays that receive
     the stacked descriptors and the result.
     """
     raw, xi = out or (None, None)
     raw = np.stack(
-        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-1, out=raw
+        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-2, out=raw
     ).astype(complex, copy=False)
     return log_scale(raw, out=xi)
 
 
 def optimizer_step(params, features, state, out=None):
-    """One step: features (..., K, 5) -> (delta (..., K), new state).
+    """One step: features (..., 5, K) -> (delta (..., K), new state).
 
     ``out``, if given, holds each GRU layer's (h_new, zr, c) destinations
     (see ``ComplexGruLayer.step``); the new state's arrays are then its h_new.
@@ -201,11 +205,11 @@ def optimizer_step(params, features, state, out=None):
 class BackwardBuffers(NamedTuple):
     """Arrays one ``_optimizer_backward`` step writes into instead of allocating.
 
-    Both GRU layers use ``gates`` (..., C, 3H), their gate gradients, and
-    ``work``, four (..., C, H) arrays, in turn.  ``state`` receives the
-    returned state gradient and ``windows`` (..., C, 5*width) the downsample's
+    Both GRU layers use ``gates`` (..., 3H, C), their gate gradients, and
+    ``work``, four (..., H, C) arrays, in turn.  ``state`` receives the
+    returned state gradient and ``windows`` (..., 5*width, C) the downsample's
     window gradients, of which the returned feature gradient is a view for
-    diagonal and block layouts.
+    the diagonal layout.
     """
 
     gates: np.ndarray
@@ -215,11 +219,11 @@ class BackwardBuffers(NamedTuple):
 
     @classmethod
     def empty(cls, state_shape, window_size):
-        """Fresh buffers for hidden states shaped ``state_shape`` (..., C, H)."""
-        *groups, hidden = state_shape
+        """Fresh buffers for hidden states shaped ``state_shape`` (..., H, C)."""
+        *batch, hidden, groups = state_shape
 
         def empty(size):
-            return np.empty((*groups, size), dtype=complex)
+            return np.empty((*batch, size, groups), dtype=complex)
 
         return cls(gates=empty(3 * hidden), work=tuple(empty(hidden) for _ in range(4)),
                    state=GroupState(h0=empty(hidden), h1=empty(hidden)),

@@ -109,26 +109,30 @@ class DependencyStructure:
         return counts
 
     def gather(self, x):
-        """Per-group windows (..., C, width, ch) of x (..., K, ch), cut from C
-        tiles of ``hop`` bins.  Diagonal and block windows are the tiles (a
-        view of a contiguous x); a banded window copies tile g, then tile g + 1
-        (the last wrapping to the first)."""
-        *batch, num_bins, chans = x.shape
+        """Per-group windows (..., width, ch, C) of x (..., ch, K), cut from C
+        tiles of ``hop`` bins: window row j of group g is bin g * hop + j.
+        Diagonal windows are a view of a contiguous x, block windows a strided
+        view; a banded window copies tile g, then tile g + 1 (the last
+        wrapping to the first)."""
+        *batch, chans, num_bins = x.shape
         hop = self.hop
-        tiles = x.reshape(*batch, self.group_count(num_bins), hop, chans)
+        groups = self.group_count(num_bins)
+        # (..., ch, C, hop) -> (..., hop, ch, C)
+        tiles = x.reshape(*batch, chans, groups, hop).swapaxes(-1, -2).swapaxes(-2, -3)
         if self.kind != "banded":
             return tiles
-        windows = np.empty(tiles.shape[:-2] + (self.width, chans), dtype=x.dtype)
-        windows[..., :hop, :] = tiles
-        windows[..., :-1, hop:, :] = tiles[..., 1:, :, :]
-        windows[..., -1, hop:, :] = tiles[..., 0, :, :]
+        windows = np.empty((*batch, self.width, chans, groups), dtype=x.dtype)
+        windows[..., :hop, :, :] = tiles
+        windows[..., hop:, :, :-1] = tiles[..., 1:]
+        windows[..., hop:, :, -1] = tiles[..., 0]
         return windows
 
     def scatter(self, windows):
-        """Adjoint of ``gather``: overlap-add (..., C, width, ch) -> (..., K, ch);
+        """Adjoint of ``gather``: overlap-add (..., width, ch, C) -> (..., ch, K);
         a banded window's tail half lands on the next tile, the last on the first."""
-        *batch, groups, _, chans = windows.shape
+        *batch, _, chans, groups = windows.shape
         if self.kind == "banded":
             hop = self.hop
-            windows = windows[..., :hop, :] + np.roll(windows[..., hop:, :], 1, axis=-3)
-        return windows.reshape(*batch, groups * self.hop, chans)
+            windows = windows[..., :hop, :, :] + np.roll(windows[..., hop:, :, :], 1, axis=-1)
+        # (..., hop, ch, C) -> (..., ch, C, hop)
+        return windows.swapaxes(-3, -2).swapaxes(-2, -1).reshape(*batch, chans, groups * self.hop)

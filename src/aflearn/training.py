@@ -15,20 +15,24 @@ is a time-major slice of them; the window runs the sessions' hop kernel
 (``ols.hop_forward``) forward and its adjoint (``ols.hop_backward``) backward.
 
 A window's forward is the sessions' own (``build_input``, ``optimizer_step``),
-told to write into a ``WindowWorkspace`` of time-major arrays, which is the
-window's only cache.  Per hop it holds each operand the backward cannot
-rebuild with one operation once: the raw features (whose far-end channel
-the hop kernel's adjoint reads), the log-scaled features, and per GRU layer
-the hidden state, the z|r gates and the candidate c.  The backward reads a
+told to write into a ``WindowWorkspace`` of time-major, group-last arrays
+(features (..., 5, K), GRU activations (..., H, C)), which is the window's
+only cache.  Per hop it holds each operand the backward cannot rebuild with
+one operation once: the raw features (whose far-end row the hop kernel's
+adjoint reads), the log-scaled features, and per GRU layer the hidden
+state, the z|r gates and the candidate c.  The backward reads a
 step's operands from those rows and recomputes r * h, the layer-0 input
 ``downsample(xi)`` and the output dense layer's result with the forward's
 own operations, so the gradients are bit-identical to those of a full cache.
-The backward allocates no per-step arrays either: the workspace also holds
-one step's worth of backward buffers (the gate gradients, conjugate
-products, rebuilt operands and two state gradients that steps alternate
-between), which every step and both GRU layers reuse while they are still
-in cache.  The last step has no backward at all: its delta only sets the
-carried filter, which no loss term of the window reads.
+The backward's intermediates live in the workspace too: it holds one
+step's worth of backward buffers (the gate gradients, conjugate products,
+rebuilt operands and two state gradients that steps alternate between),
+which every step and both GRU layers reuse while they are still in cache.
+Per step the backward allocates only the small per-scene weight-gradient
+products it sums over the batch and, for block and banded layouts, the
+window copies that ``gather`` and ``scatter`` make.  The last step has no
+backward at all: its delta only sets the carried filter, which no loss term
+of the window reads.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
 every window, so training maps that memory once.
 Every layer's backward adds its parameter gradients into the window's one
@@ -78,6 +82,9 @@ __all__ = [
 ]
 
 LOSS_EPS = 1e-9
+# feature rows the window's backward reads: the hop kernel's adjoint takes the
+# far end, and only the error and output rows carry gradient
+_FAREND, _ERROR, _OUTPUT = (FEATURE_CHANNELS.index(name) for name in ("farend", "error", "output"))
 
 
 @dataclass
@@ -125,10 +132,10 @@ class WindowWorkspace:
     """Time-major arrays a training window's forward writes and its backward reads.
 
     For a window of ``length`` hops over a (batch,) stack: per GRU layer the
-    hidden trajectory (length + 1, batch, C, H), whose row 0 is the incoming
-    state and row t + 1 step t's new state, the z|r gates (length, batch, C,
-    2H) and the candidate c (length, batch, C, H); and the raw and
-    log-scaled features (length, batch, K, 5).  The backward writes one
+    hidden trajectory (length + 1, batch, H, C), whose row 0 is the incoming
+    state and row t + 1 step t's new state, the z|r gates (length, batch, 2H,
+    C) and the candidate c (length, batch, H, C); and the raw and
+    log-scaled features (length, batch, 5, K).  The backward writes one
     step's intermediates into ``BackwardBuffers`` that both GRU layers and
     every step share, and that alternate between two state gradients.
     ``window_gradient`` overwrites it all on every call, so one workspace
@@ -137,16 +144,16 @@ class WindowWorkspace:
 
     def __init__(self, structure, hidden_size, num_bins, batch, length):
         groups = structure.group_count(num_bins)
-        state = (batch, groups, hidden_size)
+        state = (batch, hidden_size, groups)
 
         def arrays(shape):
             return tuple(np.empty(shape, dtype=complex) for _ in range(2))
 
         self.shape = (structure, hidden_size, num_bins, batch, length)
         self.hidden = arrays((length + 1,) + state)
-        self.zr = arrays((length,) + state[:-1] + (2 * hidden_size,))
+        self.zr = arrays((length, batch, 2 * hidden_size, groups))
         self.c = arrays((length,) + state)
-        self.raw, self.xi = arrays((length, batch, num_bins, len(FEATURE_CHANNELS)))
+        self.raw, self.xi = arrays((length, batch, len(FEATURE_CHANNELS), num_bins))
         shared = BackwardBuffers.empty(state, len(FEATURE_CHANNELS) * structure.width)
         self._backward = (shared, shared._replace(state=GroupState(*arrays(state))))
 
@@ -205,7 +212,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     # which no loss term of this window reads: that step has no backward, and
     # its hop's error and output features carry no gradient.
     g_state = GroupState(h0=0.0, h1=0.0)
-    g_ey = np.zeros(ws.raw.shape[1:-1] + (2,), dtype=complex)
+    g_ey = np.zeros((batch, _OUTPUT + 1 - _ERROR, cfg.dft_size), dtype=complex)
     g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
@@ -213,9 +220,9 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
             g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
                                                 ws.step_out(t), g_tensors,
                                                 ws.backward_buffers(t))
-            # channels 3 and 4 (error, output) carry gradient; channel 1 is the far end
-            g_ey = log_scale_backward(ws.raw[t][..., 3:], g_xi[..., 3:])
-        g_w += hop_backward(cfg, ws.raw[t][..., 1], g_y_hops[t], g_ey[..., 0], g_ey[..., 1])
+            rows = slice(_ERROR, _OUTPUT + 1)  # views: first the error row, last the output row
+            g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
+        g_w += hop_backward(cfg, ws.raw[t][:, _FAREND], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])
 
     return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 
@@ -365,7 +372,7 @@ def train_update_rule(
     history = []
 
     for epoch in range(start_epoch, epochs):
-        start = time.time()
+        start = time.perf_counter()
         order = np.array(train_seeds)[shuffle_rng.permutation(len(train_seeds))]
         losses = []
         for lo in range(0, len(order), batch_size):
@@ -406,7 +413,7 @@ def train_update_rule(
                 "train_loss": float(np.mean(losses)),
                 "val_serle_db": score,
                 "lr": lr,
-                "seconds": round(time.time() - start, 2),
+                "seconds": round(time.perf_counter() - start, 2),
             }
         )
         if log:

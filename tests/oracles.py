@@ -45,9 +45,19 @@ def linear_convolve(h, x):
     return y
 
 
+def _gate_product(x, w):
+    """w applied to each group row of x (..., n_in) -> (..., n_out).  Written
+    w @ x^T, the orientation of ``layers._matmul``: BLAS may round x @ w^T
+    differently from it when there are only a few groups."""
+    if x.ndim == 1:
+        return w @ x
+    return np.swapaxes(w @ np.swapaxes(x, -1, -2), -1, -2)
+
+
 def gru_step_reference(layer, x, h):
-    """Complex GRU step gate by gate: six separate products, split activations
-    written with .real/.imag.  Returns (h_new, z, r, rh, c)."""
+    """Complex GRU step gate by gate, group-major (x (..., in), h (..., H)):
+    six separate products, split activations written with .real/.imag.
+    Returns (h_new, z, r, rh, c)."""
 
     def sigmoid(a):
         return 1.0 / (1.0 + np.exp(-a.real)) + 1j / (1.0 + np.exp(-a.imag))
@@ -58,10 +68,10 @@ def gru_step_reference(layer, x, h):
     w_z, w_r, w_c = np.split(layer.w, 3)
     u_z, u_r, u_c = np.split(layer.u, 3)
     b_z, b_r, b_c = np.split(layer.b, 3)
-    z = sigmoid(x @ w_z.T + h @ u_z.T + b_z)
-    r = sigmoid(x @ w_r.T + h @ u_r.T + b_r)
+    z = sigmoid(_gate_product(x, w_z) + _gate_product(h, u_z) + b_z)
+    r = sigmoid(_gate_product(x, w_r) + _gate_product(h, u_r) + b_r)
     rh = r * h
-    c = tanh(x @ w_c.T + rh @ u_c.T + b_c)
+    c = tanh(_gate_product(x, w_c) + _gate_product(rh, u_c) + b_c)
     h_new = (1.0 - z) * c + z * h
     return h_new, z, r, rh, c
 
@@ -109,16 +119,17 @@ def gru_backward_reference(layer, g_h_new, x, h, zr, c):
 def counted_macs():
     """Tally the complex multiply-accumulates of every forward matrix product.
 
-    Every dense layer and GRU step runs its products through
+    Every dense layer and GRU step runs its products ``weight @ x`` through
     ``aflearn.layers._matmul``; while the context is active that function is
-    wrapped to add batch * n_in * n_out per call to the yielded ``.total``.
+    wrapped to add columns * n_in * n_out per call to the yielded ``.total``,
+    where x is (..., n_in, columns).
     """
     tally = SimpleNamespace(total=0)
     matmul = layers._matmul
 
-    def counting(x, weight, out=None):
-        tally.total += (x.size // x.shape[-1]) * weight.shape[1] * weight.shape[0]
-        return matmul(x, weight, out=out)
+    def counting(weight, x, out=None):
+        tally.total += (x.size // x.shape[-2]) * weight.shape[1] * weight.shape[0]
+        return matmul(weight, x, out=out)
 
     layers._matmul = counting
     try:

@@ -119,9 +119,9 @@ def test_log_compression_backward_matches_fd():
 def test_gru_layer_backward_matches_fd():
     rng = np.random.default_rng(23)
     layer = ComplexGruLayer.init(rng, input_size=3, hidden_size=4)
-    x = 0.5 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-    h = 0.5 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-    c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    x = 0.5 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    h = 0.5 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
 
     h_new, zr, cand = layer.step(x, h)
     grads = ComplexGruLayer(*(np.zeros_like(t) for t in (layer.w, layer.u, layer.b)))
@@ -146,9 +146,9 @@ def test_group_sampler_backward_matches_fd(structure):
     rng = np.random.default_rng(24)
     k, h = 8, 3
     sampler = GroupSampler.init(rng, structure, h)
-    feats = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
-    c_groups = rng.standard_normal((structure.group_count(k), h)) + 1j * rng.standard_normal(
-        (structure.group_count(k), h)
+    feats = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    c_groups = rng.standard_normal((h, structure.group_count(k))) + 1j * rng.standard_normal(
+        (h, structure.group_count(k))
     )
 
     groups = sampler.downsample(feats)
@@ -181,8 +181,8 @@ def test_unrolled_meta_gradient_matches_fd(structure):
                 + 1j * rng.standard_normal((1, cfg.dft_size)))
     c = structure.group_count(cfg.dft_size)
     state0 = GroupState(
-        h0=0.3 * (rng.standard_normal((1, c, hidden)) + 1j * rng.standard_normal((1, c, hidden))),
-        h1=0.3 * (rng.standard_normal((1, c, hidden)) + 1j * rng.standard_normal((1, c, hidden))),
+        h0=0.3 * (rng.standard_normal((1, hidden, c)) + 1j * rng.standard_normal((1, hidden, c))),
+        h1=0.3 * (rng.standard_normal((1, hidden, c)) + 1j * rng.standard_normal((1, hidden, c))),
     )
 
     def unroll_loss(grad_channel, record=None):
@@ -245,7 +245,7 @@ def test_update_jacobian_sparsity_matches_layout(structure):
     k, h = 16, 3
     params = init_meta_params(structure, h, seed=41)
     rng = np.random.default_rng(42)
-    xi = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+    xi = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
     state = GroupState.zeros(structure, k, h)
     delta0, _ = optimizer_step(params, xi, state)
 
@@ -260,7 +260,7 @@ def test_update_jacobian_sparsity_matches_layout(structure):
     uncoupled = np.empty(0)
     for j in range(k):
         probe = xi.copy()
-        probe[j] += 1e-3 * (1.0 + 1.0j)
+        probe[:, j] += 1e-3 * (1.0 + 1.0j)
         delta_j, _ = optimizer_step(params, probe, GroupState.zeros(structure, k, h))
         diff = np.abs(delta_j - delta0)
         coupled = np.append(coupled, diff[expected[:, j]])
@@ -325,7 +325,7 @@ def test_flop_count_matches_instrumented_execution():
         for structure in layouts:
             for h in (2, 5):
                 params = init_meta_params(structure, h, seed=51)
-                xi = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+                xi = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
                 with counted_macs() as counted:
                     optimizer_step(params, xi, GroupState.zeros(structure, k, h))
                 assert counted.total == flops_per_frame(structure, k, h)

@@ -31,6 +31,17 @@ def _random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _group_last(a):
+    """The oracles' group-major (..., C, n) as the layers' (..., n, C); a lone
+    (n,) vector is one group."""
+    return np.ascontiguousarray(np.swapaxes(np.atleast_2d(a), -1, -2))
+
+
+def _group_major(a, shape):
+    """Inverse of ``_group_last`` for an oracle result of ``shape``."""
+    return np.swapaxes(a, -1, -2).reshape(shape)
+
+
 def _quadratic_loss(y, target):
     d = y - target
     return float(np.sum(d.real**2 + d.imag**2))
@@ -91,10 +102,10 @@ def test_log_scale_backward_near_zero_magnitudes():
 
 def test_dense_backward_matches_fd():
     rng = np.random.default_rng(13)
-    x = _random_complex(rng, (3, 4, 5))
+    x = _random_complex(rng, (3, 5, 4))
     w = _random_complex(rng, (2, 5))
     b = _random_complex(rng, (2,))
-    target = _random_complex(rng, (3, 4, 2))
+    target = _random_complex(rng, (3, 2, 4))
 
     def loss():
         return _quadratic_loss(dense(x, w, b), target)
@@ -112,8 +123,8 @@ def test_gru_zero_state_and_zero_weights_gives_zero():
     layer = ComplexGruLayer.init(rng, 3, 4)
     for name, tensor in vars(layer).items():
         tensor[...] = 0.0
-    x = _random_complex(rng, (2, 3))
-    h_new, _, _ = layer.step(x, np.zeros((2, 4), dtype=complex))
+    x = _random_complex(rng, (3, 2))
+    h_new, _, _ = layer.step(x, np.zeros((4, 2), dtype=complex))
     assert np.abs(h_new).max() == 0.0
 
 
@@ -128,13 +139,13 @@ def test_gru_step_matches_per_gate_reference(hidden, batch):
     x = _random_complex(rng, batch + (hidden,))
     h = _random_complex(rng, batch + (hidden,), scale=0.5)
     with counted_macs() as counted:
-        h_new, zr, c = layer.step(x, h)
+        h_new, zr, c = layer.step(_group_last(x), _group_last(h))
     expected = gru_step_reference(layer, x, h)
-    z, r = zr[..., :hidden], zr[..., hidden:]
+    z, r = zr[..., :hidden, :], zr[..., hidden:, :]
     # r * h is not returned; the backward rebuilds it as the step computed it
-    for got, want in zip((h_new, z, r, r * h, c), expected):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    for got, want in zip((h_new, z, r, r * _group_last(h), c), expected):
+        assert got.shape == _group_last(want).shape
+        assert np.array_equal(_group_major(got, want.shape), want)
     # six H x H products per group, as FlopModel.gru_term counts them
     assert counted.total == int(np.prod(batch)) * 6 * hidden * hidden
 
@@ -148,13 +159,16 @@ def test_gru_backward_matches_per_gate_reference(hidden, batch):
     layer.b[...] = _random_complex(rng, layer.b.shape, scale=0.3)
     x = _random_complex(rng, batch + (hidden,))
     h = _random_complex(rng, batch + (hidden,), scale=0.5)
-    _, zr, c = layer.step(x, h)
+    _, zr, c = layer.step(_group_last(x), _group_last(h))
     g_h_new = _random_complex(rng, batch + (hidden,))
     grads = _gru_holder(layer)
-    g_x, g_h = layer.backward(g_h_new, x, h, zr, c, grads)
-    got = (g_x, g_h, grads.w, grads.u, grads.b)
-    for name, a, want in zip(("g_x", "g_h", "w", "u", "b"), got,
-                             gru_backward_reference(layer, g_h_new, x, h, zr, c)):
+    g_x, g_h = layer.backward(_group_last(g_h_new), _group_last(x), _group_last(h), zr, c,
+                              grads)
+    expected = gru_backward_reference(layer, g_h_new, x, h,
+                                      _group_major(zr, batch + (2 * hidden,)),
+                                      _group_major(c, batch + (hidden,)))
+    got = (_group_major(g_x, x.shape), _group_major(g_h, h.shape), grads.w, grads.u, grads.b)
+    for name, a, want in zip(("g_x", "g_h", "w", "u", "b"), got, expected):
         assert a.shape == want.shape, name
         assert rel_error(a, want) <= 1e-12, name
 
@@ -171,9 +185,9 @@ def test_split_activations_match_real_imag_forms():
 def test_gru_backward_matches_fd():
     rng = np.random.default_rng(15)
     layer = ComplexGruLayer.init(rng, 3, 4)
-    x = _random_complex(rng, (2, 5, 3), scale=0.5)
-    h = _random_complex(rng, (2, 5, 4), scale=0.5)
-    target = _random_complex(rng, (2, 5, 4))
+    x = _random_complex(rng, (2, 3, 5), scale=0.5)
+    h = _random_complex(rng, (2, 4, 5), scale=0.5)
+    target = _random_complex(rng, (2, 4, 5))
 
     def loss():
         h_new, _, _ = layer.step(x, h)
@@ -201,12 +215,12 @@ def test_downsample_matches_window_enumeration(structure):
     rng = np.random.default_rng(16)
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
-    features = _random_complex(rng, (k, 5))
+    features = _random_complex(rng, (5, k))
     groups = sampler.downsample(features)
     bins = structure.window_bins(k)
     for c in range(bins.shape[0]):
-        window = features[bins[c]].reshape(-1)
-        assert rel_error(groups[c], sampler.down_kernel @ window) < 1e-12
+        window = features[:, bins[c]].T.reshape(-1)  # bin-major: width bins x 5 channels
+        assert rel_error(groups[:, c], sampler.down_kernel @ window) < 1e-12
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -215,11 +229,11 @@ def test_upsample_matches_scatter_enumeration(structure):
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
     bins = structure.window_bins(k)
-    groups = _random_complex(rng, (bins.shape[0], h))
+    groups = _random_complex(rng, (h, bins.shape[0]))
     delta = sampler.upsample(groups)
     expected = np.zeros(k, dtype=complex)
     for c in range(bins.shape[0]):
-        np.add.at(expected, bins[c], sampler.up_kernel @ groups[c])
+        np.add.at(expected, bins[c], sampler.up_kernel @ groups[:, c])
     assert rel_error(delta, expected) < 1e-12
 
 
@@ -228,7 +242,7 @@ def test_upsample_zero_input_is_zero(structure):
     rng = np.random.default_rng(18)
     sampler = GroupSampler.init(rng, structure, 3)
     c = structure.group_count(16)
-    delta = sampler.upsample(np.zeros((c, 3), dtype=complex))
+    delta = sampler.upsample(np.zeros((3, c), dtype=complex))
     assert np.abs(delta).max() == 0.0
 
 
@@ -237,8 +251,8 @@ def test_sampler_backward_matches_fd(structure):
     rng = np.random.default_rng(19)
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
-    features = _random_complex(rng, (2, k, 5), scale=0.5)
-    t_groups = _random_complex(rng, (2, structure.group_count(k), h))
+    features = _random_complex(rng, (2, 5, k), scale=0.5)
+    t_groups = _random_complex(rng, (2, h, structure.group_count(k)))
     t_delta = _random_complex(rng, (2, k))
 
     def down_loss():
@@ -252,7 +266,7 @@ def test_sampler_backward_matches_fd(structure):
     assert rel_error(g_features, fd_gradient(down_loss, features)) < TOL
     assert rel_error(grads.down_kernel, fd_gradient(down_loss, sampler.down_kernel)) < TOL
 
-    group_in = _random_complex(rng, (2, structure.group_count(k), h), scale=0.5)
+    group_in = _random_complex(rng, (2, h, structure.group_count(k)), scale=0.5)
 
     def up_loss():
         delta = sampler.upsample(group_in)
@@ -271,9 +285,9 @@ def _preloaded(rng):
 
 def test_dense_backward_adds_into_its_holders():
     rng = np.random.default_rng(25)
-    x = _random_complex(rng, (3, 4, 5))
+    x = _random_complex(rng, (3, 5, 4))
     w = _random_complex(rng, (2, 5))
-    g_y = _random_complex(rng, (3, 4, 2))
+    g_y = _random_complex(rng, (3, 2, 4))
     fresh = np.zeros_like(w), np.zeros((2,), dtype=complex)
     loaded = _random_complex(rng, w.shape), _random_complex(rng, (2,))
     preload = [g.copy() for g in loaded]
@@ -290,8 +304,8 @@ def test_dense_backward_adds_into_its_holders():
 def test_gru_backward_adds_into_its_holder():
     rng = np.random.default_rng(26)
     layer = ComplexGruLayer.init(rng, 3, 4)
-    x = _random_complex(rng, (2, 5, 3), scale=0.5)
-    h = _random_complex(rng, (2, 5, 4), scale=0.5)
+    x = _random_complex(rng, (2, 3, 5), scale=0.5)
+    h = _random_complex(rng, (2, 4, 5), scale=0.5)
     h_new, zr, c = layer.step(x, h)
     g_out = _random_complex(rng, h_new.shape)
     fresh, loaded = _gru_holder(layer), _gru_holder(layer, _preloaded(rng))
@@ -309,8 +323,8 @@ def test_sampler_backward_adds_into_its_holder(structure):
     rng = np.random.default_rng(27)
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
-    features = _random_complex(rng, (2, k, 5))
-    g_groups = _random_complex(rng, (2, structure.group_count(k), h))
+    features = _random_complex(rng, (2, 5, k))
+    g_groups = _random_complex(rng, (2, h, structure.group_count(k)))
     g_delta = _random_complex(rng, (2, k))
     fresh, loaded = _sampler_holder(sampler), _sampler_holder(sampler, _preloaded(rng))
     preload = _sampler_holder(loaded, np.copy)

@@ -16,10 +16,11 @@ from aflearn.optimizer import (
     init_meta_params,
     optimizer_step,
 )
+from aflearn import layers
 from aflearn.layers import log_scale_backward
 from aflearn.structures import DependencyStructure
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, gru_step_reference, rel_error
 
 STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -80,28 +81,28 @@ def test_build_input_shapes_and_compression():
     rng = np.random.default_rng(4)
     spectra = [_random_complex(rng, (2, 8), scale=10.0) for _ in range(5)]
     xi = build_input(*spectra)
-    assert xi.shape == (2, 8, len(FEATURE_CHANNELS))
+    assert xi.shape == (2, len(FEATURE_CHANNELS), 8)
     for i, spec in enumerate(spectra):
-        assert np.all(np.abs(xi[..., i]) <= np.abs(spec) + 1e-12)
+        assert np.all(np.abs(xi[..., i, :]) <= np.abs(spec) + 1e-12)
         mask = np.abs(spec) > 1e-9
-        assert np.allclose(np.angle(xi[..., i])[mask], np.angle(spec)[mask])
+        assert np.allclose(np.angle(xi[..., i, :])[mask], np.angle(spec)[mask])
 
 
 def test_build_input_backward_matches_fd():
     rng = np.random.default_rng(5)
     spectra = [_random_complex(rng, (6,)) for _ in range(5)]
-    target = _random_complex(rng, (6, 5))
+    target = _random_complex(rng, (5, 6))
 
     def loss():
         xi = build_input(*spectra)
         d = xi - target
         return float(np.sum(d.real**2 + d.imag**2))
 
-    raw, xi = np.empty((2, 6, 5), dtype=complex)
+    raw, xi = np.empty((2, 5, 6), dtype=complex)
     build_input(*spectra, out=(raw, xi))
     g_raw = log_scale_backward(raw, 2.0 * (xi - target))
     for i, spec in enumerate(spectra):
-        assert rel_error(g_raw[..., i], fd_gradient(loss, spec)) < 1e-5
+        assert rel_error(g_raw[..., i, :], fd_gradient(loss, spec)) < 1e-5
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -110,10 +111,10 @@ def test_step_backward_matches_fd(structure):
     k, h = 16, 3
     params = init_meta_params(structure, h, seed=7)
     state = GroupState(
-        h0=_random_complex(rng, (structure.group_count(k), h), 0.3),
-        h1=_random_complex(rng, (structure.group_count(k), h), 0.3),
+        h0=_random_complex(rng, (h, structure.group_count(k)), 0.3),
+        h1=_random_complex(rng, (h, structure.group_count(k)), 0.3),
     )
-    features = _random_complex(rng, (k, 5), 0.5)
+    features = _random_complex(rng, (5, k), 0.5)
     t_delta = _random_complex(rng, (k,))
     t_h0 = _random_complex(rng, state.h0.shape)
     t_h1 = _random_complex(rng, state.h1.shape)
@@ -127,7 +128,7 @@ def test_step_backward_matches_fd(structure):
         )
 
     # each GRU layer's (h_new, zr, c), which the backward reads back
-    out = [(np.empty_like(state.h0), np.empty(state.h0.shape[:-1] + (2 * h,), dtype=complex),
+    out = [(np.empty_like(state.h0), np.empty((2 * h, state.h0.shape[-1]), dtype=complex),
             np.empty_like(state.h0)) for _ in range(2)]
     delta, new_state = optimizer_step(params, features, state, out=out)
     g_delta = 2.0 * (delta - t_delta)
@@ -148,10 +149,10 @@ def test_step_backward_adds_into_the_holder(structure):
     rng = np.random.default_rng(11)
     k, h, batch = 16, 3, 2
     params = init_meta_params(structure, h, seed=12)
-    shape = (batch, structure.group_count(k), h)
+    shape = (batch, h, structure.group_count(k))
     state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
-    features = _random_complex(rng, (batch, k, 5), 0.5)
-    out = [(np.empty(shape, dtype=complex), np.empty(shape[:-1] + (2 * h,), dtype=complex),
+    features = _random_complex(rng, (batch, 5, k), 0.5)
+    out = [(np.empty(shape, dtype=complex), np.empty((batch, 2 * h, shape[-1]), dtype=complex),
             np.empty(shape, dtype=complex)) for _ in range(2)]
     optimizer_step(params, features, state, out=out)
     g_delta = _random_complex(rng, (batch, k))
@@ -168,12 +169,52 @@ def test_step_backward_adds_into_the_holder(structure):
     assert np.array_equal(loaded.buffer, preload + fresh.buffer)
 
 
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_step_matches_group_by_group_oracle(structure):
+    # group-major throughout: windows enumerated from window_bins, the GRU
+    # layers run by the gate-by-gate oracle, plain products for the rest
+    rng = np.random.default_rng(13)
+    k, h, batch = 16, 4, 2
+    params = init_meta_params(structure, h, seed=14)
+    params.buffer[...] += _random_complex(rng, params.buffer.shape, 0.1)  # nonzero biases
+    bins = structure.window_bins(k)
+    c = bins.shape[0]
+    features = _random_complex(rng, (batch, k, len(FEATURE_CHANNELS)), 0.5)
+    h0, h1 = (_random_complex(rng, (batch, c, h), 0.3) for _ in range(2))
+
+    groups = np.stack([[params.sampler.down_kernel @ features[b, bins[g]].reshape(-1)
+                        for g in range(c)] for b in range(batch)])
+    h0_new = gru_step_reference(params.grus[0], groups, h0)[0]
+    h1_new = gru_step_reference(params.grus[1], h0_new, h1)[0]
+    out = h1_new @ params.out_weight.T + params.out_bias
+    expected = np.zeros((batch, k), dtype=complex)
+    for b in range(batch):
+        for g in range(c):
+            np.add.at(expected[b], bins[g], params.sampler.up_kernel @ out[b, g])
+
+    def group_last(a):
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+    delta, state = optimizer_step(params, group_last(features),
+                                  GroupState(group_last(h0), group_last(h1)))
+    assert rel_error(delta, expected) < 1e-13
+    assert rel_error(np.swapaxes(state.h0, -1, -2), h0_new) < 1e-13
+    assert rel_error(np.swapaxes(state.h1, -1, -2), h1_new) < 1e-13
+
+
+def test_feature_channels_have_one_owner():
+    assert FEATURE_CHANNELS is layers.FEATURE_CHANNELS
+    for structure in STRUCTURES:
+        params = init_meta_params(structure, 3)
+        assert params.sampler.down_kernel.shape == (3, len(FEATURE_CHANNELS) * structure.width)
+
+
 def test_batched_step_matches_loop():
     structure = DependencyStructure.block(4)
     k, h, batch = 16, 3, 4
     params = init_meta_params(structure, h, seed=8)
     rng = np.random.default_rng(9)
-    features = _random_complex(rng, (batch, k, 5))
+    features = _random_complex(rng, (batch, 5, k))
     state = GroupState.zeros(structure, k, h, batch_shape=(batch,))
     delta_b, state_b = optimizer_step(params, features, state)
     for i in range(batch):

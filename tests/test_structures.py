@@ -84,9 +84,10 @@ def test_gather_enumerates_windows_and_scatter_is_its_adjoint(kind, log_k, log_w
     def draw(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    x = draw((batch, k, chans))
+    x = draw((batch, chans, k))
     windows = s.gather(x)
-    assert np.array_equal(windows, x[..., s.window_bins(k), :])
+    # x[..., bins] is (batch, ch, C, width); gather puts the window rows first
+    assert np.array_equal(windows, np.moveaxis(x[..., s.window_bins(k)], -1, -3))
     y = draw(windows.shape)
     scattered = s.scatter(y)
     assert scattered.shape == x.shape

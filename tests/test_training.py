@@ -1,7 +1,9 @@
 """Truncated-BPTT gradients, Adam bookkeeping, and a miniature training run."""
 
 import re
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,10 +68,10 @@ def test_window_gradient_matches_fd(structure):
                 + 1j * rng.standard_normal((batch, cfg.dft_size)))
     c = structure.group_count(cfg.dft_size)
     state0 = GroupState(
-        h0=0.3 * (rng.standard_normal((batch, c, hidden))
-                  + 1j * rng.standard_normal((batch, c, hidden))),
-        h1=0.3 * (rng.standard_normal((batch, c, hidden))
-                  + 1j * rng.standard_normal((batch, c, hidden))),
+        h0=0.3 * (rng.standard_normal((batch, hidden, c))
+                  + 1j * rng.standard_normal((batch, hidden, c))),
+        h1=0.3 * (rng.standard_normal((batch, hidden, c))
+                  + 1j * rng.standard_normal((batch, hidden, c))),
     )
 
     def unroll_loss(grad_channel, record=None):
@@ -146,8 +148,8 @@ def _window_inputs(structure, k=16, hidden=4, batch=2, length=3, seed=4):
     d_hops = rng.standard_normal((2 * length, batch, k // 2))
     w = 0.1 * (rng.standard_normal((batch, k)) + 1j * rng.standard_normal((batch, k)))
     c = structure.group_count(k)
-    state = GroupState(*(0.3 * (rng.standard_normal((batch, c, hidden))
-                                + 1j * rng.standard_normal((batch, c, hidden))) for _ in range(2)))
+    state = GroupState(*(0.3 * (rng.standard_normal((batch, hidden, c))
+                                + 1j * rng.standard_normal((batch, hidden, c))) for _ in range(2)))
     return params, cfg, w, state, frames, d_hops
 
 
@@ -204,9 +206,12 @@ def test_one_hop_window_has_a_zero_parameter_gradient(structure):
 
 
 # (fresh, reused-workspace) peak budgets of one window, in units of one
-# (L, B, C, H) complex array.  Measured: diagonal 11.7 and 0.90, block:4 17.0
-# and 2.2, banded:4 14.0 and 1.7; the workspace holds the backward's
+# (L, B, H, C) complex array.  Measured: diagonal 11.9 and 0.90, block:4 17.3
+# and 2.35, banded:4 14.1 and 1.7; the workspace holds the backward's
 # buffers too, so a reused one leaves mostly the forward's transients.
+# Block windows cost 0.3 more than when they were group-major: flattening a
+# block's group-last windows, and scattering their gradient back, copies
+# 5K values per scene where the group-major layout had views.
 # Caching r*h per GRU layer, the layer-0 input or the output dense result
 # again adds at least 1 unit each; keeping a banded window's L gathered
 # feature windows adds 2.3 (reused: 5.9).
@@ -439,6 +444,17 @@ def test_empty_batch_or_window_is_a_config_error(field, value):
         train_update_rule(*args, epochs=1, **{"batch_size": 2, "unroll": 5, field: value})
     assert info.value.field == field
     assert str(value) in info.value.message
+
+
+def test_epoch_seconds_survive_a_wall_clock_step_back(monkeypatch):
+    # the wall clock reads 1000 s when the epoch starts and 10 s from then on
+    readings = iter([1000.0])
+    clock = SimpleNamespace(time=lambda: next(readings, 10.0), perf_counter=time.perf_counter)
+    monkeypatch.setattr(aflearn.training, "time", clock)
+    _, history = train_update_rule(DependencyStructure.block(4), 4, OlsConfig(64),
+                                   desk_spec(duration=0.2, rir_taps=32), train_seeds=[5, 6],
+                                   val_seeds=[100], epochs=1, batch_size=2, unroll=5)
+    assert history[0]["seconds"] >= 0
 
 
 def test_empty_train_seeds_is_a_config_error():
