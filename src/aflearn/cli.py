@@ -128,12 +128,9 @@ def validate_train_config(raw):
         require(isinstance(scenes["manifest"], str), "scenes.manifest",
                 "must be a path string")
 
-    out["train_scenes"] = check_number(out["train_scenes"], "train_scenes", int, 1)
-    out["val_scenes"] = check_number(out["val_scenes"], "val_scenes", int, 1)
-    out["seed"] = check_number(out["seed"], "seed", int, 0)
-    out["epochs"] = check_number(out["epochs"], "epochs", int, 1)
-    out["batch_size"] = check_number(out["batch_size"], "batch_size", int, 1)
-    out["unroll"] = check_number(out["unroll"], "unroll", int, 1)
+    for key, minimum in (("train_scenes", 1), ("val_scenes", 1), ("seed", 0), ("epochs", 1),
+                         ("batch_size", 1), ("unroll", 1)):
+        out[key] = check_number(out[key], key, int, minimum)
     require(out["train_scenes"] < _VAL_SEED_OFFSET, "train_scenes",
             f"must stay below {_VAL_SEED_OFFSET}")
 
@@ -202,10 +199,8 @@ def cmd_gen_data(args):
             raise ValueError
     except ValueError:
         raise ConfigError("split", f"expected three ratios like 8,1,1, got {args.split!r}")
-    if args.count < 1:
-        raise ConfigError("count", "must be at least 1")
-    if args.seed < 0:
-        raise ConfigError("seed", f"scene seeds must be non-negative, got {args.seed}")
+    require(args.count >= 1, "count", "must be at least 1")
+    require(args.seed >= 0, "seed", f"scene seeds must be non-negative, got {args.seed}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,6 +280,11 @@ def _checkpoint_metadata(config, state=None):
     return meta
 
 
+# (key, kind, minimum) of each value of a checkpoint's schedule state
+_SCHEDULE_STATE = (("epoch", int, 0), ("lr", float, 0.0), ("best_val", float, None),
+                   ("since_improve", int, 0))
+
+
 def cmd_train(args):
     raw = _load_json(args.config, "config")
     config = validate_train_config(raw)
@@ -308,18 +308,22 @@ def cmd_train(args):
     resume = None
     if config["resume"]:
         params, header = load_checkpoint(config["resume"])
-        if params.structure != structure or params.hidden_size != config["hidden_size"]:
-            raise ConfigError(
-                "resume",
-                f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
-                f"config wants {structure.label}/H={config['hidden_size']}",
-            )
-        if header["dft_size"] not in (None, cfg.dft_size):
-            raise ConfigError("resume", f"checkpoint was trained at dft_size "
-                                        f"{header['dft_size']}, config wants {cfg.dft_size}")
+        require(params.structure == structure and params.hidden_size == config["hidden_size"],
+                "resume", f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
+                          f"config wants {structure.label}/H={config['hidden_size']}")
+        require(header["dft_size"] in (None, cfg.dft_size), "resume", f"checkpoint was trained "
+                f"at dft_size {header['dft_size']}, config wants {cfg.dft_size}")
         state = header["metadata"].get("schedule_state")
         require(state is not None, "resume", "checkpoint has no schedule state")
-        resume = {"params": params, **state}
+        try:  # a malformed schedule state is a bad checkpoint
+            require(isinstance(state, dict), "schedule_state", "must be an object")
+            resume = {key: check_number(state.get(key), f"schedule_state.{key}", kind, low)
+                      for key, kind, low in _SCHEDULE_STATE}
+        except ConfigError as exc:
+            raise CheckpointError(f"{config['resume']}: {exc}") from None
+        require(resume["epoch"] + 1 < config["epochs"], "epochs", f"the checkpoint finished "
+                f"epoch {resume['epoch']} of 0..{config['epochs'] - 1}: nothing is left to train")
+        resume["params"] = params
 
     ckpt_path = Path(config["checkpoint"])
     if ckpt_path.parent != Path("."):
@@ -392,9 +396,8 @@ def _session_config_for(target, dft_size, sample_rate):
         rate = header["metadata"].get("sample_rate", sample_rate)
         if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
             raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
-        if rate != sample_rate:
-            raise ConfigError("sample_rate",
-                              f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
+        require(rate == sample_rate, "sample_rate",
+                f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
         dft_size = header["dft_size"] or dft_size
     try:
         return OlsConfig(dft_size, sample_rate=sample_rate), params
@@ -423,10 +426,9 @@ def _eval_chunk_task(task):
     directory, entries, label, cfg, params, hyper = task
     scenes = [load_scene(directory, e["stem"]) for e in entries]
     for entry, scene in zip(entries, scenes):
-        if scene.spec.sample_rate != cfg.sample_rate:
-            raise ConfigError("sample_rate",
-                              f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
-                              f"session expects {cfg.sample_rate} Hz")
+        require(scene.spec.sample_rate == cfg.sample_rate, "sample_rate",
+                f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
+                f"session expects {cfg.sample_rate} Hz")
     session = partial(_session_for(label, params, hyper), cfg=cfg)
     return [
         {"scene": e["stem"], "seed": e["seed"], "split": e["split"], "algorithm": label,
@@ -451,8 +453,7 @@ def _manifest_entries(manifest_arg, split):
         path = path / "manifest.json"
     spec, entries = _load_manifest(path)
     entries = [e for e in entries if split in ("all", e["split"])]
-    if not entries:
-        raise ConfigError("split", f"no scenes in split {split!r}")
+    require(entries, "split", f"no scenes in split {split!r}")
     return path.parent, entries, spec.sample_rate
 
 
@@ -498,8 +499,7 @@ def _write_csv(path, columns, rows):
 
 
 def cmd_eval(args):
-    if args.jobs < 1:
-        raise ConfigError("jobs", f"must be at least 1, got {args.jobs}")
+    require(args.jobs >= 1, "jobs", f"must be at least 1, got {args.jobs}")
     hyper = _parse_hyper(args.hyper)
     directory, entries, rate = _manifest_entries(args.manifest, args.split)
 
@@ -550,10 +550,8 @@ def cmd_cancel(args):
     hyper = _parse_hyper(args.hyper)
     rate_u, u = read_wav(args.farend)
     rate_d, d = read_wav(args.mic)
-    if rate_u != rate_d:
-        raise ConfigError("sample_rate", f"far end is {rate_u} Hz, mic is {rate_d} Hz")
-    if u.size != d.size:
-        raise ConfigError("length", f"far end has {u.size} samples, mic has {d.size}")
+    require(rate_u == rate_d, "sample_rate", f"far end is {rate_u} Hz, mic is {rate_d} Hz")
+    require(u.size == d.size, "length", f"far end has {u.size} samples, mic has {d.size}")
     cfg, params = _session_config_for(args.target, args.dft_size, rate_u)
 
     session = _session_for(args.target, params, hyper)
@@ -588,8 +586,7 @@ set term pngcairo size 900,540
 def cmd_plot_script(args):
     with open(args.csv, newline="") as fh:
         header = next(csv.reader(fh), None)
-    if not header:
-        raise ConfigError("csv", f"{args.csv}: empty file")
+    require(header, "csv", f"{args.csv}: empty file")
 
     png = str(Path(args.csv).with_suffix(".png"))
     if "epoch" in header:

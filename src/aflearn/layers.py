@@ -291,15 +291,14 @@ class GroupSampler:
 
     def downsample(self, features, out=None):
         """(..., 5, K) -> (..., H, C) group inputs; ``out``, if given, receives them."""
-        return dense(self._flat_windows(features), self.down_kernel, out=out)
+        return dense(self.windows(features), self.down_kernel, out=out)
 
-    def downsample_backward(self, g_groups, features, grads, out=None):
-        """Returns g_features given the gradient of ``downsample(features)``,
-        and adds the kernel's gradient into ``grads.down_kernel``.  ``out``, if
-        given, is a (..., 5*width, C) array that receives the per-window
+    def downsample_backward(self, g_groups, windows, grads, out=None):
+        """Returns g_features given the gradient of ``downsample(features)`` and
+        ``windows(features)``; adds the kernel's gradient into ``grads.down_kernel``.
+        ``out``, if given, is a (..., 5*width, C) array that receives the window
         gradients; for the diagonal layout g_features is a view of it."""
-        flat = self._flat_windows(features)
-        g_flat = dense_backward(g_groups, flat, self.down_kernel, grads.down_kernel, out=out)
+        g_flat = dense_backward(g_groups, windows, self.down_kernel, grads.down_kernel, out=out)
         *batch, _, groups = g_flat.shape
         return self.structure.scatter(
             g_flat.reshape(*batch, self.structure.width, len(FEATURE_CHANNELS), groups))
@@ -315,7 +314,7 @@ class GroupSampler:
         g_per_bin = self.structure.gather(g_delta[..., None, :])[..., 0, :]
         return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel, out=out)
 
-    def _flat_windows(self, features):
+    def windows(self, features):
         """Per-group windows of features (..., 5, K), flattened to (..., 5*width, C)."""
         windows = self.structure.gather(features)
         return windows.reshape(*windows.shape[:-3], -1, windows.shape[-1])

@@ -207,9 +207,9 @@ class BackwardBuffers(NamedTuple):
 
     Both GRU layers use ``gates`` (..., 3H, C), their gate gradients, and
     ``work``, four (..., H, C) arrays, in turn.  ``state`` receives the
-    returned state gradient and ``windows`` (..., 5*width, C) the downsample's
-    window gradients, of which the returned feature gradient is a view for
-    the diagonal layout.
+    returned state gradient, which may come back as the incoming one, and
+    ``windows`` (..., 5*width, C) the downsample's window gradients, of which
+    the returned feature gradient is a view for the diagonal layout.
     """
 
     gates: np.ndarray
@@ -240,7 +240,9 @@ def _optimizer_backward(params, g_delta, g_state, features, state, out, grads, b
     the output dense layer's result are rebuilt with the forward's own
     operations, so the gradients are those of a step that kept them, bit for bit.
     Every intermediate goes into ``buffers`` (a ``BackwardBuffers``; fresh
-    ones if None), and the returned gradients are views of them.
+    ones if None), and the returned gradients are views of them.  g_state may
+    be ``buffers.state``: its h1 is read before layer 1's backward writes
+    ``buffers.state.h1``, and its h0 before layer 0's writes ``buffers.state.h0``.
     """
     (h0, zr0, c0), (h1, zr1, c1) = out
     gru0, gru1 = params.grus
@@ -255,10 +257,11 @@ def _optimizer_backward(params, g_delta, g_state, features, state, out, grads, b
     g_h0, _ = gru1.backward(g_h1, h0, state.h1, zr1, c1, grads.grus[1],
                             out=(flow, buffers.state.h1, buffers.gates, work))
     g_h0 += g_state.h0
-    groups = sampler.downsample(features, out=rebuilt)
+    windows = sampler.windows(features)
+    groups = dense(windows, sampler.down_kernel, out=rebuilt)
     g_groups, _ = gru0.backward(g_h0, groups, state.h0, zr0, c0, grads.grus[0],
                                 out=(flow, buffers.state.h0, buffers.gates, work))
-    g_features = sampler.downsample_backward(g_groups, features, grads.sampler,
+    g_features = sampler.downsample_backward(g_groups, windows, grads.sampler,
                                              out=buffers.windows)
     return g_features, buffers.state
 

@@ -26,11 +26,11 @@ step's operands from those rows and recomputes r * h, the layer-0 input
 own operations, so the gradients are bit-identical to those of a full cache.
 The backward's intermediates live in the workspace too: it holds one
 step's worth of backward buffers (the gate gradients, conjugate products,
-rebuilt operands and two state gradients that steps alternate between),
-which every step and both GRU layers reuse while they are still in cache.
-Per step the backward allocates only the small per-scene weight-gradient
-products it sums over the batch and, for block and banded layouts, the
-window copies that ``gather`` and ``scatter`` make.  The last step has no
+rebuilt operands and the state gradient), which every step and both GRU
+layers reuse while they are still in cache.  Per step the backward
+allocates only the small per-scene weight-gradient products it sums over
+the batch and, for block and banded layouts, the one window copy of
+``gather`` and the one of ``scatter``.  The last step has no
 backward at all: its delta only sets the carried filter, which no loss term
 of the window reads.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
@@ -82,6 +82,7 @@ __all__ = [
 ]
 
 LOSS_EPS = 1e-9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # feature rows the window's backward reads: the hop kernel's adjoint takes the
 # far end, and only the error and output rows carry gradient
 _FAREND, _ERROR, _OUTPUT = (FEATURE_CHANNELS.index(name) for name in ("farend", "error", "output"))
@@ -136,8 +137,9 @@ class WindowWorkspace:
     state and row t + 1 step t's new state, the z|r gates (length, batch, 2H,
     C) and the candidate c (length, batch, H, C); and the raw and
     log-scaled features (length, batch, 5, K).  The backward writes one
-    step's intermediates into ``BackwardBuffers`` that both GRU layers and
-    every step share, and that alternate between two state gradients.
+    step's intermediates, the state gradient it hands the step before
+    included, into ``backward``, the ``BackwardBuffers`` that both GRU
+    layers and every step share.
     ``window_gradient`` overwrites it all on every call, so one workspace
     serves every window of its shape in turn.
     """
@@ -154,8 +156,7 @@ class WindowWorkspace:
         self.zr = arrays((length, batch, 2 * hidden_size, groups))
         self.c = arrays((length,) + state)
         self.raw, self.xi = arrays((length, batch, len(FEATURE_CHANNELS), num_bins))
-        shared = BackwardBuffers.empty(state, len(FEATURE_CHANNELS) * structure.width)
-        self._backward = (shared, shared._replace(state=GroupState(*arrays(state))))
+        self.backward = BackwardBuffers.empty(state, len(FEATURE_CHANNELS) * structure.width)
 
     def state(self, t):
         """The hidden state step t starts from: row t of both trajectories."""
@@ -165,11 +166,6 @@ class WindowWorkspace:
         """Step t's GRU destinations, as ``optimizer_step`` takes them."""
         return tuple((hidden[t + 1], zr[t], c[t])
                      for hidden, zr, c in zip(self.hidden, self.zr, self.c))
-
-    def backward_buffers(self, t):
-        """Step t's ``BackwardBuffers``: neighbouring steps get different state
-        gradients, so a step never writes over the one it reads."""
-        return self._backward[t % 2]
 
 
 def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
@@ -218,8 +214,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     for t in reversed(range(length)):
         if t < length - 1:
             g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
-                                                ws.step_out(t), g_tensors,
-                                                ws.backward_buffers(t))
+                                                ws.step_out(t), g_tensors, ws.backward)
             rows = slice(_ERROR, _OUTPUT + 1)  # views: first the error row, last the output row
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
         g_w += hop_backward(cfg, ws.raw[t][:, _FAREND], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])
@@ -238,14 +233,14 @@ class AdamState:
         return cls(m=np.zeros(size), v=np.zeros(size), step=0)
 
 
-def adam_step(flat, grad, adam, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(flat, grad, adam, lr):
     """One Adam update of the real parameter vector ``flat``, in place; returns it."""
     adam.step += 1
-    adam.m = beta1 * adam.m + (1.0 - beta1) * grad
-    adam.v = beta2 * adam.v + (1.0 - beta2) * grad**2
-    m_hat = adam.m / (1.0 - beta1**adam.step)
-    v_hat = adam.v / (1.0 - beta2**adam.step)
-    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    adam.m = ADAM_BETA1 * adam.m + (1.0 - ADAM_BETA1) * grad
+    adam.v = ADAM_BETA2 * adam.v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = adam.m / (1.0 - ADAM_BETA1**adam.step)
+    v_hat = adam.v / (1.0 - ADAM_BETA2**adam.step)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return flat
 
 

@@ -154,7 +154,7 @@ def test_group_sampler_backward_matches_fd(structure):
     groups = sampler.downsample(feats)
     grads = GroupSampler(structure, np.zeros_like(sampler.down_kernel),
                          np.zeros_like(sampler.up_kernel))
-    g_feats = sampler.downsample_backward(c_groups, feats, grads)
+    g_feats = sampler.downsample_backward(c_groups, sampler.windows(feats), grads)
     loss_down = lambda: _probe_loss(sampler.downsample(feats), c_groups)
     assert rel_error(g_feats, fd_gradient(loss_down, feats)) < 1e-5
     assert rel_error(grads.down_kernel, fd_gradient(loss_down, sampler.down_kernel)) < 1e-5

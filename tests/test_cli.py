@@ -218,6 +218,49 @@ def test_train_resume_restores_schedule_state(tmp_path, dataset):
     assert header["metadata"]["schedule_state"]["epoch"] == 2
 
 
+GOOD_SCHEDULE_STATE = {"epoch": 0, "lr": 1e-3, "best_val": 1.5, "since_improve": 0}
+# schedule states that crashed a resume, or resumed into a run it should refuse
+BAD_SCHEDULE_STATES = {
+    "empty": ({}, "schedule_state.epoch"),
+    "list": ([1, 2], "schedule_state"),
+    "text-epoch": ({**GOOD_SCHEDULE_STATE, "epoch": "x"}, "schedule_state.epoch"),
+    "bool-epoch": ({**GOOD_SCHEDULE_STATE, "epoch": True}, "schedule_state.epoch"),
+    "negative-lr": ({**GOOD_SCHEDULE_STATE, "lr": -1.0}, "schedule_state.lr"),
+    "nan-best-val": ({**GOOD_SCHEDULE_STATE, "best_val": float("nan")},
+                     "schedule_state.best_val"),
+    "negative-since-improve": ({**GOOD_SCHEDULE_STATE, "since_improve": -1},
+                               "schedule_state.since_improve"),
+}
+
+
+def _resume_from(tmp_path, dataset, state, **overrides):
+    """A train config resuming from a fresh checkpoint whose schedule state is ``state``."""
+    source = tmp_path / "source.ckpt"
+    save_checkpoint(source, init_meta_params(DependencyStructure.block(4), 4), dft_size=64,
+                    metadata={"sample_rate": 16000, "schedule_state": state})
+    return _train_config(tmp_path, dataset, resume=str(source), **overrides)
+
+
+@pytest.mark.parametrize("case", BAD_SCHEDULE_STATES)
+def test_train_resume_rejects_a_malformed_schedule_state(tmp_path, dataset, capsys, case):
+    state, key = BAD_SCHEDULE_STATES[case]
+    config_path, config = _resume_from(tmp_path, dataset, state)
+    assert main(["train", str(config_path)]) == 4
+    assert re.search(rf"i/o error: .*source\.ckpt: {re.escape(key)}:", capsys.readouterr().err)
+    assert not Path(config["checkpoint"]).exists()
+    assert not Path(config["curve_csv"]).exists()
+
+
+def test_train_resume_with_no_epoch_left_exits_2(tmp_path, dataset, capsys):
+    # the state's epoch 1 is the last of a 2-epoch config
+    config_path, config = _resume_from(tmp_path, dataset, {**GOOD_SCHEDULE_STATE, "epoch": 1})
+    assert main(["train", str(config_path)]) == 2
+    out = capsys.readouterr()
+    assert "config error: epochs:" in out.err and "nothing is left to train" in out.err
+    assert out.out == ""  # no checkpoint path is printed
+    assert not Path(config["checkpoint"]).exists()
+
+
 def test_train_resume_rejects_another_dft_size(tmp_path, dataset, capsys):
     config_path, config = _train_config(tmp_path, dataset, epochs=1)
     assert main(["train", str(config_path)]) == 0

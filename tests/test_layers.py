@@ -262,7 +262,7 @@ def test_sampler_backward_matches_fd(structure):
     groups = sampler.downsample(features)
     g_groups = 2.0 * (groups - t_groups)
     grads = _sampler_holder(sampler)
-    g_features = sampler.downsample_backward(g_groups, features, grads)
+    g_features = sampler.downsample_backward(g_groups, sampler.windows(features), grads)
     assert rel_error(g_features, fd_gradient(down_loss, features)) < TOL
     assert rel_error(grads.down_kernel, fd_gradient(down_loss, sampler.down_kernel)) < TOL
 
@@ -328,9 +328,10 @@ def test_sampler_backward_adds_into_its_holder(structure):
     g_delta = _random_complex(rng, (2, k))
     fresh, loaded = _sampler_holder(sampler), _sampler_holder(sampler, _preloaded(rng))
     preload = _sampler_holder(loaded, np.copy)
-    g_features = sampler.downsample_backward(g_groups, features, fresh)
+    windows = sampler.windows(features)
+    g_features = sampler.downsample_backward(g_groups, windows, fresh)
     g_groups_up = sampler.upsample_backward(g_delta, g_groups, fresh)
-    assert np.array_equal(sampler.downsample_backward(g_groups, features, loaded), g_features)
+    assert np.array_equal(sampler.downsample_backward(g_groups, windows, loaded), g_features)
     assert np.array_equal(sampler.upsample_backward(g_delta, g_groups, loaded), g_groups_up)
     assert np.array_equal(loaded.down_kernel, preload.down_kernel + fresh.down_kernel)
     assert np.array_equal(loaded.up_kernel, preload.up_kernel + fresh.up_kernel)

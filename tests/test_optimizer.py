@@ -8,6 +8,7 @@ import pytest
 from aflearn.errors import NumericError
 from aflearn.optimizer import (
     FEATURE_CHANNELS,
+    BackwardBuffers,
     GroupState,
     MetaParams,
     _optimizer_backward,
@@ -144,10 +145,9 @@ def test_step_backward_matches_fd(structure):
         assert rel_error(g_tensors.tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_step_backward_adds_into_the_holder(structure):
-    rng = np.random.default_rng(11)
-    k, h, batch = 16, 3, 2
+def _stepped(structure, rng, k=16, h=3, batch=2):
+    """A batched step run with ``out=``, and random incoming gradients: the
+    arguments of ``_optimizer_backward`` but for its holder."""
     params = init_meta_params(structure, h, seed=12)
     shape = (batch, h, structure.group_count(k))
     state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
@@ -157,6 +157,13 @@ def test_step_backward_adds_into_the_holder(structure):
     optimizer_step(params, features, state, out=out)
     g_delta = _random_complex(rng, (batch, k))
     g_state = GroupState(h0=_random_complex(rng, shape), h1=_random_complex(rng, shape))
+    return params, g_delta, g_state, features, state, out
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_step_backward_adds_into_the_holder(structure):
+    rng = np.random.default_rng(11)
+    params, g_delta, g_state, features, state, out = _stepped(structure, rng)
 
     fresh, loaded = params.zeros_like(), params.zeros_like()
     loaded.buffer[...] = _random_complex(rng, loaded.buffer.shape)
@@ -167,6 +174,40 @@ def test_step_backward_adds_into_the_holder(structure):
     assert np.array_equal(got[1].h0, want[1].h0) and np.array_equal(got[1].h1, want[1].h1)
     # every parameter receives exactly one addition per step
     assert np.array_equal(loaded.buffer, preload + fresh.buffer)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_step_backward_reads_its_state_gradient_from_its_own_buffers(structure):
+    # a training window hands each step the state gradient the step after it
+    # wrote into the one set of buffers they share
+    rng = np.random.default_rng(28)
+    args = _stepped(structure, rng)
+    params, g_state = args[0], args[2]
+    want = _optimizer_backward(*args, params.zeros_like())
+    buffers = BackwardBuffers.empty(g_state.h0.shape, params.sampler.down_kernel.shape[1])
+    buffers.state.h0[...], buffers.state.h1[...] = g_state.h0, g_state.h1
+    shared = args[:2] + (buffers.state,) + args[3:]
+    got = _optimizer_backward(*shared, params.zeros_like(), buffers)
+    assert got[1] is buffers.state
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].h0, want[1].h0) and np.array_equal(got[1].h1, want[1].h1)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_step_backward_gathers_each_operand_once(structure, monkeypatch):
+    # one gather for upsample_backward's g_delta, one for the feature windows
+    # that both the rebuilt layer-0 input and downsample_backward read
+    args = _stepped(structure, np.random.default_rng(29))
+    real = DependencyStructure.gather
+    calls = []
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(DependencyStructure, "gather", counted)
+    _optimizer_backward(*args, args[0].zeros_like())
+    assert len(calls) == 2, calls
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
