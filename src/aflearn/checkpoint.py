@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .ols import OlsConfig
 from .optimizer import MetaParams, param_layout
 from .structures import DependencyStructure
@@ -83,17 +83,17 @@ def _check_header(path, header):
         require(key in header, f"header has no {key!r} key")
     require(header["schema"] == SCHEMA, f"unsupported schema {header['schema']!r}")
     layout = header["structure"]
-    require(isinstance(layout, dict) and _is_int(layout.get("width")),
+    require(isinstance(layout, dict) and is_int(layout.get("width")),
             f"bad structure {layout!r}")
     try:
         structure = DependencyStructure(layout.get("kind"), layout["width"])
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad structure {layout!r} ({exc})") from None
     hidden = header["hidden_size"]
-    require(_is_int(hidden) and hidden >= 1, f"bad hidden_size {hidden!r}")
+    require(is_int(hidden) and hidden >= 1, f"bad hidden_size {hidden!r}")
     dft_size = header["dft_size"]
     if dft_size is not None:
-        require(_is_int(dft_size), f"bad dft_size {dft_size!r}")
+        require(is_int(dft_size), f"bad dft_size {dft_size!r}")
         try:
             OlsConfig(dft_size)
             structure.group_count(dft_size)
@@ -106,10 +106,6 @@ def _check_header(path, header):
         require(isinstance(entry, dict) and set(entry) >= set(ENTRY_KEYS)
                 and isinstance(entry["name"], str), f"bad tensor entry {entry!r}")
     return structure, hidden
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_checkpoint(path):
@@ -138,8 +134,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, "
                                   f"expected {list(shapes[name])} for "
                                   f"{structure.label}/H={hidden}")
-        if not (_is_int(nbytes) and nbytes == 16 * math.prod(shape)
-                and _is_int(offset) and offset >= 0):
+        if not (is_int(nbytes) and nbytes == 16 * math.prod(shape)
+                and is_int(offset) and offset >= 0):
             raise CheckpointError(f"{path}: tensor {name!r} has offset {offset!r} and "
                                   f"{nbytes!r} bytes for shape {shape}")
         if offset != packed:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .errors import (ConfigError, MetricUndefinedError, NumericError, check_number,
-                     is_finite_real, require)
+                     is_finite_real, is_int, require)
 from .flops import flops_per_frame
 from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
@@ -161,8 +161,8 @@ def _preset_train_spec(config):
 
 def _load_json(path, field):
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(field, f"{path}: invalid JSON ({exc})") from None
 
 
@@ -253,8 +253,8 @@ def _load_manifest(path):
         check(isinstance(entry, dict) and {"stem", "seed", "split"} <= entry.keys(),
               f"scene {i} needs 'stem', 'seed' and 'split'")
         check(isinstance(entry["stem"], str) and entry["stem"], f"scene {i}: bad stem")
-        check(isinstance(entry["seed"], int) and not isinstance(entry["seed"], bool)
-              and entry["seed"] >= 0, f"scene {i}: seed must be a non-negative integer")
+        check(is_int(entry["seed"]) and entry["seed"] >= 0,
+              f"scene {i}: seed must be a non-negative integer")
         check(entry["split"] in _SPLITS, f"scene {i}: unknown split {entry['split']!r}")
     return spec, entries
 
@@ -394,7 +394,7 @@ def _session_config_for(target, dft_size, sample_rate):
     if target not in CLASSIC_ALGORITHMS:
         params, header = load_checkpoint(target)
         rate = header["metadata"].get("sample_rate", sample_rate)
-        if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
+        if not is_int(rate) or rate < 1:
             raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
         require(rate == sample_rate, "sample_rate",
                 f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
@@ -584,8 +584,11 @@ set term pngcairo size 900,540
 
 
 def cmd_plot_script(args):
-    with open(args.csv, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    try:
+        with open(args.csv, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("csv", f"{args.csv}: not UTF-8 text ({exc})") from None
     require(header, "csv", f"{args.csv}: empty file")
 
     png = str(Path(args.csv).with_suffix(".png"))

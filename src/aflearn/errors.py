@@ -4,7 +4,7 @@ import math
 import numbers
 
 __all__ = ["ConfigError", "NumericError", "MetricUndefinedError",
-           "require", "is_finite_real", "check_number"]
+           "require", "is_int", "is_finite_real", "check_number"]
 
 
 class ConfigError(ValueError):
@@ -39,6 +39,11 @@ def require(condition, field, message):
         raise ConfigError(field, message)
 
 
+def is_int(value):
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_finite_real(value):
     """Whether ``value`` is a real number other than a bool, NaN or an infinity."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -48,8 +53,7 @@ def is_finite_real(value):
 def check_number(value, field, kind=float, minimum=None):
     """``value`` as a ``kind`` (an integer, or any finite real) >= ``minimum``, if given."""
     if kind is int:
-        require(isinstance(value, numbers.Integral) and not isinstance(value, bool), field,
-                f"expected an integer, got {value!r}")
+        require(is_int(value), field, f"expected an integer, got {value!r}")
     else:
         require(is_finite_real(value), field, f"expected a finite number, got {value!r}")
     if minimum is not None:

@@ -120,11 +120,13 @@ def dense_backward(g_y, x, weight, g_weight, g_bias=None, out=None):
 def _split_sigmoid(z):
     """Sigmoid of the real and imaginary parts separately; overwrites and returns z.
 
-    Works on the float64 view of z, whose last axis must be contiguous.
+    Works on the float64 view of z, whose last axis must be contiguous.  A part
+    below about -709 overflows exp to inf, and 1 / (1 + inf) is the right 0.
     """
     v = z.view(np.float64)
     np.negative(v, out=v)
-    np.exp(v, out=v)
+    with np.errstate(over="ignore"):
+        np.exp(v, out=v)
     v += 1.0
     np.divide(1.0, v, out=v)
     return z

@@ -19,16 +19,14 @@ They live in one complex buffer whose layout ``param_layout`` defines.
 ``build_input`` and ``optimizer_step`` are the one forward of sessions and
 training windows alike.  A training window passes ``out=`` arrays (the raw
 and compressed features, and each GRU layer's new state, z|r gates and
-candidate), and ``_optimizer_backward`` reads the step's operands back from
-them; each layer's backward adds into its part of a ``zeros_like`` holder
-and writes its intermediates into the window's ``BackwardBuffers``.
+candidate) from its ``training.WindowWorkspace``, which also holds the
+window's backward; this module is the rule's forward only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from .layers import (
     GroupSampler,
     complex_glorot,
     dense,
-    dense_backward,
     log_scale,
 )
 
@@ -200,70 +197,6 @@ def optimizer_step(params, features, state, out=None):
     h1, _, _ = gru1.step(h0, state.h1, out=out1)
     delta = params.sampler.upsample(dense(h1, params.out_weight, params.out_bias))
     return delta, GroupState(h0=h0, h1=h1)
-
-
-class BackwardBuffers(NamedTuple):
-    """Arrays one ``_optimizer_backward`` step writes into instead of allocating.
-
-    Both GRU layers use ``gates`` (..., 3H, C), their gate gradients, and
-    ``work``, four (..., H, C) arrays, in turn.  ``state`` receives the
-    returned state gradient, which may come back as the incoming one, and
-    ``windows`` (..., 5*width, C) the downsample's window gradients, of which
-    the returned feature gradient is a view for the diagonal layout.
-    """
-
-    gates: np.ndarray
-    work: tuple
-    state: GroupState
-    windows: np.ndarray
-
-    @classmethod
-    def empty(cls, state_shape, window_size):
-        """Fresh buffers for hidden states shaped ``state_shape`` (..., H, C)."""
-        *batch, hidden, groups = state_shape
-
-        def empty(size):
-            return np.empty((*batch, size, groups), dtype=complex)
-
-        return cls(gates=empty(3 * hidden), work=tuple(empty(hidden) for _ in range(4)),
-                   state=GroupState(h0=empty(hidden), h1=empty(hidden)),
-                   windows=empty(window_size))
-
-
-def _optimizer_backward(params, g_delta, g_state, features, state, out, grads, buffers=None):
-    """Backward through one ``optimizer_step(params, features, state, out=out)``.
-
-    g_state carries dL/d(new hidden); returns (g_features, g_prev_state).
-    Each layer's backward adds its parameter gradients into its part of
-    ``grads``, a holder from ``params.zeros_like()``.  The step's operands are
-    read back from ``features``, ``state`` and ``out``; the layer-0 input and
-    the output dense layer's result are rebuilt with the forward's own
-    operations, so the gradients are those of a step that kept them, bit for bit.
-    Every intermediate goes into ``buffers`` (a ``BackwardBuffers``; fresh
-    ones if None), and the returned gradients are views of them.  g_state may
-    be ``buffers.state``: its h1 is read before layer 1's backward writes
-    ``buffers.state.h1``, and its h0 before layer 0's writes ``buffers.state.h0``.
-    """
-    (h0, zr0, c0), (h1, zr1, c1) = out
-    gru0, gru1 = params.grus
-    sampler = params.sampler
-    buffers = buffers or BackwardBuffers.empty(h0.shape, sampler.down_kernel.shape[1])
-    rebuilt, flow, *work = buffers.work
-    dense_out = dense(h1, params.out_weight, params.out_bias, out=rebuilt)
-    g_out = sampler.upsample_backward(g_delta, dense_out, grads.sampler, out=rebuilt)
-    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias,
-                          out=flow)
-    g_h1 += g_state.h1
-    g_h0, _ = gru1.backward(g_h1, h0, state.h1, zr1, c1, grads.grus[1],
-                            out=(flow, buffers.state.h1, buffers.gates, work))
-    g_h0 += g_state.h0
-    windows = sampler.windows(features)
-    groups = dense(windows, sampler.down_kernel, out=rebuilt)
-    g_groups, _ = gru0.backward(g_h0, groups, state.h0, zr0, c0, grads.grus[0],
-                                out=(flow, buffers.state.h0, buffers.gates, work))
-    g_features = sampler.downsample_backward(g_groups, windows, grads.sampler,
-                                             out=buffers.windows)
-    return g_features, buffers.state
 
 
 def apply_update(w, delta):

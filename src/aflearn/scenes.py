@@ -20,7 +20,6 @@ float32 WAV files written and read with ``struct`` and ``np.fromfile``.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import struct
 import zipfile
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_finite_real, require
+from .errors import ConfigError, is_finite_real, is_int, require
 
 __all__ = [
     "Nonlinearity",
@@ -90,7 +89,7 @@ class SceneSpec:
             require(ok(value), name, f"expected {expected}, got {value!r}")
 
         def count(n):
-            return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+            return is_int(n) and n >= 1
 
         def span(r):
             return (isinstance(r, (tuple, list)) and len(r) == 2

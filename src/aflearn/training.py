@@ -25,12 +25,13 @@ step's operands from those rows and recomputes r * h, the layer-0 input
 ``downsample(xi)`` and the output dense layer's result with the forward's
 own operations, so the gradients are bit-identical to those of a full cache.
 The backward's intermediates live in the workspace too: it holds one
-step's worth of backward buffers (the gate gradients, conjugate products,
+step's worth of backward arrays (the gate gradients, conjugate products,
 rebuilt operands and the state gradient), which every step and both GRU
-layers reuse while they are still in cache.  Per step the backward
-allocates only the small per-scene weight-gradient products it sums over
-the batch and, for block and banded layouts, the one window copy of
-``gather`` and the one of ``scatter``.  The last step has no
+layers reuse while they are still in cache; ``_optimizer_backward``
+takes the workspace and a step index and reads everything from it.  Per
+step the backward allocates only the small per-scene weight-gradient
+products it sums over the batch and, for block and banded layouts, the one
+window copy of ``gather`` and the one of ``scatter``.  The last step has no
 backward at all: its delta only sets the carried filter, which no loss term
 of the window reads.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
@@ -54,12 +55,10 @@ import numpy as np
 
 from .errors import MetricUndefinedError, NumericError, check_number, require
 from .metrics import serle_db
-from .layers import log_scale_backward
+from .layers import dense, dense_backward, log_scale_backward
 from .optimizer import (
     FEATURE_CHANNELS,
-    BackwardBuffers,
     GroupState,
-    _optimizer_backward,
     build_input,
     init_meta_params,
     optimizer_step,
@@ -136,10 +135,11 @@ class WindowWorkspace:
     hidden trajectory (length + 1, batch, H, C), whose row 0 is the incoming
     state and row t + 1 step t's new state, the z|r gates (length, batch, 2H,
     C) and the candidate c (length, batch, H, C); and the raw and
-    log-scaled features (length, batch, 5, K).  The backward writes one
-    step's intermediates, the state gradient it hands the step before
-    included, into ``backward``, the ``BackwardBuffers`` that both GRU
-    layers and every step share.
+    log-scaled features (length, batch, 5, K).  It also holds one step's
+    backward intermediates, which both GRU layers and every step share: the
+    gate gradients ``gates`` (batch, 3H, C), four (batch, H, C) ``work``
+    arrays, the state gradient ``g_state`` a step hands the step before, and
+    the downsample's window gradients ``g_windows`` (batch, 5 * width, C).
     ``window_gradient`` overwrites it all on every call, so one workspace
     serves every window of its shape in turn.
     """
@@ -148,15 +148,19 @@ class WindowWorkspace:
         groups = structure.group_count(num_bins)
         state = (batch, hidden_size, groups)
 
-        def arrays(shape):
-            return tuple(np.empty(shape, dtype=complex) for _ in range(2))
+        def arrays(shape, count=2):
+            return tuple(np.empty(shape, dtype=complex) for _ in range(count))
 
         self.shape = (structure, hidden_size, num_bins, batch, length)
         self.hidden = arrays((length + 1,) + state)
         self.zr = arrays((length, batch, 2 * hidden_size, groups))
         self.c = arrays((length,) + state)
         self.raw, self.xi = arrays((length, batch, len(FEATURE_CHANNELS), num_bins))
-        self.backward = BackwardBuffers.empty(state, len(FEATURE_CHANNELS) * structure.width)
+        self.gates = np.empty((batch, 3 * hidden_size, groups), dtype=complex)
+        self.work = arrays(state, 4)
+        self.g_state = GroupState(*arrays(state))
+        window = len(FEATURE_CHANNELS) * structure.width
+        self.g_windows = np.empty((batch, window, groups), dtype=complex)
 
     def state(self, t):
         """The hidden state step t starts from: row t of both trajectories."""
@@ -166,6 +170,41 @@ class WindowWorkspace:
         """Step t's GRU destinations, as ``optimizer_step`` takes them."""
         return tuple((hidden[t + 1], zr[t], c[t])
                      for hidden, zr, c in zip(self.hidden, self.zr, self.c))
+
+
+def _optimizer_backward(params, g_delta, g_state, ws, t, grads):
+    """Backward through step t of the window whose forward wrote ``ws``.
+
+    g_state carries dL/d(new hidden); returns (g_xi, g_prev_state).
+    The step's operands are read back from ``ws.xi[t]``, ``ws.state(t)`` and
+    ``ws.step_out(t)``; the layer-0 input and the output dense layer's result
+    are rebuilt with the forward's own operations, so the gradients are those
+    of a step that kept them, bit for bit.  Each layer's backward adds its
+    parameter gradients into its part of ``grads``, a holder from
+    ``params.zeros_like()``.  Every intermediate goes into the workspace, and
+    the returned gradients are views of it.  g_state may be ``ws.g_state``:
+    its h1 is read before layer 1's backward writes ``ws.g_state.h1``, and its
+    h0 before layer 0's writes ``ws.g_state.h0``.
+    """
+    (h0, zr0, c0), (h1, zr1, c1) = ws.step_out(t)
+    state = ws.state(t)
+    gru0, gru1 = params.grus
+    sampler = params.sampler
+    rebuilt, flow, *work = ws.work
+    dense_out = dense(h1, params.out_weight, params.out_bias, out=rebuilt)
+    g_out = sampler.upsample_backward(g_delta, dense_out, grads.sampler, out=rebuilt)
+    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias,
+                          out=flow)
+    g_h1 += g_state.h1
+    g_h0, _ = gru1.backward(g_h1, h0, state.h1, zr1, c1, grads.grus[1],
+                            out=(flow, ws.g_state.h1, ws.gates, work))
+    g_h0 += g_state.h0
+    windows = sampler.windows(ws.xi[t])
+    groups = dense(windows, sampler.down_kernel, out=rebuilt)
+    g_groups, _ = gru0.backward(g_h0, groups, state.h0, zr0, c0, grads.grus[0],
+                                out=(flow, ws.g_state.h0, ws.gates, work))
+    g_xi = sampler.downsample_backward(g_groups, windows, grads.sampler, out=ws.g_windows)
+    return g_xi, ws.g_state
 
 
 def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
@@ -213,8 +252,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
 
     for t in reversed(range(length)):
         if t < length - 1:
-            g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws.xi[t], ws.state(t),
-                                                ws.step_out(t), g_tensors, ws.backward)
+            g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws, t, g_tensors)
             rows = slice(_ERROR, _OUTPUT + 1)  # views: first the error row, last the output row
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
         g_w += hop_backward(cfg, ws.raw[t][:, _FAREND], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])

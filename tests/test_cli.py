@@ -147,6 +147,27 @@ def test_config_rejections_name_the_field(capsys):
         assert info.value.field == field
 
 
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with a byte-order mark
+
+
+@pytest.mark.parametrize("command", ["print-config", "train", "gen-data", "eval",
+                                     "plot-script"])
+def test_non_utf8_inputs_are_config_errors(tmp_path, command, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    argv, field = {
+        "print-config": (["print-config", str(bad)], "config"),
+        "train": (["train", str(bad)], "config"),
+        "gen-data": (["gen-data", str(bad), str(out)], "spec"),
+        "eval": (["eval", "nlms", str(bad), str(out), "--split", "all"], "manifest"),
+        "plot-script": (["plot-script", str(bad), str(out)], "csv"),
+    }[command]
+    assert main(argv) == 2
+    assert f"config error: {field}: {bad}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_training_config_block_is_the_defaults():
     section = README.read_text().split("### Training config", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)

@@ -1,5 +1,7 @@
 """Finite-difference checks for every complex layer's backward pass."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,15 @@ def test_split_activations_match_real_imag_forms():
     assert np.array_equal(sig, 1.0 / (1.0 + np.exp(-a.real)) + 1j / (1.0 + np.exp(-a.imag)))
     tanh = _split_tanh(a.copy())
     assert np.array_equal(tanh, np.tanh(a.real) + 1j * np.tanh(a.imag))
+
+
+def test_saturated_split_sigmoid_is_exact_and_silent():
+    # exp(800) overflows to inf; 1 / (1 + inf) is the exact 0, with no warning
+    z = np.array([-800.0 + 800.0j, 800.0 - 800.0j, -30.0 + 0.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = _split_sigmoid(z.copy())
+    assert np.array_equal(sig, [1.0j, 1.0, 1.0 / (1.0 + np.exp(30.0)) + 0.5j])
 
 
 def test_gru_backward_matches_fd():

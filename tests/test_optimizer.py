@@ -8,10 +8,8 @@ import pytest
 from aflearn.errors import NumericError
 from aflearn.optimizer import (
     FEATURE_CHANNELS,
-    BackwardBuffers,
     GroupState,
     MetaParams,
-    _optimizer_backward,
     apply_update,
     build_input,
     init_meta_params,
@@ -20,6 +18,7 @@ from aflearn.optimizer import (
 from aflearn import layers
 from aflearn.layers import log_scale_backward
 from aflearn.structures import DependencyStructure
+from aflearn.training import WindowWorkspace, _optimizer_backward
 
 from oracles import fd_gradient, gru_step_reference, rel_error
 
@@ -106,19 +105,36 @@ def test_build_input_backward_matches_fd():
         assert rel_error(g_raw[..., i, :], fd_gradient(loss, spec)) < 1e-5
 
 
+def _one_step_workspace(params, features, state):
+    """A one-step ``WindowWorkspace`` whose forward ran on ``features`` (batch, 5, K)
+    from ``state``: what ``_optimizer_backward(..., ws, 0, ...)`` reads back.
+    Returns (ws, delta, new state)."""
+    batch, _, k = features.shape
+    ws = WindowWorkspace(params.structure, params.hidden_size, k, batch, 1)
+    ws.xi[0] = features
+    ws.hidden[0][0], ws.hidden[1][0] = state.h0, state.h1
+    delta, new_state = optimizer_step(params, ws.xi[0], ws.state(0), out=ws.step_out(0))
+    return ws, delta, new_state
+
+
+def _copied(result):
+    """(g_xi, g_prev h0, g_prev h1) of one backward, copied out of the workspace
+    they are views of before another backward overwrites it."""
+    g_xi, g_prev = result
+    return g_xi.copy(), g_prev.h0.copy(), g_prev.h1.copy()
+
+
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_matches_fd(structure):
     rng = np.random.default_rng(6)
     k, h = 16, 3
     params = init_meta_params(structure, h, seed=7)
-    state = GroupState(
-        h0=_random_complex(rng, (h, structure.group_count(k)), 0.3),
-        h1=_random_complex(rng, (h, structure.group_count(k)), 0.3),
-    )
-    features = _random_complex(rng, (5, k), 0.5)
-    t_delta = _random_complex(rng, (k,))
-    t_h0 = _random_complex(rng, state.h0.shape)
-    t_h1 = _random_complex(rng, state.h1.shape)
+    shape = (1, h, structure.group_count(k))
+    state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
+    features = _random_complex(rng, (1, 5, k), 0.5)
+    t_delta = _random_complex(rng, (1, k))
+    t_h0 = _random_complex(rng, shape)
+    t_h1 = _random_complex(rng, shape)
 
     def loss():
         delta, new_state = optimizer_step(params, features, state)
@@ -128,15 +144,11 @@ def test_step_backward_matches_fd(structure):
             + np.sum(np.abs(new_state.h1 - t_h1) ** 2)
         )
 
-    # each GRU layer's (h_new, zr, c), which the backward reads back
-    out = [(np.empty_like(state.h0), np.empty((2 * h, state.h0.shape[-1]), dtype=complex),
-            np.empty_like(state.h0)) for _ in range(2)]
-    delta, new_state = optimizer_step(params, features, state, out=out)
+    ws, delta, new_state = _one_step_workspace(params, features, state)
     g_delta = 2.0 * (delta - t_delta)
     g_state = GroupState(h0=2.0 * (new_state.h0 - t_h0), h1=2.0 * (new_state.h1 - t_h1))
     g_tensors = params.zeros_like()
-    g_features, g_prev = _optimizer_backward(params, g_delta, g_state, features, state, out,
-                                             g_tensors)
+    g_features, g_prev = _optimizer_backward(params, g_delta, g_state, ws, 0, g_tensors)
 
     assert rel_error(g_features, fd_gradient(loss, features)) < 1e-5
     assert rel_error(g_prev.h0, fd_gradient(loss, state.h0)) < 1e-5
@@ -146,32 +158,29 @@ def test_step_backward_matches_fd(structure):
 
 
 def _stepped(structure, rng, k=16, h=3, batch=2):
-    """A batched step run with ``out=``, and random incoming gradients: the
-    arguments of ``_optimizer_backward`` but for its holder."""
+    """A batched step run into a one-step workspace, and random incoming
+    gradients: the arguments of ``_optimizer_backward`` but for t and its holder."""
     params = init_meta_params(structure, h, seed=12)
     shape = (batch, h, structure.group_count(k))
     state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
-    features = _random_complex(rng, (batch, 5, k), 0.5)
-    out = [(np.empty(shape, dtype=complex), np.empty((batch, 2 * h, shape[-1]), dtype=complex),
-            np.empty(shape, dtype=complex)) for _ in range(2)]
-    optimizer_step(params, features, state, out=out)
+    ws, _, _ = _one_step_workspace(params, _random_complex(rng, (batch, 5, k), 0.5), state)
     g_delta = _random_complex(rng, (batch, k))
     g_state = GroupState(h0=_random_complex(rng, shape), h1=_random_complex(rng, shape))
-    return params, g_delta, g_state, features, state, out
+    return params, g_delta, g_state, ws
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_adds_into_the_holder(structure):
     rng = np.random.default_rng(11)
-    params, g_delta, g_state, features, state, out = _stepped(structure, rng)
+    params, g_delta, g_state, ws = _stepped(structure, rng)
 
     fresh, loaded = params.zeros_like(), params.zeros_like()
     loaded.buffer[...] = _random_complex(rng, loaded.buffer.shape)
     preload = loaded.buffer.copy()
-    want = _optimizer_backward(params, g_delta, g_state, features, state, out, fresh)
-    got = _optimizer_backward(params, g_delta, g_state, features, state, out, loaded)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1].h0, want[1].h0) and np.array_equal(got[1].h1, want[1].h1)
+    want = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, fresh))
+    got = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, loaded))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
     # every parameter receives exactly one addition per step
     assert np.array_equal(loaded.buffer, preload + fresh.buffer)
 
@@ -179,25 +188,21 @@ def test_step_backward_adds_into_the_holder(structure):
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_reads_its_state_gradient_from_its_own_buffers(structure):
     # a training window hands each step the state gradient the step after it
-    # wrote into the one set of buffers they share
-    rng = np.random.default_rng(28)
-    args = _stepped(structure, rng)
-    params, g_state = args[0], args[2]
-    want = _optimizer_backward(*args, params.zeros_like())
-    buffers = BackwardBuffers.empty(g_state.h0.shape, params.sampler.down_kernel.shape[1])
-    buffers.state.h0[...], buffers.state.h1[...] = g_state.h0, g_state.h1
-    shared = args[:2] + (buffers.state,) + args[3:]
-    got = _optimizer_backward(*shared, params.zeros_like(), buffers)
-    assert got[1] is buffers.state
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1].h0, want[1].h0) and np.array_equal(got[1].h1, want[1].h1)
+    # wrote into the workspace they share
+    params, g_delta, g_state, ws = _stepped(structure, np.random.default_rng(28))
+    want = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, params.zeros_like()))
+    ws.g_state.h0[...], ws.g_state.h1[...] = g_state.h0, g_state.h1
+    got = _optimizer_backward(params, g_delta, ws.g_state, ws, 0, params.zeros_like())
+    assert got[1] is ws.g_state
+    for a, b in zip(_copied(got), want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_gathers_each_operand_once(structure, monkeypatch):
     # one gather for upsample_backward's g_delta, one for the feature windows
     # that both the rebuilt layer-0 input and downsample_backward read
-    args = _stepped(structure, np.random.default_rng(29))
+    params, g_delta, g_state, ws = _stepped(structure, np.random.default_rng(29))
     real = DependencyStructure.gather
     calls = []
 
@@ -206,7 +211,7 @@ def test_step_backward_gathers_each_operand_once(structure, monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(DependencyStructure, "gather", counted)
-    _optimizer_backward(*args, args[0].zeros_like())
+    _optimizer_backward(params, g_delta, g_state, ws, 0, params.zeros_like())
     assert len(calls) == 2, calls
 
 

@@ -206,9 +206,9 @@ def test_one_hop_window_has_a_zero_parameter_gradient(structure):
 
 
 # (fresh, reused-workspace) peak budgets of one window, in units of one
-# (L, B, H, C) complex array.  Measured: diagonal 11.9 and 0.90, block:4 17.3
-# and 2.35, banded:4 14.1 and 1.7; the workspace holds the backward's
-# buffers too, so a reused one leaves mostly the forward's transients.
+# (L, B, H, C) complex array.  Measured: diagonal 11.61 and 0.90, block:4
+# 17.16 and 2.43, banded:4 13.87 and 1.66; the workspace holds the backward's
+# arrays too, so a reused one leaves mostly the forward's transients.
 # Block windows cost 0.3 more than when they were group-major: flattening a
 # block's group-last windows, and scattering their gradient back, copies
 # 5K values per scene where the group-major layout had views.
