@@ -42,21 +42,24 @@ def complex_glorot(rng, shape, fan_in, fan_out):
 
 
 def _log_gain(m):
-    """ln(1 + m)/m evaluated stably, 1 at m = 0."""
+    """ln(1 + m)/m evaluated stably, 1 at m = 0: the entries below 1e-4 take
+    a series, evaluated on those entries only."""
     small = m < 1e-4
-    safe = np.where(small, 1.0, m)
-    gain = np.log1p(safe) / safe
-    series = 1.0 - m / 2.0 + m * m / 3.0
-    return np.where(small, series, gain)
+    gain = np.where(small, 1.0, m)  # the closed form's argument, 1 where the series takes over
+    np.divide(np.log1p(gain), gain, out=gain)
+    s = m[small]
+    gain[small] = 1.0 - s / 2.0 + s * s / 3.0
+    return gain
 
 
 def _log_gain_deriv(m):
-    """d/dm of ln(1 + m)/m, -1/2 at m = 0."""
+    """d/dm of ln(1 + m)/m, -1/2 at m = 0; the entries below 1e-4 as in ``_log_gain``."""
     small = m < 1e-4
-    safe = np.where(small, 1.0, m)
-    deriv = (safe / (1.0 + safe) - np.log1p(safe)) / (safe * safe)
-    series = -0.5 + 2.0 * m / 3.0 - 0.75 * m * m
-    return np.where(small, series, deriv)
+    deriv = np.where(small, 1.0, m)
+    np.divide(deriv / (1.0 + deriv) - np.log1p(deriv), deriv * deriv, out=deriv)
+    s = m[small]
+    deriv[small] = -0.5 + 2.0 * s / 3.0 - 0.75 * s * s
+    return deriv
 
 
 def log_scale(z, out=None):

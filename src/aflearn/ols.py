@@ -11,6 +11,12 @@ and its hop runs on ``rfft``/``irfft``.  Each hop consumes R fresh input
 samples (the analysis window is the last K samples of the input stream) and
 emits R output samples, the alias-free tail of the circular convolution.
 
+``hop_forward`` takes the input frame's spectrum, not the frame, and
+``feature_spectra`` the desired hop's spectrum: both depend on the input
+signals only, so callers take them for a whole block of hops in one call,
+``frame_spectra`` over a block of ``hop_frames`` rows and ``hop_spectrum``
+over a block of desired hops.
+
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
 and imaginary parts of w matches it as (fd_re + 1j * fd_im) / 2.
@@ -40,6 +46,7 @@ __all__ = [
     "hop_forward",
     "hop_backward",
     "feature_spectra",
+    "frame_spectra",
     "hop_frames",
 ]
 
@@ -76,6 +83,12 @@ class OlsConfig:
 def _check_len(x, n, name):
     if x.shape[-1] != n:
         raise ValueError(f"{name} must have last axis {n}, got {x.shape[-1]}")
+
+
+def _check_bins(cfg, bins):
+    k = cfg.dft_size
+    if bins not in (k, k // 2 + 1):
+        raise ValueError(f"filter must have last axis {k} or {k // 2 + 1}, got {bins}")
 
 
 def project_filter(w):
@@ -115,18 +128,19 @@ def hermitian_spectrum(half):
     return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
 
 
-def _zero_headed(hop_samples, cfg, transform):
+def _zero_headed(hop_samples, cfg, transform, out=None):
     """``transform`` of one R-sample hop placed in the tail of a K frame."""
     frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
     frame[..., cfg.dft_size - cfg.hop :] = hop_samples
-    return transform(frame, axis=-1)
+    return transform(frame, axis=-1, out=out)
 
 
-def hop_spectrum(hop_samples, cfg):
-    """DFT of one R-sample hop placed in the tail of a K frame (leading zeros)."""
+def hop_spectrum(hop_samples, cfg, out=None):
+    """DFT of one R-sample hop placed in the tail of a K frame (leading zeros);
+    ``out``, if given, receives it."""
     hop_samples = np.asarray(hop_samples)
     _check_len(hop_samples, cfg.hop, "hop")
-    return _zero_headed(hop_samples, cfg, np.fft.fft)
+    return _zero_headed(hop_samples, cfg, np.fft.fft, out)
 
 
 def spectrum_to_hop(spec, cfg):
@@ -136,28 +150,36 @@ def spectrum_to_hop(spec, cfg):
     return np.fft.ifft(spec, axis=-1)[..., cfg.hop :].real
 
 
-def _filter_frame(cfg, w, u_frame):
-    """(u_freq, y_freq, y_hop) of one K-sample frame filtered through w.
+def frame_spectra(cfg, frames, bins, out=None):
+    """Spectra of a (..., hops, K) block of ``hop_frames`` rows in one transform.
+
+    ``bins`` is the filter's: K gives ``fft`` spectra, K/2+1 ``rfft`` half
+    spectra.  A batched transform's rows equal one-row calls bit for bit.
+    ``out``, if given, receives the spectra.
+    """
+    frames = np.asarray(frames)
+    _check_len(frames, cfg.dft_size, "input frame")
+    _check_bins(cfg, bins)
+    transform = np.fft.fft if bins == cfg.dft_size else np.fft.rfft
+    return transform(frames, axis=-1, out=out)
+
+
+def _filter_spectrum(cfg, w, u_freq):
+    """(y_freq, y_hop) of a frame spectrum filtered through w.
 
     A K-bin w is projected on use; a K/2+1-bin w is taken as projected, and
-    its spectra are half spectra.
+    u_freq and y_freq are then half spectra.
     """
-    u_frame = np.asarray(u_frame)
-    _check_len(u_frame, cfg.dft_size, "input frame")
     w = np.asarray(w)
+    u_freq = np.asarray(u_freq)
+    _check_bins(cfg, w.shape[-1])
+    _check_len(u_freq, w.shape[-1], "input spectrum")
     k = cfg.dft_size
-    if w.shape[-1] not in (k, k // 2 + 1):
-        raise ValueError(f"filter must have last axis {k} or {k // 2 + 1}, got {w.shape[-1]}")
-    if not np.all(np.isfinite(u_frame)):
-        raise NumericError("non-finite input frame")
     if w.shape[-1] != k:
-        u_freq = np.fft.rfft(u_frame, axis=-1)
         y_freq = u_freq * w
-        return u_freq, y_freq, np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :]
-    u_freq = np.fft.fft(u_frame, axis=-1)
+        return y_freq, np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :]
     y_freq = u_freq * project_filter(w)
-    y_hop = np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
-    return u_freq, y_freq, y_hop
+    return y_freq, np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
 
 
 def ols_apply(cfg, w, u_frame):
@@ -168,7 +190,10 @@ def ols_apply(cfg, w, u_frame):
     frame is the last K samples of the far-end stream, so consecutive calls
     overlap by R samples.
     """
-    _, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
+    if not np.all(np.isfinite(u_frame)):
+        raise NumericError("non-finite input frame")
+    w = np.asarray(w)
+    y_freq, y_hop = _filter_spectrum(cfg, w, frame_spectra(cfg, u_frame, w.shape[-1]))
     return y_hop, y_freq
 
 
@@ -186,21 +211,22 @@ def af_error(d_hop, y_hop, cfg):
     return e_hop, hop_spectrum(e_hop, cfg)
 
 
-def hop_forward(cfg, w, u_frame, d_hop):
-    """One hop: filter the frame through w and score it against d, each FFT once.
+def hop_forward(cfg, w, u_freq, d_hop):
+    """One hop: filter the frame spectrum through w and score it against d.
 
-    Returns (y_hop, e_hop, u_freq, y_freq, e_freq).  A K/2+1-bin w must be
-    projected already; it is filtered with ``rfft``/``irfft`` and the three
-    spectra come back as half spectra (three real transforms in all, where a
-    K-bin w takes five complex ones).
+    u_freq is the input frame's spectrum on w's bins (``frame_spectra``).
+    Returns (y_hop, e_hop, y_freq, e_freq).  A K-bin w takes four complex
+    transforms (two to project it, one each for y_hop and e_freq); a
+    K/2+1-bin w must be projected already, is filtered with ``irfft`` and
+    scored with ``rfft``, and y_freq and e_freq come back as half spectra.
     """
-    u_freq, y_freq, y_hop = _filter_frame(cfg, w, u_frame)
-    if u_freq.shape[-1] == cfg.dft_size:
+    y_freq, y_hop = _filter_spectrum(cfg, w, u_freq)
+    if y_freq.shape[-1] == cfg.dft_size:
         e_hop, e_freq = af_error(d_hop, y_hop, cfg)
     else:
         e_hop = _error_hop(d_hop, y_hop, cfg)
         e_freq = _zero_headed(e_hop, cfg, np.fft.rfft)
-    return y_hop, e_hop, u_freq, y_freq, e_freq
+    return y_hop, e_hop, y_freq, e_freq
 
 
 def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):
@@ -229,11 +255,11 @@ def filter_gradient(u_freq, e_hop, cfg):
     return _gradient(u_freq, hop_spectrum(e_hop, cfg), cfg)
 
 
-def feature_spectra(cfg, d_hop, u_freq, y_freq, e_freq):
+def feature_spectra(cfg, u_freq, d_freq, e_freq, y_freq):
     """(gradient, far end, desired, error, output) spectra of a hop, as in
-    ``layers.FEATURE_CHANNELS``; the gradient reuses ``hop_forward``'s e_freq."""
-    return (_gradient(u_freq, e_freq, cfg), u_freq, hop_spectrum(d_hop, cfg),
-            e_freq, y_freq)
+    ``layers.FEATURE_CHANNELS``; d_freq is the desired hop's ``hop_spectrum``
+    and the gradient reuses ``hop_forward``'s e_freq."""
+    return _gradient(u_freq, e_freq, cfg), u_freq, d_freq, e_freq, y_freq
 
 
 def hop_frames(x, cfg):

@@ -10,6 +10,13 @@ are trimmed accordingly.  Every session, learned or classic, also takes
 (batch, samples) stacks and runs the scenes in lockstep; a 1-D signal pair is
 the batch-free case of the same loop.  A learned session's matrix products
 cost ``frames * FlopModel.total`` multiply-accumulates per stream.
+
+The hops are walked in blocks of _BLOCK_HOPS.  The spectra that depend only
+on the input signals, each frame's and (for the learned rule) each desired
+hop's, are taken for a whole block in one transform, whose rows are
+bit-identical to one-hop calls; memory stays O(block * K) per stream.  A
+non-finite input frame is reported at its own frame, after any failure at
+an earlier hop of its block.
 """
 
 from __future__ import annotations
@@ -29,11 +36,21 @@ from .classic import (
 )
 from .errors import ConfigError, NumericError
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import feature_spectra, hermitian_spectrum, hop_forward, hop_frames
+from .ols import (
+    feature_spectra,
+    frame_spectra,
+    hermitian_spectrum,
+    hop_forward,
+    hop_frames,
+    hop_spectrum,
+)
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
 CLASSIC_ALGORITHMS = ("nlms", "rls", "kf")
+# hops whose input spectra one transform takes, memory O(block * K) per stream;
+# at batch 1 a 32-hop block was no faster, and lockstep sessions peaked higher
+_BLOCK_HOPS = 16
 
 
 @dataclass
@@ -79,9 +96,41 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
-def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
+def _hop_spectra(cfg, u_frames, d_hops, bins, desired_spectra):
+    """Yield (t, u_freq, d_freq) per hop: the frame's spectrum on ``bins`` and,
+    if ``desired_spectra``, the desired hop's ``hop_spectrum`` (else None).
+
+    Each block of _BLOCK_HOPS hops is transformed in one call up to its first
+    frame that is non-finite in any stream; that frame raises when reached.
+    Every block overwrites the same block-sized arrays, so a hop's spectra
+    are valid until the next hop is drawn.
+    """
+    hops = u_frames.shape[-2]
+    block_shape = u_frames.shape[:-2] + (min(hops, _BLOCK_HOPS),)
+    u_freqs = np.empty(block_shape + (bins,), dtype=complex)
+    d_freqs = np.empty(block_shape + (cfg.dft_size,), dtype=complex) if desired_spectra else None
+    for start in range(0, hops, _BLOCK_HOPS):
+        block = u_frames[..., start : start + _BLOCK_HOPS, :]
+        finite = np.isfinite(block).all(axis=-1)
+        finite = finite.reshape(-1, finite.shape[-1]).all(axis=0)
+        valid = len(finite) if finite.all() else int(np.argmin(finite))
+        frame_spectra(cfg, block[..., :valid, :], bins, out=u_freqs[..., :valid, :])
+        if desired_spectra:
+            hop_spectrum(d_hops[..., start : start + valid, :], cfg, out=d_freqs[..., :valid, :])
+        for i in range(len(finite)):
+            if not finite[i]:
+                raise NumericError("non-finite input frame", frame=start + i)
+            yield start + i, u_freqs[..., i, :], d_freqs[..., i, :] if desired_spectra else None
+
+
+def _run(u, d, cfg, w, update_fn, desired_spectra=False, telemetry_path=None,
+         snapshot_stride=0):
     """Walk the hops from initial weights w: K bins, or a K/2+1-bin half
-    spectrum that the snapshots and the result expand to K bins."""
+    spectrum that the snapshots and the result expand to K bins.
+
+    ``update_fn(w, u_freq, d_hop, d_freq)`` runs one hop on the spectra of
+    ``_hop_spectra``; the learned rule asks for ``desired_spectra``.
+    """
     spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
     u_frames = hop_frames(u, cfg)
     d_hops = hop_frames(d, cfg)[..., cfg.hop :]
@@ -92,11 +141,12 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
-        for t in range(frames):
+        for t, u_freq, d_freq in _hop_spectra(cfg, u_frames, d_hops, w.shape[-1],
+                                              desired_spectra):
             d_hop = d_hops[..., t, :]
             try:
-                w, y_hop, e_hop = update_fn(w, u_frames[..., t, :], d_hop)
-            except NumericError as exc:  # a non-finite input frame or filter update
+                w, y_hop, e_hop = update_fn(w, u_freq, d_hop, d_freq)
+            except NumericError as exc:  # a non-finite filter update
                 raise NumericError(str(exc), frame=t) from exc
             if not np.all(np.isfinite(e_hop)):
                 raise NumericError("non-finite residual", frame=t)
@@ -133,15 +183,15 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
                              batch_shape=u.shape[:-1])
 
-    def update(w, frame, d_hop):
+    def update(w, u_freq, d_hop, d_freq):
         nonlocal state
-        y_hop, e_hop, *spectra = hop_forward(cfg, w, frame, d_hop)
-        xi = build_input(*feature_spectra(cfg, d_hop, *spectra))
+        y_hop, e_hop, y_freq, e_freq = hop_forward(cfg, w, u_freq, d_hop)
+        xi = build_input(*feature_spectra(cfg, u_freq, d_freq, e_freq, y_freq))
         delta, state = optimizer_step(params, xi, state)
         return apply_update(w, delta), y_hop, e_hop
 
     w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
-    return _run(u, d, cfg, w, update, **kwargs)
+    return _run(u, d, cfg, w, update, desired_spectra=True, **kwargs)
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
@@ -162,11 +212,11 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
     except TypeError as exc:  # a hyperparameter this baseline does not take
         raise ConfigError("hyper", f"{algorithm}: {exc}") from None
 
-    def update(w, frame, d_hop):
+    def update(w, u_freq, d_hop, _):
         nonlocal state
         if algorithm == "kf":
             w = state.transition * w  # the hop is filtered through the prediction
-        y_hop, e_hop, u_freq, _, e_freq = hop_forward(cfg, w, frame, d_hop)
+        y_hop, e_hop, _, e_freq = hop_forward(cfg, w, u_freq, d_hop)
         w_new, state = step(state, u_freq, e_freq, w)
         return w_new, y_hop, e_hop
 

@@ -11,8 +11,10 @@ Scenes in a batch run in lockstep with a leading batch axis, which is exactly
 equivalent to averaging per-scene gradients but keeps the matrix products
 large enough to be efficient.  Each batch builds its frame and desired-hop
 views once with the sessions' frame builder (``ols.hop_frames``), and a window
-is a time-major slice of them; the window runs the sessions' hop kernel
-(``ols.hop_forward``) forward and its adjoint (``ols.hop_backward``) backward.
+is a time-major slice of them; the window takes its frame and desired-hop
+spectra in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``)
+and runs the sessions' hop kernel (``ols.hop_forward``) forward and its
+adjoint (``ols.hop_backward``) backward.
 
 A window's forward is the sessions' own (``build_input``, ``optimizer_step``),
 told to write into a ``WindowWorkspace`` of time-major, group-last arrays
@@ -63,7 +65,14 @@ from .optimizer import (
     init_meta_params,
     optimizer_step,
 )
-from .ols import feature_spectra, hop_backward, hop_forward, hop_frames
+from .ols import (
+    feature_spectra,
+    frame_spectra,
+    hop_backward,
+    hop_forward,
+    hop_frames,
+    hop_spectrum,
+)
 from .scenes import gen_scene
 from .session import run_learned_session
 
@@ -84,7 +93,8 @@ LOSS_EPS = 1e-9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # feature rows the window's backward reads: the hop kernel's adjoint takes the
 # far end, and only the error and output rows carry gradient
-_FAREND, _ERROR, _OUTPUT = (FEATURE_CHANNELS.index(name) for name in ("farend", "error", "output"))
+_FAREND, _DESIRED, _ERROR, _OUTPUT = (FEATURE_CHANNELS.index(name)
+                                       for name in ("farend", "desired", "error", "output"))
 
 
 @dataclass
@@ -226,10 +236,17 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     ws.hidden[0][0], ws.hidden[1][0] = state.h0, state.h1
     state = ws.state(0)
     y_hops = np.empty(d_hops.shape)
+    if not np.all(np.isfinite(frames)):
+        raise NumericError("non-finite input frame")
+    # the window's far-end and desired spectra go straight into their feature
+    # rows, so build_input copies those two rows onto themselves
+    far_end, desired = ws.raw[:, :, _FAREND], ws.raw[:, :, _DESIRED]
+    frame_spectra(cfg, frames, cfg.dft_size, out=far_end)
+    hop_spectrum(d_hops, cfg, out=desired)
 
     for t in range(length):
-        y_hop, _, u_freq, y_freq, e_freq = hop_forward(cfg, w, frames[t], d_hops[t])
-        build_input(*feature_spectra(cfg, d_hops[t], u_freq, y_freq, e_freq),
+        y_hop, _, y_freq, e_freq = hop_forward(cfg, w, far_end[t], d_hops[t])
+        build_input(*feature_spectra(cfg, far_end[t], desired[t], e_freq, y_freq),
                     out=(ws.raw[t], ws.xi[t]))
         delta, state = optimizer_step(params, ws.xi[t], state, out=ws.step_out(t))
         w = w + delta

@@ -13,6 +13,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from aflearn import layers
+from aflearn.classic import (
+    kf_step,
+    make_kf_state,
+    make_nlms_state,
+    make_rls_state,
+    nlms_step,
+    rls_step,
+)
+from aflearn.ols import feature_spectra, hermitian_spectrum, hop_forward, hop_frames, hop_spectrum
+from aflearn.optimizer import GroupState, apply_update, build_input, optimizer_step
+from aflearn.session import _erle_db
 
 
 def dft_matrix(k):
@@ -243,3 +254,46 @@ def full_k_session(algorithm, state, u, d, k):
         output[span] = y_hop
         w, state = full_k_step(algorithm, state, u_freq, e_freq, w)
     return output, d[: hops * r] - output, w
+
+
+def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
+    """A learned (``params``) or classic (``algorithm``) session one hop at a
+    time: each hop's frame, and for the learned rule its desired hop, is
+    transformed on its own before the library's hop kernel, feature build,
+    rule step or classic step runs on it.  Signals as in the sessions;
+    returns (output, error, K-bin weights, per-hop ERLE)."""
+    k = cfg.dft_size
+    u_frames = hop_frames(u, cfg)
+    d_hops = hop_frames(d, cfg)[..., cfg.hop :]
+    batch = u.shape[:-1]
+    if params is not None:
+        state = GroupState.zeros(params.structure, k, params.hidden_size, batch_shape=batch)
+        w = np.zeros(batch + (k,), dtype=complex)
+    else:
+        bins = k // 2 + 1
+        state, step = {"nlms": (make_nlms_state(), nlms_step),
+                       "rls": (make_rls_state(bins), rls_step),
+                       "kf": (make_kf_state(bins), kf_step)}[algorithm]
+        w = np.zeros(batch + (bins,), dtype=complex)
+    output = np.empty(d_hops.shape)
+    error = np.empty_like(output)
+    for t in range(u_frames.shape[-2]):
+        frame, d_hop = u_frames[..., t, :], d_hops[..., t, :]
+        if params is not None:
+            u_freq = np.fft.fft(frame, axis=-1)
+            y_hop, e_hop, y_freq, e_freq = hop_forward(cfg, w, u_freq, d_hop)
+            xi = build_input(*feature_spectra(cfg, u_freq, hop_spectrum(d_hop, cfg), e_freq,
+                                              y_freq))
+            delta, state = optimizer_step(params, xi, state)
+            w = apply_update(w, delta)
+        else:
+            if algorithm == "kf":
+                w = state.transition * w
+            u_freq = np.fft.rfft(frame, axis=-1)
+            y_hop, e_hop, _, e_freq = hop_forward(cfg, w, u_freq, d_hop)
+            w, state = step(state, u_freq, e_freq, w)
+        output[..., t, :] = y_hop
+        error[..., t, :] = e_hop
+    weights = w if params is not None else hermitian_spectrum(w)
+    shape = batch + (-1,)
+    return output.reshape(shape), error.reshape(shape), weights, _erle_db(d_hops, error)

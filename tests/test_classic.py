@@ -16,7 +16,14 @@ from aflearn.classic import (
     rls_step,
 )
 from aflearn.metrics import misalignment_db
-from aflearn.ols import OlsConfig, hop_forward, hop_spectrum, ols_apply, project_filter
+from aflearn.ols import (
+    OlsConfig,
+    frame_spectra,
+    hop_forward,
+    hop_spectrum,
+    ols_apply,
+    project_filter,
+)
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.session import run_classic_session
 
@@ -93,8 +100,8 @@ def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
     }[algorithm]
     if algorithm == "kf":
         w = state.transition * w
-    _, _, u_freq, _, e_freq = hop_forward(cfg, w, rng.standard_normal(k),
-                                          rng.standard_normal(cfg.hop))
+    u_freq = frame_spectra(cfg, rng.standard_normal(k), k)
+    _, _, _, e_freq = hop_forward(cfg, w, u_freq, rng.standard_normal(cfg.hop))
     w_new, _ = step(state, u_freq, e_freq, w)
     assert _hermitian_error(w_new) < 1e-12
     assert rel_error(project_filter(w_new), w_new) < 1e-12
@@ -125,7 +132,8 @@ def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
         state = replace(state, p=p_full)
     w_full, state_full = full_k_step(algorithm, state, u_full, e_freq_full, w)
 
-    y_hop, e_hop, u_freq, _, e_freq = hop_forward(cfg, w[:bins], frame, d_hop)
+    u_freq = frame_spectra(cfg, frame, bins)
+    y_hop, e_hop, _, e_freq = hop_forward(cfg, w[:bins], u_freq, d_hop)
     assert u_freq.shape == e_freq.shape == (bins,)
     assert rel_error(y_hop, y_full) < 1e-12
     assert rel_error(e_hop, e_full) < 1e-12
@@ -204,7 +212,8 @@ def test_kf_innovation_matches_prediction_error():
     d_hop = rng.standard_normal(8)
     state = make_kf_state(16)
     w_pred = state.transition * w
-    _, e_hop, u_kernel, _, e_freq = hop_forward(cfg, w_pred, frame, d_hop)
+    u_kernel = frame_spectra(cfg, frame, 16)
+    _, e_hop, _, e_freq = hop_forward(cfg, w_pred, u_kernel, d_hop)
     y_pred, _ = ols_apply(cfg, w_pred, frame)
     assert rel_error(e_hop, d_hop - y_pred) < 1e-12
     assert rel_error(u_kernel, u_freq) < 1e-12

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from aflearn.layers import (
+    _log_gain,
+    _log_gain_deriv,
     ComplexGruLayer,
     GroupSampler,
     _split_sigmoid,
@@ -67,6 +69,28 @@ def test_log_scale_values():
     out = log_scale(np.array([z]))[0]
     assert abs(np.angle(out) - 0.7) < 1e-12
     assert abs(abs(out) - np.log(6.0)) < 1e-12
+
+
+def test_log_gain_series_only_where_needed_is_bit_identical():
+    # the series runs on the entries below 1e-4 only, with the same formula
+    # as evaluating both branches everywhere and selecting
+    def both_branches(m):
+        small = m < 1e-4
+        safe = np.where(small, 1.0, m)
+        gain = np.log1p(safe) / safe
+        deriv = (safe / (1.0 + safe) - np.log1p(safe)) / (safe * safe)
+        return (np.where(small, 1.0 - m / 2.0 + m * m / 3.0, gain),
+                np.where(small, -0.5 + 2.0 * m / 3.0 - 0.75 * m * m, deriv))
+
+    rng = np.random.default_rng(21)
+    m = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1e-4, 6), [1e-4],
+                        rng.uniform(1e-4, 50.0, 7), [np.inf, np.nan]]).reshape(2, 3, 3)
+    with np.errstate(invalid="ignore"):
+        expected = both_branches(m)
+        actual = (_log_gain(m), _log_gain_deriv(m))
+    for a, e in zip(actual, expected):
+        assert np.array_equal(a, e, equal_nan=True)
+    assert actual[0][0, 0, 0] == 1.0 and actual[1][0, 0, 0] == -0.5
 
 
 def test_log_scale_monotone_and_contracting():

@@ -11,6 +11,7 @@ from aflearn.ols import (
     af_error,
     enforce_conjugate_symmetry,
     filter_gradient,
+    frame_spectra,
     hop_frames,
     hop_spectrum,
     ols_apply,
@@ -215,3 +216,24 @@ def test_batched_calls_match_loop():
         y_i, f_i = ols_apply(cfg, w[i], frames[i])
         assert rel_error(y_b[i], y_i) < 1e-12
         assert rel_error(f_b[i], f_i) < 1e-12
+
+
+def test_block_spectra_equal_one_row_calls():
+    # one transform over a (batch, hops, K) block gives each row's own
+    # fft or rfft, chosen by the filter's bin count, bit for bit
+    cfg = OlsConfig(16)
+    rng = np.random.default_rng(11)
+    frames = hop_frames(rng.standard_normal((2, 7 * cfg.hop)), cfg)
+    hops = frames[..., cfg.hop :]
+    for bins, transform in ((16, np.fft.fft), (9, np.fft.rfft)):
+        block = frame_spectra(cfg, frames, bins)
+        assert block.shape == (2, 7, bins)
+        for b, t in np.ndindex(2, 7):
+            assert np.array_equal(block[b, t], transform(frames[b, t]))
+    block = hop_spectrum(hops, cfg)
+    for b, t in np.ndindex(2, 7):
+        assert np.array_equal(block[b, t], hop_spectrum(hops[b, t], cfg))
+    with pytest.raises(ValueError, match="filter"):
+        frame_spectra(cfg, frames, 8)
+    with pytest.raises(ValueError, match="input frame"):
+        frame_spectra(cfg, frames[..., :8], 16)

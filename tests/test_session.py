@@ -1,6 +1,7 @@
 """Full-signal sessions: outputs, telemetry, snapshots, and failure frames."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,15 @@ from aflearn.errors import ConfigError, NumericError
 from aflearn.classic import make_kf_state
 from aflearn.ols import OlsConfig, hop_frames, ols_apply
 from aflearn.optimizer import init_meta_params
-from aflearn.session import CLASSIC_ALGORITHMS, run_classic_session, run_learned_session
+from aflearn.session import (
+    _BLOCK_HOPS as BLOCK,
+    CLASSIC_ALGORITHMS,
+    run_classic_session,
+    run_learned_session,
+)
 from aflearn.structures import DependencyStructure
 
-from oracles import rel_error
+from oracles import hop_by_hop_session, rel_error
 
 CFG = OlsConfig(32)
 
@@ -89,23 +95,89 @@ def test_snapshots_taken_every_stride():
         assert np.iscomplexobj(w)
 
 
-def test_numeric_failure_reports_frame_index():
+def test_numeric_failure_reports_frame_index(monkeypatch):
     u, d = _signals(6 * CFG.hop)
     u[: CFG.hop] = 0.0  # silent far end + eps=0 divides 0/0 in the first update
     with pytest.raises(NumericError) as info, np.errstate(invalid="ignore"):
         run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
     assert info.value.frame == 1
-    # a NaN far-end sample reaches the first frame whose window holds it
-    u, d = _signals(6 * CFG.hop)
-    u[3 * CFG.hop + 1] = np.nan
+    # a NaN far-end sample reaches the first frame whose window holds it, in
+    # the first block of hops and in the second
     params = init_meta_params(DependencyStructure.block(4), 4, seed=0)
-    sessions = {"learned": lambda: run_learned_session(params, u, d, CFG)}
-    sessions.update({alg: lambda alg=alg: run_classic_session(alg, u, d, CFG)
-                     for alg in CLASSIC_ALGORITHMS})
-    for name, session in sessions.items():
-        with pytest.raises(NumericError, match="non-finite input frame") as info:
-            session()
-        assert info.value.frame == 3, name
+    for hops, bad in ((6, 3), (BLOCK + 8, BLOCK + 3)):
+        u, d = _signals(hops * CFG.hop)
+        u[bad * CFG.hop + 1] = np.nan
+        sessions = {"learned": lambda: run_learned_session(params, u, d, CFG)}
+        sessions.update({alg: lambda alg=alg: run_classic_session(alg, u, d, CFG)
+                         for alg in CLASSIC_ALGORITHMS})
+        for name, session in sessions.items():
+            with pytest.raises(NumericError, match="non-finite input frame") as info:
+                session()
+            assert info.value.frame == bad, (name, hops)
+    # a failure at an earlier hop of the NaN frame's block is still the one reported:
+    # the silent far end of frame BLOCK + 2 in NLMS ...
+    u, d = _signals((BLOCK + 8) * CFG.hop)
+    u[(BLOCK + 1) * CFG.hop : (BLOCK + 3) * CFG.hop] = 0.0
+    u[(BLOCK + 5) * CFG.hop + 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite residual") as info, \
+            np.errstate(invalid="ignore"):
+        run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
+    assert info.value.frame == BLOCK + 3
+    # ... and a learned update that goes non-finite at hop BLOCK + 1
+    u, d = _signals((BLOCK + 8) * CFG.hop)
+    u[(BLOCK + 5) * CFG.hop + 1] = np.nan
+    real_step, hops_run = aflearn.session.optimizer_step, []
+
+    def failing_step(params, xi, state):
+        delta, state = real_step(params, xi, state)
+        hops_run.append(None)
+        return (delta * np.nan if len(hops_run) == BLOCK + 2 else delta), state
+
+    monkeypatch.setattr(aflearn.session, "optimizer_step", failing_step)
+    with pytest.raises(NumericError, match="non-finite filter update") as info:
+        run_learned_session(params, u, d, CFG)
+    assert info.value.frame == BLOCK + 1
+
+
+def test_blocked_sessions_match_the_hop_by_hop_loop():
+    # a lockstep batch of 3 over a hop count that is not a multiple of the block
+    hops = 2 * BLOCK + 7
+    u, d = (np.stack(pair) for pair in zip(*(_signals(hops * CFG.hop, seed) for seed in range(3))))
+    runs = {alg: (lambda alg=alg: run_classic_session(alg, u, d, CFG), {"algorithm": alg})
+            for alg in CLASSIC_ALGORITHMS}
+    for label in ("diagonal", "block:4", "banded:4"):
+        params = init_meta_params(DependencyStructure.parse(label), 4, seed=1)
+        runs[label] = (lambda params=params: run_learned_session(params, u, d, CFG),
+                       {"params": params})
+    for name, (session, kind) in runs.items():
+        result = session()
+        expected = hop_by_hop_session(CFG, u, d, **kind)
+        actual = (result.output, result.error, result.weights, result.erle_db)
+        for field, a, e in zip(("output", "error", "weights", "erle_db"), actual, expected):
+            assert np.array_equal(a, e), (name, field)
+
+
+def test_session_memory_does_not_grow_with_blocks():
+    # a session over 4N hops peaks no higher than one over N hops plus what
+    # grows with the signal: the result's error, output and erle_db, and
+    # hop_frames' zero-padded copies of u and d, as large as error and output
+    params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
+
+    def peak(hops):
+        u, d = _signals(hops * CFG.hop)
+        tracemalloc.start()
+        try:
+            result = run_learned_session(params, u, d, CFG)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return top, 2 * (result.error.nbytes + result.output.nbytes) + result.erle_db.nbytes
+
+    n = 2 * BLOCK + BLOCK // 2  # both runs pass from one whole block to the next
+    peak(n)  # warm caches
+    (small, small_size), (big, big_size) = peak(n), peak(4 * n)
+    # a (hops, K) complex spectrum of the whole session would add as much again
+    assert big - small < 1.25 * (big_size - small_size), (big - small, big_size - small_size)
 
 
 def test_learned_session_smoke():
@@ -133,15 +205,17 @@ def test_kf_residual_is_the_innovation():
     assert rel_error(result.weights, posteriors[-1]) == 0.0
 
 
-# (transform kind, calls per hop): complex fft/ifft on K bins for the learned
-# rule, real rfft/irfft on K/2+1 bins for the classic filters
-FFT_CALLS_PER_HOP = {"learned": ("fft", 8), "nlms": ("rfft", 5), "rls": ("rfft", 5),
-                     "kf": ("rfft", 5)}
+# (transform kind, calls per hop, calls per block): complex fft/ifft on K bins
+# for the learned rule, real rfft/irfft on K/2+1 bins for the classic filters;
+# a block transforms its frames, and for the learned rule its desired hops, once
+FFT_CALLS = {"learned": ("fft", 6, 2), "nlms": ("rfft", 4, 1), "rls": ("rfft", 4, 1),
+             "kf": ("rfft", 4, 1)}
 
 
-@pytest.mark.parametrize("algorithm", sorted(FFT_CALLS_PER_HOP))
+@pytest.mark.parametrize("algorithm", sorted(FFT_CALLS))
 def test_per_hop_call_budget(algorithm, monkeypatch):
-    hops = 6
+    hops = BLOCK + 8  # one whole block and a partial one
+    blocks = 2
     u, d = _signals(hops * CFG.hop)
     calls = {}
 
@@ -161,7 +235,7 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
     for name in ("build_input", "optimizer_step", "apply_update") + steps:
         monkeypatch.setattr(aflearn.session, name,
                             counted(name, getattr(aflearn.session, name)))
-    kind, per_hop = FFT_CALLS_PER_HOP[algorithm]
+    kind, per_hop, per_block = FFT_CALLS[algorithm]
     if algorithm == "learned":
         params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
         monkeypatch.setattr(np, "concatenate", counted("concatenate", np.concatenate))
@@ -178,4 +252,4 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
         run_classic_session(algorithm, u, d, CFG)
         # no complex transform at all: only the real ones and the step
         assert calls == {"rfft": calls["rfft"], f"{algorithm}_step": hops}
-    assert calls[kind] == per_hop * hops
+    assert calls[kind] == per_hop * hops + per_block * blocks

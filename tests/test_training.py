@@ -205,6 +205,13 @@ def test_one_hop_window_has_a_zero_parameter_gradient(structure):
     assert not grads.buffer.any()
 
 
+def test_non_finite_window_frame_is_a_numeric_error():
+    params, cfg, w, state, frames, d_hops = _window_inputs(DependencyStructure.diagonal())
+    frames[2, 1, 5] = np.inf
+    with pytest.raises(NumericError, match="non-finite input frame"):
+        window_gradient(params, cfg, w, state, frames[:3], d_hops[:3])
+
+
 # (fresh, reused-workspace) peak budgets of one window, in units of one
 # (L, B, H, C) complex array.  Measured: diagonal 11.61 and 0.90, block:4
 # 17.16 and 2.43, banded:4 13.87 and 1.66; the workspace holds the backward's
