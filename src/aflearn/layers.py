@@ -30,6 +30,11 @@ __all__ = [
     "ComplexGruLayer",
     "GroupSampler",
     "FEATURE_CHANNELS",
+    "GRADIENT_ROW",
+    "FAREND_ROW",
+    "DESIRED_ROW",
+    "ERROR_ROW",
+    "OUTPUT_ROW",
 ]
 
 _TINY = 1e-12
@@ -43,22 +48,29 @@ def complex_glorot(rng, shape, fan_in, fan_out):
 
 def _log_gain(m):
     """ln(1 + m)/m evaluated stably, 1 at m = 0: the entries below 1e-4 take
-    a series, evaluated on those entries only."""
+    a series, evaluated on those entries only (and skipped if there are none)."""
     small = m < 1e-4
-    gain = np.where(small, 1.0, m)  # the closed form's argument, 1 where the series takes over
-    np.divide(np.log1p(gain), gain, out=gain)
-    s = m[small]
-    gain[small] = 1.0 - s / 2.0 + s * s / 3.0
+    any_small = small.any()
+    safe = np.where(small, 1.0, m) if any_small else m  # 1 where the series takes over
+    gain = np.log1p(safe)
+    gain /= safe
+    if any_small:
+        s = m[small]
+        gain[small] = 1.0 - s / 2.0 + s * s / 3.0
     return gain
 
 
 def _log_gain_deriv(m):
     """d/dm of ln(1 + m)/m, -1/2 at m = 0; the entries below 1e-4 as in ``_log_gain``."""
     small = m < 1e-4
-    deriv = np.where(small, 1.0, m)
-    np.divide(deriv / (1.0 + deriv) - np.log1p(deriv), deriv * deriv, out=deriv)
-    s = m[small]
-    deriv[small] = -0.5 + 2.0 * s / 3.0 - 0.75 * s * s
+    any_small = small.any()
+    safe = np.where(small, 1.0, m) if any_small else m
+    deriv = safe / (1.0 + safe)
+    deriv -= np.log1p(safe)
+    deriv /= safe * safe
+    if any_small:
+        s = m[small]
+        deriv[small] = -0.5 + 2.0 * s / 3.0 - 0.75 * s * s
     return deriv
 
 
@@ -120,14 +132,16 @@ def dense_backward(g_y, x, weight, g_weight, g_bias=None, out=None):
     return np.matmul(np.conj(weight).T, g_y, out=out)
 
 
-def _split_sigmoid(z):
-    """Sigmoid of the real and imaginary parts separately; overwrites and returns z.
+def _split_sigmoid_of_negated(z):
+    """Sigmoid of the real and imaginary parts of -z separately, 1 / (1 + exp(z))
+    per part; overwrites and returns z.
 
-    Works on the float64 view of z, whose last axis must be contiguous.  A part
-    below about -709 overflows exp to inf, and 1 / (1 + inf) is the right 0.
+    The caller forms the negated pre-activation -a in the pass that forms a,
+    which saves a negation pass.  Works on the float64 view of z, whose last
+    axis must be contiguous.  A part above about 709 overflows exp to inf, and
+    1 / (1 + inf) is the right 0.
     """
     v = z.view(np.float64)
-    np.negative(v, out=v)
     with np.errstate(over="ignore"):
         np.exp(v, out=v)
     v += 1.0
@@ -204,8 +218,9 @@ class ComplexGruLayer:
         x_gates = _matmul(self.w, x)
         zr = _matmul(self.u[: 2 * hidden], h, out=zr)
         zr += x_gates[..., : 2 * hidden, :]
-        zr += self.b[: 2 * hidden, None]
-        _split_sigmoid(zr)
+        # -b - a is -(a + b) exactly (up to the sign of a zero, which exp ignores)
+        np.subtract(-self.b[: 2 * hidden, None], zr, out=zr)
+        _split_sigmoid_of_negated(zr)
         z, r = zr[..., :hidden, :], zr[..., hidden:, :]
         rh = r * h
         c = _matmul(self.u[2 * hidden :], rh, out=c)
@@ -269,6 +284,8 @@ class ComplexGruLayer:
 
 
 FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
+# each channel's row in a (..., 5, K) feature array
+GRADIENT_ROW, FAREND_ROW, DESIRED_ROW, ERROR_ROW, OUTPUT_ROW = range(len(FEATURE_CHANNELS))
 
 
 @dataclass

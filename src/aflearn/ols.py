@@ -2,20 +2,30 @@
 
 A spectrum is either a full K-bin complex vector or, for a real signal, its
 K/2+1-bin half spectrum in ``rfft`` layout; K is even and K/2+1 odd, so
-``project_filter`` and ``hop_forward`` tell the two apart by the spectrum's
-length.  A valid filter spectrum is the DFT of an impulse response whose last R
-taps vanish; ``project_filter`` enforces that support constraint and no other.
-The hop kernel projects a K-bin filter on use; a half-spectrum filter must
-already be projected (the classic filters keep it so with their own update),
-and its hop runs on ``rfft``/``irfft``.  Each hop consumes R fresh input
-samples (the analysis window is the last K samples of the input stream) and
-emits R output samples, the alias-free tail of the circular convolution.
+``project_filter``, ``ols_apply`` and ``frame_spectra`` tell the two apart by
+the spectrum's length.  A valid filter spectrum is the DFT of an impulse
+response whose last R taps vanish; ``project_filter`` enforces that support
+constraint and no other.  A K-bin filter is projected on use; a half-spectrum
+filter must already be projected (the classic filters keep it so with their
+own update).  Each hop consumes R fresh input samples (the analysis window is
+the last K samples of the input stream) and emits R output samples, the
+alias-free tail of the circular convolution.
 
-``hop_forward`` takes the input frame's spectrum, not the frame, and
-``feature_spectra`` the desired hop's spectrum: both depend on the input
-signals only, so callers take them for a whole block of hops in one call,
-``frame_spectra`` over a block of ``hop_frames`` rows and ``hop_spectrum``
-over a block of desired hops.
+There are two hop kernels, one per kind of filter.  ``hop_forward`` is the
+classic filters' hop on a K/2+1-bin filter, run on ``rfft``/``irfft``.
+``feature_hop`` is the learned rule's hop on a K-bin filter, and
+``hop_backward`` its adjoint.  Both take the input frame's spectrum, not the
+frame: it depends on the input signal only, so callers take it for a whole
+block of hops in one call, ``frame_spectra`` over a block of ``hop_frames``
+rows (and ``hop_spectrum`` over a block of desired hops).
+
+``feature_hop`` writes its five feature spectra in place, into the rows of
+one (..., 5, K) buffer in ``layers.FEATURE_CHANNELS`` order: the caller puts
+the far-end and desired spectra in, the hop adds the gradient, error and
+output rows.  It checks no shapes; its callers check them once per session
+or training window, while the public helpers (``ols_apply``, ``af_error``,
+``filter_gradient``, ``hop_spectrum``, ``hop_forward``) check theirs on
+every call.
 
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
@@ -32,6 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
+from .layers import ERROR_ROW, FAREND_ROW, GRADIENT_ROW, OUTPUT_ROW
 
 __all__ = [
     "OlsConfig",
@@ -45,7 +56,7 @@ __all__ = [
     "filter_gradient",
     "hop_forward",
     "hop_backward",
-    "feature_spectra",
+    "feature_hop",
     "frame_spectra",
     "hop_frames",
 ]
@@ -212,34 +223,27 @@ def af_error(d_hop, y_hop, cfg):
 
 
 def hop_forward(cfg, w, u_freq, d_hop):
-    """One hop: filter the frame spectrum through w and score it against d.
+    """One classic hop: filter the frame spectrum through w and score it against d.
 
-    u_freq is the input frame's spectrum on w's bins (``frame_spectra``).
-    Returns (y_hop, e_hop, y_freq, e_freq).  A K-bin w takes four complex
-    transforms (two to project it, one each for y_hop and e_freq); a
-    K/2+1-bin w must be projected already, is filtered with ``irfft`` and
-    scored with ``rfft``, and y_freq and e_freq come back as half spectra.
+    w is a projected K/2+1-bin half spectrum and u_freq the input frame's
+    ``rfft`` (``frame_spectra``).  Returns (y_hop, e_hop, y_freq, e_freq),
+    y_freq and e_freq half spectra; two real transforms, ``irfft`` for y_hop
+    and ``rfft`` for e_freq.
     """
+    _check_len(np.asarray(w), cfg.dft_size // 2 + 1, "half-spectrum filter")
     y_freq, y_hop = _filter_spectrum(cfg, w, u_freq)
-    if y_freq.shape[-1] == cfg.dft_size:
-        e_hop, e_freq = af_error(d_hop, y_hop, cfg)
-    else:
-        e_hop = _error_hop(d_hop, y_hop, cfg)
-        e_freq = _zero_headed(e_hop, cfg, np.fft.rfft)
-    return y_hop, e_hop, y_freq, e_freq
+    e_hop = _error_hop(d_hop, y_hop, cfg)
+    return y_hop, e_hop, y_freq, _zero_headed(e_hop, cfg, np.fft.rfft)
 
 
 def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):
-    """Adjoint of ``hop_forward``: the gradient w.r.t. the conjugate filter,
-    given the gradients of y_hop, e_freq and y_freq (e_hop = d_hop - y_hop)."""
+    """Adjoint of ``feature_hop``'s y_hop, e_freq and y_freq: the gradient
+    w.r.t. the conjugate K-bin filter, given the gradients of y_hop, e_freq
+    and y_freq (e_hop = d_hop - y_hop)."""
     k = cfg.dft_size
     g_y_hop = g_y_hop - k * spectrum_to_hop(g_e_freq, cfg)
     g_y_freq = g_y_freq + hop_spectrum(g_y_hop, cfg) / k
     return project_filter(np.conj(u_freq) * g_y_freq)
-
-
-def _gradient(u_freq, e_freq, cfg):
-    return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size))
 
 
 def filter_gradient(u_freq, e_hop, cfg):
@@ -252,14 +256,31 @@ def filter_gradient(u_freq, e_hop, cfg):
     _check_len(u_freq, cfg.dft_size, "input spectrum")
     e_hop = np.asarray(e_hop)
     _check_len(e_hop, cfg.hop, "error hop")
-    return _gradient(u_freq, hop_spectrum(e_hop, cfg), cfg)
+    e_freq = hop_spectrum(e_hop, cfg)
+    return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size))
 
 
-def feature_spectra(cfg, u_freq, d_freq, e_freq, y_freq):
-    """(gradient, far end, desired, error, output) spectra of a hop, as in
-    ``layers.FEATURE_CHANNELS``; d_freq is the desired hop's ``hop_spectrum``
-    and the gradient reuses ``hop_forward``'s e_freq."""
-    return _gradient(u_freq, e_freq, cfg), u_freq, d_freq, e_freq, y_freq
+def feature_hop(cfg, w, d_hop, raw, e_frame):
+    """One learned hop of a K-bin filter w, its features written into raw.
+
+    raw (..., 5, K) holds one row per ``layers.FEATURE_CHANNELS`` entry; its
+    far-end and desired rows must hold the frame's spectrum and the desired
+    hop's ``hop_spectrum``.  The hop writes the output row u * P(w), the
+    error row (the ``fft`` of e_frame, a real (..., K) frame whose first R
+    samples must be zero and whose last R receive e_hop) and the gradient row
+    -P(conj(u) * e / K), the same values ``ols_apply``, ``af_error`` and
+    ``filter_gradient`` give.  Six complex transforms; no shape is checked.
+    Returns (y_hop, e_hop); e_hop is a view of e_frame.
+    """
+    r = cfg.hop
+    u_freq = raw[..., FAREND_ROW, :]
+    y_freq = np.multiply(u_freq, project_filter(w), out=raw[..., OUTPUT_ROW, :])
+    y_hop = np.fft.ifft(y_freq, axis=-1)[..., r:].real
+    e_hop = np.subtract(d_hop, y_hop, out=e_frame[..., r:])
+    e_freq = np.fft.fft(e_frame, axis=-1, out=raw[..., ERROR_ROW, :])
+    np.negative(project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size)),
+                out=raw[..., GRADIENT_ROW, :])
+    return y_hop, e_hop
 
 
 def hop_frames(x, cfg):

@@ -5,7 +5,8 @@ filter gradient, far-end input, desired, error, and filter output), compresses
 their magnitudes, folds them into frequency groups, runs a two-layer complex
 GRU per group, and scatters the output back to a K-bin filter correction:
 
-    xi     = log_scale(stack(grad, u, d, e, y))          (..., 5, K)
+    raw    = rows (grad, u, d, e, y)                     (..., 5, K)
+    xi     = log_scale(raw)                              (..., 5, K)
     g      = downsample(xi)                              (..., H, C)
     h0'    = gru0(g, h0); h1' = gru1(h0', h1)            (..., H, C)
     delta  = upsample(out_dense(h1'))                    (..., K)
@@ -16,11 +17,13 @@ axis, so every weight multiplies from the left and every gate is a contiguous
 Parameters are shared across groups; only the hidden state is per group.
 They live in one complex buffer whose layout ``param_layout`` defines.
 
+The raw rows are written in place by the hop (``ols.feature_hop``) into a
+buffer its caller owns, one per session or training window.
 ``build_input`` and ``optimizer_step`` are the one forward of sessions and
-training windows alike.  A training window passes ``out=`` arrays (the raw
-and compressed features, and each GRU layer's new state, z|r gates and
-candidate) from its ``training.WindowWorkspace``, which also holds the
-window's backward; this module is the rule's forward only.
+training windows alike.  A training window passes ``out=`` arrays (the
+compressed features, and each GRU layer's new state, z|r gates and
+candidate) from its ``training.WindowWorkspace``, which also holds the raw
+features and the window's backward; this module is the rule's forward only.
 """
 
 from __future__ import annotations
@@ -170,18 +173,14 @@ class GroupState:
         return cls(h0=np.zeros(shape, dtype=complex), h1=np.zeros(shape, dtype=complex))
 
 
-def build_input(grad, u_freq, d_freq, e_freq, y_freq, out=None):
-    """Stack the five per-bin descriptors and compress magnitudes.
+def build_input(raw, out=None):
+    """The rule's input from the raw per-bin descriptors: magnitudes compressed.
 
-    The result is (..., 5, K), one row per ``FEATURE_CHANNELS`` entry.
-    ``out``, if given, is a (raw, xi) pair of (..., 5, K) arrays that receive
-    the stacked descriptors and the result.
+    raw is (..., 5, K), one row per ``FEATURE_CHANNELS`` entry, as
+    ``ols.feature_hop`` writes it; so is the result.  ``out``, if given,
+    receives it.
     """
-    raw, xi = out or (None, None)
-    raw = np.stack(
-        np.broadcast_arrays(grad, u_freq, d_freq, e_freq, y_freq), axis=-2, out=raw
-    ).astype(complex, copy=False)
-    return log_scale(raw, out=xi)
+    return log_scale(raw, out=out)
 
 
 def optimizer_step(params, features, state, out=None):

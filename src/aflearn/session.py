@@ -16,7 +16,10 @@ on the input signals, each frame's and (for the learned rule) each desired
 hop's, are taken for a whole block in one transform, whose rows are
 bit-identical to one-hop calls; memory stays O(block * K) per stream.  A
 non-finite input frame is reported at its own frame, after any failure at
-an earlier hop of its block.
+an earlier hop of its block.  A learned session owns one (..., 5, K) raw
+feature buffer and one log-scaled one: each hop copies its far-end and
+desired spectra into the raw rows, and ``ols.feature_hop`` writes the other
+three rows in place.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from .classic import (
     rls_step,
 )
 from .errors import ConfigError, NumericError
+from .layers import DESIRED_ROW, FAREND_ROW, FEATURE_CHANNELS
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
 from .ols import (
-    feature_spectra,
+    feature_hop,
     frame_spectra,
     hermitian_spectrum,
     hop_forward,
@@ -180,17 +184,21 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     its scenes in lockstep and every result array gains the leading batch axis.
     """
     u, d = _session_signals(u, d, cfg)
+    batch = u.shape[:-1]
     state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
-                             batch_shape=u.shape[:-1])
+                             batch_shape=batch)
+    raw, xi = np.empty((2,) + batch + (len(FEATURE_CHANNELS), cfg.dft_size), dtype=complex)
+    e_frame = np.zeros(batch + (cfg.dft_size,))  # the hop's error frame, see feature_hop
 
     def update(w, u_freq, d_hop, d_freq):
         nonlocal state
-        y_hop, e_hop, y_freq, e_freq = hop_forward(cfg, w, u_freq, d_hop)
-        xi = build_input(*feature_spectra(cfg, u_freq, d_freq, e_freq, y_freq))
-        delta, state = optimizer_step(params, xi, state)
+        raw[..., FAREND_ROW, :] = u_freq
+        raw[..., DESIRED_ROW, :] = d_freq
+        y_hop, e_hop = feature_hop(cfg, w, d_hop, raw, e_frame)
+        delta, state = optimizer_step(params, build_input(raw, out=xi), state)
         return apply_update(w, delta), y_hop, e_hop
 
-    w = np.zeros(u.shape[:-1] + (cfg.dft_size,), dtype=complex)
+    w = np.zeros(batch + (cfg.dft_size,), dtype=complex)
     return _run(u, d, cfg, w, update, desired_spectra=True, **kwargs)
 
 

@@ -12,17 +12,18 @@ equivalent to averaging per-scene gradients but keeps the matrix products
 large enough to be efficient.  Each batch builds its frame and desired-hop
 views once with the sessions' frame builder (``ols.hop_frames``), and a window
 is a time-major slice of them; the window takes its frame and desired-hop
-spectra in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``)
-and runs the sessions' hop kernel (``ols.hop_forward``) forward and its
-adjoint (``ols.hop_backward``) backward.
+spectra in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``),
+written straight into the far-end and desired rows of its raw features,
+and runs the sessions' learned hop (``ols.feature_hop``) forward and the
+hop kernel's adjoint (``ols.hop_backward``) backward.
 
-A window's forward is the sessions' own (``build_input``, ``optimizer_step``),
-told to write into a ``WindowWorkspace`` of time-major, group-last arrays
-(features (..., 5, K), GRU activations (..., H, C)), which is the window's
-only cache.  Per hop it holds each operand the backward cannot rebuild with
-one operation once: the raw features (whose far-end row the hop kernel's
-adjoint reads), the log-scaled features, and per GRU layer the hidden
-state, the z|r gates and the candidate c.  The backward reads a
+A window's forward is the sessions' own (``feature_hop``, ``build_input``,
+``optimizer_step``), told to write into a ``WindowWorkspace`` of time-major,
+group-last arrays (features (..., 5, K), GRU activations (..., H, C)), which
+is the window's only cache.  Per hop it holds each operand the backward
+cannot rebuild with one operation once: the raw features (whose far-end row
+the hop kernel's adjoint reads), the log-scaled features, and per GRU layer
+the hidden state, the z|r gates and the candidate c.  The backward reads a
 step's operands from those rows and recomputes r * h, the layer-0 input
 ``downsample(xi)`` and the output dense layer's result with the forward's
 own operations, so the gradients are bit-identical to those of a full cache.
@@ -57,22 +58,23 @@ import numpy as np
 
 from .errors import MetricUndefinedError, NumericError, check_number, require
 from .metrics import serle_db
-from .layers import dense, dense_backward, log_scale_backward
-from .optimizer import (
+from .layers import (
+    DESIRED_ROW,
+    ERROR_ROW,
+    FAREND_ROW,
     FEATURE_CHANNELS,
+    OUTPUT_ROW,
+    dense,
+    dense_backward,
+    log_scale_backward,
+)
+from .optimizer import (
     GroupState,
     build_input,
     init_meta_params,
     optimizer_step,
 )
-from .ols import (
-    feature_spectra,
-    frame_spectra,
-    hop_backward,
-    hop_forward,
-    hop_frames,
-    hop_spectrum,
-)
+from .ols import feature_hop, frame_spectra, hop_backward, hop_frames, hop_spectrum
 from .scenes import gen_scene
 from .session import run_learned_session
 
@@ -91,10 +93,6 @@ __all__ = [
 
 LOSS_EPS = 1e-9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# feature rows the window's backward reads: the hop kernel's adjoint takes the
-# far end, and only the error and output rows carry gradient
-_FAREND, _DESIRED, _ERROR, _OUTPUT = (FEATURE_CHANNELS.index(name)
-                                       for name in ("farend", "desired", "error", "output"))
 
 
 @dataclass
@@ -238,19 +236,16 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     y_hops = np.empty(d_hops.shape)
     if not np.all(np.isfinite(frames)):
         raise NumericError("non-finite input frame")
-    # the window's far-end and desired spectra go straight into their feature
-    # rows, so build_input copies those two rows onto themselves
-    far_end, desired = ws.raw[:, :, _FAREND], ws.raw[:, :, _DESIRED]
-    frame_spectra(cfg, frames, cfg.dft_size, out=far_end)
-    hop_spectrum(d_hops, cfg, out=desired)
+    # the window's far-end and desired spectra go straight into their feature rows
+    frame_spectra(cfg, frames, cfg.dft_size, out=ws.raw[:, :, FAREND_ROW])
+    hop_spectrum(d_hops, cfg, out=ws.raw[:, :, DESIRED_ROW])
+    e_frame = np.zeros((batch, cfg.dft_size))  # the hop's error frame, see feature_hop
 
     for t in range(length):
-        y_hop, _, y_freq, e_freq = hop_forward(cfg, w, far_end[t], d_hops[t])
-        build_input(*feature_spectra(cfg, far_end[t], desired[t], e_freq, y_freq),
-                    out=(ws.raw[t], ws.xi[t]))
-        delta, state = optimizer_step(params, ws.xi[t], state, out=ws.step_out(t))
+        y_hops[t], _ = feature_hop(cfg, w, d_hops[t], ws.raw[t], e_frame)
+        delta, state = optimizer_step(params, build_input(ws.raw[t], out=ws.xi[t]), state,
+                                      out=ws.step_out(t))
         w = w + delta
-        y_hops[t] = y_hop
 
     diff = d_hops - y_hops
     mse = np.mean(diff**2, axis=(0, 2))
@@ -262,17 +257,19 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     g_w = np.zeros_like(w)
     # The last step's delta and new state only set the carried w and state,
     # which no loss term of this window reads: that step has no backward, and
-    # its hop's error and output features carry no gradient.
+    # its hop's error and output features carry no gradient.  Of the feature
+    # rows only the error and output ones carry gradient, and the hop
+    # kernel's adjoint takes the far end.
     g_state = GroupState(h0=0.0, h1=0.0)
-    g_ey = np.zeros((batch, _OUTPUT + 1 - _ERROR, cfg.dft_size), dtype=complex)
+    g_ey = np.zeros((batch, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
     g_tensors = params.zeros_like()
 
     for t in reversed(range(length)):
         if t < length - 1:
             g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws, t, g_tensors)
-            rows = slice(_ERROR, _OUTPUT + 1)  # views: first the error row, last the output row
+            rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
-        g_w += hop_backward(cfg, ws.raw[t][:, _FAREND], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])
+        g_w += hop_backward(cfg, ws.raw[t][:, FAREND_ROW], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])
 
     return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 

@@ -21,8 +21,8 @@ from aflearn.classic import (
     nlms_step,
     rls_step,
 )
-from aflearn.ols import feature_spectra, hermitian_spectrum, hop_forward, hop_frames, hop_spectrum
-from aflearn.optimizer import GroupState, apply_update, build_input, optimizer_step
+from aflearn.ols import hermitian_spectrum, hop_forward, hop_frames, project_filter
+from aflearn.optimizer import GroupState, apply_update, optimizer_step
 from aflearn.session import _erle_db
 
 
@@ -203,6 +203,13 @@ def _project_full_k(w, taps):
     return np.fft.fft(wt, axis=-1)
 
 
+def _zero_headed_spectrum(hop_samples, k):
+    """fft of an R-sample hop in the tail of an otherwise zero K frame."""
+    frame = np.zeros(hop_samples.shape[:-1] + (k,))
+    frame[..., k - hop_samples.shape[-1] :] = hop_samples
+    return np.fft.fft(frame, axis=-1)
+
+
 def full_k_hop(w, u_frame, d_hop):
     """One overlap-save hop on full K-bin complex spectra, the filter projected
     on use: 7 complex FFTs with ``full_k_step``.  Returns (y_hop, e_hop,
@@ -212,9 +219,7 @@ def full_k_hop(w, u_frame, d_hop):
     u_freq = np.fft.fft(u_frame, axis=-1)
     y_hop = np.fft.ifft(u_freq * _project_full_k(w, k - r), axis=-1)[..., r:].real
     e_hop = d_hop - y_hop
-    e_frame = np.zeros(e_hop.shape[:-1] + (k,))
-    e_frame[..., r:] = e_hop
-    return y_hop, e_hop, u_freq, np.fft.fft(e_frame, axis=-1)
+    return y_hop, e_hop, u_freq, _zero_headed_spectrum(e_hop, k)
 
 
 def full_k_step(algorithm, state, u_freq, e_freq, w):
@@ -256,12 +261,28 @@ def full_k_session(algorithm, state, u, d, k):
     return output, d[: hops * r] - output, w
 
 
+def learned_hop_features(w, u_frame, d_hop):
+    """One learned hop the way the library took it before building its
+    features in place: five separately formed spectra, then one ``np.stack``
+    in ``FEATURE_CHANNELS`` order and ``log_scale``.  Returns (y_hop, e_hop, xi)."""
+    k = u_frame.shape[-1]
+    u_freq = np.fft.fft(u_frame, axis=-1)
+    y_freq = u_freq * project_filter(w)
+    y_hop = np.fft.ifft(y_freq, axis=-1)[..., k // 2 :].real
+    e_hop = d_hop - y_hop
+    e_freq = _zero_headed_spectrum(e_hop, k)
+    grad = -project_filter(np.conj(u_freq) * (e_freq / k))
+    raw = np.stack([grad, u_freq, _zero_headed_spectrum(d_hop, k), e_freq, y_freq], axis=-2)
+    return y_hop, e_hop, layers.log_scale(raw)
+
+
 def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
     """A learned (``params``) or classic (``algorithm``) session one hop at a
-    time: each hop's frame, and for the learned rule its desired hop, is
-    transformed on its own before the library's hop kernel, feature build,
-    rule step or classic step runs on it.  Signals as in the sessions;
-    returns (output, error, K-bin weights, per-hop ERLE)."""
+    time: each hop's frame is transformed on its own.  The learned rule's
+    features come from ``learned_hop_features``, then the library's rule
+    step; a classic filter runs the library's hop kernel and classic step.
+    Signals as in the sessions; returns (output, error, K-bin weights,
+    per-hop ERLE)."""
     k = cfg.dft_size
     u_frames = hop_frames(u, cfg)
     d_hops = hop_frames(d, cfg)[..., cfg.hop :]
@@ -280,10 +301,7 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
     for t in range(u_frames.shape[-2]):
         frame, d_hop = u_frames[..., t, :], d_hops[..., t, :]
         if params is not None:
-            u_freq = np.fft.fft(frame, axis=-1)
-            y_hop, e_hop, y_freq, e_freq = hop_forward(cfg, w, u_freq, d_hop)
-            xi = build_input(*feature_spectra(cfg, u_freq, hop_spectrum(d_hop, cfg), e_freq,
-                                              y_freq))
+            y_hop, e_hop, xi = learned_hop_features(w, frame, d_hop)
             delta, state = optimizer_step(params, xi, state)
             w = apply_update(w, delta)
         else:

@@ -198,7 +198,7 @@ def test_unrolled_meta_gradient_matches_fd(structure):
             else:
                 grad = grad_channel[t]
             d_freq = hop_spectrum(d_hops[t], cfg)
-            xi = build_input(grad, u_freq, d_freq, e_freq, y_freq)
+            xi = build_input(np.stack([grad, u_freq, d_freq, e_freq, y_freq], axis=-2))
             delta, state = optimizer_step(params, xi, state)
             w = w + delta
             y_hops[t] = y_hop

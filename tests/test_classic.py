@@ -100,8 +100,7 @@ def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
     }[algorithm]
     if algorithm == "kf":
         w = state.transition * w
-    u_freq = frame_spectra(cfg, rng.standard_normal(k), k)
-    _, _, _, e_freq = hop_forward(cfg, w, u_freq, rng.standard_normal(cfg.hop))
+    _, _, u_freq, e_freq = full_k_hop(w, rng.standard_normal(k), rng.standard_normal(cfg.hop))
     w_new, _ = step(state, u_freq, e_freq, w)
     assert _hermitian_error(w_new) < 1e-12
     assert rel_error(project_filter(w_new), w_new) < 1e-12
@@ -206,22 +205,34 @@ def test_kf_degenerate_prior_only_predicts():
 
 def test_kf_innovation_matches_prediction_error():
     # the hop kernel, run on the prediction, hands kf_step the innovation ...
-    rng, u_freq, w = _random_state(7)
+    rng, u_freq, _ = _random_state(7)
     cfg = OlsConfig(16)
+    bins = cfg.dft_size // 2 + 1
+    response = np.zeros(16)
+    response[: cfg.hop] = rng.standard_normal(cfg.hop)
+    w = np.fft.fft(response)[:bins]  # the half spectrum of a projected real filter
     frame = np.fft.ifft(u_freq).real
     d_hop = rng.standard_normal(8)
-    state = make_kf_state(16)
+    state = make_kf_state(bins)
     w_pred = state.transition * w
-    u_kernel = frame_spectra(cfg, frame, 16)
+    u_kernel = frame_spectra(cfg, frame, bins)
     _, e_hop, _, e_freq = hop_forward(cfg, w_pred, u_kernel, d_hop)
     y_pred, _ = ols_apply(cfg, w_pred, frame)
     assert rel_error(e_hop, d_hop - y_pred) < 1e-12
-    assert rel_error(u_kernel, u_freq) < 1e-12
+    assert rel_error(u_kernel, u_freq[:bins]) < 1e-12
     # ... and kf_step corrects that prediction without predicting again
-    w_new, _ = kf_step(state, u_freq, np.zeros_like(e_freq), w_pred)
+    w_new, _ = kf_step(state, u_kernel, np.zeros_like(e_freq), w_pred)
     assert rel_error(w_new, w_pred) < 1e-12
-    w_new, _ = kf_step(state, u_freq, e_freq, w_pred)
+    w_new, _ = kf_step(state, u_kernel, e_freq, w_pred)
     assert rel_error(w_new, w_pred) > 1e-3
+
+
+def test_hop_kernel_takes_only_half_spectrum_filters():
+    # a K-bin filter is the learned rule's, whose hop is ols.feature_hop
+    cfg = OlsConfig(16)
+    frame = np.random.default_rng(9).standard_normal(16)
+    with pytest.raises(ValueError, match="half-spectrum filter"):
+        hop_forward(cfg, np.zeros(16, dtype=complex), frame_spectra(cfg, frame, 16), np.zeros(8))
 
 
 def test_kf_observation_noise_tracks_residual_power():

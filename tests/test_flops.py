@@ -35,7 +35,7 @@ def test_closed_form_matches_instrumented_count(structure):
     state = GroupState.zeros(structure, cfg.dft_size, hidden)
     rng = np.random.default_rng(1)
     z = lambda: rng.standard_normal(cfg.dft_size) + 1j * rng.standard_normal(cfg.dft_size)
-    xi = build_input(z(), z(), z(), z(), z())
+    xi = build_input(np.stack([z() for _ in range(5)], axis=-2))
     with counted_macs() as counted:
         optimizer_step(params, xi, state)
     assert counted.total == flops_per_frame(structure, cfg.dft_size, hidden)
@@ -51,7 +51,7 @@ def test_counter_scales_with_batch():
     z = lambda: rng.standard_normal((batch, cfg.dft_size)) + 1j * rng.standard_normal(
         (batch, cfg.dft_size)
     )
-    xi = build_input(z(), z(), z(), z(), z())
+    xi = build_input(np.stack([z() for _ in range(5)], axis=-2))
     with counted_macs() as counted:
         optimizer_step(params, xi, state)
     assert counted.total == batch * flops_per_frame(structure, cfg.dft_size, 4)

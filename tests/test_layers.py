@@ -10,7 +10,7 @@ from aflearn.layers import (
     _log_gain_deriv,
     ComplexGruLayer,
     GroupSampler,
-    _split_sigmoid,
+    _split_sigmoid_of_negated,
     _split_tanh,
     complex_glorot,
     dense,
@@ -72,8 +72,10 @@ def test_log_scale_values():
 
 
 def test_log_gain_series_only_where_needed_is_bit_identical():
-    # the series runs on the entries below 1e-4 only, with the same formula
-    # as evaluating both branches everywhere and selecting
+    # the series runs on the entries below 1e-4 only (and not at all if there
+    # are none), with the same formula as evaluating both branches everywhere
+    # and selecting; checked with entries on both sides of 1e-4 (and inf,
+    # nan), with none below it and with only entries below it
     def both_branches(m):
         small = m < 1e-4
         safe = np.where(small, 1.0, m)
@@ -83,14 +85,19 @@ def test_log_gain_series_only_where_needed_is_bit_identical():
                 np.where(small, -0.5 + 2.0 * m / 3.0 - 0.75 * m * m, deriv))
 
     rng = np.random.default_rng(21)
-    m = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1e-4, 6), [1e-4],
-                        rng.uniform(1e-4, 50.0, 7), [np.inf, np.nan]]).reshape(2, 3, 3)
-    with np.errstate(invalid="ignore"):
-        expected = both_branches(m)
-        actual = (_log_gain(m), _log_gain_deriv(m))
-    for a, e in zip(actual, expected):
-        assert np.array_equal(a, e, equal_nan=True)
-    assert actual[0][0, 0, 0] == 1.0 and actual[1][0, 0, 0] == -0.5
+    below = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1e-4, 16)])
+    above = np.concatenate([[1e-4], rng.uniform(1e-4, 50.0, 15), [np.inf, np.nan]])
+    for m in (np.concatenate([below[:8], above[:8], above[-2:]]), above, below):
+        m = m.reshape(2, 3, 3)
+        before = m.copy()
+        with np.errstate(invalid="ignore"):
+            expected = both_branches(m)
+            actual = (_log_gain(m), _log_gain_deriv(m))
+        assert np.array_equal(m, before, equal_nan=True)  # the magnitudes are left alone
+        for a, e in zip(actual, expected):
+            assert np.array_equal(a, e, equal_nan=True)
+        if m[0, 0, 0] == 0.0:
+            assert actual[0][0, 0, 0] == 1.0 and actual[1][0, 0, 0] == -0.5
 
 
 def test_log_scale_monotone_and_contracting():
@@ -202,7 +209,7 @@ def test_gru_backward_matches_per_gate_reference(hidden, batch):
 def test_split_activations_match_real_imag_forms():
     rng = np.random.default_rng(22)
     a = _random_complex(rng, (5, 12), scale=4.0)
-    sig = _split_sigmoid(a.copy())
+    sig = _split_sigmoid_of_negated(-a)
     assert np.array_equal(sig, 1.0 / (1.0 + np.exp(-a.real)) + 1j / (1.0 + np.exp(-a.imag)))
     tanh = _split_tanh(a.copy())
     assert np.array_equal(tanh, np.tanh(a.real) + 1j * np.tanh(a.imag))
@@ -213,8 +220,34 @@ def test_saturated_split_sigmoid_is_exact_and_silent():
     z = np.array([-800.0 + 800.0j, 800.0 - 800.0j, -30.0 + 0.0j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sig = _split_sigmoid(z.copy())
+        sig = _split_sigmoid_of_negated(-z)
     assert np.array_equal(sig, [1.0j, 1.0, 1.0 / (1.0 + np.exp(30.0)) + 0.5j])
+
+
+def test_gru_step_folds_the_sigmoid_negation_into_the_bias_add():
+    # the step forms -(a + b) as -b - a in one pass; saturated (below -709)
+    # and signed-zero pre-activations give the gates of adding b and then
+    # negating, bit for bit and without a warning
+    rng = np.random.default_rng(23)
+    hidden, groups = 4, 6
+    layer = ComplexGruLayer.init(rng, 3, hidden)
+    layer.b[:hidden] = [-800.0 - 1000.0j, 0.0 - 0.0j, -0.0 + 0.0j, -0.0 - 0.0j]
+    layer.b[hidden : 2 * hidden] = [-1000.0 + 0.0j, 3.0 - 760.0j, 0.0j, -0.0 + 2.0j]
+    x = _random_complex(rng, (2, 3, groups))
+    h = _random_complex(rng, (2, hidden, groups))
+    x[..., :2], h[..., :2] = 0.0, -0.0  # zero columns: the pre-activation is b, sign and all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, zr, _ = layer.step(x, h)
+        two_pass = np.matmul(layer.u[: 2 * hidden], h)
+        two_pass += np.matmul(layer.w, x)[..., : 2 * hidden, :]
+        two_pass += layer.b[: 2 * hidden, None]
+        expected = _split_sigmoid_of_negated(np.negative(two_pass, out=two_pass))
+    assert np.array_equal(zr, expected)
+    # the zero columns' gates: saturated parts are exactly 0, zero parts 1/2
+    column = [0.0, 0.5 + 0.5j, 0.5 + 0.5j, 0.5 + 0.5j, 0.5j]
+    assert np.array_equal(zr[..., :5, :2], np.broadcast_to(np.array(column)[:, None], (2, 5, 2)))
+    assert np.all(zr[..., 5, :2].imag == 0.0)
 
 
 def test_gru_backward_matches_fd():

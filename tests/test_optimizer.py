@@ -70,7 +70,7 @@ def test_zero_params_and_state_give_zero_update():
     k = 16
     state = GroupState.zeros(structure, k, 4)
     rng = np.random.default_rng(3)
-    features = build_input(*[_random_complex(rng, (k,)) for _ in range(5)])
+    features = build_input(np.stack([_random_complex(rng, (k,)) for _ in range(5)], axis=-2))
     delta, new_state = optimizer_step(params, features, state)
     assert np.abs(delta).max() == 0.0
     assert np.abs(new_state.h0).max() == 0.0
@@ -80,7 +80,7 @@ def test_zero_params_and_state_give_zero_update():
 def test_build_input_shapes_and_compression():
     rng = np.random.default_rng(4)
     spectra = [_random_complex(rng, (2, 8), scale=10.0) for _ in range(5)]
-    xi = build_input(*spectra)
+    xi = build_input(np.stack(spectra, axis=-2))
     assert xi.shape == (2, len(FEATURE_CHANNELS), 8)
     for i, spec in enumerate(spectra):
         assert np.all(np.abs(xi[..., i, :]) <= np.abs(spec) + 1e-12)
@@ -94,12 +94,13 @@ def test_build_input_backward_matches_fd():
     target = _random_complex(rng, (5, 6))
 
     def loss():
-        xi = build_input(*spectra)
+        xi = build_input(np.stack(spectra, axis=-2))
         d = xi - target
         return float(np.sum(d.real**2 + d.imag**2))
 
-    raw, xi = np.empty((2, 5, 6), dtype=complex)
-    build_input(*spectra, out=(raw, xi))
+    raw = np.stack(spectra, axis=-2)
+    xi = np.empty_like(raw)
+    assert build_input(raw, out=xi) is xi
     g_raw = log_scale_backward(raw, 2.0 * (xi - target))
     for i, spec in enumerate(spectra):
         assert rel_error(g_raw[..., i, :], fd_gradient(loss, spec)) < 1e-5

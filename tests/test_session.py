@@ -238,15 +238,18 @@ def test_per_hop_call_budget(algorithm, monkeypatch):
     kind, per_hop, per_block = FFT_CALLS[algorithm]
     if algorithm == "learned":
         params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
-        monkeypatch.setattr(np, "concatenate", counted("concatenate", np.concatenate))
+        assemblies = ("concatenate", "stack")
+        for name in assemblies:
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
         run_learned_session(params, u[: CFG.hop], d[: CFG.hop], CFG)
-        one_hop = calls.get("concatenate", 0)
+        one_hop = {name: calls.get(name, 0) for name in assemblies}
         calls.clear()
         run_learned_session(params, u, d, CFG)
         for name in ("build_input", "optimizer_step", "apply_update"):
             assert calls[name] == hops, name
-        # the GRU gate stacks are views of the parameters: no hop assembles them
-        assert calls.get("concatenate", 0) == one_hop
+        # the GRU gate stacks are views of the parameters, and the hop writes
+        # its features into the session's one buffer: no hop assembles either
+        assert {name: calls.get(name, 0) for name in assemblies} == one_hop
         assert "rfft" not in calls
     else:
         run_classic_session(algorithm, u, d, CFG)
