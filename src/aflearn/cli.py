@@ -19,6 +19,9 @@ Telemetry (``--telemetry``) is JSON lines, one object per processed frame:
 
 ``train``'s ``schedule`` object is ``TrainSchedule``'s fields, which that class
 names, defaults and checks; every scene is drawn at the config's ``sample_rate``.
+Presets and spec JSON are read through ``scenes.PRESETS`` and ``SceneSpec(**d)``;
+``train`` checks what a resumed checkpoint file adds, ``train_update_rule`` the
+rest.  ``eval`` and ``cancel`` build their session with one ``_session_for``.
 """
 
 from __future__ import annotations
@@ -42,19 +45,18 @@ from .flops import flops_per_frame
 from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
 from .scenes import (
+    PRESETS,
     SceneSpec,
-    desk_spec,
     gen_scene,
     load_scene,
     read_wav,
     save_scene,
-    spec_from_json,
     spec_to_json,
     write_wav,
 )
 from .session import CLASSIC_ALGORITHMS, run_classic_session, run_learned_session
 from .structures import DependencyStructure
-from .training import TrainSchedule, scene_scores, train_update_rule
+from .training import LOCKSTEP_CHUNK, TrainSchedule, scene_scores, train_update_rule
 
 __all__ = ["main", "build_parser", "validate_train_config", "TRAIN_DEFAULTS"]
 
@@ -119,8 +121,9 @@ def validate_train_config(raw):
 
     scenes = out["scenes"]
     if scenes["manifest"] is None:
-        require(scenes["preset"] in ("desk", "default"), "scenes.preset",
-                f"expected 'desk' or 'default', got {scenes['preset']!r}")
+        require(isinstance(scenes["preset"], str) and scenes["preset"] in PRESETS,
+                "scenes.preset", f"expected {' or '.join(map(repr, PRESETS))}, "
+                                 f"got {scenes['preset']!r}")
         require(isinstance(scenes["overrides"], dict), "scenes.overrides",
                 "must be an object")
         _preset_train_spec(out)
@@ -149,12 +152,11 @@ def _preset_train_spec(config):
     """The scene spec of a config without a manifest: its preset and overrides, drawn
     at the config's ``sample_rate``, which an override may repeat but not contradict."""
     scenes, rate = config["scenes"], config["sample_rate"]
-    overrides = {key: tuple(v) if isinstance(v, list) else v
-                 for key, v in scenes["overrides"].items()}
+    overrides = dict(scenes["overrides"])
     require(overrides.setdefault("sample_rate", rate) == rate, "scenes.overrides.sample_rate",
             f"the scenes are drawn at sample_rate {rate} Hz, got {overrides['sample_rate']!r}")
     try:
-        return (desk_spec if scenes["preset"] == "desk" else SceneSpec)(**overrides)
+        return PRESETS[scenes["preset"]](**overrides)
     except (TypeError, ConfigError) as exc:
         raise ConfigError("scenes.overrides", str(exc)) from None
 
@@ -167,11 +169,11 @@ def _load_json(path, field):
 
 
 def _load_spec_argument(spec_arg):
-    if spec_arg in ("desk", "default"):
-        return desk_spec() if spec_arg == "desk" else SceneSpec()
+    if spec_arg in PRESETS:
+        return PRESETS[spec_arg]()
     raw = _load_json(spec_arg, "spec")
     try:
-        return spec_from_json(raw)
+        return SceneSpec(**raw)
     except TypeError as exc:
         raise ConfigError("spec", f"{spec_arg}: {exc}") from None
 
@@ -244,7 +246,7 @@ def _load_manifest(path):
     check(isinstance(manifest, dict) and "spec" in manifest and "scenes" in manifest,
           "expected an object with 'spec' and 'scenes'")
     try:
-        spec = spec_from_json(manifest["spec"])
+        spec = SceneSpec(**manifest["spec"])
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError("manifest", f"{path}: bad spec ({exc})") from None
     entries = manifest["scenes"]
@@ -259,26 +261,7 @@ def _load_manifest(path):
     return spec, entries
 
 
-def _manifest_seeds(manifest_path):
-    spec, entries = _load_manifest(manifest_path)
-    by_split = {split: [] for split in _SPLITS}
-    for entry in entries:
-        by_split[entry["split"]].append(entry["seed"])
-    return spec, by_split
-
-
 _ARTIFACT_KEYS = ("resume", "checkpoint", "curve_csv")  # not part of the run identity
-
-
-def _checkpoint_metadata(config, state=None):
-    meta = {
-        "sample_rate": config["sample_rate"],
-        "config": {k: v for k, v in config.items() if k not in _ARTIFACT_KEYS},
-    }
-    if state is not None:
-        meta["schedule_state"] = state
-    return meta
-
 
 # (key, kind, minimum) of each value of a checkpoint's schedule state
 _SCHEDULE_STATE = (("epoch", int, 0), ("lr", float, 0.0), ("best_val", float, None),
@@ -292,7 +275,9 @@ def cmd_train(args):
     cfg = OlsConfig(config["dft_size"], sample_rate=config["sample_rate"])
 
     if config["scenes"]["manifest"] is not None:
-        spec, by_split = _manifest_seeds(config["scenes"]["manifest"])
+        spec, entries = _load_manifest(config["scenes"]["manifest"])
+        by_split = {split: [e["seed"] for e in entries if e["split"] == split]
+                    for split in _SPLITS}
         train_seeds = by_split["train"]
         val_seeds = by_split["val"] or by_split["test"]
         require(train_seeds, "scenes.manifest", "manifest has no train scenes")
@@ -306,11 +291,8 @@ def cmd_train(args):
         val_seeds = [base + _VAL_SEED_OFFSET + i for i in range(config["val_scenes"])]
 
     resume = None
-    if config["resume"]:
+    if config["resume"]:  # train_update_rule checks that the checkpoint fits the run
         params, header = load_checkpoint(config["resume"])
-        require(params.structure == structure and params.hidden_size == config["hidden_size"],
-                "resume", f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
-                          f"config wants {structure.label}/H={config['hidden_size']}")
         require(header["dft_size"] in (None, cfg.dft_size), "resume", f"checkpoint was trained "
                 f"at dft_size {header['dft_size']}, config wants {cfg.dft_size}")
         state = header["metadata"].get("schedule_state")
@@ -321,14 +303,10 @@ def cmd_train(args):
                       for key, kind, low in _SCHEDULE_STATE}
         except ConfigError as exc:
             raise CheckpointError(f"{config['resume']}: {exc}") from None
-        require(resume["epoch"] + 1 < config["epochs"], "epochs", f"the checkpoint finished "
-                f"epoch {resume['epoch']} of 0..{config['epochs'] - 1}: nothing is left to train")
         resume["params"] = params
 
     ckpt_path = Path(config["checkpoint"])
-    if ckpt_path.parent != Path("."):
-        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-
+    identity = {k: v for k, v in config.items() if k not in _ARTIFACT_KEYS}
     curve = writer = None
 
     def log_row(row):
@@ -351,8 +329,9 @@ def cmd_train(args):
         curve.flush()
 
     def save_progress(best_params, state):
-        save_checkpoint(ckpt_path, best_params, dft_size=cfg.dft_size,
-                        metadata=_checkpoint_metadata(config, state))
+        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(ckpt_path, best_params, dft_size=cfg.dft_size, metadata={
+            "sample_rate": config["sample_rate"], "config": identity, "schedule_state": state})
 
     try:
         best, history = train_update_rule(
@@ -388,23 +367,6 @@ def cmd_train(args):
 # eval
 
 
-def _session_config_for(target, dft_size, sample_rate):
-    """(cfg, params or None) of ``target`` run on inputs sampled at ``sample_rate``."""
-    params = None
-    if target not in CLASSIC_ALGORITHMS:
-        params, header = load_checkpoint(target)
-        rate = header["metadata"].get("sample_rate", sample_rate)
-        if not is_int(rate) or rate < 1:
-            raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
-        require(rate == sample_rate, "sample_rate",
-                f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
-        dft_size = header["dft_size"] or dft_size
-    try:
-        return OlsConfig(dft_size, sample_rate=sample_rate), params
-    except ValueError as exc:
-        raise ConfigError("dft_size", str(exc)) from None
-
-
 def _parse_hyper(text):
     """``--hyper``: a JSON object of numeric baseline hyperparameters, {} if absent."""
     hyper = json.loads(text) if text else {}
@@ -414,22 +376,38 @@ def _parse_hyper(text):
     return hyper
 
 
-def _session_for(target, params, hyper):
-    """``session(u, d, cfg, **kwargs)`` of a baseline name or a loaded rule."""
+def _session_for(target, dft_size, sample_rate, hyper):
+    """(cfg, ``session(u, d, **kwargs)``, params or None) of a baseline name or a
+    checkpoint path, run on inputs sampled at ``sample_rate``.  A checkpoint
+    brings its own DFT size and takes no ``hyper``."""
+    params = None
+    if target not in CLASSIC_ALGORITHMS:
+        require(not hyper, "hyper", f"{target} is a checkpoint; --hyper sets the "
+                                    f"hyperparameters of {', '.join(CLASSIC_ALGORITHMS)}")
+        params, header = load_checkpoint(target)
+        rate = header["metadata"].get("sample_rate", sample_rate)
+        if not is_int(rate) or rate < 1:
+            raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
+        require(rate == sample_rate, "sample_rate",
+                f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
+        dft_size = header["dft_size"] or dft_size
+    try:
+        cfg = OlsConfig(dft_size, sample_rate=sample_rate)
+    except ValueError as exc:
+        raise ConfigError("dft_size", str(exc)) from None
     if params is None:
-        return partial(run_classic_session, target, hyper=hyper)
-    return partial(run_learned_session, params)
+        return cfg, partial(run_classic_session, target, cfg=cfg, hyper=hyper), None
+    return cfg, partial(run_learned_session, params, cfg=cfg), params
 
 
 def _eval_chunk_task(task):
     """Rows of scenes scored in lockstep; module-level so --jobs workers can pickle it."""
-    directory, entries, label, cfg, params, hyper = task
+    directory, entries, label, cfg, session = task
     scenes = [load_scene(directory, e["stem"]) for e in entries]
     for entry, scene in zip(entries, scenes):
         require(scene.spec.sample_rate == cfg.sample_rate, "sample_rate",
                 f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
                 f"session expects {cfg.sample_rate} Hz")
-    session = partial(_session_for(label, params, hyper), cfg=cfg)
     return [
         {"scene": e["stem"], "seed": e["seed"], "split": e["split"], "algorithm": label,
          "serle_db": "" if serle is None else round(serle, 4), "erle_db": round(erle, 4),
@@ -459,11 +437,11 @@ def _manifest_entries(manifest_arg, split):
 
 def _run_eval(directory, entries, rate, target, hyper, args):
     """Per-scene rows of one target and its (cfg, params); loads a checkpoint once."""
-    cfg, params = _session_config_for(target, args.dft_size, rate)
+    cfg, session, params = _session_for(target, args.dft_size, rate, hyper)
     label = target if params is None else Path(target).stem
-    # lockstep chunks of up to 8 scenes, small enough that every --jobs worker gets one
-    chunk = min(8, math.ceil(len(entries) / args.jobs))
-    tasks = [(str(directory), entries[lo : lo + chunk], label, cfg, params, hyper)
+    # lockstep chunks small enough that every --jobs worker gets one
+    chunk = min(LOCKSTEP_CHUNK, math.ceil(len(entries) / args.jobs))
+    tasks = [(str(directory), entries[lo : lo + chunk], label, cfg, session)
              for lo in range(0, len(entries), chunk)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -552,10 +530,8 @@ def cmd_cancel(args):
     rate_d, d = read_wav(args.mic)
     require(rate_u == rate_d, "sample_rate", f"far end is {rate_u} Hz, mic is {rate_d} Hz")
     require(u.size == d.size, "length", f"far end has {u.size} samples, mic has {d.size}")
-    cfg, params = _session_config_for(args.target, args.dft_size, rate_u)
-
-    session = _session_for(args.target, params, hyper)
-    result = session(u, d, cfg, telemetry_path=args.telemetry)
+    _, session, _ = _session_for(args.target, args.dft_size, rate_u, hyper)
+    result = session(u, d, telemetry_path=args.telemetry)
 
     out = np.array(d)  # unprocessed tail (partial hop) passes through
     out[: result.error.size] = result.error
@@ -657,11 +633,11 @@ def build_parser():
     p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; the scenes are split into lockstep chunks "
-                        "of up to 8 so that every worker gets one")
+                        f"of up to {LOCKSTEP_CHUNK} so that every worker gets one")
     p.add_argument("--sweep", action="store_true",
                    help="evaluate every *.ckpt in the target directory")
     p.add_argument("--hyper", help="baseline hyperparameters as JSON")
-    p.add_argument("--dft-size", type=int, default=512, dest="dft_size",
+    p.add_argument("--dft-size", type=int, default=TRAIN_DEFAULTS["dft_size"], dest="dft_size",
                    help="DFT size for baselines (checkpoints carry their own)")
     p.set_defaults(func=cmd_eval)
 
@@ -671,7 +647,7 @@ def build_parser():
     p.add_argument("target", help="checkpoint path or nlms/rls/kf")
     p.add_argument("out", help="output WAV for the residual signal")
     p.add_argument("--hyper", help="baseline hyperparameters as JSON")
-    p.add_argument("--dft-size", type=int, default=512, dest="dft_size")
+    p.add_argument("--dft-size", type=int, default=TRAIN_DEFAULTS["dft_size"], dest="dft_size")
     p.add_argument("--telemetry", help="write per-frame JSON-lines telemetry here")
     p.set_defaults(func=cmd_cancel)
 

@@ -311,9 +311,9 @@ class GroupSampler:
         up = complex_glorot(rng, (structure.width, hidden_size), hidden_size, structure.width)
         return cls(structure=structure, down_kernel=down, up_kernel=up)
 
-    def downsample(self, features, out=None):
-        """(..., 5, K) -> (..., H, C) group inputs; ``out``, if given, receives them."""
-        return dense(self.windows(features), self.down_kernel, out=out)
+    def downsample(self, features):
+        """(..., 5, K) -> (..., H, C) group inputs."""
+        return dense(self.windows(features), self.down_kernel)
 
     def downsample_backward(self, g_groups, windows, grads, out=None):
         """Returns g_features given the gradient of ``downsample(features)`` and

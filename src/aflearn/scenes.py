@@ -15,6 +15,9 @@ noise floor.
 The module needs NumPy only: the echo is an FFT convolution sized like
 SciPy's ``fftconvolve`` (and bit-identical to it), and scenes persist as mono
 float32 WAV files written and read with ``struct`` and ``np.fromfile``.
+A spec's JSON form is ``spec_to_json``'s; ``SceneSpec(**d)`` reads it back,
+turning the lists of its ``RANGE_FIELDS`` into tuples.  ``PRESETS`` maps each
+preset name to the function that builds its spec from keyword overrides.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ __all__ = [
     "write_wav",
     "read_wav",
     "spec_to_json",
-    "spec_from_json",
+    "PRESETS",
 ]
 
 
@@ -66,6 +69,9 @@ class Nonlinearity:
         raise ConfigError("nonlinearity", f"unknown kind {self.kind!r}")
 
 
+RANGE_FIELDS = ("rt60_range", "ser_range_db", "snr_range_db")  # (lo, hi) tuples
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Distribution a scene is drawn from."""
@@ -84,6 +90,10 @@ class SceneSpec:
     far_rms: float = 0.1
 
     def __post_init__(self):
+        for name in RANGE_FIELDS:
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+
         def check(name, ok, expected):
             value = getattr(self, name)
             require(ok(value), name, f"expected {expected}, got {value!r}")
@@ -92,7 +102,7 @@ class SceneSpec:
             return is_int(n) and n >= 1
 
         def span(r):
-            return (isinstance(r, (tuple, list)) and len(r) == 2
+            return (isinstance(r, tuple) and len(r) == 2
                     and all(map(is_finite_real, r)) and r[0] <= r[1])
 
         def probability(p):
@@ -106,7 +116,7 @@ class SceneSpec:
         check("rir_taps", count, "an integer >= 1")
         check("duration", lambda s: is_finite_real(s) and is_finite_real(s * self.sample_rate)
               and self.num_samples >= 1, f"a finite time of >= 1 sample at {self.sample_rate} Hz")
-        for name in ("rt60_range", "ser_range_db", "snr_range_db"):
+        for name in RANGE_FIELDS:
             check(name, span, "two finite numbers lo <= hi")
         for name in ("near_speech_prob", "noise_prob"):
             check(name, probability, "a probability in [0, 1]")
@@ -123,6 +133,9 @@ def desk_spec(**overrides):
     base = dict(rir_taps=256, rt60_range=(0.02, 0.06))
     base.update(overrides)
     return SceneSpec(**base)
+
+
+PRESETS = {"desk": desk_spec, "default": SceneSpec}  # name -> spec(**overrides)
 
 
 @dataclass
@@ -452,18 +465,11 @@ def save_scene(scene, directory, stem):
 
 
 def spec_to_json(spec):
+    """The JSON form of ``spec``; ``SceneSpec(**spec_to_json(spec)) == spec``."""
     d = asdict(spec)
-    for key in ("rt60_range", "ser_range_db", "snr_range_db"):
+    for key in RANGE_FIELDS:
         d[key] = list(d[key])
     return d
-
-
-def spec_from_json(d):
-    d = dict(d)
-    for key in ("rt60_range", "ser_range_db", "snr_range_db"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return SceneSpec(**d)
 
 
 def load_scene(directory, stem):
@@ -478,7 +484,7 @@ def load_scene(directory, stem):
     sidecar = directory / f"{stem}.json"
     try:
         meta = json.loads(sidecar.read_text())
-        spec = spec_from_json(meta["spec"])
+        spec = SceneSpec(**meta["spec"])
         nl = Nonlinearity(meta["nonlinearity"]["kind"], meta["nonlinearity"]["amount"])
         seed, ser_db, snr_db = meta["seed"], meta["ser_db"], meta["snr_db"]
     except (KeyError, TypeError, ValueError) as exc:  # JSON and ConfigErrors are ValueErrors

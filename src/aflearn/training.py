@@ -43,9 +43,10 @@ Every layer's backward adds its parameter gradients into the window's one
 gradient holder (``MetaParams.zeros_like``); clipping scales it in place, and
 Adam updates the float view of the parameter buffer in place.
 ``TrainSchedule`` is the one owner of the schedule: the names, defaults and
-checks of the ``schedule`` keys of ``aflearn train``'s config.
+checks of the ``schedule`` keys of ``aflearn train``'s config, and
+``train_update_rule`` the one judge of whether a resume fits the run.
 Validation and ``aflearn eval`` score scenes through ``scene_scores``, in
-lockstep chunks.
+lockstep chunks of up to ``LOCKSTEP_CHUNK``.
 """
 
 from __future__ import annotations
@@ -312,7 +313,10 @@ def clip_gradients(g_tensors, max_norm):
     return norm
 
 
-def scene_scores(session, scenes, cfg, chunk=8):
+LOCKSTEP_CHUNK = 8  # scenes per lockstep session when scoring
+
+
+def scene_scores(session, scenes, cfg, chunk=LOCKSTEP_CHUNK):
     """Per scene, in input order: (serle_db, or None without audible echo, mean erle_db, frames).
 
     ``session(u, d)`` runs a (batch, samples) stack; each run of consecutive
@@ -383,7 +387,8 @@ def train_update_rule(
     best_val, and since_improve (optimizer moments restart from zero).
     An empty ``train_seeds``, a ``batch_size`` or ``unroll`` below 1, or an
     ``unroll`` longer than a scene (no window would fit), raises ConfigError
-    naming it.
+    naming it, as does a ``resume`` of another structure or hidden size
+    (``resume``) or with no epoch left (``epochs``), before any scene is drawn.
     """
     require(len(train_seeds) >= 1, "train_seeds", "must name at least one scene")
     require(batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}")
@@ -401,6 +406,11 @@ def train_update_rule(
     start_epoch = 0
     if resume is not None:
         params = resume["params"].copy()
+        require(params.structure == structure and params.hidden_size == hidden_size, "resume",
+                f"checkpoint is {params.structure.label}/H={params.hidden_size}, "
+                f"config wants {structure.label}/H={hidden_size}")
+        require(resume["epoch"] + 1 < epochs, "epochs", f"the checkpoint finished epoch "
+                f"{resume['epoch']} of 0..{epochs - 1}: nothing is left to train")
         start_epoch = resume["epoch"] + 1
         lr = resume["lr"]
         best_score = resume["best_val"]

@@ -21,9 +21,19 @@ from aflearn.classic import (
     nlms_step,
     rls_step,
 )
-from aflearn.ols import hermitian_spectrum, hop_forward, hop_frames, project_filter
-from aflearn.optimizer import GroupState, apply_update, optimizer_step
+from aflearn.ols import (
+    af_error,
+    filter_gradient,
+    hermitian_spectrum,
+    hop_forward,
+    hop_frames,
+    hop_spectrum,
+    ols_apply,
+    project_filter,
+)
+from aflearn.optimizer import GroupState, apply_update, build_input, optimizer_step
 from aflearn.session import _erle_db
+from aflearn.training import meta_loss
 
 
 def dft_matrix(k):
@@ -315,3 +325,31 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
     weights = w if params is not None else hermitian_spectrum(w)
     shape = batch + (-1,)
     return output.reshape(shape), error.reshape(shape), weights, _erle_db(d_hops, error)
+
+
+def reference_window(params, cfg, w0, state0, frames, d_hops, grad_channel=None):
+    """A training window restated hop by hop from public pieces: frames
+    (unroll, batch, K) and desired hops (unroll, batch, R) from filter ``w0``
+    and rule state ``state0``.  Returns (meta loss, y_hops, the gradient
+    feature of each hop).
+
+    The rule treats its analytic-gradient feature as data, so a
+    finite-difference loss must hold it fixed: given ``grad_channel`` (the
+    features an unperturbed run returned), the window feeds those instead of
+    recomputing them.
+    """
+    w, state = w0, state0
+    y_hops = np.empty(d_hops.shape)
+    grads = []
+    for t in range(len(frames)):
+        u_freq = np.fft.fft(frames[t])
+        y_hop, y_freq = ols_apply(cfg, w, frames[t])
+        e_hop, e_freq = af_error(d_hops[t], y_hop, cfg)
+        grad = filter_gradient(u_freq, e_hop, cfg) if grad_channel is None else grad_channel[t]
+        grads.append(grad)
+        d_freq = hop_spectrum(d_hops[t], cfg)
+        xi = build_input(np.stack([grad, u_freq, d_freq, e_freq, y_freq], axis=-2))
+        delta, state = optimizer_step(params, xi, state)
+        w = w + delta
+        y_hops[t] = y_hop
+    return meta_loss(d_hops, y_hops), y_hops, grads

@@ -30,12 +30,12 @@ from aflearn import (
 )
 from aflearn.cli import main
 from aflearn.layers import ComplexGruLayer, GroupSampler, log_scale, log_scale_backward
-from aflearn.ols import af_error, filter_gradient, hop_frames, hop_spectrum, ols_apply
-from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
+from aflearn.ols import af_error, filter_gradient, hop_frames, ols_apply
+from aflearn.optimizer import GroupState, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
-from aflearn.training import meta_loss, window_gradient
+from aflearn.training import window_gradient
 
-from oracles import counted_macs, fd_gradient, rel_error
+from oracles import counted_macs, fd_gradient, reference_window, rel_error
 
 ALL_STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -185,33 +185,14 @@ def test_unrolled_meta_gradient_matches_fd(structure):
         h1=0.3 * (rng.standard_normal((1, hidden, c)) + 1j * rng.standard_normal((1, hidden, c))),
     )
 
-    def unroll_loss(grad_channel, record=None):
-        w, state = w0, state0
-        y_hops = np.empty(d_hops.shape)
-        for t in range(unroll):
-            u_freq = np.fft.fft(frames[t])
-            y_hop, y_freq = ols_apply(cfg, w, frames[t])
-            e_hop, e_freq = af_error(d_hops[t], y_hop, cfg)
-            if grad_channel is None:
-                grad = filter_gradient(u_freq, e_hop, cfg)
-                record.append(grad)
-            else:
-                grad = grad_channel[t]
-            d_freq = hop_spectrum(d_hops[t], cfg)
-            xi = build_input(np.stack([grad, u_freq, d_freq, e_freq, y_freq], axis=-2))
-            delta, state = optimizer_step(params, xi, state)
-            w = w + delta
-            y_hops[t] = y_hop
-        return meta_loss(d_hops, y_hops)
-
-    frozen = []
-    base_loss = unroll_loss(None, record=frozen)
+    base_loss, _, frozen = reference_window(params, cfg, w0, state0, frames, d_hops)
     loss_ref, grads, _, _, _ = window_gradient(params, cfg, w0, state0, frames, d_hops)
     assert abs(loss_ref - base_loss) < 1e-12
 
     worst = 0.0
     for name in params.names:
-        fd = fd_gradient(lambda: unroll_loss(frozen), params.tensors[name], eps=1e-6)
+        fd = fd_gradient(lambda: reference_window(params, cfg, w0, state0, frames, d_hops,
+                                                  frozen)[0], params.tensors[name], eps=1e-6)
         err = rel_error(grads.tensors[name], fd)
         worst = max(worst, err)
         assert err < 1e-3, name

@@ -97,6 +97,16 @@ def test_gen_data_bad_spec_exits_2_and_writes_nothing(tmp_path, case, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ['"desk"', "5", "[1, 2]"])
+def test_gen_data_spec_that_is_not_an_object_exits_2(tmp_path, text, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)  # valid JSON, but not an object of spec fields
+    out = tmp_path / "out"
+    assert main(["gen-data", str(spec_file), str(out), "--count", "1"]) == 2
+    assert "config error: spec:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
 def test_train_non_finite_scene_duration_exits_2(tmp_path, duration, capsys):
     config_path, config = _train_config(
@@ -140,6 +150,7 @@ def test_config_rejections_name_the_field(capsys):
         ({"hidden_size": "big"}, "hidden_size"),
         ({"schedule": {"momentum": 0.9}}, "schedule.momentum"),
         ({"scenes": {"preset": "studio"}}, "scenes.preset"),
+        ({"scenes": {"preset": ["desk"]}}, "scenes.preset"),
         ({"hop": 128}, "hop"),
     ]:
         with pytest.raises(ConfigError) as info:
@@ -500,6 +511,24 @@ def test_bad_dft_size_and_hyper_are_config_errors(tmp_path, dataset, capsys):
     # raised in a worker process, the error still reaches the exit code
     assert main(["eval", "rls", str(dataset), str(tmp_path / "o.csv"), "--split", "all",
                  "--dft-size", "64", "--jobs", "2", "--hyper", '{"step_size": 1}']) == 2
+
+
+@pytest.mark.parametrize("command", ["cancel", "eval", "sweep"])
+def test_hyper_for_a_checkpoint_exits_2(tmp_path, dataset, command, capsys):
+    # a learned rule has no baseline hyperparameters: any --hyper but {} is refused
+    ckpt = tmp_path / "grid" / "rule.ckpt"
+    ckpt.parent.mkdir()
+    save_checkpoint(ckpt, init_meta_params(DependencyStructure.block(4), 4), dft_size=64,
+                    metadata={"sample_rate": 16000})
+    far, mic = (str(dataset / f"scene_00004.{name}.wav") for name in ("farend", "mic"))
+    out = tmp_path / ("o.wav" if command == "cancel" else "o.csv")
+    argv = {"cancel": ["cancel", far, mic, str(ckpt), str(out)],
+            "eval": ["eval", str(ckpt), str(dataset), str(out)],
+            "sweep": ["eval", str(ckpt.parent), str(dataset), str(out), "--sweep"]}[command]
+    assert main(argv + ["--hyper", '{"step_size": 0.1}']) == 2
+    assert "config error: hyper: " in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--hyper", "{}"]) == 0
 
 
 def test_sample_rate_comes_from_the_inputs(tmp_path, dataset):

@@ -1,5 +1,7 @@
 """Scene generator invariants and disk round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from aflearn import scenes
 from aflearn.errors import ConfigError
 from aflearn.ols import OlsConfig
 from aflearn.scenes import (
+    RANGE_FIELDS,
     Nonlinearity,
     SceneSpec,
     desk_spec,
@@ -21,6 +24,7 @@ from aflearn.scenes import (
     pink_noise,
     read_wav,
     save_scene,
+    spec_to_json,
     speech_surrogate,
     write_wav,
 )
@@ -216,3 +220,15 @@ def test_wav_round_trip(tmp_path):
         _, back = read_wav(path)
         assert back.dtype == float
         np.testing.assert_array_equal(back, pcm / full_scale)
+
+
+def test_range_fields_given_as_lists_are_stored_as_tuples():
+    spec = desk_spec(rt60_range=[0.02, 0.06], ser_range_db=[-6.0, 6.0], snr_range_db=[5, 25])
+    assert spec == desk_spec()
+    assert all(isinstance(getattr(spec, name), tuple) for name in RANGE_FIELDS)
+
+
+def test_spec_round_trips_through_its_json_form():
+    spec = desk_spec(duration=1.5, ser_range_db=(-3.0, 3.0), nonlinearity_probs={"tanh": 1.0})
+    assert SceneSpec(**json.loads(json.dumps(spec_to_json(spec)))) == spec
+    assert SceneSpec(**json.loads(json.dumps(spec_to_json(SceneSpec())))) == SceneSpec()

@@ -1,14 +1,16 @@
-"""The benchmark's span tracer wraps package names; each must still exist.
+"""The benchmark's tracer and harness read package names; each must still exist.
 
 ``perfbench/tracing.py`` patches the functions and methods it lists into the
-namespaces where the package's callers find them.  A name deleted or renamed
-in the package breaks every traced benchmark run, so these tests read the
-tracer's tables (without importing it as a module, so nothing is written
-next to it) and resolve each entry, and run a traced session and training
+namespaces where the package's callers find them, and ``perfbench/bench.py``
+calls the package by name.  A name deleted or renamed in the package breaks
+every benchmark run, so these tests read the tracer's tables and the
+harness's text (without importing either as a module, so nothing is written
+next to them) and resolve each name, and run a traced session and training
 epoch through the tracer's own statistics.
 """
 
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import numpy as np
 import aflearn
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCH = TRACING.with_name("bench.py")
 
 
 def _tracing():
@@ -46,6 +49,27 @@ def test_every_traced_method_resolves():
         assert isinstance(cls, type), f"aflearn.layers.{cls_name}"
         for method in methods:
             assert callable(getattr(cls, method, None)), f"aflearn.layers.{cls_name}.{method}"
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    text = BENCH.read_text()
+    names = {name.rstrip(".") for name in re.findall(r"\baflearn\.[A-Za-z_][\w.]*", text)}
+    for imported in re.findall(r"^from aflearn import (.+)$", text, re.M):
+        names.update(f"aflearn.{name.strip()}" for name in imported.split(","))
+    assert "aflearn.scenes.spec_to_json" in names and "aflearn.cli" in names
+    for dotted in sorted(names):
+        obj = aflearn
+        for part in dotted.split(".")[1:]:
+            if not hasattr(obj, part) and isinstance(obj, types.ModuleType):
+                importlib.import_module(f"{obj.__name__}.{part}")
+            assert hasattr(obj, part), dotted
+            obj = getattr(obj, part)
+    # attributes it reads off what the package returns
+    instances = {"to_flat": aflearn.init_meta_params(aflearn.DependencyStructure.diagonal(), 2),
+                 "frame_seconds": aflearn.OlsConfig(512)}
+    for attribute, instance in instances.items():
+        assert f".{attribute}" in text, attribute
+        assert hasattr(instance, attribute), attribute
 
 
 def _children(spans, index, name):

@@ -11,8 +11,8 @@ import pytest
 import aflearn.training
 from aflearn.errors import ConfigError, MetricUndefinedError, NumericError
 from aflearn.metrics import serle_db
-from aflearn.ols import OlsConfig, af_error, filter_gradient, hop_spectrum, ols_apply
-from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
+from aflearn.ols import OlsConfig
+from aflearn.optimizer import GroupState, init_meta_params
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.session import run_classic_session, run_learned_session
 from aflearn.structures import DependencyStructure
@@ -29,7 +29,7 @@ from aflearn.training import (
     window_gradient,
 )
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, reference_window, rel_error
 
 STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -74,33 +74,10 @@ def test_window_gradient_matches_fd(structure):
                   + 1j * rng.standard_normal((batch, hidden, c))),
     )
 
-    def unroll_loss(grad_channel, record=None):
-        # independent re-statement of the window from public pieces; the
-        # analytic-gradient feature is injected (or recorded) so the loss
-        # treats it as a constant, matching the update rule's semantics
-        w, state = w0, state0
-        y_hops = np.empty(d_hops.shape)
-        for t in range(unroll):
-            u_freq = np.fft.fft(frames[t])
-            y_hop, y_freq = ols_apply(cfg, w, frames[t])
-            e_hop, e_freq = af_error(d_hops[t], y_hop, cfg)
-            if grad_channel is None:
-                grad = filter_gradient(u_freq, e_hop, cfg)
-                record.append(grad)
-            else:
-                grad = grad_channel[t]
-            d_freq = hop_spectrum(d_hops[t], cfg)
-            xi = build_input(np.stack([grad, u_freq, d_freq, e_freq, y_freq], axis=-2))
-            delta, state = optimizer_step(params, xi, state)
-            w = w + delta
-            y_hops[t] = y_hop
-        return meta_loss(d_hops, y_hops), y_hops
-
     # the gradient channel is fed to the network but not differentiated
     # through, so the finite-difference loss holds it at the values the
     # unperturbed trajectory produced
-    frozen = []
-    base_loss, base_y = unroll_loss(None, record=frozen)
+    base_loss, base_y, frozen = reference_window(params, cfg, w0, state0, frames, d_hops)
 
     loss_ref, grads, _, _, y_hops = window_gradient(
         params, cfg, w0, state0, frames, d_hops
@@ -110,7 +87,8 @@ def test_window_gradient_matches_fd(structure):
 
     for name in params.names:
         fd = fd_gradient(
-            lambda: unroll_loss(frozen)[0], params.tensors[name], eps=1e-6
+            lambda: reference_window(params, cfg, w0, state0, frames, d_hops, frozen)[0],
+            params.tensors[name], eps=1e-6
         )
         assert rel_error(grads.tensors[name], fd) < 1e-3, name
 
@@ -522,3 +500,37 @@ def test_silent_validation_set_fails_before_the_first_window(monkeypatch):
     _, history = train_update_rule(*args, train_seeds=[2, 3], val_seeds=[105, 100], epochs=1,
                                    batch_size=2, unroll=5)
     assert calls and np.isfinite(history[0]["val_serle_db"])
+
+
+def _resume_state(params, epoch):
+    return {"params": params, "epoch": epoch, "lr": 1e-3, "best_val": 0.0, "since_improve": 0}
+
+
+@pytest.mark.parametrize("structure, hidden", [(DependencyStructure.banded(4), 4),
+                                               (DependencyStructure.block(4), 8)],
+                         ids=["structure", "hidden_size"])
+def test_resume_of_another_rule_fails_before_a_scene_is_drawn(structure, hidden, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(aflearn.training, "gen_scene", lambda *args: drawn.append(args))
+    resume = _resume_state(init_meta_params(structure, hidden, seed=0), epoch=0)
+    with pytest.raises(ConfigError) as info:
+        train_update_rule(DependencyStructure.block(4), 4, OlsConfig(64),
+                          desk_spec(duration=0.2, rir_taps=32), [5, 6], [100], epochs=3,
+                          batch_size=2, unroll=5, resume=resume)
+    assert info.value.field == "resume"
+    assert structure.label in info.value.message and f"H={hidden}" in info.value.message
+    assert drawn == []
+
+
+@pytest.mark.parametrize("epoch, epochs", [(1, 2), (4, 3)])
+def test_resume_with_no_epoch_left_fails_before_a_scene_is_drawn(epoch, epochs, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(aflearn.training, "gen_scene", lambda *args: drawn.append(args))
+    structure = DependencyStructure.block(4)
+    resume = _resume_state(init_meta_params(structure, 4, seed=0), epoch)
+    with pytest.raises(ConfigError) as info:
+        train_update_rule(structure, 4, OlsConfig(64), desk_spec(duration=0.2, rir_taps=32),
+                          [5, 6], [100], epochs=epochs, batch_size=2, unroll=5, resume=resume)
+    assert info.value.field == "epochs"
+    assert f"epoch {epoch} of 0..{epochs - 1}" in info.value.message
+    assert drawn == []
