@@ -9,7 +9,7 @@ it on every layout.
 
 Run:  python3 demos/03_structures_and_cost.py
 """
-from aflearn import DependencyStructure, FlopModel, OlsConfig, flops_per_frame
+from aflearn import DependencyStructure, FlopModel, OlsConfig
 
 k = 16
 print(f"window layouts over K={k} bins:")
@@ -32,6 +32,6 @@ for label in ("diagonal", "block:4", "banded:4", "block:8", "banded:8"):
 # ---- the quadratic hidden-size law -------------------------------------------
 print("\ndiagonal cost vs hidden size (the recurrent term dominates, ~4x per doubling):")
 for h in (8, 16, 32, 64):
-    total = flops_per_frame(DependencyStructure.diagonal(), cfg.dft_size, h)
-    rate = FlopModel(DependencyStructure.diagonal(), cfg.dft_size, h).per_second(cfg)
-    print(f"  H={h:3d}  {total:10d} per frame  ({rate / 1e6:8.1f} M MAC/s of audio)")
+    model = FlopModel(DependencyStructure.diagonal(), cfg.dft_size, h)
+    print(f"  H={h:3d}  {model.total:10d} per frame  "
+          f"({model.per_second(cfg) / 1e6:8.1f} M MAC/s of audio)")

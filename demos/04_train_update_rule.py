@@ -9,6 +9,7 @@ converging anyway.  Ends with the checkpoint roundtrip.
 Run:  python3 demos/04_train_update_rule.py   (about 4 minutes)
 """
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,10 @@ from aflearn import (
     load_checkpoint,
     run_classic_session,
     save_checkpoint,
-    serle_db,
     train_update_rule,
 )
 from aflearn.scenes import desk_spec, gen_scene
+from aflearn.training import scene_scores
 
 cfg = OlsConfig(128)
 structure = DependencyStructure.block(4)
@@ -46,22 +47,12 @@ params, history = train_update_rule(
 
 # ---- held-out comparison -----------------------------------------------------
 test_scenes = [gen_scene(spec, s) for s in test_seeds]
-
-
-def classic_mean(alg):
-    scores = []
-    for scene in test_scenes:
-        result = run_classic_session(alg, scene.far_end, scene.mic, cfg)
-        echo = scene.echo[: result.output.size]
-        scores.append(serle_db(echo, echo - result.output, cfg.hop))
-    return float(np.mean(scores))
-
-
 learned = evaluate_mean_serle(params, test_scenes, cfg)
 print(f"\nmean SERLE on {len(test_scenes)} held-out double-talk scenes:")
 print(f"  learned {structure.label:8s} {learned:+6.2f} dB")
 for alg in ("nlms", "rls", "kf"):
-    print(f"  {alg:16s} {classic_mean(alg):+6.2f} dB")
+    scores = scene_scores(partial(run_classic_session, alg, cfg=cfg), test_scenes, cfg)
+    print(f"  {alg:16s} {np.mean([serle for serle, _, _ in scores]):+6.2f} dB")
 print("the learned rule turns the diverging gradient-descent update (nlms,")
 print("its hand-designed counterpart on the same gradient signal) into a")
 print("usable canceller; the stateful rls/kf baselines still lead at this")
@@ -73,5 +64,5 @@ with tempfile.TemporaryDirectory() as tmp:
     save_checkpoint(path, params, dft_size=cfg.dft_size)
     reloaded, header = load_checkpoint(path)
     same = all(np.array_equal(params.tensors[n], reloaded.tensors[n])
-               for n in params.names)
+               for n in params.tensors)
     print(f"\ncheckpoint roundtrip: {path.stat().st_size} bytes, tensors identical: {same}")

@@ -20,7 +20,7 @@ The package splits into a small stack of layers:
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .flops import FlopModel, flops_per_frame
+from .flops import FlopModel
 from .metrics import erle_curve_db, measure_rtf, misalignment_db, serle_db, si_sdr_db
 from .ols import OlsConfig, af_error, filter_gradient, ols_apply, project_filter
 from .optimizer import GroupState, MetaParams, init_meta_params, optimizer_step
@@ -45,7 +45,6 @@ __all__ = [
     "project_filter",
     "DependencyStructure",
     "FlopModel",
-    "flops_per_frame",
     "MetaParams",
     "GroupState",
     "init_meta_params",

@@ -31,7 +31,6 @@ __all__ = [
     "nlms_step",
     "rls_step",
     "kf_step",
-    "make_nlms_state",
     "make_rls_state",
     "make_kf_state",
 ]
@@ -63,10 +62,6 @@ class KfState:
     process_noise: float = 1e-3
     transition: float = 0.999
     noise_smoothing: float = 0.99
-
-
-def make_nlms_state(**hyper):
-    return NlmsState(**hyper)
 
 
 def make_rls_state(num_bins, p0=1e2, **hyper):

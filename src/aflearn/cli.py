@@ -8,7 +8,8 @@ Exit codes
     4  I/O error (missing/corrupt files)
 
 CSV schemas
-    training curve   epoch,train_loss,val_serle_db,lr,seconds
+    training curve   the keys of train_update_rule's history record:
+                     epoch,train_loss,val_serle_db,lr,seconds
     per-scene eval   scene,seed,split,algorithm,serle_db,erle_db,frames
     eval summary     algorithm,split,scenes,mean_serle_db,ci_lo_db,ci_hi_db
     sweep            checkpoint,structure,hidden_size,scenes,mean_serle_db,
@@ -41,7 +42,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .errors import (ConfigError, MetricUndefinedError, NumericError, check_number,
                      is_finite_real, is_int, require)
-from .flops import flops_per_frame
+from .flops import FlopModel
 from .metrics import bootstrap_mean_ci
 from .ols import OlsConfig
 from .scenes import (
@@ -321,9 +322,7 @@ def cmd_train(args):
         if writer is None:  # opened with the first row, so a run that fails before it leaves none
             Path(config["curve_csv"]).parent.mkdir(parents=True, exist_ok=True)
             curve = open(config["curve_csv"], "w", newline="")
-            writer = csv.DictWriter(
-                curve, fieldnames=["epoch", "train_loss", "val_serle_db", "lr", "seconds"]
-            )
+            writer = csv.DictWriter(curve, fieldnames=list(row))
             writer.writeheader()
         writer.writerow(row)
         curve.flush()
@@ -443,8 +442,9 @@ def _run_eval(directory, entries, rate, target, hyper, args):
     chunk = min(LOCKSTEP_CHUNK, math.ceil(len(entries) / args.jobs))
     tasks = [(str(directory), entries[lo : lo + chunk], label, cfg, session)
              for lo in range(0, len(entries), chunk)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # the pool forks every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_chunk_task, tasks))
     else:
         chunks = map(_eval_chunk_task, tasks)
@@ -497,8 +497,8 @@ def cmd_eval(args):
                 "mean_serle_db": summary["mean_serle_db"],
                 "ci_lo_db": summary["ci_lo_db"],
                 "ci_hi_db": summary["ci_hi_db"],
-                "flops_per_frame": flops_per_frame(params.structure, cfg.dft_size,
-                                                   params.hidden_size),
+                "flops_per_frame": FlopModel(params.structure, cfg.dft_size,
+                                             params.hidden_size).total,
             })
             print(f"{ckpt.stem}: {summary['mean_serle_db']:.2f} dB "
                   f"[{summary['ci_lo_db']:.2f}, {summary['ci_hi_db']:.2f}]")
@@ -559,6 +559,11 @@ set term pngcairo size 900,540
 """
 
 
+def _gnuplot_quote(path):
+    """``path`` as a gnuplot single-quoted string, where ' is written ''."""
+    return "'" + str(path).replace("'", "''") + "'"
+
+
 def cmd_plot_script(args):
     try:
         with open(args.csv, newline="", encoding="utf-8") as fh:
@@ -567,29 +572,29 @@ def cmd_plot_script(args):
         raise ConfigError("csv", f"{args.csv}: not UTF-8 text ({exc})") from None
     require(header, "csv", f"{args.csv}: empty file")
 
-    png = str(Path(args.csv).with_suffix(".png"))
+    png, data = _gnuplot_quote(Path(args.csv).with_suffix(".png")), _gnuplot_quote(args.csv)
     if "epoch" in header:
         body = (
-            f"set output '{png}'\n"
+            f"set output {png}\n"
             "set xlabel 'epoch'\nset ylabel 'validation SERLE (dB)'\n"
             "set y2label 'training loss'\nset y2tics\n"
-            f"plot '{args.csv}' using 'epoch':'val_serle_db' with linespoints, \\\n"
-            f"     '{args.csv}' using 'epoch':'train_loss' axes x1y2 with lines\n"
+            f"plot {data} using 'epoch':'val_serle_db' with linespoints, \\\n"
+            f"     {data} using 'epoch':'train_loss' axes x1y2 with lines\n"
         )
     elif "flops_per_frame" in header:
         body = (
-            f"set output '{png}'\n"
+            f"set output {png}\n"
             "set logscale x\nset xlabel 'multiply-accumulates per frame'\n"
             "set ylabel 'mean SERLE (dB)'\n"
-            f"plot '{args.csv}' using 'flops_per_frame':'mean_serle_db':'structure' "
+            f"plot {data} using 'flops_per_frame':'mean_serle_db':'structure' "
             "with labels point pt 7 offset char 1,0.5 notitle\n"
         )
     elif "mean_serle_db" in header:
         body = (
-            f"set output '{png}'\n"
+            f"set output {png}\n"
             "set style data histogram\nset style fill solid 0.6\n"
             "set ylabel 'mean SERLE (dB)'\n"
-            f"plot '{args.csv}' using 'mean_serle_db':xtic(1) notitle, \\\n"
+            f"plot {data} using 'mean_serle_db':xtic(1) notitle, \\\n"
             f"     '' using 0:'mean_serle_db':'ci_lo_db':'ci_hi_db' "
             "with yerrorbars notitle\n"
         )
@@ -632,8 +637,9 @@ def build_parser():
     p.add_argument("out_csv", help="per-scene CSV (plus .summary.csv), or sweep CSV")
     p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; the scenes are split into lockstep chunks "
-                        f"of up to {LOCKSTEP_CHUNK} so that every worker gets one")
+                   help="worker processes, at most one per lockstep chunk; the scenes are "
+                        f"split into chunks of up to {LOCKSTEP_CHUNK} so that every worker "
+                        "gets one")
     p.add_argument("--sweep", action="store_true",
                    help="evaluate every *.ckpt in the target directory")
     p.add_argument("--hyper", help="baseline hyperparameters as JSON")
@@ -667,10 +673,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except ConfigError as exc:
-        print(f"aflearn: config error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"aflearn: config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, MetricUndefinedError) as exc:

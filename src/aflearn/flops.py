@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FlopModel", "flops_per_frame"]
+__all__ = ["FlopModel"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,4 @@ class FlopModel:
     def per_second(self, cfg):
         """MACs per second of audio at the hop rate of ``cfg``."""
         return self.total * cfg.sample_rate / cfg.hop
-
-
-def flops_per_frame(structure, dft_size, hidden_size):
-    return FlopModel(structure, dft_size, hidden_size).total
 

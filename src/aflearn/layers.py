@@ -232,24 +232,18 @@ class ComplexGruLayer:
         h_new += np.multiply(z, h, out=rh)
         return h_new, zr, c
 
-    def backward(self, g_h_new, x, h, zr, c, grads, out=None):
+    def backward(self, g_h_new, x, h, zr, c, grads, out):
         """Returns (g_x, g_h) and adds the parameter gradients into ``grads``,
         a layer of this shape whose fields hold them.
 
         x and h are the step's inputs and zr, c what it returned; r * h is
-        rebuilt here, as the step computed it.  ``out``, if given, is a
-        (g_x, g_h, g_gates, work) tuple to write into instead of allocating:
-        g_x shaped like x (it may be g_h_new, read before g_x is written), g_h
-        like h, g_gates like zr with 3H on axis -2, which receives the z|r|c
-        pre-activation gradients, and work a pair of arrays like h.
+        rebuilt here, as the step computed it.  ``out`` is the (g_x, g_h,
+        g_gates, work) tuple the backward writes into: g_x shaped like x (it
+        may be g_h_new, read before g_x is written), g_h like h, g_gates like
+        zr with 3H on axis -2, which receives the z|r|c pre-activation
+        gradients, and work a pair of arrays like h.
         """
         hidden = self.hidden_size
-        if out is None:
-            *batch, _, groups = g_h_new.shape
-            out = (np.empty((*batch, x.shape[-2], groups), dtype=complex),
-                   np.empty((*batch, hidden, groups), dtype=complex),
-                   np.empty((*batch, 3 * hidden, groups), dtype=complex),
-                   np.empty((2, *batch, hidden, groups), dtype=complex))
         g_x, g_h, g_gates, (work, local) = out
         z, r = zr[..., :hidden, :], zr[..., hidden:, :]
         g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden, :] for i in range(3))

@@ -47,7 +47,6 @@ from .layers import ERROR_ROW, FAREND_ROW, GRADIENT_ROW, OUTPUT_ROW
 __all__ = [
     "OlsConfig",
     "project_filter",
-    "enforce_conjugate_symmetry",
     "hermitian_spectrum",
     "hop_spectrum",
     "spectrum_to_hop",
@@ -120,17 +119,6 @@ def project_filter(w):
     wt = np.fft.ifft(w, axis=-1)
     wt[..., k // 2 :] = 0.0
     return np.fft.fft(wt, axis=-1)
-
-
-def enforce_conjugate_symmetry(w):
-    """Project a spectrum onto DFTs of real signals: w[k] <- conj part-average.
-
-    Equivalent to taking the real part of the impulse response.
-    """
-    w = np.asarray(w, dtype=complex)
-    k = w.shape[-1]
-    flip = (-np.arange(k)) % k
-    return 0.5 * (w + np.conj(w[..., flip]))
 
 
 def hermitian_spectrum(half):

@@ -127,10 +127,6 @@ class MetaParams:
     def __reduce__(self):  # pickle the buffer once, not each view
         return MetaParams, (self.structure, self.hidden_size, self.buffer)
 
-    @property
-    def names(self):
-        return list(self.tensors)
-
     def zeros_like(self):
         """A zero gradient holder with this rule's layout."""
         return MetaParams(self.structure, self.hidden_size)

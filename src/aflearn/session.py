@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import (
+    NlmsState,
     kf_step,
     make_kf_state,
-    make_nlms_state,
     make_rls_state,
     nlms_step,
     rls_step,
@@ -100,9 +100,9 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
-def _hop_spectra(cfg, u_frames, d_hops, bins, desired_spectra):
+def _hop_spectra(cfg, u_frames, d_hops, bins):
     """Yield (t, u_freq, d_freq) per hop: the frame's spectrum on ``bins`` and,
-    if ``desired_spectra``, the desired hop's ``hop_spectrum`` (else None).
+    for a K-bin (learned) filter, the desired hop's ``hop_spectrum`` (else None).
 
     Each block of _BLOCK_HOPS hops is transformed in one call up to its first
     frame that is non-finite in any stream; that frame raises when reached.
@@ -110,30 +110,30 @@ def _hop_spectra(cfg, u_frames, d_hops, bins, desired_spectra):
     are valid until the next hop is drawn.
     """
     hops = u_frames.shape[-2]
+    learned = bins == cfg.dft_size  # only the learned rule reads desired spectra
     block_shape = u_frames.shape[:-2] + (min(hops, _BLOCK_HOPS),)
     u_freqs = np.empty(block_shape + (bins,), dtype=complex)
-    d_freqs = np.empty(block_shape + (cfg.dft_size,), dtype=complex) if desired_spectra else None
+    d_freqs = np.empty(block_shape + (cfg.dft_size,), dtype=complex) if learned else None
     for start in range(0, hops, _BLOCK_HOPS):
         block = u_frames[..., start : start + _BLOCK_HOPS, :]
         finite = np.isfinite(block).all(axis=-1)
         finite = finite.reshape(-1, finite.shape[-1]).all(axis=0)
         valid = len(finite) if finite.all() else int(np.argmin(finite))
         frame_spectra(cfg, block[..., :valid, :], bins, out=u_freqs[..., :valid, :])
-        if desired_spectra:
+        if learned:
             hop_spectrum(d_hops[..., start : start + valid, :], cfg, out=d_freqs[..., :valid, :])
         for i in range(len(finite)):
             if not finite[i]:
                 raise NumericError("non-finite input frame", frame=start + i)
-            yield start + i, u_freqs[..., i, :], d_freqs[..., i, :] if desired_spectra else None
+            yield start + i, u_freqs[..., i, :], d_freqs[..., i, :] if learned else None
 
 
-def _run(u, d, cfg, w, update_fn, desired_spectra=False, telemetry_path=None,
-         snapshot_stride=0):
+def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
     """Walk the hops from initial weights w: K bins, or a K/2+1-bin half
     spectrum that the snapshots and the result expand to K bins.
 
     ``update_fn(w, u_freq, d_hop, d_freq)`` runs one hop on the spectra of
-    ``_hop_spectra``; the learned rule asks for ``desired_spectra``.
+    ``_hop_spectra``, which takes the desired hop's spectrum for a K-bin filter.
     """
     spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
     u_frames = hop_frames(u, cfg)
@@ -145,8 +145,7 @@ def _run(u, d, cfg, w, update_fn, desired_spectra=False, telemetry_path=None,
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
-        for t, u_freq, d_freq in _hop_spectra(cfg, u_frames, d_hops, w.shape[-1],
-                                              desired_spectra):
+        for t, u_freq, d_freq in _hop_spectra(cfg, u_frames, d_hops, w.shape[-1]):
             d_hop = d_hops[..., t, :]
             try:
                 w, y_hop, e_hop = update_fn(w, u_freq, d_hop, d_freq)
@@ -199,7 +198,7 @@ def run_learned_session(params, u, d, cfg, **kwargs):
         return apply_update(w, delta), y_hop, e_hop
 
     w = np.zeros(batch + (cfg.dft_size,), dtype=complex)
-    return _run(u, d, cfg, w, update, desired_spectra=True, **kwargs)
+    return _run(u, d, cfg, w, update, **kwargs)
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
@@ -211,7 +210,7 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
     bins = cfg.dft_size // 2 + 1  # real signals: the filter and its spectra are half spectra
     # built per call, so a step patched into this module's namespace is the one that runs
     make_state, step = {
-        "nlms": (lambda: make_nlms_state(**hyper), nlms_step),
+        "nlms": (lambda: NlmsState(**hyper), nlms_step),
         "rls": (lambda: make_rls_state(bins, **hyper), rls_step),
         "kf": (lambda: make_kf_state(bins, **hyper), kf_step),
     }[algorithm]

@@ -14,9 +14,9 @@ import numpy as np
 
 from aflearn import layers
 from aflearn.classic import (
+    NlmsState,
     kf_step,
     make_kf_state,
-    make_nlms_state,
     make_rls_state,
     nlms_step,
     rls_step,
@@ -134,6 +134,15 @@ def gru_backward_reference(layer, g_h_new, x, h, zr, c):
     g_u = np.concatenate([outer(g_az, h), outer(g_ar, h), outer(g_ac, rh)])
     g_b = np.concatenate([g.reshape(-1, hidden).sum(axis=0) for g in g_gates])
     return g_x, g_h, g_w, g_u, g_b
+
+
+def gru_backward_out(x, h):
+    """Fresh (g_x, g_h, g_gates, work) arrays for ``ComplexGruLayer.backward`` to
+    write into, for a step on x (..., in, C) and h (..., H, C)."""
+    *batch, hidden, groups = h.shape
+    return (np.empty(x.shape, dtype=complex), np.empty(h.shape, dtype=complex),
+            np.empty((*batch, 3 * hidden, groups), dtype=complex),
+            np.empty((2, *h.shape), dtype=complex))
 
 
 @contextmanager
@@ -302,7 +311,7 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
         w = np.zeros(batch + (k,), dtype=complex)
     else:
         bins = k // 2 + 1
-        state, step = {"nlms": (make_nlms_state(), nlms_step),
+        state, step = {"nlms": (NlmsState(), nlms_step),
                        "rls": (make_rls_state(bins), rls_step),
                        "kf": (make_kf_state(bins), kf_step)}[algorithm]
         w = np.zeros(batch + (bins,), dtype=complex)

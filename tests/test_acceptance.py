@@ -19,7 +19,6 @@ from aflearn import (
     OlsConfig,
     TrainSchedule,
     evaluate_mean_serle,
-    flops_per_frame,
     load_checkpoint,
     misalignment_db,
     run_classic_session,
@@ -35,7 +34,7 @@ from aflearn.optimizer import GroupState, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
 from aflearn.training import window_gradient
 
-from oracles import counted_macs, fd_gradient, reference_window, rel_error
+from oracles import counted_macs, fd_gradient, gru_backward_out, reference_window, rel_error
 
 ALL_STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -125,7 +124,7 @@ def test_gru_layer_backward_matches_fd():
 
     h_new, zr, cand = layer.step(x, h)
     grads = ComplexGruLayer(*(np.zeros_like(t) for t in (layer.w, layer.u, layer.b)))
-    g_x, g_h = layer.backward(c, x, h, zr, cand, grads)
+    g_x, g_h = layer.backward(c, x, h, zr, cand, grads, gru_backward_out(x, h))
 
     worst = 0.0
 
@@ -190,7 +189,7 @@ def test_unrolled_meta_gradient_matches_fd(structure):
     assert abs(loss_ref - base_loss) < 1e-12
 
     worst = 0.0
-    for name in params.names:
+    for name in params.tensors:
         fd = fd_gradient(lambda: reference_window(params, cfg, w0, state0, frames, d_hops,
                                                   frozen)[0], params.tensors[name], eps=1e-6)
         err = rel_error(grads.tensors[name], fd)
@@ -309,7 +308,7 @@ def test_flop_count_matches_instrumented_execution():
                 xi = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
                 with counted_macs() as counted:
                     optimizer_step(params, xi, GroupState.zeros(structure, k, h))
-                assert counted.total == flops_per_frame(structure, k, h)
+                assert counted.total == FlopModel(structure, k, h).total
                 checked += 1
     print(f"\n[flops] counted MACs == closed form on {checked} layouts")
 
@@ -325,15 +324,15 @@ def test_diagonal_recurrent_cost_scales_quadratically_in_state_size():
 
 def test_grouped_structures_cost_less_per_frame_at_equal_state_size():
     k, h = 512, 32
-    base = flops_per_frame(DependencyStructure.diagonal(), k, h)
+    base = FlopModel(DependencyStructure.diagonal(), k, h).total
     for b in (4, 8):
-        block = flops_per_frame(DependencyStructure.block(b), k, h)
-        banded = flops_per_frame(DependencyStructure.banded(b), k, h)
+        block = FlopModel(DependencyStructure.block(b), k, h).total
+        banded = FlopModel(DependencyStructure.banded(b), k, h).total
         assert block < base and banded < base
         assert banded == 2 * block
     print(f"\n[flops @ K=512 H=32] diagonal {base:,}, "
-          f"block(8) {flops_per_frame(DependencyStructure.block(8), k, h):,}, "
-          f"banded(8) {flops_per_frame(DependencyStructure.banded(8), k, h):,}")
+          f"block(8) {FlopModel(DependencyStructure.block(8), k, h).total:,}, "
+          f"banded(8) {FlopModel(DependencyStructure.banded(8), k, h).total:,}")
 
 
 # ---------------------------------------------------------------------------

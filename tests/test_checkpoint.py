@@ -26,8 +26,8 @@ def test_round_trip_preserves_everything(tmp_path):
     loaded, header = load_checkpoint(path)
     assert loaded.structure == params.structure
     assert loaded.hidden_size == params.hidden_size
-    assert loaded.names == params.names
-    for name in params.names:
+    assert list(loaded.tensors) == list(params.tensors)
+    for name in params.tensors:
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
     assert header["dft_size"] == 64
     assert header["metadata"] == {"epoch": 3, "val_serle_db": 7.25}

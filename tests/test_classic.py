@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aflearn.classic import (
+    NlmsState,
     kf_step,
     make_kf_state,
-    make_nlms_state,
     make_rls_state,
     nlms_step,
     rls_step,
@@ -43,14 +43,14 @@ def _random_state(seed, k=16):
 
 def test_nlms_zero_error_keeps_weights():
     _, u_freq, w = _random_state(0)
-    w_new, _ = nlms_step(make_nlms_state(), u_freq, np.zeros_like(u_freq), w)
+    w_new, _ = nlms_step(NlmsState(), u_freq, np.zeros_like(u_freq), w)
     assert rel_error(w_new, w) < 1e-12
 
 
 def test_nlms_update_is_constrained():
     rng, u_freq, w = _random_state(1)
     e_freq = hop_spectrum(rng.standard_normal(8), OlsConfig(16))
-    w_new, _ = nlms_step(make_nlms_state(), u_freq, e_freq, w)
+    w_new, _ = nlms_step(NlmsState(), u_freq, e_freq, w)
     tail = np.fft.ifft(w_new)[8:]
     assert np.abs(tail).max() < 1e-12
 
@@ -69,7 +69,7 @@ def test_nlms_reduces_replayed_error():
     y, _ = ols_apply(cfg, w, frame)
     e_hop, e_freq = af_error(d_hop, y, cfg)
     before = float(e_hop @ e_hop)
-    w, _ = nlms_step(make_nlms_state(), np.fft.fft(frame), e_freq, w)
+    w, _ = nlms_step(NlmsState(), np.fft.fft(frame), e_freq, w)
     y, _ = ols_apply(cfg, w, frame)
     e_hop, _ = af_error(d_hop, y, cfg)
     assert float(e_hop @ e_hop) < 0.9 * before
@@ -94,7 +94,7 @@ def test_step_keeps_a_hermitian_projected_filter(algorithm, log_k, seed):
     response[: cfg.hop] = rng.standard_normal(cfg.hop)
     w = np.fft.fft(response)
     state, step = {
-        "nlms": (make_nlms_state(), nlms_step),
+        "nlms": (NlmsState(), nlms_step),
         "rls": (make_rls_state(k), rls_step),
         "kf": (make_kf_state(k), kf_step),
     }[algorithm]
@@ -121,7 +121,7 @@ def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
     p_half = rng.uniform(0.1, 10.0, bins)
     p_full = np.concatenate([p_half, p_half[-2:0:-1]])  # p[k] = p[-k], as real signals give
     state, step = {
-        "nlms": (make_nlms_state(), nlms_step),
+        "nlms": (NlmsState(), nlms_step),
         "rls": (make_rls_state(k), rls_step),
         "kf": (make_kf_state(k, obs_noise=rng.uniform(0.01, 1.0)), kf_step),
     }[algorithm]
@@ -157,7 +157,7 @@ def test_session_matches_the_full_k_reference(algorithm, path_change_scene):
     # a minute of a path-change scene on half spectra stays on the full K-bin
     # filter with on-use projection, and the session still reports K bins
     scene = path_change_scene
-    state = {"nlms": make_nlms_state(), "rls": make_rls_state(CFG.dft_size),
+    state = {"nlms": NlmsState(), "rls": make_rls_state(CFG.dft_size),
              "kf": make_kf_state(CFG.dft_size)}[algorithm]
     output, error, weights = full_k_session(algorithm, state, scene.far_end, scene.mic,
                                             CFG.dft_size)

@@ -320,6 +320,36 @@ def test_eval_baseline_csv_schema_and_jobs_determinism(tmp_path, dataset):
     assert summary[1].startswith("nlms,all,5,")
 
 
+def test_eval_jobs_starts_no_more_workers_than_chunks(tmp_path, dataset, monkeypatch):
+    requested = []
+
+    class SerialPool:  # records the pool size asked for and maps in this process
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(aflearn.cli, "ProcessPoolExecutor", SerialPool)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["eval", "nlms", str(dataset), str(serial), "--split", "train",
+                 "--dft-size", "64"]) == 0
+    assert main(["eval", "nlms", str(dataset), str(pooled), "--split", "train",
+                 "--dft-size", "64", "--jobs", "8"]) == 0
+    assert requested == [3]  # one worker per scene of the 3-scene split
+    assert pooled.read_bytes() == serial.read_bytes()
+    # one chunk runs in this process, with no pool
+    assert main(["eval", "nlms", str(dataset), str(pooled), "--split", "test",
+                 "--dft-size", "64", "--jobs", "8"]) == 0
+    assert requested == [3]
+
+
 def test_eval_learned_checkpoint_and_sweep(tmp_path, dataset):
     config_path, config = _train_config(tmp_path, dataset, epochs=1)
     assert main(["train", str(config_path)]) == 0
@@ -644,3 +674,21 @@ def test_plot_script_covers_each_schema(tmp_path, dataset):
         assert "plot" in text and Path(csv_path).name in text
     # the per-scene table has no aggregate columns to plot
     assert main(["plot-script", str(tmp_path / "r.csv"), str(tmp_path / "x.gp")]) == 2
+
+
+@pytest.mark.parametrize("header", [
+    "epoch,train_loss,val_serle_db,lr,seconds",
+    "algorithm,split,scenes,mean_serle_db,ci_lo_db,ci_hi_db",
+    "checkpoint,structure,hidden_size,scenes,mean_serle_db,ci_lo_db,ci_hi_db,flops_per_frame",
+], ids=["curve", "summary", "sweep"])
+def test_plot_script_quotes_paths_for_gnuplot(tmp_path, header):
+    folder = tmp_path / "it's"
+    folder.mkdir()
+    csv_path, gp = folder / "table.csv", tmp_path / "table.gp"
+    csv_path.write_text(header + "\n")
+    assert main(["plot-script", str(csv_path), str(gp)]) == 0
+    text = gp.read_text()
+    quoted = str(folder).replace("'", "''")  # gnuplot doubles ' inside '...'
+    assert f"set output '{quoted}/table.png'\n" in text
+    assert f"plot '{quoted}/table.csv' using" in text
+    assert str(folder) not in text

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aflearn.flops import FlopModel, flops_per_frame
+from aflearn.flops import FlopModel
 from aflearn.ols import OlsConfig
 from aflearn.optimizer import GroupState, build_input, init_meta_params, optimizer_step
 from aflearn.structures import DependencyStructure
@@ -24,7 +24,6 @@ def test_hand_computed_total_diagonal():
     assert model.gru_term == 8 * 12 * 16
     assert model.output_term == 8 * 16
     assert model.total == 192 + 1536 + 128
-    assert flops_per_frame(DependencyStructure.diagonal(), 8, 4) == model.total
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -38,7 +37,7 @@ def test_closed_form_matches_instrumented_count(structure):
     xi = build_input(np.stack([z() for _ in range(5)], axis=-2))
     with counted_macs() as counted:
         optimizer_step(params, xi, state)
-    assert counted.total == flops_per_frame(structure, cfg.dft_size, hidden)
+    assert counted.total == FlopModel(structure, cfg.dft_size, hidden).total
 
 
 def test_counter_scales_with_batch():
@@ -54,7 +53,7 @@ def test_counter_scales_with_batch():
     xi = build_input(np.stack([z() for _ in range(5)], axis=-2))
     with counted_macs() as counted:
         optimizer_step(params, xi, state)
-    assert counted.total == batch * flops_per_frame(structure, cfg.dft_size, 4)
+    assert counted.total == batch * FlopModel(structure, cfg.dft_size, 4).total
 
 
 def test_gru_term_quadruples_when_hidden_doubles():
@@ -66,9 +65,9 @@ def test_gru_term_quadruples_when_hidden_doubles():
 
 def test_grouped_structures_cost_less_than_diagonal():
     k, h = 64, 8
-    diag = flops_per_frame(DependencyStructure.diagonal(), k, h)
-    block = flops_per_frame(DependencyStructure.block(4), k, h)
-    banded = flops_per_frame(DependencyStructure.banded(4), k, h)
+    diag = FlopModel(DependencyStructure.diagonal(), k, h).total
+    block = FlopModel(DependencyStructure.block(4), k, h).total
+    banded = FlopModel(DependencyStructure.banded(4), k, h).total
     assert block < diag
     assert banded < diag
     # banded covers each bin twice, so it sits between block and diagonal

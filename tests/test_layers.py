@@ -23,6 +23,7 @@ from aflearn.structures import DependencyStructure
 from oracles import (
     counted_macs,
     fd_gradient,
+    gru_backward_out,
     gru_backward_reference,
     gru_step_reference,
     rel_error,
@@ -195,8 +196,9 @@ def test_gru_backward_matches_per_gate_reference(hidden, batch):
     _, zr, c = layer.step(_group_last(x), _group_last(h))
     g_h_new = _random_complex(rng, batch + (hidden,))
     grads = _gru_holder(layer)
-    g_x, g_h = layer.backward(_group_last(g_h_new), _group_last(x), _group_last(h), zr, c,
-                              grads)
+    x_in, h_in = _group_last(x), _group_last(h)
+    g_x, g_h = layer.backward(_group_last(g_h_new), x_in, h_in, zr, c, grads,
+                              gru_backward_out(x_in, h_in))
     expected = gru_backward_reference(layer, g_h_new, x, h,
                                       _group_major(zr, batch + (2 * hidden,)),
                                       _group_major(c, batch + (hidden,)))
@@ -264,7 +266,7 @@ def test_gru_backward_matches_fd():
     h_new, zr, c = layer.step(x, h)
     g_out = 2.0 * (h_new - target)
     grads = _gru_holder(layer)
-    g_x, g_h = layer.backward(g_out, x, h, zr, c, grads)
+    g_x, g_h = layer.backward(g_out, x, h, zr, c, grads, gru_backward_out(x, h))
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_h, fd_gradient(loss, h)) < TOL
     for name, tensor in vars(layer).items():
@@ -378,8 +380,9 @@ def test_gru_backward_adds_into_its_holder():
     g_out = _random_complex(rng, h_new.shape)
     fresh, loaded = _gru_holder(layer), _gru_holder(layer, _preloaded(rng))
     preload = _gru_holder(loaded, np.copy)
-    want = layer.backward(g_out, x, h, zr, c, fresh)
-    for got, expected in zip(layer.backward(g_out, x, h, zr, c, loaded), want):
+    want = layer.backward(g_out, x, h, zr, c, fresh, gru_backward_out(x, h))
+    added = layer.backward(g_out, x, h, zr, c, loaded, gru_backward_out(x, h))
+    for got, expected in zip(added, want):
         assert np.array_equal(got, expected)
     for name in ("w", "u", "b"):
         assert np.array_equal(getattr(loaded, name),

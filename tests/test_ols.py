@@ -9,7 +9,6 @@ from aflearn.errors import NumericError
 from aflearn.ols import (
     OlsConfig,
     af_error,
-    enforce_conjugate_symmetry,
     filter_gradient,
     frame_spectra,
     hop_frames,
@@ -182,15 +181,6 @@ def test_filter_gradient_zero_error_is_zero():
     u_freq = np.fft.fft(rng.standard_normal(16))
     grad = filter_gradient(u_freq, np.zeros(8), cfg)
     assert np.abs(grad).max() == 0.0
-
-
-def test_conjugate_symmetry_projection():
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    sym = enforce_conjugate_symmetry(w)
-    assert np.abs(np.fft.ifft(sym).imag).max() < 1e-12
-    real_spec = np.fft.fft(rng.standard_normal(16))
-    assert rel_error(enforce_conjugate_symmetry(real_spec), real_spec) < 1e-12
 
 
 def test_stream_hops_covers_signal():

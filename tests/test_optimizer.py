@@ -53,7 +53,7 @@ def test_flat_round_trip_interleaves_real_imag():
     first = params.tensors["down_kernel"].ravel()[0]
     assert flat[0] == first.real and flat[1] == first.imag
     rebuilt = MetaParams(params.structure, params.hidden_size, flat.view(complex))
-    for name in params.names:
+    for name in params.tensors:
         assert np.array_equal(rebuilt.tensors[name], params.tensors[name])
     with pytest.raises(ValueError):
         MetaParams(params.structure, params.hidden_size, flat[:-2].view(complex))
@@ -65,7 +65,7 @@ def test_flat_round_trip_interleaves_real_imag():
 def test_zero_params_and_state_give_zero_update():
     structure = DependencyStructure.banded(4)
     params = init_meta_params(structure, 4, seed=2)
-    for name in params.names:
+    for name in params.tensors:
         params.tensors[name][...] = 0.0
     k = 16
     state = GroupState.zeros(structure, k, 4)
@@ -154,7 +154,7 @@ def test_step_backward_matches_fd(structure):
     assert rel_error(g_features, fd_gradient(loss, features)) < 1e-5
     assert rel_error(g_prev.h0, fd_gradient(loss, state.h0)) < 1e-5
     assert rel_error(g_prev.h1, fd_gradient(loss, state.h1)) < 1e-5
-    for name in params.names:
+    for name in params.tensors:
         assert rel_error(g_tensors.tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
 
 

@@ -85,7 +85,7 @@ def test_window_gradient_matches_fd(structure):
     assert abs(loss_ref - base_loss) < 1e-12
     assert rel_error(y_hops, base_y) < 1e-12
 
-    for name in params.names:
+    for name in params.tensors:
         fd = fd_gradient(
             lambda: reference_window(params, cfg, w0, state0, frames, d_hops, frozen)[0],
             params.tensors[name], eps=1e-6
@@ -380,7 +380,7 @@ def test_train_update_rule_miniature():
         assert row["lr"] == 1e-3
     fresh = init_meta_params(structure, 4, seed=7)
     moved = sum(
-        float(np.abs(params.tensors[n] - fresh.tensors[n]).max()) for n in params.names
+        float(np.abs(params.tensors[n] - fresh.tensors[n]).max()) for n in params.tensors
     )
     assert moved > 0.0
 
