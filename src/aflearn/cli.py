@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -275,8 +276,9 @@ def cmd_train(args):
     structure = DependencyStructure.parse(config["structure"])
     cfg = OlsConfig(config["dft_size"], sample_rate=config["sample_rate"])
 
-    if config["scenes"]["manifest"] is not None:
-        spec, entries = _load_manifest(config["scenes"]["manifest"])
+    manifest = config["scenes"]["manifest"]
+    if manifest is not None:
+        spec, entries = _load_manifest(manifest)
         by_split = {split: [e["seed"] for e in entries if e["split"] == split]
                     for split in _SPLITS}
         train_seeds = by_split["train"]
@@ -308,6 +310,9 @@ def cmd_train(args):
 
     ckpt_path = Path(config["checkpoint"])
     identity = {k: v for k, v in config.items() if k not in _ARTIFACT_KEYS}
+    if manifest is not None:  # the dataset by content, not by the path it was named by
+        digest = hashlib.sha256(Path(manifest).read_bytes()).hexdigest()
+        identity["scenes"] = {**config["scenes"], "manifest": f"sha256:{digest}"}
     curve = writer = None
 
     def log_row(row):

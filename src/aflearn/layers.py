@@ -5,6 +5,12 @@ arrays hold dL/dRe(z) + 1j * dL/dIm(z).  Complex parameters are then exactly
 pairs of real parameters and every backward pass here can be checked against
 central finite differences over those pairs.  A backward pass returns its
 input gradients and adds its parameter gradients into the holders it is given.
+Two of them reach past their own layer, so the training backward rebuilds
+neither the layer-0 input nor the output dense result.
+``ComplexGruLayer.backward`` stops at its gate gradients, leaving the input
+product's adjoint to its caller, and each of the sampler's backwards takes
+the linear layer on its far side with it (a GRU layer's input product after
+``downsample``, a dense layer before ``upsample``), folded into one product.
 
 Activations are group-last: a layer maps (..., n_in, C) to (..., n_out, C),
 with the C frequency groups on the last axis and the channels on axis -2, so
@@ -232,19 +238,21 @@ class ComplexGruLayer:
         h_new += np.multiply(z, h, out=rh)
         return h_new, zr, c
 
-    def backward(self, g_h_new, x, h, zr, c, grads, out):
-        """Returns (g_x, g_h) and adds the parameter gradients into ``grads``,
+    def backward(self, g_h_new, h, zr, c, grads, out):
+        """Returns (g_gates, g_h) and adds the u and b gradients into ``grads``,
         a layer of this shape whose fields hold them.
 
-        x and h are the step's inputs and zr, c what it returned; r * h is
-        rebuilt here, as the step computed it.  ``out`` is the (g_x, g_h,
-        g_gates, work) tuple the backward writes into: g_x shaped like x (it
-        may be g_h_new, read before g_x is written), g_h like h, g_gates like
-        zr with 3H on axis -2, which receives the z|r|c pre-activation
-        gradients, and work a pair of arrays like h.
+        The backward stops at the input product ``w @ x``: g_gates, the z|r|c
+        pre-activation gradients, is that product's output gradient, and its
+        adjoint (g_x and the w gradient) is the caller's, who may fold it into
+        the layer that made x.  h is the step's input state and zr, c what it
+        returned; r * h is rebuilt here, as the step computed it.  ``out`` is
+        the (g_h, g_gates, work) tuple the backward writes into: g_h shaped
+        like h, g_gates like zr with 3H on axis -2, and work a pair of arrays
+        like h.
         """
         hidden = self.hidden_size
-        g_x, g_h, g_gates, (work, local) = out
+        g_h, g_gates, (work, local) = out
         z, r = zr[..., :hidden, :], zr[..., hidden:, :]
         g_az, g_ar, g_ac = (g_gates[..., i * hidden : (i + 1) * hidden, :] for i in range(3))
         np.subtract(h, c, out=work)
@@ -267,14 +275,12 @@ class ComplexGruLayer:
         local *= g_rh
         _split_sigmoid_backward(local, r, g_ar)
 
-        _add_outer(grads.w, g_gates, np.conjugate(x, out=g_x))
         _add_bias_gradient(grads.b, g_gates)
         _add_outer(grads.u[: 2 * hidden], g_gates[..., : 2 * hidden, :],
                    np.conjugate(h, out=work))
-        np.matmul(np.conj(self.w).T, g_gates, out=g_x)
         g_h += np.matmul(np.conj(self.u[: 2 * hidden]).T, g_gates[..., : 2 * hidden, :],
                          out=work)
-        return g_x, g_h
+        return g_gates, g_h
 
 
 FEATURE_CHANNELS = ("gradient", "farend", "desired", "error", "output")
@@ -309,12 +315,22 @@ class GroupSampler:
         """(..., 5, K) -> (..., H, C) group inputs."""
         return dense(self.windows(features), self.down_kernel)
 
-    def downsample_backward(self, g_groups, windows, grads, out=None):
-        """Returns g_features given the gradient of ``downsample(features)`` and
-        ``windows(features)``; adds the kernel's gradient into ``grads.down_kernel``.
-        ``out``, if given, is a (..., 5*width, C) array that receives the window
-        gradients; for the diagonal layout g_features is a view of it."""
-        g_flat = dense_backward(g_groups, windows, self.down_kernel, grads.down_kernel, out=out)
+    def downsample_backward(self, g_gates, windows, weight, grads, g_weight, out=None):
+        """Backward of ``weight @ downsample(features)``, the input product of the
+        GRU layer the group inputs feed, folded into one product with weight
+        ``weight @ down_kernel``: the group inputs are never formed.
+
+        Returns g_features given g_gates, the product's output gradient, and
+        ``windows(features)``; adds the kernel's gradient into
+        ``grads.down_kernel`` and the weight's into ``g_weight``.  ``out``, if
+        given, is a (..., 5*width, C) array that receives the window
+        gradients; for the diagonal layout g_features is a view of it.
+        """
+        fused = weight @ self.down_kernel
+        g_fused = np.zeros_like(fused)
+        g_flat = dense_backward(g_gates, windows, fused, g_fused, out=out)
+        g_weight += g_fused @ np.conj(self.down_kernel).T
+        grads.down_kernel += np.conj(weight).T @ g_fused
         *batch, _, groups = g_flat.shape
         return self.structure.scatter(
             g_flat.reshape(*batch, self.structure.width, len(FEATURE_CHANNELS), groups))
@@ -323,12 +339,25 @@ class GroupSampler:
         """(..., H, C) -> (..., K) per-bin corrections."""
         return self.structure.scatter(dense(groups, self.up_kernel)[..., None, :])[..., 0, :]
 
-    def upsample_backward(self, g_delta, groups, grads, out=None):
-        """Returns g_groups given the gradient of ``upsample(groups)``, and adds
-        the kernel's gradient into ``grads.up_kernel``.  ``out``, if given,
-        receives g_groups as in ``dense_backward``; it may be groups itself."""
+    def upsample_backward(self, g_delta, h, weight, bias, grads, g_weight, g_bias, out=None):
+        """Backward of ``upsample(dense(h, weight, bias))``, the output dense layer
+        and the up-projection, folded into one dense layer with weight
+        ``up_kernel @ weight`` and bias ``up_kernel @ bias``: the dense layer's
+        result is never formed.
+
+        Returns g_h, and adds the kernel's gradient into ``grads.up_kernel``
+        and the dense layer's into ``g_weight`` and ``g_bias``.  ``out``, if
+        given, receives g_h as in ``dense_backward``; it may be h itself.
+        """
+        up = self.up_kernel
         g_per_bin = self.structure.gather(g_delta[..., None, :])[..., 0, :]
-        return dense_backward(g_per_bin, groups, self.up_kernel, grads.up_kernel, out=out)
+        fused = up @ weight
+        g_fused, g_fused_bias = np.zeros_like(fused), np.zeros(len(up), dtype=complex)
+        g_h = dense_backward(g_per_bin, h, fused, g_fused, g_fused_bias, out=out)
+        grads.up_kernel += g_fused @ np.conj(weight).T + np.outer(g_fused_bias, np.conj(bias))
+        g_weight += np.conj(up).T @ g_fused
+        g_bias += np.conj(up).T @ g_fused_bias
+        return g_h
 
     def windows(self, features):
         """Per-group windows of features (..., 5, K), flattened to (..., 5*width, C)."""

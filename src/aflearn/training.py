@@ -24,19 +24,22 @@ is the window's only cache.  Per hop it holds each operand the backward
 cannot rebuild with one operation once: the raw features (whose far-end row
 the hop kernel's adjoint reads), the log-scaled features, and per GRU layer
 the hidden state, the z|r gates and the candidate c.  The backward reads a
-step's operands from those rows and recomputes r * h, the layer-0 input
-``downsample(xi)`` and the output dense layer's result with the forward's
-own operations, so the gradients are bit-identical to those of a full cache.
+step's operands from those rows and rebuilds only r * h, with the step's
+own operation.  It takes the rule's two linear ends folded: the
+down-projection with layer 0's input product, and the output dense layer
+with the up-projection, each one product whose weight is the product of
+the two, so neither the layer-0 input nor the output dense layer's result is
+ever rebuilt (``GroupSampler.downsample_backward``, ``upsample_backward``).
 The backward's intermediates live in the workspace too: it holds one
-step's worth of backward arrays (the gate gradients, conjugate products,
-rebuilt operands and the state gradient), which every step and both GRU
-layers reuse while they are still in cache; ``_optimizer_backward``
-takes the workspace and a step index and reads everything from it.  Per
-step the backward allocates only the small per-scene weight-gradient
-products it sums over the batch and, for block and banded layouts, the one
-window copy of ``gather`` and the one of ``scatter``.  The last step has no
-backward at all: its delta only sets the carried filter, which no loss term
-of the window reads.
+step's worth of backward arrays (the gate gradients, three work arrays and
+the state gradient), which every step and both GRU layers reuse while they
+are still in cache; ``_optimizer_backward`` takes the workspace and a step
+index and reads everything from it.  Per step the backward allocates only
+the small per-scene weight-gradient products it sums over the batch and,
+for block and banded layouts, the one window copy of ``gather`` and the one
+of ``scatter``.  The last step has no backward at all: its delta only sets
+the carried filter, which no loss term of the window reads.  Step 0 has no
+hop adjoint: hop 0 and its features depend only on the incoming filter.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
 every window, so training maps that memory once.
 Every layer's backward adds its parameter gradients into the window's one
@@ -65,7 +68,6 @@ from .layers import (
     FAREND_ROW,
     FEATURE_CHANNELS,
     OUTPUT_ROW,
-    dense,
     dense_backward,
     log_scale_backward,
 )
@@ -146,9 +148,10 @@ class WindowWorkspace:
     C) and the candidate c (length, batch, H, C); and the raw and
     log-scaled features (length, batch, 5, K).  It also holds one step's
     backward intermediates, which both GRU layers and every step share: the
-    gate gradients ``gates`` (batch, 3H, C), four (batch, H, C) ``work``
-    arrays, the state gradient ``g_state`` a step hands the step before, and
-    the downsample's window gradients ``g_windows`` (batch, 5 * width, C).
+    gate gradients ``gates`` (batch, 3H, C), three (batch, H, C) ``work``
+    arrays (the gradient flowing between layers and the GRU backward's pair),
+    the state gradient ``g_state`` a step hands the step before, and the
+    downsample's window gradients ``g_windows`` (batch, 5 * width, C).
     ``window_gradient`` overwrites it all on every call, so one workspace
     serves every window of its shape in turn.
     """
@@ -166,7 +169,7 @@ class WindowWorkspace:
         self.c = arrays((length,) + state)
         self.raw, self.xi = arrays((length, batch, len(FEATURE_CHANNELS), num_bins))
         self.gates = np.empty((batch, 3 * hidden_size, groups), dtype=complex)
-        self.work = arrays(state, 4)
+        self.work = arrays(state, 3)
         self.g_state = GroupState(*arrays(state))
         window = len(FEATURE_CHANNELS) * structure.width
         self.g_windows = np.empty((batch, window, groups), dtype=complex)
@@ -186,33 +189,34 @@ def _optimizer_backward(params, g_delta, g_state, ws, t, grads):
 
     g_state carries dL/d(new hidden); returns (g_xi, g_prev_state).
     The step's operands are read back from ``ws.xi[t]``, ``ws.state(t)`` and
-    ``ws.step_out(t)``; the layer-0 input and the output dense layer's result
-    are rebuilt with the forward's own operations, so the gradients are those
-    of a step that kept them, bit for bit.  Each layer's backward adds its
-    parameter gradients into its part of ``grads``, a holder from
-    ``params.zeros_like()``.  Every intermediate goes into the workspace, and
-    the returned gradients are views of it.  g_state may be ``ws.g_state``:
-    its h1 is read before layer 1's backward writes ``ws.g_state.h1``, and its
-    h0 before layer 0's writes ``ws.g_state.h0``.
+    ``ws.step_out(t)``.  The rule's two linear ends are taken folded: the
+    output dense layer with the up-projection (``upsample_backward``), and
+    the down-projection with layer 0's input product (``downsample_backward``),
+    so neither the layer-0 input nor the output dense layer's result is
+    rebuilt.  Layer 1's input product goes through ``dense_backward``.  Each
+    backward adds its parameter gradients into its part of ``grads``, a
+    holder from ``params.zeros_like()``.  Every intermediate goes into the
+    workspace's gate gradients and three work arrays, and the returned
+    gradients are views of it.  g_state may be ``ws.g_state``: its h1 is read
+    before layer 1's backward writes ``ws.g_state.h1``, and its h0 before
+    layer 0's writes ``ws.g_state.h0``.
     """
     (h0, zr0, c0), (h1, zr1, c1) = ws.step_out(t)
     state = ws.state(t)
     gru0, gru1 = params.grus
     sampler = params.sampler
-    rebuilt, flow, *work = ws.work
-    dense_out = dense(h1, params.out_weight, params.out_bias, out=rebuilt)
-    g_out = sampler.upsample_backward(g_delta, dense_out, grads.sampler, out=rebuilt)
-    g_h1 = dense_backward(g_out, h1, params.out_weight, grads.out_weight, grads.out_bias,
-                          out=flow)
+    flow, *work = ws.work
+    g_h1 = sampler.upsample_backward(g_delta, h1, params.out_weight, params.out_bias,
+                                     grads.sampler, grads.out_weight, grads.out_bias, out=flow)
     g_h1 += g_state.h1
-    g_h0, _ = gru1.backward(g_h1, h0, state.h1, zr1, c1, grads.grus[1],
-                            out=(flow, ws.g_state.h1, ws.gates, work))
+    g_gates, _ = gru1.backward(g_h1, state.h1, zr1, c1, grads.grus[1],
+                               out=(ws.g_state.h1, ws.gates, work))
+    g_h0 = dense_backward(g_gates, h0, gru1.w, grads.grus[1].w, out=flow)
     g_h0 += g_state.h0
-    windows = sampler.windows(ws.xi[t])
-    groups = dense(windows, sampler.down_kernel, out=rebuilt)
-    g_groups, _ = gru0.backward(g_h0, groups, state.h0, zr0, c0, grads.grus[0],
-                                out=(flow, ws.g_state.h0, ws.gates, work))
-    g_xi = sampler.downsample_backward(g_groups, windows, grads.sampler, out=ws.g_windows)
+    g_gates, _ = gru0.backward(g_h0, state.h0, zr0, c0, grads.grus[0],
+                               out=(ws.g_state.h0, ws.gates, work))
+    g_xi = sampler.downsample_backward(g_gates, sampler.windows(ws.xi[t]), gru0.w,
+                                       grads.sampler, grads.grus[0].w, out=ws.g_windows)
     return g_xi, ws.g_state
 
 
@@ -256,21 +260,25 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
 
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
-    # The last step's delta and new state only set the carried w and state,
-    # which no loss term of this window reads: that step has no backward, and
-    # its hop's error and output features carry no gradient.  Of the feature
+    # Step t's backward takes the gradient of the filter its delta set, from
+    # the adjoint of hop t + 1.  The last step has no backward: its delta and
+    # new state only set the carried w and state, which no loss term of this
+    # window reads, so the last hop's error and output features carry no
+    # gradient.  Step 0 takes no hop adjoint: hop 0 and step 0's features are
+    # functions of the window's incoming filter, a constant.  Of the feature
     # rows only the error and output ones carry gradient, and the hop
     # kernel's adjoint takes the far end.
     g_state = GroupState(h0=0.0, h1=0.0)
     g_ey = np.zeros((batch, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
+    rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
     g_tensors = params.zeros_like()
 
-    for t in reversed(range(length)):
-        if t < length - 1:
-            g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws, t, g_tensors)
-            rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
+    for t in reversed(range(length - 1)):
+        g_w += hop_backward(cfg, ws.raw[t + 1][:, FAREND_ROW], g_y_hops[t + 1],
+                            g_ey[:, 0], g_ey[:, -1])
+        g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws, t, g_tensors)
+        if t > 0:
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
-        g_w += hop_backward(cfg, ws.raw[t][:, FAREND_ROW], g_y_hops[t], g_ey[:, 0], g_ey[:, -1])
 
     return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from aflearn import layers
+from aflearn import layers, training
 from aflearn.classic import (
     NlmsState,
     kf_step,
@@ -136,13 +136,60 @@ def gru_backward_reference(layer, g_h_new, x, h, zr, c):
     return g_x, g_h, g_w, g_u, g_b
 
 
-def gru_backward_out(x, h):
-    """Fresh (g_x, g_h, g_gates, work) arrays for ``ComplexGruLayer.backward`` to
-    write into, for a step on x (..., in, C) and h (..., H, C)."""
+def gru_backward_out(h):
+    """Fresh (g_h, g_gates, work) arrays for ``ComplexGruLayer.backward`` to
+    write into, for a step from h (..., H, C)."""
     *batch, hidden, groups = h.shape
-    return (np.empty(x.shape, dtype=complex), np.empty(h.shape, dtype=complex),
+    return (np.empty(h.shape, dtype=complex),
             np.empty((*batch, 3 * hidden, groups), dtype=complex),
             np.empty((2, *h.shape), dtype=complex))
+
+
+def gru_backward_with_input(layer, g_h_new, x, h, zr, c, grads):
+    """A GRU layer's backward through its input product too: (g_x, g_h), with
+    the w gradient added into ``grads.w`` by ``dense_backward``."""
+    g_gates, g_h = layer.backward(g_h_new, h, zr, c, grads, gru_backward_out(h))
+    return layers.dense_backward(g_gates, x, layer.w, grads.w), g_h
+
+
+def unfolded_step_backward(params, g_delta, g_state, ws, t, grads):
+    """``training._optimizer_backward`` with the rule's linear ends unfolded:
+    the layer-0 input ``downsample(xi)`` and the output dense result are
+    rebuilt, and each linear layer takes its own ``dense_backward``.  Same
+    arguments and results, in fresh arrays."""
+    (h0, zr0, c0), (h1, zr1, c1) = ws.step_out(t)
+    state = ws.state(t)
+    sampler = params.sampler
+    dense_out = layers.dense(h1, params.out_weight, params.out_bias)
+    g_per_bin = params.structure.gather(g_delta[..., None, :])[..., 0, :]
+    g_out = layers.dense_backward(g_per_bin, dense_out, sampler.up_kernel,
+                                  grads.sampler.up_kernel)
+    g_h1 = layers.dense_backward(g_out, h1, params.out_weight, grads.out_weight,
+                                 grads.out_bias) + g_state.h1
+    g_h0, g_prev_h1 = gru_backward_with_input(params.grus[1], g_h1, h0, state.h1, zr1, c1,
+                                              grads.grus[1])
+    windows = sampler.windows(ws.xi[t])
+    groups = layers.dense(windows, sampler.down_kernel)
+    g_groups, g_prev_h0 = gru_backward_with_input(params.grus[0], g_h0 + g_state.h0, groups,
+                                                  state.h0, zr0, c0, grads.grus[0])
+    g_flat = layers.dense_backward(g_groups, windows, sampler.down_kernel,
+                                   grads.sampler.down_kernel)
+    *batch, _, count = g_flat.shape
+    g_xi = params.structure.scatter(
+        g_flat.reshape(*batch, params.structure.width, len(layers.FEATURE_CHANNELS), count))
+    return g_xi, GroupState(h0=g_prev_h0, h1=g_prev_h1)
+
+
+@contextmanager
+def unfolded_training_backward():
+    """While active, ``training.window_gradient`` steps back through
+    ``unfolded_step_backward``: the reference its folded backward is pinned to."""
+    folded = training._optimizer_backward
+    training._optimizer_backward = unfolded_step_backward
+    try:
+        yield
+    finally:
+        training._optimizer_backward = folded
 
 
 @contextmanager

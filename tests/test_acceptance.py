@@ -28,13 +28,14 @@ from aflearn import (
     train_update_rule,
 )
 from aflearn.cli import main
-from aflearn.layers import ComplexGruLayer, GroupSampler, log_scale, log_scale_backward
+from aflearn.layers import ComplexGruLayer, GroupSampler, dense, log_scale, log_scale_backward
 from aflearn.ols import af_error, filter_gradient, hop_frames, ols_apply
 from aflearn.optimizer import GroupState, init_meta_params, optimizer_step
 from aflearn.scenes import desk_spec, gen_scene, write_wav
 from aflearn.training import window_gradient
 
-from oracles import counted_macs, fd_gradient, gru_backward_out, reference_window, rel_error
+from oracles import (counted_macs, fd_gradient, gru_backward_with_input, reference_window,
+                     rel_error)
 
 ALL_STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -124,7 +125,7 @@ def test_gru_layer_backward_matches_fd():
 
     h_new, zr, cand = layer.step(x, h)
     grads = ComplexGruLayer(*(np.zeros_like(t) for t in (layer.w, layer.u, layer.b)))
-    g_x, g_h = layer.backward(c, x, h, zr, cand, grads, gru_backward_out(x, h))
+    g_x, g_h = gru_backward_with_input(layer, c, x, h, zr, cand, grads)
 
     worst = 0.0
 
@@ -146,23 +147,34 @@ def test_group_sampler_backward_matches_fd(structure):
     k, h = 8, 3
     sampler = GroupSampler.init(rng, structure, h)
     feats = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
-    c_groups = rng.standard_normal((h, structure.group_count(k))) + 1j * rng.standard_normal(
-        (h, structure.group_count(k))
-    )
 
-    groups = sampler.downsample(feats)
+    # each backward is folded with the layer on its far side: a GRU layer's
+    # input product w0 on the group inputs, the output dense layer (weight,
+    # bias) under the up-projection
+    w0 = rng.standard_normal((3 * h, h)) + 1j * rng.standard_normal((3 * h, h))
+    c_gates = rng.standard_normal((3 * h, structure.group_count(k))) + 1j * rng.standard_normal(
+        (3 * h, structure.group_count(k))
+    )
     grads = GroupSampler(structure, np.zeros_like(sampler.down_kernel),
                          np.zeros_like(sampler.up_kernel))
-    g_feats = sampler.downsample_backward(c_groups, sampler.windows(feats), grads)
-    loss_down = lambda: _probe_loss(sampler.downsample(feats), c_groups)
+    g_w0 = np.zeros_like(w0)
+    g_feats = sampler.downsample_backward(c_gates, sampler.windows(feats), w0, grads, g_w0)
+    loss_down = lambda: _probe_loss(w0 @ sampler.downsample(feats), c_gates)
     assert rel_error(g_feats, fd_gradient(loss_down, feats)) < 1e-5
     assert rel_error(grads.down_kernel, fd_gradient(loss_down, sampler.down_kernel)) < 1e-5
+    assert rel_error(g_w0, fd_gradient(loss_down, w0)) < 1e-5
 
+    groups = sampler.downsample(feats)
+    weight = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    bias = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    g_weight, g_bias = np.zeros_like(weight), np.zeros_like(bias)
     c_bins = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    g_groups = sampler.upsample_backward(c_bins, groups, grads)
-    loss_up = lambda: _probe_loss(sampler.upsample(groups), c_bins)
+    g_groups = sampler.upsample_backward(c_bins, groups, weight, bias, grads, g_weight, g_bias)
+    loss_up = lambda: _probe_loss(sampler.upsample(dense(groups, weight, bias)), c_bins)
     assert rel_error(g_groups, fd_gradient(loss_up, groups)) < 1e-5
     assert rel_error(grads.up_kernel, fd_gradient(loss_up, sampler.up_kernel)) < 1e-5
+    assert rel_error(g_weight, fd_gradient(loss_up, weight)) < 1e-5
+    assert rel_error(g_bias, fd_gradient(loss_up, bias)) < 1e-5
 
 
 @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.label)

@@ -1,5 +1,6 @@
 """Command-line workflows: dataset, config validation, train/eval/cancel."""
 
+import hashlib
 import json
 import re
 import shutil
@@ -236,6 +237,24 @@ def test_train_is_deterministic(tmp_path, dataset):
         assert main(["train", str(config_path)]) == 0
         paths.append(ckpt)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_train_checkpoint_bytes_do_not_depend_on_the_manifest_path(tmp_path, dataset,
+                                                                    monkeypatch):
+    # the metadata names the dataset by the manifest's content hash
+    monkeypatch.chdir(tmp_path)
+    manifest = dataset / "manifest.json"
+    paths = []
+    for run, named in (("relative", manifest.relative_to(tmp_path)), ("absolute", manifest)):
+        ckpt = tmp_path / f"{run}.ckpt"
+        config_path, _ = _train_config(tmp_path, dataset, checkpoint=str(ckpt), curve_csv=None,
+                                       epochs=1, scenes={"manifest": str(named)})
+        assert main(["train", str(config_path)]) == 0
+        paths.append(ckpt)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _, header = load_checkpoint(paths[0])
+    digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
+    assert header["metadata"]["config"]["scenes"]["manifest"] == f"sha256:{digest}"
 
 
 def test_train_resume_restores_schedule_state(tmp_path, dataset):

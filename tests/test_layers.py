@@ -25,6 +25,7 @@ from oracles import (
     fd_gradient,
     gru_backward_out,
     gru_backward_reference,
+    gru_backward_with_input,
     gru_step_reference,
     rel_error,
 )
@@ -196,9 +197,8 @@ def test_gru_backward_matches_per_gate_reference(hidden, batch):
     _, zr, c = layer.step(_group_last(x), _group_last(h))
     g_h_new = _random_complex(rng, batch + (hidden,))
     grads = _gru_holder(layer)
-    x_in, h_in = _group_last(x), _group_last(h)
-    g_x, g_h = layer.backward(_group_last(g_h_new), x_in, h_in, zr, c, grads,
-                              gru_backward_out(x_in, h_in))
+    g_x, g_h = gru_backward_with_input(layer, _group_last(g_h_new), _group_last(x),
+                                       _group_last(h), zr, c, grads)
     expected = gru_backward_reference(layer, g_h_new, x, h,
                                       _group_major(zr, batch + (2 * hidden,)),
                                       _group_major(c, batch + (hidden,)))
@@ -266,7 +266,9 @@ def test_gru_backward_matches_fd():
     h_new, zr, c = layer.step(x, h)
     g_out = 2.0 * (h_new - target)
     grads = _gru_holder(layer)
-    g_x, g_h = layer.backward(g_out, x, h, zr, c, grads, gru_backward_out(x, h))
+    # the layer's backward stops at its gates; its input product's adjoint
+    # is dense_backward's
+    g_x, g_h = gru_backward_with_input(layer, g_out, x, h, zr, c, grads)
     assert rel_error(g_x, fd_gradient(loss, x)) < TOL
     assert rel_error(g_h, fd_gradient(loss, h)) < TOL
     for name, tensor in vars(layer).items():
@@ -318,35 +320,40 @@ def test_upsample_zero_input_is_zero(structure):
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_sampler_backward_matches_fd(structure):
+    # each sampler backward is folded with the layer on its far side: the
+    # composite forwards are a GRU layer's input product on the group inputs
+    # and the output dense layer under the up-projection
     rng = np.random.default_rng(19)
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
     features = _random_complex(rng, (2, 5, k), scale=0.5)
-    t_groups = _random_complex(rng, (2, h, structure.group_count(k)))
+    w0 = _random_complex(rng, (3 * h, h))
+    t_gates = _random_complex(rng, (2, 3 * h, structure.group_count(k)))
     t_delta = _random_complex(rng, (2, k))
 
     def down_loss():
-        groups = sampler.downsample(features)
-        return _quadratic_loss(groups, t_groups)
+        return _quadratic_loss(w0 @ sampler.downsample(features), t_gates)
 
-    groups = sampler.downsample(features)
-    g_groups = 2.0 * (groups - t_groups)
-    grads = _sampler_holder(sampler)
-    g_features = sampler.downsample_backward(g_groups, sampler.windows(features), grads)
+    g_gates = 2.0 * (w0 @ sampler.downsample(features) - t_gates)
+    grads, g_w0 = _sampler_holder(sampler), np.zeros_like(w0)
+    g_features = sampler.downsample_backward(g_gates, sampler.windows(features), w0, grads, g_w0)
     assert rel_error(g_features, fd_gradient(down_loss, features)) < TOL
     assert rel_error(grads.down_kernel, fd_gradient(down_loss, sampler.down_kernel)) < TOL
+    assert rel_error(g_w0, fd_gradient(down_loss, w0)) < TOL
 
     group_in = _random_complex(rng, (2, h, structure.group_count(k)), scale=0.5)
+    weight, bias = _random_complex(rng, (h, h)), _random_complex(rng, (h,))
 
     def up_loss():
-        delta = sampler.upsample(group_in)
-        return _quadratic_loss(delta, t_delta)
+        return _quadratic_loss(sampler.upsample(dense(group_in, weight, bias)), t_delta)
 
-    delta = sampler.upsample(group_in)
-    g_delta = 2.0 * (delta - t_delta)
-    g_groups = sampler.upsample_backward(g_delta, group_in, grads)
+    g_delta = 2.0 * (sampler.upsample(dense(group_in, weight, bias)) - t_delta)
+    g_weight, g_bias = np.zeros_like(weight), np.zeros_like(bias)
+    g_groups = sampler.upsample_backward(g_delta, group_in, weight, bias, grads, g_weight, g_bias)
     assert rel_error(g_groups, fd_gradient(up_loss, group_in)) < TOL
     assert rel_error(grads.up_kernel, fd_gradient(up_loss, sampler.up_kernel)) < TOL
+    assert rel_error(g_weight, fd_gradient(up_loss, weight)) < TOL
+    assert rel_error(g_bias, fd_gradient(up_loss, bias)) < TOL
 
 
 def _preloaded(rng):
@@ -380,13 +387,15 @@ def test_gru_backward_adds_into_its_holder():
     g_out = _random_complex(rng, h_new.shape)
     fresh, loaded = _gru_holder(layer), _gru_holder(layer, _preloaded(rng))
     preload = _gru_holder(loaded, np.copy)
-    want = layer.backward(g_out, x, h, zr, c, fresh, gru_backward_out(x, h))
-    added = layer.backward(g_out, x, h, zr, c, loaded, gru_backward_out(x, h))
+    want = layer.backward(g_out, h, zr, c, fresh, gru_backward_out(h))
+    added = layer.backward(g_out, h, zr, c, loaded, gru_backward_out(h))
     for got, expected in zip(added, want):
         assert np.array_equal(got, expected)
-    for name in ("w", "u", "b"):
+    for name in ("u", "b"):
         assert np.array_equal(getattr(loaded, name),
                               getattr(preload, name) + getattr(fresh, name)), name
+    # the input product's w gradient is the caller's
+    assert not fresh.w.any() and np.array_equal(loaded.w, preload.w)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -395,17 +404,30 @@ def test_sampler_backward_adds_into_its_holder(structure):
     k, h = 16, 3
     sampler = GroupSampler.init(rng, structure, h)
     features = _random_complex(rng, (2, 5, k))
-    g_groups = _random_complex(rng, (2, h, structure.group_count(k)))
+    g_gates = _random_complex(rng, (2, 3 * h, structure.group_count(k)))
     g_delta = _random_complex(rng, (2, k))
-    fresh, loaded = _sampler_holder(sampler), _sampler_holder(sampler, _preloaded(rng))
-    preload = _sampler_holder(loaded, np.copy)
+    group_in = _random_complex(rng, (2, h, structure.group_count(k)))
+    w0, weight, bias = (_random_complex(rng, shape) for shape in ((3 * h, h), (h, h), (h,)))
+
+    def holders(fill):  # the sampler's, then those of w0, weight and bias
+        return [_sampler_holder(sampler, fill)] + [fill(a) for a in (w0, weight, bias)]
+
+    def backward(holder):
+        grads, g_w0, g_weight, g_bias = holder
+        return (sampler.downsample_backward(g_gates, windows, w0, grads, g_w0),
+                sampler.upsample_backward(g_delta, group_in, weight, bias, grads, g_weight,
+                                          g_bias))
+
+    def flat(holder):
+        return [holder[0].down_kernel, holder[0].up_kernel] + holder[1:]
+
     windows = sampler.windows(features)
-    g_features = sampler.downsample_backward(g_groups, windows, fresh)
-    g_groups_up = sampler.upsample_backward(g_delta, g_groups, fresh)
-    assert np.array_equal(sampler.downsample_backward(g_groups, windows, loaded), g_features)
-    assert np.array_equal(sampler.upsample_backward(g_delta, g_groups, loaded), g_groups_up)
-    assert np.array_equal(loaded.down_kernel, preload.down_kernel + fresh.down_kernel)
-    assert np.array_equal(loaded.up_kernel, preload.up_kernel + fresh.up_kernel)
+    fresh, loaded = holders(np.zeros_like), holders(_preloaded(rng))
+    preload = [a.copy() for a in flat(loaded)]
+    for got, want in zip(backward(loaded), backward(fresh)):
+        assert np.array_equal(got, want)
+    for got, base, delta in zip(flat(loaded), preload, flat(fresh)):
+        assert np.array_equal(got, base + delta)
 
 
 def test_complex_glorot_scale():

@@ -202,7 +202,7 @@ def test_step_backward_reads_its_state_gradient_from_its_own_buffers(structure):
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_gathers_each_operand_once(structure, monkeypatch):
     # one gather for upsample_backward's g_delta, one for the feature windows
-    # that both the rebuilt layer-0 input and downsample_backward read
+    # that downsample_backward reads
     params, g_delta, g_state, ws = _stepped(structure, np.random.default_rng(29))
     real = DependencyStructure.gather
     calls = []

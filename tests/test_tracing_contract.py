@@ -98,9 +98,16 @@ def test_traced_session_and_epoch_parse_with_one_forward_per_hop():
     assert len(stats["gru0_s"]) == len(stats["gru1_s"]) == hops
 
     train = tracing.train_stats(epoch)
-    assert len(train["window_s"]) == hops // unroll
-    # a window's last step has no backward: its delta only sets the carried w
-    assert len(train["gru_backward_s"]) == 2 * (unroll - 1) * (hops // unroll)
+    windows = hops // unroll
+    assert len(train["window_s"]) == windows
+    # a window's last step has no backward: its delta only sets the carried w;
+    # each step's backward takes both folded sampler ends once
+    assert len(train["gru_backward_s"]) == 2 * (unroll - 1) * windows
+    for name in ("layers.GroupSampler.upsample_backward",
+                 "layers.GroupSampler.downsample_backward"):
+        assert sum(1 for span in epoch if span[0] == name) == (unroll - 1) * windows, name
+    # and step 0 takes no hop adjoint, so no feature backward either
+    assert len(train["log_scale_backward_s"]) == (unroll - 2) * windows
     # training windows and validation sessions run the one traced forward
     per_hop = {"training.window_gradient": (unroll, 0), "session.run_learned_session": (hops, hops)}
     seen = set()

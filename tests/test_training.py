@@ -29,7 +29,7 @@ from aflearn.training import (
     window_gradient,
 )
 
-from oracles import fd_gradient, reference_window, rel_error
+from oracles import fd_gradient, reference_window, rel_error, unfolded_training_backward
 
 STRUCTURES = [
     DependencyStructure.diagonal(),
@@ -160,6 +160,49 @@ def test_reused_workspace_matches_fresh_windows(structure):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_folded_backward_matches_the_unfolded_reference(structure):
+    # the folded linear ends only reorder sums: three windows carried through
+    # one workspace against the same windows stepped back through the
+    # unfolded chain (rebuilt layer-0 input and output dense result)
+    k, hidden, batch, length = 64, 8, 3, 6
+    cfg = OlsConfig(k)
+    params = init_meta_params(structure, hidden, seed=3)
+    rng = np.random.default_rng(5)
+    params.buffer[...] += 0.05 * (rng.standard_normal(params.buffer.shape)
+                                  + 1j * rng.standard_normal(params.buffer.shape))  # biases too
+    frames = rng.standard_normal((3 * length, batch, k))
+    d_hops = rng.standard_normal((3 * length, batch, k // 2))
+    w = np.zeros((batch, k), dtype=complex)
+    state = GroupState.zeros(structure, k, hidden, batch_shape=(batch,))
+    workspace = WindowWorkspace(structure, hidden, k, batch, length)
+    for lo in range(0, 3 * length, length):
+        window = frames[lo : lo + length], d_hops[lo : lo + length]
+        with unfolded_training_backward():
+            want = _returned_arrays(window_gradient(params, cfg, w, state, *window))
+        folded = window_gradient(params, cfg, w, state, *window, workspace)
+        got = _returned_arrays(folded)
+        assert rel_error(got[1], want[1]) < 1e-13
+        for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):  # the forward is unchanged
+            assert np.array_equal(a, b)
+        w, state = folded[2:4]
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_window_backward_takes_no_hop_adjoint_at_step_0(structure, monkeypatch):
+    # hop 0 and step 0's features depend on the incoming filter, a constant
+    calls = []
+    for name in ("hop_backward", "log_scale_backward"):
+        def counted(*args, name=name, real=getattr(aflearn.training, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(aflearn.training, name, counted)
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, length=4)
+    window_gradient(params, cfg, w, state, frames[:4], d_hops[:4])
+    assert calls.count("hop_backward") == 3 and calls.count("log_scale_backward") == 2
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_window_backward_skips_the_last_step(structure, monkeypatch):
     # the last step's delta only sets the carried w, which no loss term reads
     real = aflearn.training._optimizer_backward
@@ -191,9 +234,13 @@ def test_non_finite_window_frame_is_a_numeric_error():
 
 
 # (fresh, reused-workspace) peak budgets of one window, in units of one
-# (L, B, H, C) complex array.  Measured: diagonal 11.61 and 0.90, block:4
-# 17.16 and 2.43, banded:4 13.87 and 1.66; the workspace holds the backward's
+# (L, B, H, C) complex array.  Measured: diagonal 11.43 and 0.84, block:4
+# 17.23 and 2.62, banded:4 13.68 and 1.60; the workspace holds the backward's
 # arrays too, so a reused one leaves mostly the forward's transients.
+# The folded layer-0 end forms its weight gradient from per-scene
+# (3H, 5 * width) products, where the unfolded chain formed (H, 5 * width)
+# and (3H, H) ones: at block:4, H = 8 (5 * width = 20 > H) that is +0.43
+# reused; diagonal and banded:4 moved by less than 0.07.
 # Block windows cost 0.3 more than when they were group-major: flattening a
 # block's group-last windows, and scattering their gradient back, copies
 # 5K values per scene where the group-major layout had views.
