@@ -16,7 +16,9 @@ CSV schemas
                      ci_lo_db,ci_hi_db,flops_per_frame
 
 Telemetry (``--telemetry``) is JSON lines, one object per processed frame:
-{"frame": int, "erle_db": float, "residual_power": float}.
+{"frame": int, "erle_db": float, "residual_power": float}: the residual hop's
+``metrics.hop_powers`` and the ``metrics.erle_db`` of the microphone hop's
+power over it (4 decimals; 0 dB where both are zero, as in leading silence).
 
 ``train``'s ``schedule`` object is ``TrainSchedule``'s fields, which that class
 names, defaults and checks; every scene is drawn at the config's ``sample_rate``.

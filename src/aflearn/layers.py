@@ -106,9 +106,13 @@ def _matmul(weight, x, out=None):
 
 def _add_outer(holder, g, x_conj):
     """holder += g @ x_conj^T, summed over the leading axes: the weight gradient
-    of a product ``weight @ x`` from g (..., n_out, C) and conj(x) (..., n_in, C)."""
-    prod = np.matmul(g, x_conj.swapaxes(-1, -2))
-    holder += prod if prod.ndim == 2 else prod.reshape((-1,) + holder.shape).sum(axis=0)
+    of a product ``weight @ x`` from g (..., n_out, C) and conj(x) (..., n_in, C),
+    added scene by scene into one total rather than formed as one stack."""
+    g, x_conj = (a.reshape((-1,) + a.shape[-2:]) for a in (g, x_conj))
+    total = g[0] @ x_conj[0].T
+    for g_scene, x_scene in zip(g[1:], x_conj[1:]):
+        total += g_scene @ x_scene.T
+    holder += total
 
 
 def _add_bias_gradient(holder, g):
@@ -116,10 +120,9 @@ def _add_bias_gradient(holder, g):
     holder += g.sum(axis=-1).reshape((-1,) + holder.shape).sum(axis=0)
 
 
-def dense(x, weight, bias=None, out=None):
-    """y = W x (+ b) over the channel axis -2 of x (..., n_in, C); ``out``,
-    if given, receives y."""
-    y = _matmul(weight, x, out=out)
+def dense(x, weight, bias=None):
+    """y = W x (+ b) over the channel axis -2 of x (..., n_in, C)."""
+    y = _matmul(weight, x)
     if bias is not None:
         y += bias[:, None]
     return y

@@ -2,9 +2,10 @@
 
 Frame-based ratios work on non-overlapping hops of ``frame`` samples; frames
 whose reference power falls below a relative silence threshold are discarded
-so speech pauses do not dominate the averages.  Individual frame ratios are
-capped to +-80 dB before averaging.  Bootstrap intervals use a fixed level,
-resample count and seed, so a summary of the same scores is reproducible.
+so speech pauses do not dominate the averages.  Every ratio here and in a
+session's per-hop ERLE is ``erle_db`` of two ``hop_powers``, capped to +-80 dB
+before averaging.  Bootstrap intervals use a fixed level, resample count and
+seed, so a summary of the same scores is reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import numpy as np
 from .errors import MetricUndefinedError
 
 __all__ = [
+    "hop_powers",
     "frame_powers",
+    "erle_db",
     "serle_db",
     "erle_curve_db",
     "si_sdr_db",
@@ -33,6 +36,11 @@ CI_DRAWS = 2000
 CI_SEED = 0
 
 
+def hop_powers(hops):
+    """Sum of squares along the last axis: the power of each (..., hop) block."""
+    return (np.asarray(hops, dtype=float) ** 2).sum(axis=-1)
+
+
 def frame_powers(x, frame):
     """Sum of squares per non-overlapping length-``frame`` block (tail dropped)."""
     x = np.asarray(x, dtype=float)
@@ -43,7 +51,14 @@ def frame_powers(x, frame):
     n = (x.size // frame) * frame
     if n == 0:
         raise ValueError(f"need at least {frame} samples, got {x.size}")
-    return (x[:n].reshape(-1, frame) ** 2).sum(axis=1)
+    return hop_powers(x[:n].reshape(-1, frame))
+
+
+def erle_db(desired_power, error_power):
+    """Elementwise 10 log10(desired / error) of power arrays of any shape, capped
+    at +-80 dB: +80 for a silent residual, -80 for a silent reference, 0 for both."""
+    bels = np.log10(np.maximum(desired_power, 1e-300) / np.maximum(error_power, 1e-300))
+    return np.clip(10.0 * bels, -CAP_DB, CAP_DB)
 
 
 def _active_mask(ref_powers):
@@ -68,18 +83,12 @@ def serle_db(echo, residual_echo, frame):
     mask = _active_mask(num)
     if not mask.any():
         raise MetricUndefinedError("all echo frames are silent")
-    ratios = 10.0 * np.log10(
-        np.maximum(num[mask], 1e-300) / np.maximum(den[mask], 1e-300)
-    )
-    return float(np.clip(ratios, -CAP_DB, CAP_DB).mean())
+    return float(erle_db(num[mask], den[mask]).mean())
 
 
 def erle_curve_db(desired, error, frame):
-    """Instantaneous per-frame 10 log10(||d||^2 / ||e||^2), capped, no discards."""
-    num = frame_powers(desired, frame)
-    den = frame_powers(error, frame)
-    ratios = 10.0 * np.log10(np.maximum(num, 1e-300) / np.maximum(den, 1e-300))
-    return np.clip(ratios, -CAP_DB, CAP_DB)
+    """Instantaneous per-frame ``erle_db`` of ||d||^2 over ||e||^2, no discards."""
+    return erle_db(frame_powers(desired, frame), frame_powers(error, frame))
 
 
 def si_sdr_db(estimate, reference):

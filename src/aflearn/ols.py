@@ -214,14 +214,14 @@ def hop_forward(cfg, w, u_freq, d_hop):
     """One classic hop: filter the frame spectrum through w and score it against d.
 
     w is a projected K/2+1-bin half spectrum and u_freq the input frame's
-    ``rfft`` (``frame_spectra``).  Returns (y_hop, e_hop, y_freq, e_freq),
-    y_freq and e_freq half spectra; two real transforms, ``irfft`` for y_hop
-    and ``rfft`` for e_freq.
+    ``rfft`` (``frame_spectra``).  Returns (y_hop, e_hop, e_freq), e_freq a
+    half spectrum; two real transforms, ``irfft`` for y_hop and ``rfft`` for
+    e_freq.
     """
     _check_len(np.asarray(w), cfg.dft_size // 2 + 1, "half-spectrum filter")
-    y_freq, y_hop = _filter_spectrum(cfg, w, u_freq)
+    _, y_hop = _filter_spectrum(cfg, w, u_freq)
     e_hop = _error_hop(d_hop, y_hop, cfg)
-    return y_hop, e_hop, y_freq, _zero_headed(e_hop, cfg, np.fft.rfft)
+    return y_hop, e_hop, _zero_headed(e_hop, cfg, np.fft.rfft)
 
 
 def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):

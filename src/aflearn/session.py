@@ -39,6 +39,7 @@ from .classic import (
 )
 from .errors import ConfigError, NumericError
 from .layers import DESIRED_ROW, FAREND_ROW, FEATURE_CHANNELS
+from .metrics import erle_db, hop_powers
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
 from .ols import (
     feature_hop,
@@ -71,20 +72,6 @@ class SessionResult:
     @property
     def mean_erle_db(self):
         return float(np.mean(self.erle_db)) if self.erle_db.size else 0.0
-
-
-def _power(x):
-    """Sum of squares along the last axis (one dot product per hop)."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def _erle_db(d_hops, e_hops):
-    """Per-hop 10 log10(||d||^2 / ||e||^2), capped at +-80 dB; 80 dB for a zero residual."""
-    num = np.maximum(_power(d_hops), 1e-300)
-    den = _power(e_hops)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.clip(10.0 * np.log10(num / den), -80.0, 80.0)
-    return np.where(den > 0.0, ratio, 80.0)
 
 
 def _session_signals(u, d, cfg):
@@ -159,8 +146,9 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
             if snapshot_stride and (t + 1) % snapshot_stride == 0:
                 snapshots.append((t, spectrum(w)))
             if telemetry is not None:
-                row = {"frame": t, "erle_db": np.round(_erle_db(d_hop, e_hop), 4).tolist(),
-                       "residual_power": _power(e_hop).tolist()}
+                e_power = hop_powers(e_hop)
+                erle = np.round(erle_db(hop_powers(d_hop), e_power), 4)
+                row = {"frame": t, "erle_db": erle.tolist(), "residual_power": e_power.tolist()}
                 telemetry.write(json.dumps(row) + "\n")
     finally:
         if telemetry is not None:
@@ -170,7 +158,7 @@ def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
         error=error.reshape(u.shape[:-1] + (-1,)),
         output=output.reshape(u.shape[:-1] + (-1,)),
         weights=spectrum(w),
-        erle_db=_erle_db(d_hops, error),
+        erle_db=erle_db(hop_powers(d_hops), hop_powers(error)),
         frames=frames,
         snapshots=snapshots,
     )
@@ -223,7 +211,7 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         nonlocal state
         if algorithm == "kf":
             w = state.transition * w  # the hop is filtered through the prediction
-        y_hop, e_hop, _, e_freq = hop_forward(cfg, w, u_freq, d_hop)
+        y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freq, d_hop)
         w_new, state = step(state, u_freq, e_freq, w)
         return w_new, y_hop, e_hop
 

@@ -184,22 +184,20 @@ class WindowWorkspace:
                      for hidden, zr, c in zip(self.hidden, self.zr, self.c))
 
 
-def _optimizer_backward(params, g_delta, g_state, ws, t, grads):
-    """Backward through step t of the window whose forward wrote ``ws``.
+def _optimizer_backward(params, g_delta, ws, t, grads):
+    """Backward through step t of the window whose forward wrote ``ws``; returns g_xi.
 
-    g_state carries dL/d(new hidden); returns (g_xi, g_prev_state).
-    The step's operands are read back from ``ws.xi[t]``, ``ws.state(t)`` and
-    ``ws.step_out(t)``.  The rule's two linear ends are taken folded: the
-    output dense layer with the up-projection (``upsample_backward``), and
-    the down-projection with layer 0's input product (``downsample_backward``),
-    so neither the layer-0 input nor the output dense layer's result is
-    rebuilt.  Layer 1's input product goes through ``dense_backward``.  Each
-    backward adds its parameter gradients into its part of ``grads``, a
-    holder from ``params.zeros_like()``.  Every intermediate goes into the
-    workspace's gate gradients and three work arrays, and the returned
-    gradients are views of it.  g_state may be ``ws.g_state``: its h1 is read
-    before layer 1's backward writes ``ws.g_state.h1``, and its h0 before
-    layer 0's writes ``ws.g_state.h0``.
+    ``ws.g_state`` holds dL/d(new hidden) on entry and dL/d(previous hidden)
+    on return.  The step's operands are read back from ``ws.xi[t]``,
+    ``ws.state(t)`` and ``ws.step_out(t)``.  The rule's two linear ends are
+    taken folded: the output dense layer with the up-projection
+    (``upsample_backward``), and the down-projection with layer 0's input
+    product (``downsample_backward``), so neither the layer-0 input nor the
+    output dense layer's result is rebuilt.  Layer 1's input product goes
+    through ``dense_backward``.  Each backward adds its parameter gradients
+    into its part of ``grads``, a holder from ``params.zeros_like()``.  Every
+    intermediate goes into the workspace's gate gradients and three work
+    arrays, and g_xi is a view of it.
     """
     (h0, zr0, c0), (h1, zr1, c1) = ws.step_out(t)
     state = ws.state(t)
@@ -208,16 +206,15 @@ def _optimizer_backward(params, g_delta, g_state, ws, t, grads):
     flow, *work = ws.work
     g_h1 = sampler.upsample_backward(g_delta, h1, params.out_weight, params.out_bias,
                                      grads.sampler, grads.out_weight, grads.out_bias, out=flow)
-    g_h1 += g_state.h1
+    g_h1 += ws.g_state.h1
     g_gates, _ = gru1.backward(g_h1, state.h1, zr1, c1, grads.grus[1],
                                out=(ws.g_state.h1, ws.gates, work))
     g_h0 = dense_backward(g_gates, h0, gru1.w, grads.grus[1].w, out=flow)
-    g_h0 += g_state.h0
+    g_h0 += ws.g_state.h0
     g_gates, _ = gru0.backward(g_h0, state.h0, zr0, c0, grads.grus[0],
                                out=(ws.g_state.h0, ws.gates, work))
-    g_xi = sampler.downsample_backward(g_gates, sampler.windows(ws.xi[t]), gru0.w,
+    return sampler.downsample_backward(g_gates, sampler.windows(ws.xi[t]), gru0.w,
                                        grads.sampler, grads.grus[0].w, out=ws.g_windows)
-    return g_xi, ws.g_state
 
 
 def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
@@ -252,12 +249,11 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
                                       out=ws.step_out(t))
         w = w + delta
 
-    diff = d_hops - y_hops
-    mse = np.mean(diff**2, axis=(0, 2))
-    loss = float(np.mean(np.log(mse + LOSS_EPS)))
+    loss = meta_loss(d_hops, y_hops)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
-
+    diff = d_hops - y_hops  # meta_loss's adjoint
+    mse = np.mean(diff**2, axis=(0, 2))
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
     # Step t's backward takes the gradient of the filter its delta set, from
@@ -268,7 +264,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     # functions of the window's incoming filter, a constant.  Of the feature
     # rows only the error and output ones carry gradient, and the hop
     # kernel's adjoint takes the far end.
-    g_state = GroupState(h0=0.0, h1=0.0)
+    ws.g_state.h0[...] = ws.g_state.h1[...] = 0.0
     g_ey = np.zeros((batch, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
     rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
     g_tensors = params.zeros_like()
@@ -276,7 +272,7 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     for t in reversed(range(length - 1)):
         g_w += hop_backward(cfg, ws.raw[t + 1][:, FAREND_ROW], g_y_hops[t + 1],
                             g_ey[:, 0], g_ey[:, -1])
-        g_xi, g_state = _optimizer_backward(params, g_w, g_state, ws, t, g_tensors)
+        g_xi = _optimizer_backward(params, g_w, ws, t, g_tensors)
         if t > 0:
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
 

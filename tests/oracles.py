@@ -21,6 +21,7 @@ from aflearn.classic import (
     nlms_step,
     rls_step,
 )
+from aflearn.metrics import erle_db, hop_powers
 from aflearn.ols import (
     af_error,
     filter_gradient,
@@ -32,7 +33,6 @@ from aflearn.ols import (
     project_filter,
 )
 from aflearn.optimizer import GroupState, apply_update, build_input, optimizer_step
-from aflearn.session import _erle_db
 from aflearn.training import meta_loss
 
 
@@ -152,11 +152,13 @@ def gru_backward_with_input(layer, g_h_new, x, h, zr, c, grads):
     return layers.dense_backward(g_gates, x, layer.w, grads.w), g_h
 
 
-def unfolded_step_backward(params, g_delta, g_state, ws, t, grads):
+def unfolded_step_backward(params, g_delta, ws, t, grads):
     """``training._optimizer_backward`` with the rule's linear ends unfolded:
     the layer-0 input ``downsample(xi)`` and the output dense result are
     rebuilt, and each linear layer takes its own ``dense_backward``.  Same
-    arguments and results, in fresh arrays."""
+    arguments and results: g_xi in a fresh array, the previous state's
+    gradient written into ``ws.g_state``."""
+    g_state = ws.g_state
     (h0, zr0, c0), (h1, zr1, c1) = ws.step_out(t)
     state = ws.state(t)
     sampler = params.sampler
@@ -177,7 +179,8 @@ def unfolded_step_backward(params, g_delta, g_state, ws, t, grads):
     *batch, _, count = g_flat.shape
     g_xi = params.structure.scatter(
         g_flat.reshape(*batch, params.structure.width, len(layers.FEATURE_CHANNELS), count))
-    return g_xi, GroupState(h0=g_prev_h0, h1=g_prev_h1)
+    g_state.h0[...], g_state.h1[...] = g_prev_h0, g_prev_h1
+    return g_xi
 
 
 @contextmanager
@@ -374,13 +377,14 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
             if algorithm == "kf":
                 w = state.transition * w
             u_freq = np.fft.rfft(frame, axis=-1)
-            y_hop, e_hop, _, e_freq = hop_forward(cfg, w, u_freq, d_hop)
+            y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freq, d_hop)
             w, state = step(state, u_freq, e_freq, w)
         output[..., t, :] = y_hop
         error[..., t, :] = e_hop
     weights = w if params is not None else hermitian_spectrum(w)
     shape = batch + (-1,)
-    return output.reshape(shape), error.reshape(shape), weights, _erle_db(d_hops, error)
+    erle = erle_db(hop_powers(d_hops), hop_powers(error))
+    return output.reshape(shape), error.reshape(shape), weights, erle
 
 
 def reference_window(params, cfg, w0, state0, frames, d_hops, grad_channel=None):

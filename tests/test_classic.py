@@ -132,7 +132,7 @@ def test_half_spectrum_step_matches_the_full_k_step(algorithm, log_k, seed):
     w_full, state_full = full_k_step(algorithm, state, u_full, e_freq_full, w)
 
     u_freq = frame_spectra(cfg, frame, bins)
-    y_hop, e_hop, _, e_freq = hop_forward(cfg, w[:bins], u_freq, d_hop)
+    y_hop, e_hop, e_freq = hop_forward(cfg, w[:bins], u_freq, d_hop)
     assert u_freq.shape == e_freq.shape == (bins,)
     assert rel_error(y_hop, y_full) < 1e-12
     assert rel_error(e_hop, e_full) < 1e-12
@@ -216,7 +216,7 @@ def test_kf_innovation_matches_prediction_error():
     state = make_kf_state(bins)
     w_pred = state.transition * w
     u_kernel = frame_spectra(cfg, frame, bins)
-    _, e_hop, _, e_freq = hop_forward(cfg, w_pred, u_kernel, d_hop)
+    _, e_hop, e_freq = hop_forward(cfg, w_pred, u_kernel, d_hop)
     y_pred, _ = ols_apply(cfg, w_pred, frame)
     assert rel_error(e_hop, d_hop - y_pred) < 1e-12
     assert rel_error(u_kernel, u_freq[:bins]) < 1e-12

@@ -50,10 +50,11 @@ def test_serle_discards_only_silent_frames():
 
 
 def test_erle_curve():
-    d = np.array([2.0, 0.0, 1.0, 0.0])
-    e = np.array([1.0, 0.0, 2.0, 0.0])
+    # the last frame is all zero in both signals: 0 dB, neither cap
+    d = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    e = np.array([1.0, 0.0, 2.0, 0.0, 0.0, 0.0])
     curve = erle_curve_db(d, e, 2)
-    assert np.allclose(curve, [10 * np.log10(4.0), -10 * np.log10(4.0)])
+    assert np.allclose(curve, [10 * np.log10(4.0), -10 * np.log10(4.0), 0.0])
 
 
 def test_si_sdr_hand_computed():

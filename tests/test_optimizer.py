@@ -118,11 +118,14 @@ def _one_step_workspace(params, features, state):
     return ws, delta, new_state
 
 
-def _copied(result):
-    """(g_xi, g_prev h0, g_prev h1) of one backward, copied out of the workspace
-    they are views of before another backward overwrites it."""
-    g_xi, g_prev = result
-    return g_xi.copy(), g_prev.h0.copy(), g_prev.h1.copy()
+def _backward(params, g_delta, g_state, ws, grads):
+    """Step 0's backward from the state gradient ``g_state``, loaded into
+    ``ws.g_state`` as a window's later step leaves it: (g_xi, g_prev h0,
+    g_prev h1), copied out of the workspace before another backward
+    overwrites it."""
+    ws.g_state.h0[...], ws.g_state.h1[...] = g_state.h0, g_state.h1
+    g_xi = _optimizer_backward(params, g_delta, ws, 0, grads)
+    return g_xi.copy(), ws.g_state.h0.copy(), ws.g_state.h1.copy()
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -149,18 +152,18 @@ def test_step_backward_matches_fd(structure):
     g_delta = 2.0 * (delta - t_delta)
     g_state = GroupState(h0=2.0 * (new_state.h0 - t_h0), h1=2.0 * (new_state.h1 - t_h1))
     g_tensors = params.zeros_like()
-    g_features, g_prev = _optimizer_backward(params, g_delta, g_state, ws, 0, g_tensors)
+    g_features, g_prev_h0, g_prev_h1 = _backward(params, g_delta, g_state, ws, g_tensors)
 
     assert rel_error(g_features, fd_gradient(loss, features)) < 1e-5
-    assert rel_error(g_prev.h0, fd_gradient(loss, state.h0)) < 1e-5
-    assert rel_error(g_prev.h1, fd_gradient(loss, state.h1)) < 1e-5
+    assert rel_error(g_prev_h0, fd_gradient(loss, state.h0)) < 1e-5
+    assert rel_error(g_prev_h1, fd_gradient(loss, state.h1)) < 1e-5
     for name in params.tensors:
         assert rel_error(g_tensors.tensors[name], fd_gradient(loss, params.tensors[name])) < 1e-5, name
 
 
 def _stepped(structure, rng, k=16, h=3, batch=2):
     """A batched step run into a one-step workspace, and random incoming
-    gradients: the arguments of ``_optimizer_backward`` but for t and its holder."""
+    gradients: the arguments of ``_backward`` but for its holder."""
     params = init_meta_params(structure, h, seed=12)
     shape = (batch, h, structure.group_count(k))
     state = GroupState(h0=_random_complex(rng, shape, 0.3), h1=_random_complex(rng, shape, 0.3))
@@ -178,8 +181,8 @@ def test_step_backward_adds_into_the_holder(structure):
     fresh, loaded = params.zeros_like(), params.zeros_like()
     loaded.buffer[...] = _random_complex(rng, loaded.buffer.shape)
     preload = loaded.buffer.copy()
-    want = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, fresh))
-    got = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, loaded))
+    want = _backward(params, g_delta, g_state, ws, fresh)
+    got = _backward(params, g_delta, g_state, ws, loaded)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     # every parameter receives exactly one addition per step
@@ -189,14 +192,15 @@ def test_step_backward_adds_into_the_holder(structure):
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_step_backward_reads_its_state_gradient_from_its_own_buffers(structure):
     # a training window hands each step the state gradient the step after it
-    # wrote into the workspace they share
+    # wrote into the workspace they share, and nothing else
     params, g_delta, g_state, ws = _stepped(structure, np.random.default_rng(28))
-    want = _copied(_optimizer_backward(params, g_delta, g_state, ws, 0, params.zeros_like()))
-    ws.g_state.h0[...], ws.g_state.h1[...] = g_state.h0, g_state.h1
-    got = _optimizer_backward(params, g_delta, ws.g_state, ws, 0, params.zeros_like())
-    assert got[1] is ws.g_state
-    for a, b in zip(_copied(got), want):
+    want = _backward(params, g_delta, g_state, ws, params.zeros_like())
+    for a, b in zip(_backward(params, g_delta, g_state, ws, params.zeros_like()), want):
         assert np.array_equal(a, b)
+    zero = GroupState(h0=np.zeros_like(g_state.h0), h1=np.zeros_like(g_state.h1))
+    from_zero = _backward(params, g_delta, zero, ws, params.zeros_like())
+    for a, b in zip(from_zero, want):
+        assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
@@ -212,7 +216,7 @@ def test_step_backward_gathers_each_operand_once(structure, monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(DependencyStructure, "gather", counted)
-    _optimizer_backward(params, g_delta, g_state, ws, 0, params.zeros_like())
+    _backward(params, g_delta, g_state, ws, params.zeros_like())
     assert len(calls) == 2, calls
 
 

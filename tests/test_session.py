@@ -9,6 +9,7 @@ import pytest
 import aflearn.session
 from aflearn.errors import ConfigError, NumericError
 from aflearn.classic import make_kf_state
+from aflearn.metrics import erle_curve_db
 from aflearn.ols import OlsConfig, hop_frames, ols_apply
 from aflearn.optimizer import init_meta_params
 from aflearn.session import (
@@ -84,6 +85,30 @@ def test_telemetry_stream_one_row_per_frame(tmp_path):
         assert set(row) == {"frame", "erle_db", "residual_power"}
         assert abs(row["erle_db"] - erle) < 1e-3
         assert row["residual_power"] >= 0.0
+
+
+def test_per_hop_erle_is_the_metric_and_silent_hops_read_0_db(tmp_path):
+    # a recording that starts with digital silence: where the desired hop and
+    # the residual are both exactly zero, a session's ERLE and its telemetry
+    # read 0 dB, as metrics.erle_curve_db does, not a cancelled echo's +80 dB
+    silent = 3
+    u, d = _signals(20 * CFG.hop)
+    u, d = (np.concatenate([np.zeros(silent * CFG.hop), x]) for x in (u, d))
+    path = tmp_path / "telemetry.jsonl"
+    result = run_classic_session("nlms", u, d, CFG, telemetry_path=str(path))
+    assert np.array_equal(result.erle_db, erle_curve_db(d, result.error, CFG.hop))
+    assert np.array_equal(result.erle_db[:silent], np.zeros(silent))
+    assert np.all(result.erle_db[silent + 1 :] > 0.0)  # hop `silent` is filtered by w = 0
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["erle_db"] for row in rows] == np.round(result.erle_db, 4).tolist()
+    assert [row["residual_power"] for row in rows[:silent]] == [0.0] * silent
+
+    # a lockstep stack scores each scene's hops the same way
+    params = init_meta_params(DependencyStructure.diagonal(), 4, seed=1)
+    stack = run_learned_session(params, np.stack([u, u[::-1]]), np.stack([d, d[::-1]]), CFG)
+    for erle, d_scene, e_scene in zip(stack.erle_db, (d, d[::-1]), stack.error):
+        assert np.array_equal(erle, erle_curve_db(d_scene, e_scene, CFG.hop))
+    assert np.array_equal(stack.erle_db[0, :silent], np.zeros(silent))
 
 
 def test_snapshots_taken_every_stride():

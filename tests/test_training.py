@@ -235,12 +235,13 @@ def test_non_finite_window_frame_is_a_numeric_error():
 
 # (fresh, reused-workspace) peak budgets of one window, in units of one
 # (L, B, H, C) complex array.  Measured: diagonal 11.43 and 0.84, block:4
-# 17.23 and 2.62, banded:4 13.68 and 1.60; the workspace holds the backward's
+# 16.95 and 2.34, banded:4 13.74 and 1.66; the workspace holds the backward's
 # arrays too, so a reused one leaves mostly the forward's transients.
-# The folded layer-0 end forms its weight gradient from per-scene
-# (3H, 5 * width) products, where the unfolded chain formed (H, 5 * width)
-# and (3H, H) ones: at block:4, H = 8 (5 * width = 20 > H) that is +0.43
-# reused; diagonal and banded:4 moved by less than 0.07.
+# The folded layer-0 end's weight gradient sums per-scene (3H, 5 * width)
+# products, where the unfolded chain formed (H, 5 * width) and (3H, H) ones;
+# ``layers._add_outer`` adds them scene by scene into one total, and forming
+# the whole (B, 3H, 5 * width) stack instead costs block:4, H = 8 (5 * width
+# = 20 > H) 0.28 more, reused.
 # Block windows cost 0.3 more than when they were group-major: flattening a
 # block's group-last windows, and scattering their gradient back, copies
 # 5K values per scene where the group-major layout had views.
