@@ -7,25 +7,34 @@ channels and the filter recursion; the analytic-gradient channel and the raw
 input/desired channels are treated as data.  Windows are truncated: the
 incoming filter state and hidden state of each window are constants.
 
-Scenes in a batch run in lockstep with a leading batch axis, which is exactly
-equivalent to averaging per-scene gradients but keeps the matrix products
-large enough to be efficient.  Each batch builds its frame and desired-hop
-views once with the sessions' frame builder (``ols.hop_frames``), and a window
-is a time-major slice of them; the window takes its frame and desired-hop
-spectra in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``),
-written straight into the far-end and desired rows of its raw features,
-and runs the sessions' learned hop (``ols.feature_hop``) forward and the
-hop kernel's adjoint (``ols.hop_backward``) backward.
+Scenes in a batch run with a leading batch axis, in balanced chunks of
+scenes: each chunk runs its forward, its scenes' share of the loss adjoint
+and its backward, and adds its parameter gradients into the window's one
+holder, so the window's gradient is the batch mean of the per-scene ones
+however the batch is cut.  A chunk is the largest balanced share of the
+batch whose one step's gate gradients (3H x C complex, 48 H C bytes a scene)
+fit ``CHUNK_BYTES``, half a 2 MiB L2 (``WindowWorkspace.chunk_size``).  The
+rule exists because the step's elementwise passes over a batch that spills
+the cache cost many times those over a chunk that stays in it, while the
+matrix products gain nothing from a larger batch (a stacked product is one
+GEMM per scene); and because the window's memory then follows the chunk,
+not the batch.  Each batch builds its frame and desired-hop views once with
+the sessions' frame builder (``ols.hop_frames``), and a window is a
+time-major slice of them; each chunk takes its frame and desired-hop spectra
+in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``), written
+straight into the far-end and desired rows of its raw features, and runs the
+sessions' learned hop (``ols.feature_hop``) forward and the hop kernel's
+adjoint (``ols.hop_backward``) backward.
 
 A window's forward is the sessions' own (``feature_hop``, ``build_input``,
 ``optimizer_step``), told to write into a ``WindowWorkspace`` of time-major,
-group-last arrays (features (..., 5, K), GRU activations (..., H, C)), which
-is the window's only cache.  Per hop it holds each operand the backward
-cannot rebuild with one operation once: the raw features (whose far-end row
-the hop kernel's adjoint reads), the log-scaled features, and per GRU layer
-the hidden state, the z|r gates and the candidate c.  The backward reads a
-step's operands from those rows and rebuilds only r * h, with the step's
-own operation.  It takes the rule's two linear ends folded: the
+group-last arrays (features (..., 5, K), GRU activations (..., H, C)) for
+one chunk, which is the window's only cache.  Per hop it holds each operand
+the backward cannot rebuild with one operation once: the raw features (whose
+far-end row the hop kernel's adjoint reads), the log-scaled features, and
+per GRU layer the hidden state, the z|r gates and the candidate c.  The
+backward reads a step's operands from those rows and rebuilds only r * h,
+with the step's own operation.  It takes the rule's two linear ends folded: the
 down-projection with layer 0's input product, and the output dense layer
 with the up-projection, each one product whose weight is the product of
 the two, so neither the layer-0 input nor the output dense layer's result is
@@ -35,7 +44,7 @@ step's worth of backward arrays (the gate gradients, three work arrays and
 the state gradient), which every step and both GRU layers reuse while they
 are still in cache; ``_optimizer_backward`` takes the workspace and a step
 index and reads everything from it.  Per step the backward allocates only
-the small per-scene weight-gradient products it sums over the batch and,
+the small per-scene weight-gradient products it sums over the chunk and,
 for block and banded layouts, the one window copy of ``gather`` and the one
 of ``scatter``.  The last step has no backward at all: its delta only sets
 the carried filter, which no loss term of the window reads.  Step 0 has no
@@ -54,6 +63,7 @@ lockstep chunks of up to ``LOCKSTEP_CHUNK``.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -95,6 +105,7 @@ __all__ = [
 ]
 
 LOSS_EPS = 1e-9
+CHUNK_BYTES = 2**20  # one step's gate gradients of a window chunk: half a 2 MiB L2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -142,37 +153,64 @@ def meta_loss(d_hops, y_hops):
 class WindowWorkspace:
     """Time-major arrays a training window's forward writes and its backward reads.
 
-    For a window of ``length`` hops over a (batch,) stack: per GRU layer the
-    hidden trajectory (length + 1, batch, H, C), whose row 0 is the incoming
-    state and row t + 1 step t's new state, the z|r gates (length, batch, 2H,
-    C) and the candidate c (length, batch, H, C); and the raw and
-    log-scaled features (length, batch, 5, K).  It also holds one step's
-    backward intermediates, which both GRU layers and every step share: the
-    gate gradients ``gates`` (batch, 3H, C), three (batch, H, C) ``work``
-    arrays (the gradient flowing between layers and the GRU backward's pair),
-    the state gradient ``g_state`` a step hands the step before, and the
-    downsample's window gradients ``g_windows`` (batch, 5 * width, C).
-    ``window_gradient`` overwrites it all on every call, so one workspace
-    serves every window of its shape in turn.
+    For a window of ``length`` hops over a (batch,) stack the scene axis of
+    every array is one chunk of ``chunk`` scenes (``chunk_size``), not the
+    batch: ``window_gradient`` runs the batch chunk by chunk through it.  Per
+    GRU layer it holds the hidden trajectory (length + 1, chunk, H, C), whose
+    row 0 is the incoming state and row t + 1 step t's new state, the z|r
+    gates (length, chunk, 2H, C) and the candidate c (length, chunk, H, C);
+    and the raw and log-scaled features (length, chunk, 5, K).  It also holds
+    one step's backward intermediates, which both GRU layers and every step
+    share: the gate gradients ``gates`` (chunk, 3H, C), three (chunk, H, C)
+    ``work`` arrays (the gradient flowing between layers and the GRU
+    backward's pair), the state gradient ``g_state`` a step hands the step
+    before, and the downsample's window gradients ``g_windows`` (chunk,
+    5 * width, C).  A smaller last chunk uses the leading scenes of every
+    array (``rows``).  ``window_gradient`` overwrites it all on every call,
+    so one workspace serves every window of its shape in turn.
     """
 
     def __init__(self, structure, hidden_size, num_bins, batch, length):
         groups = structure.group_count(num_bins)
-        state = (batch, hidden_size, groups)
+        self.chunk = chunk = self.chunk_size(structure, hidden_size, num_bins, batch)
+        state = (chunk, hidden_size, groups)
 
         def arrays(shape, count=2):
             return tuple(np.empty(shape, dtype=complex) for _ in range(count))
 
         self.shape = (structure, hidden_size, num_bins, batch, length)
         self.hidden = arrays((length + 1,) + state)
-        self.zr = arrays((length, batch, 2 * hidden_size, groups))
+        self.zr = arrays((length, chunk, 2 * hidden_size, groups))
         self.c = arrays((length,) + state)
-        self.raw, self.xi = arrays((length, batch, len(FEATURE_CHANNELS), num_bins))
-        self.gates = np.empty((batch, 3 * hidden_size, groups), dtype=complex)
+        self.raw, self.xi = arrays((length, chunk, len(FEATURE_CHANNELS), num_bins))
+        self.gates = np.empty((chunk, 3 * hidden_size, groups), dtype=complex)
         self.work = arrays(state, 3)
         self.g_state = GroupState(*arrays(state))
         window = len(FEATURE_CHANNELS) * structure.width
-        self.g_windows = np.empty((batch, window, groups), dtype=complex)
+        self.g_windows = np.empty((chunk, window, groups), dtype=complex)
+
+    @staticmethod
+    def chunk_size(structure, hidden_size, num_bins, batch):
+        """Scenes per chunk of a ``batch``-scene window: the largest balanced
+        chunk whose one step's gate gradients fit ``CHUNK_BYTES``; one scene's
+        are 3H x C complex values, 48 H C bytes."""
+        fits = max(1, CHUNK_BYTES // (48 * hidden_size * structure.group_count(num_bins)))
+        parts = -(-batch // fits)
+        return -(-batch // parts)
+
+    def rows(self, scenes):
+        """This workspace cut to its leading ``scenes`` scenes, for a smaller
+        last chunk: the same memory, so the window still maps it once."""
+        if scenes == self.chunk:
+            return self
+        cut = copy.copy(self)
+        cut.hidden, cut.zr, cut.c = (tuple(a[:, :scenes] for a in layers)
+                                     for layers in (self.hidden, self.zr, self.c))
+        cut.raw, cut.xi = self.raw[:, :scenes], self.xi[:, :scenes]
+        cut.gates, cut.g_windows = self.gates[:scenes], self.g_windows[:scenes]
+        cut.work = tuple(a[:scenes] for a in self.work)
+        cut.g_state = GroupState(self.g_state.h0[:scenes], self.g_state.h1[:scenes])
+        return cut
 
     def state(self, t):
         """The hidden state step t starts from: row t of both trajectories."""
@@ -223,25 +261,48 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
     (loss, grads, w_out, state_out, y_hops); grads is a holder laid
     out like ``params`` (``params.zeros_like()``), follows the paired-real
-    convention and already includes the batch mean.  The forward writes
-    every operand the backward reads into ``workspace`` (a
-    ``WindowWorkspace`` of this window's shape; a fresh one if None), and
-    the backward keeps its intermediates there; nothing returned aliases it.
+    convention and already includes the batch mean.  The batch runs in
+    chunks of ``workspace.chunk`` scenes (``WindowWorkspace.chunk_size``),
+    each through its forward, loss adjoint and backward in turn, all adding
+    into the one holder; the loss is ``meta_loss`` over the whole window.
+    The forward writes every operand the backward reads into ``workspace``
+    (a ``WindowWorkspace`` of this window's shape; a fresh one if None),
+    whose scene axis is one chunk, and the backward keeps its intermediates
+    there; nothing returned aliases it.
     """
     length, batch = frames.shape[:2]
     shape = (params.structure, params.hidden_size, cfg.dft_size, batch, length)
     ws = workspace or WindowWorkspace(*shape)
     if ws.shape != shape:
         raise ValueError(f"workspace is for {ws.shape}, window needs {shape}")
-    ws.hidden[0][0], ws.hidden[1][0] = state.h0, state.h1
-    state = ws.state(0)
-    y_hops = np.empty(d_hops.shape)
     if not np.all(np.isfinite(frames)):
         raise NumericError("non-finite input frame")
-    # the window's far-end and desired spectra go straight into their feature rows
+    y_hops = np.empty(d_hops.shape)
+    grads = params.zeros_like()
+    carried = []  # per chunk: w, h0, h1, copied out before the next chunk reuses the rows
+    for lo in range(0, batch, ws.chunk):
+        scenes = slice(lo, min(lo + ws.chunk, batch))
+        chunk = ws.rows(scenes.stop - lo)
+        chunk.hidden[0][0], chunk.hidden[1][0] = state.h0[scenes], state.h1[scenes]
+        w_chunk = _chunk_gradient(params, cfg, w[scenes], frames[:, scenes], d_hops[:, scenes],
+                                  y_hops[:, scenes], chunk, grads, batch)
+        carried.append((w_chunk, *(h[length].copy() for h in chunk.hidden)))
+    w, h0, h1 = (np.concatenate(parts) for parts in zip(*carried))
+    return meta_loss(d_hops, y_hops), grads, w, GroupState(h0=h0, h1=h1), y_hops
+
+
+def _chunk_gradient(params, cfg, w, frames, d_hops, y_hops, ws, grads, batch):
+    """One chunk of a ``batch``-scene window, from filter w and the incoming
+    state in ``ws.state(0)``: its forward, its scenes' share of the loss
+    adjoint and its backward, adding into ``grads``.  Writes the chunk's
+    outputs into ``y_hops`` and returns its carried w; its carried state is
+    ``ws.state(length)``."""
+    length, scenes = frames.shape[:2]
+    state = ws.state(0)
+    # the chunk's far-end and desired spectra go straight into their feature rows
     frame_spectra(cfg, frames, cfg.dft_size, out=ws.raw[:, :, FAREND_ROW])
     hop_spectrum(d_hops, cfg, out=ws.raw[:, :, DESIRED_ROW])
-    e_frame = np.zeros((batch, cfg.dft_size))  # the hop's error frame, see feature_hop
+    e_frame = np.zeros((scenes, cfg.dft_size))  # the hop's error frame, see feature_hop
 
     for t in range(length):
         y_hops[t], _ = feature_hop(cfg, w, d_hops[t], ws.raw[t], e_frame)
@@ -249,11 +310,10 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
                                       out=ws.step_out(t))
         w = w + delta
 
-    loss = meta_loss(d_hops, y_hops)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite training loss")
-    diff = d_hops - y_hops  # meta_loss's adjoint
+    diff = d_hops - y_hops  # meta_loss's adjoint, per scene
     mse = np.mean(diff**2, axis=(0, 2))
+    if not np.all(np.isfinite(mse)):
+        raise NumericError("non-finite training loss")
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
     # Step t's backward takes the gradient of the filter its delta set, from
@@ -265,18 +325,16 @@ def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     # rows only the error and output ones carry gradient, and the hop
     # kernel's adjoint takes the far end.
     ws.g_state.h0[...] = ws.g_state.h1[...] = 0.0
-    g_ey = np.zeros((batch, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
+    g_ey = np.zeros((scenes, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
     rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
-    g_tensors = params.zeros_like()
 
     for t in reversed(range(length - 1)):
         g_w += hop_backward(cfg, ws.raw[t + 1][:, FAREND_ROW], g_y_hops[t + 1],
                             g_ey[:, 0], g_ey[:, -1])
-        g_xi = _optimizer_backward(params, g_w, ws, t, g_tensors)
+        g_xi = _optimizer_backward(params, g_w, ws, t, grads)
         if t > 0:
             g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
-
-    return loss, g_tensors, w, GroupState(h0=state.h0.copy(), h1=state.h1.copy()), y_hops
+    return w
 
 
 @dataclass

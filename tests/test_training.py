@@ -233,10 +233,59 @@ def test_non_finite_window_frame_is_a_numeric_error():
         window_gradient(params, cfg, w, state, frames[:3], d_hops[:3])
 
 
+def _force_chunks(monkeypatch, structure, hidden, k, scenes):
+    """Shrink the chunk budget so a window's chunks hold ``scenes`` scenes."""
+    per_scene = 48 * hidden * structure.group_count(k)
+    monkeypatch.setattr(aflearn.training, "CHUNK_BYTES", scenes * per_scene)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_chunked_window_matches_the_one_chunk_window(structure, monkeypatch):
+    # two carried batch-5 windows cut 2, 2, 1 against the same windows run
+    # whole: the forward is per scene, so only the gradient's sum order moves
+    k, hidden, batch, length = 64, 8, 5, 6
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, k, hidden, batch,
+                                                           length)
+    params.buffer[...] += 0.05  # off the zero biases
+    whole = WindowWorkspace(structure, hidden, k, batch, length)
+    _force_chunks(monkeypatch, structure, hidden, k, 2)
+    chunked = WindowWorkspace(structure, hidden, k, batch, length)
+    assert (whole.chunk, chunked.chunk) == (batch, 2)
+    chunks = []
+    real = aflearn.training._chunk_gradient
+
+    def counted(*args):
+        chunks.append(args[3].shape[1])  # the chunk's frames (L, scenes, K)
+        return real(*args)
+
+    monkeypatch.setattr(aflearn.training, "_chunk_gradient", counted)
+    carry_whole = carry_chunked = (w, state)
+    for win in (slice(0, length), slice(length, 2 * length)):
+        want = _returned_arrays(window_gradient(params, cfg, *carry_whole, frames[win],
+                                                d_hops[win], whole))
+        got = _returned_arrays(window_gradient(params, cfg, *carry_chunked, frames[win],
+                                               d_hops[win], chunked))
+        assert rel_error(got[1], want[1]) < 1e-15
+        for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):  # loss, w, h0, h1, y
+            assert np.array_equal(a, b)
+        carry_whole = carry_chunked = (got[2], GroupState(got[3], got[4]))
+    assert chunks == [5, 2, 2, 1] * 2
+
+
+@pytest.mark.parametrize("label, hidden, chunk", [
+    ("diagonal", 16, 2), ("diagonal", 8, 4), ("banded:4", 16, 4),
+    ("block:4", 16, 8), ("block:4", 8, 8), ("banded:4", 8, 8)])
+def test_window_chunk_rule_at_k512_batch_8(label, hidden, chunk):
+    # the largest balanced chunk whose one step's gate gradients fit 1 MiB
+    structure = DependencyStructure.parse(label)
+    assert WindowWorkspace.chunk_size(structure, hidden, 512, 8) == chunk
+
+
 # (fresh, reused-workspace) peak budgets of one window, in units of one
-# (L, B, H, C) complex array.  Measured: diagonal 11.43 and 0.84, block:4
-# 16.95 and 2.34, banded:4 13.74 and 1.66; the workspace holds the backward's
-# arrays too, so a reused one leaves mostly the forward's transients.
+# (L, chunk, H, C) complex array; at (K, H, B) = (64, 8, 4) the chunk is the
+# batch.  Measured: diagonal 11.51 and 0.92, block:4 16.94 and 2.34, banded:4
+# 13.74 and 1.65; the workspace holds the backward's arrays too, so a reused
+# one leaves mostly the forward's transients.
 # The folded layer-0 end's weight gradient sums per-scene (3H, 5 * width)
 # products, where the unfolded chain formed (H, 5 * width) and (3H, H) ones;
 # ``layers._add_outer`` adds them scene by scene into one total, and forming
@@ -249,28 +298,46 @@ def test_non_finite_window_frame_is_a_numeric_error():
 # again adds at least 1 unit each; keeping a banded window's L gathered
 # feature windows adds 2.3 (reused: 5.9).
 MEMORY_BUDGETS = {"diagonal": (12.5, 1.4), "block:4": (17.5, 2.7), "banded:4": (14.6, 2.3)}
+# A batch-8 window in chunks of 2 against a batch-2 window, both fresh:
+# measured 1.15 (diagonal), 1.10 (block:4) and 1.11 (banded:4) times the
+# batch-2 peak, the batch-sized outputs and carried state making the
+# difference; one batch-8 chunk would be 3.7 to 3.9 times it.
+CHUNKED_PEAK_RATIO = 1.25
+
+
+def _window_peak(structure, k, hidden, batch, length, workspace=None):
+    """tracemalloc's peak over one warm ``window_gradient`` call."""
+    params, cfg, w, state, frames, d_hops = _window_inputs(structure, k, hidden, batch, length)
+    args = (params, cfg, w, state, frames[:length], d_hops[:length], workspace)
+    window_gradient(*args)  # warm caches
+    tracemalloc.start()
+    try:
+        window_gradient(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_window_cache_memory_budget():
-    # tracemalloc's peak over one call; with a reused workspace the call
-    # itself holds only its transient arrays
+    # with a reused workspace the call itself holds only its transient arrays
     k, hidden, batch, length = 64, 8, 4, 8
     for label, budgets in MEMORY_BUDGETS.items():
         structure = DependencyStructure.parse(label)
-        params, cfg, w, state, frames, d_hops = _window_inputs(structure, k, hidden, batch,
-                                                               length)
-        frames, d_hops = frames[:length], d_hops[:length]
-        unit = length * batch * structure.group_count(k) * hidden * 16
         workspace = WindowWorkspace(structure, hidden, k, batch, length)
-        window_gradient(params, cfg, w, state, frames, d_hops, workspace)  # warm caches
-        for extra, budget in zip(((), (workspace,)), budgets):
-            tracemalloc.start()
-            try:
-                window_gradient(params, cfg, w, state, frames, d_hops, *extra)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak / unit < budget, (label, "reused" if extra else "fresh", peak / unit)
+        unit = length * workspace.chunk * hidden * structure.group_count(k) * 16
+        for extra, budget in zip((None, workspace), budgets):
+            peak = _window_peak(structure, k, hidden, batch, length, extra)
+            assert peak / unit < budget, (label, "fresh" if extra is None else "reused",
+                                          peak / unit)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
+def test_chunked_window_memory_follows_the_chunk(structure, monkeypatch):
+    k, hidden, length = 64, 8, 8
+    _force_chunks(monkeypatch, structure, hidden, k, 2)
+    ratio = (_window_peak(structure, k, hidden, 8, length)
+             / _window_peak(structure, k, hidden, 2, length))
+    assert ratio < CHUNKED_PEAK_RATIO, ratio
 
 
 def test_adam_step_first_update_is_lr_sized():
