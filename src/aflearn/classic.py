@@ -2,12 +2,15 @@
 
 All three share the overlap-save geometry and the hop kernel from ols.py and
 keep the filter constrained via project_filter after every update.  Every step
-has the same contract, ``step(state, u_freq, e_freq, w) -> (w_new, state)``:
-u_freq is the DFT of the current input frame and e_freq the zero-padded
-error-hop spectrum that ``ols.hop_forward`` produced by filtering that frame
-through ``w``.  Sessions pass K/2+1-bin half spectra (``rfft`` layout, RLS/KF
-``p`` sized to match), so the filter stays the projected spectrum of a real
-response; full K-bin spectra give the same first K/2+1 bins.
+has the same contract, ``step(state, u_conj, u_power, e_freq, w) -> (w_new,
+state)``.  The current input frame's DFT U enters only through u_conj =
+conj(U) and u_power = |U|^2 (computed as ``U.real**2 + U.imag**2``), which
+depend on the input signal alone, so a session takes them for a whole block
+of hops at once.  e_freq is the zero-padded error-hop spectrum that
+``ols.hop_forward`` produced by filtering that frame through ``w``.
+Sessions pass K/2+1-bin half spectra (``rfft`` layout, RLS/KF ``p`` sized to
+match), so the filter stays the projected spectrum of a real response; full
+K-bin spectra give the same first K/2+1 bins.
 
 The Kalman filter models the echo path as a scalar-gain random walk per bin
 (w' = A w + process noise) and re-estimates the observation noise from a
@@ -72,36 +75,33 @@ def make_kf_state(num_bins, p0=1.0, obs_noise=1e-2, **hyper):
     return KfState(p=np.full(num_bins, float(p0)), obs_noise=float(obs_noise), **hyper)
 
 
-def nlms_step(state, u_freq, e_freq, w):
+def nlms_step(state, u_conj, u_power, e_freq, w):
     """One constrained NLMS update; returns (w_new, state)."""
-    power = u_freq.real**2 + u_freq.imag**2
-    step = state.step_size * np.conj(u_freq) * e_freq / (power + state.eps)
+    step = state.step_size * u_conj * e_freq / (u_power + state.eps)
     return project_filter(w + step), state
 
 
-def rls_step(state, u_freq, e_freq, w):
+def rls_step(state, u_conj, u_power, e_freq, w):
     """One constrained per-bin RLS update; returns (w_new, state_new).
 
     The scalar p per bin tracks the inverse of the exponentially weighted
     input power; with forget = 1 this reduces to 1 / sum |u|^2.
     """
-    power = u_freq.real**2 + u_freq.imag**2
-    denom = state.forget + state.p * power + state.eps
-    gain = state.p * np.conj(u_freq) / denom
+    denom = state.forget + state.p * u_power + state.eps
+    gain = state.p * u_conj / denom
     w_new = project_filter(w + gain * e_freq)
     return w_new, replace(state, p=state.p / denom)
 
 
-def kf_step(state, u_freq, e_freq, w):
+def kf_step(state, u_conj, u_power, e_freq, w):
     """One Kalman update of the predicted filter; returns (w_new, state_new).
 
     ``w`` is the prediction ``state.transition * w_post`` and ``e_freq`` the
     innovation: the error spectrum of the hop filtered through that prediction.
     """
     p_pred = state.transition**2 * state.p + state.process_noise
-    power = u_freq.real**2 + u_freq.imag**2
-    innovation_var = p_pred * power + state.obs_noise
-    gain = p_pred * np.conj(u_freq) / innovation_var
+    innovation_var = p_pred * u_power + state.obs_noise
+    gain = p_pred * u_conj / innovation_var
     w_new = project_filter(w + gain * e_freq)
     p_new = p_pred * state.obs_noise / innovation_var
 

@@ -17,15 +17,18 @@ classic filters' hop on a K/2+1-bin filter, run on ``rfft``/``irfft``.
 ``hop_backward`` its adjoint.  Both take the input frame's spectrum, not the
 frame: it depends on the input signal only, so callers take it for a whole
 block of hops in one call, ``frame_spectra`` over a block of ``hop_frames``
-rows (and ``hop_spectrum`` over a block of desired hops).
+rows (and ``hop_spectrum`` over a block of desired hops).  Both score the
+hop in a real (..., K) error frame that the caller owns: its first R
+samples stay zero, the hop writes e_hop into its last R and transforms it.
 
 ``feature_hop`` writes its five feature spectra in place, into the rows of
 one (..., 5, K) buffer in ``layers.FEATURE_CHANNELS`` order: the caller puts
 the far-end and desired spectra in, the hop adds the gradient, error and
-output rows.  It checks no shapes; its callers check them once per session
-or training window, while the public helpers (``ols_apply``, ``af_error``,
-``filter_gradient``, ``hop_spectrum``, ``hop_forward``) check theirs on
-every call.
+output rows.  Neither kernel checks shapes, but ``hop_forward`` rejects a
+filter that is not a half spectrum; their callers check shapes once per
+session or training window, while the public helpers (``ols_apply``,
+``af_error``, ``filter_gradient``, ``hop_spectrum``) check theirs on every
+call.
 
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
@@ -127,19 +130,14 @@ def hermitian_spectrum(half):
     return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
 
 
-def _zero_headed(hop_samples, cfg, transform, out=None):
-    """``transform`` of one R-sample hop placed in the tail of a K frame."""
-    frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
-    frame[..., cfg.dft_size - cfg.hop :] = hop_samples
-    return transform(frame, axis=-1, out=out)
-
-
 def hop_spectrum(hop_samples, cfg, out=None):
     """DFT of one R-sample hop placed in the tail of a K frame (leading zeros);
     ``out``, if given, receives it."""
     hop_samples = np.asarray(hop_samples)
     _check_len(hop_samples, cfg.hop, "hop")
-    return _zero_headed(hop_samples, cfg, np.fft.fft, out)
+    frame = np.zeros(hop_samples.shape[:-1] + (cfg.dft_size,), dtype=hop_samples.dtype)
+    frame[..., cfg.dft_size - cfg.hop :] = hop_samples
+    return np.fft.fft(frame, axis=-1, out=out)
 
 
 def spectrum_to_hop(spec, cfg):
@@ -163,24 +161,6 @@ def frame_spectra(cfg, frames, bins, out=None):
     return transform(frames, axis=-1, out=out)
 
 
-def _filter_spectrum(cfg, w, u_freq):
-    """(y_freq, y_hop) of a frame spectrum filtered through w.
-
-    A K-bin w is projected on use; a K/2+1-bin w is taken as projected, and
-    u_freq and y_freq are then half spectra.
-    """
-    w = np.asarray(w)
-    u_freq = np.asarray(u_freq)
-    _check_bins(cfg, w.shape[-1])
-    _check_len(u_freq, w.shape[-1], "input spectrum")
-    k = cfg.dft_size
-    if w.shape[-1] != k:
-        y_freq = u_freq * w
-        return y_freq, np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :]
-    y_freq = u_freq * project_filter(w)
-    return y_freq, np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real
-
-
 def ols_apply(cfg, w, u_frame):
     """Filter one K-sample input frame through spectrum w.
 
@@ -192,36 +172,40 @@ def ols_apply(cfg, w, u_frame):
     if not np.all(np.isfinite(u_frame)):
         raise NumericError("non-finite input frame")
     w = np.asarray(w)
-    y_freq, y_hop = _filter_spectrum(cfg, w, frame_spectra(cfg, u_frame, w.shape[-1]))
-    return y_hop, y_freq
-
-
-def _error_hop(d_hop, y_hop, cfg):
-    d_hop = np.asarray(d_hop)
-    y_hop = np.asarray(y_hop)
-    _check_len(d_hop, cfg.hop, "desired hop")
-    _check_len(y_hop, cfg.hop, "output hop")
-    return d_hop - y_hop
+    k = cfg.dft_size
+    u_freq = frame_spectra(cfg, u_frame, w.shape[-1])  # checks w's length
+    if w.shape[-1] != k:  # a half spectrum, taken as projected
+        y_freq = u_freq * w
+        return np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :], y_freq
+    y_freq = u_freq * project_filter(w)
+    return np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real, y_freq
 
 
 def af_error(d_hop, y_hop, cfg):
     """Error hop e = d - y and its zero-padded frame spectrum."""
-    e_hop = _error_hop(d_hop, y_hop, cfg)
+    d_hop = np.asarray(d_hop)
+    y_hop = np.asarray(y_hop)
+    _check_len(d_hop, cfg.hop, "desired hop")
+    _check_len(y_hop, cfg.hop, "output hop")
+    e_hop = d_hop - y_hop
     return e_hop, hop_spectrum(e_hop, cfg)
 
 
-def hop_forward(cfg, w, u_freq, d_hop):
+def hop_forward(cfg, w, u_freq, d_hop, e_frame):
     """One classic hop: filter the frame spectrum through w and score it against d.
 
     w is a projected K/2+1-bin half spectrum and u_freq the input frame's
-    ``rfft`` (``frame_spectra``).  Returns (y_hop, e_hop, e_freq), e_freq a
-    half spectrum; two real transforms, ``irfft`` for y_hop and ``rfft`` for
-    e_freq.
+    ``rfft`` (``frame_spectra``).  e_frame is the caller's real (..., K)
+    error frame: its first R samples must be zero, and its last R receive
+    e_hop.  Returns (y_hop, e_hop, e_freq), e_freq the frame's half-spectrum
+    ``rfft``; two real transforms, ``irfft`` for y_hop and ``rfft`` for
+    e_freq.  Only w's length is checked.  e_hop is a view of e_frame.
     """
-    _check_len(np.asarray(w), cfg.dft_size // 2 + 1, "half-spectrum filter")
-    _, y_hop = _filter_spectrum(cfg, w, u_freq)
-    e_hop = _error_hop(d_hop, y_hop, cfg)
-    return y_hop, e_hop, _zero_headed(e_hop, cfg, np.fft.rfft)
+    _check_len(w, cfg.dft_size // 2 + 1, "half-spectrum filter")
+    r = cfg.hop
+    y_hop = np.fft.irfft(u_freq * w, cfg.dft_size, axis=-1)[..., r:]
+    e_hop = np.subtract(d_hop, y_hop, out=e_frame[..., r:])
+    return y_hop, e_hop, np.fft.rfft(e_frame, axis=-1)
 
 
 def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):

@@ -11,15 +11,25 @@ are trimmed accordingly.  Every session, learned or classic, also takes
 the batch-free case of the same loop.  A learned session's matrix products
 cost ``frames * FlopModel.total`` multiply-accumulates per stream.
 
-The hops are walked in blocks of _BLOCK_HOPS.  The spectra that depend only
-on the input signals, each frame's and (for the learned rule) each desired
-hop's, are taken for a whole block in one transform, whose rows are
-bit-identical to one-hop calls; memory stays O(block * K) per stream.  A
-non-finite input frame is reported at its own frame, after any failure at
-an earlier hop of its block.  A learned session owns one (..., 5, K) raw
-feature buffer and one log-scaled one: each hop copies its far-end and
-desired spectra into the raw rows, and ``ols.feature_hop`` writes the other
-three rows in place.
+One hop loop serves both kinds of filter and walks the hops in blocks of
+_BLOCK_HOPS.  What depends only on the input signals is taken for a whole
+block at once, into block-sized buffers whose rows are bit-identical to
+one-hop calls, so memory stays O(block * K) per stream: the frames' spectra
+in one transform and, for the learned rule, the desired hops' spectra in
+another; for a classic filter, the frames' conjugate spectra and per-bin
+powers in one elementwise pass each.  The loop reads and writes per-hop
+rows through time-major views, and each session owns its hop's zero-headed
+error frame.  A learned session also owns one (..., 5, K) raw feature
+buffer and one log-scaled one: each hop copies its far-end and desired
+spectra into the raw rows, and ``ols.feature_hop`` writes the other three
+rows in place.
+
+A non-finite input frame is reported at its own frame, after any failure at
+an earlier hop of its block.  A filter update that goes non-finite is
+reported at the hop that made it: a learned rule's at once, a classic
+filter's when the next residual or input frame is non-finite, or, after the
+last hop, by one check of the final filter; a finite session pays no per-hop
+check for it.
 """
 
 from __future__ import annotations
@@ -53,8 +63,9 @@ from .ols import (
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
 CLASSIC_ALGORITHMS = ("nlms", "rls", "kf")
-# hops whose input spectra one transform takes, memory O(block * K) per stream;
-# at batch 1 a 32-hop block was no faster, and lockstep sessions peaked higher
+# hops whose input spectra and statistics are taken at once, memory O(block * K)
+# per stream; at batch 1 a 32-hop block was no faster, and lockstep sessions
+# peaked higher
 _BLOCK_HOPS = 16
 
 
@@ -87,69 +98,70 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
-def _hop_spectra(cfg, u_frames, d_hops, bins):
-    """Yield (t, u_freq, d_freq) per hop: the frame's spectrum on ``bins`` and,
-    for a K-bin (learned) filter, the desired hop's ``hop_spectrum`` (else None).
-
-    Each block of _BLOCK_HOPS hops is transformed in one call up to its first
-    frame that is non-finite in any stream; that frame raises when reached.
-    Every block overwrites the same block-sized arrays, so a hop's spectra
-    are valid until the next hop is drawn.
-    """
-    hops = u_frames.shape[-2]
-    learned = bins == cfg.dft_size  # only the learned rule reads desired spectra
-    block_shape = u_frames.shape[:-2] + (min(hops, _BLOCK_HOPS),)
-    u_freqs = np.empty(block_shape + (bins,), dtype=complex)
-    d_freqs = np.empty(block_shape + (cfg.dft_size,), dtype=complex) if learned else None
-    for start in range(0, hops, _BLOCK_HOPS):
-        block = u_frames[..., start : start + _BLOCK_HOPS, :]
-        finite = np.isfinite(block).all(axis=-1)
-        finite = finite.reshape(-1, finite.shape[-1]).all(axis=0)
-        valid = len(finite) if finite.all() else int(np.argmin(finite))
-        frame_spectra(cfg, block[..., :valid, :], bins, out=u_freqs[..., :valid, :])
-        if learned:
-            hop_spectrum(d_hops[..., start : start + valid, :], cfg, out=d_freqs[..., :valid, :])
-        for i in range(len(finite)):
-            if not finite[i]:
-                raise NumericError("non-finite input frame", frame=start + i)
-            yield start + i, u_freqs[..., i, :], d_freqs[..., i, :] if learned else None
+def _block_rows(u, cfg, bins, dtype=complex):
+    """A (..., block, bins) buffer for one block of per-hop rows of the
+    session over ``u``, and its time-major view, whose row i is hop i."""
+    rows = np.empty(u.shape[:-1] + (min(u.shape[-1] // cfg.hop, _BLOCK_HOPS), bins), dtype)
+    return rows, np.moveaxis(rows, -2, 0)
 
 
-def _run(u, d, cfg, w, update_fn, telemetry_path=None, snapshot_stride=0):
+def _failure(w, message, t):
+    """The error for a failure seen at hop t.  A classic filter's update is
+    checked only here: a non-finite w, the update of hop t - 1, comes first."""
+    if not np.isfinite(w).all():
+        return NumericError("non-finite filter update", frame=t - 1)
+    return NumericError(message, frame=t)
+
+
+def _run(u, d, cfg, w, take_block, hop, telemetry_path=None, snapshot_stride=0):
     """Walk the hops from initial weights w: K bins, or a K/2+1-bin half
     spectrum that the snapshots and the result expand to K bins.
 
-    ``update_fn(w, u_freq, d_hop, d_freq)`` runs one hop on the spectra of
-    ``_hop_spectra``, which takes the desired hop's spectrum for a K-bin filter.
+    Per block of _BLOCK_HOPS hops, ``take_block(frames, d_block)`` takes the
+    input statistics of its (..., n, K) frames and (..., n, R) desired hops,
+    up to the block's first frame that is non-finite in any stream; that
+    frame raises when reached.  ``hop(w, i, d_hop)`` then runs the block's
+    hop i and returns (w_new, y_hop, e_hop).
     """
     spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
     u_frames = hop_frames(u, cfg)
-    d_hops = hop_frames(d, cfg)[..., cfg.hop :]
     frames = u_frames.shape[-2]
+    d_hops = d[..., : frames * cfg.hop].reshape(d.shape[:-1] + (frames, cfg.hop))
     error = np.empty(d_hops.shape)
     output = np.empty_like(error)
+    d_rows, e_rows, y_rows = (np.moveaxis(x, -2, 0) for x in (d_hops, error, output))
     snapshots = []
 
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
-        for t, u_freq, d_freq in _hop_spectra(cfg, u_frames, d_hops, w.shape[-1]):
-            d_hop = d_hops[..., t, :]
-            try:
-                w, y_hop, e_hop = update_fn(w, u_freq, d_hop, d_freq)
-            except NumericError as exc:  # a non-finite filter update
-                raise NumericError(str(exc), frame=t) from exc
-            if not np.all(np.isfinite(e_hop)):
-                raise NumericError("non-finite residual", frame=t)
-
-            error[..., t, :] = e_hop
-            output[..., t, :] = y_hop
-            if snapshot_stride and (t + 1) % snapshot_stride == 0:
-                snapshots.append((t, spectrum(w)))
-            if telemetry is not None:
-                e_power = hop_powers(e_hop)
-                erle = np.round(erle_db(hop_powers(d_hop), e_power), 4)
-                row = {"frame": t, "erle_db": erle.tolist(), "residual_power": e_power.tolist()}
-                telemetry.write(json.dumps(row) + "\n")
+        for start in range(0, frames, _BLOCK_HOPS):
+            block = u_frames[..., start : start + _BLOCK_HOPS, :]
+            finite = np.isfinite(block).all(axis=-1)
+            finite = finite.reshape(-1, finite.shape[-1]).all(axis=0)
+            valid = len(finite) if finite.all() else int(np.argmin(finite))
+            take_block(block[..., :valid, :], d_hops[..., start : start + valid, :])
+            for t in range(start, start + valid):
+                d_hop = d_rows[t]
+                try:
+                    w_new, y_hop, e_hop = hop(w, t - start, d_hop)
+                except NumericError as exc:  # a learned rule's non-finite filter update
+                    raise NumericError(str(exc), frame=t) from exc
+                if not np.isfinite(e_hop).all():
+                    raise _failure(w, "non-finite residual", t)
+                w = w_new
+                e_rows[t] = e_hop
+                y_rows[t] = y_hop
+                if snapshot_stride and (t + 1) % snapshot_stride == 0:
+                    snapshots.append((t, spectrum(w)))
+                if telemetry is not None:
+                    e_power = hop_powers(e_hop)
+                    erle = np.round(erle_db(hop_powers(d_hop), e_power), 4)
+                    row = {"frame": t, "erle_db": erle.tolist(), "residual_power": e_power.tolist()}
+                    telemetry.write(json.dumps(row) + "\n")
+            if valid < len(finite):
+                raise _failure(w, "non-finite input frame", start + valid)
+        if not np.isfinite(w).all():  # the last hop's update
+            raise NumericError("non-finite filter update", frame=frames - 1)
     finally:
         if telemetry is not None:
             telemetry.close()
@@ -171,22 +183,29 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     its scenes in lockstep and every result array gains the leading batch axis.
     """
     u, d = _session_signals(u, d, cfg)
+    k = cfg.dft_size
     batch = u.shape[:-1]
-    state = GroupState.zeros(params.structure, cfg.dft_size, params.hidden_size,
-                             batch_shape=batch)
-    raw, xi = np.empty((2,) + batch + (len(FEATURE_CHANNELS), cfg.dft_size), dtype=complex)
-    e_frame = np.zeros(batch + (cfg.dft_size,))  # the hop's error frame, see feature_hop
+    state = GroupState.zeros(params.structure, k, params.hidden_size, batch_shape=batch)
+    raw, xi = np.empty((2,) + batch + (len(FEATURE_CHANNELS), k), dtype=complex)
+    e_frame = np.zeros(batch + (k,))  # the hop's error frame, see feature_hop
+    u_freqs, u_rows = _block_rows(u, cfg, k)
+    d_freqs, d_freq_rows = _block_rows(u, cfg, k)
 
-    def update(w, u_freq, d_hop, d_freq):
+    def take_block(frames, d_block):
+        n = frames.shape[-2]
+        frame_spectra(cfg, frames, k, out=u_freqs[..., :n, :])
+        hop_spectrum(d_block, cfg, out=d_freqs[..., :n, :])
+
+    def hop(w, i, d_hop):
         nonlocal state
-        raw[..., FAREND_ROW, :] = u_freq
-        raw[..., DESIRED_ROW, :] = d_freq
+        raw[..., FAREND_ROW, :] = u_rows[i]
+        raw[..., DESIRED_ROW, :] = d_freq_rows[i]
         y_hop, e_hop = feature_hop(cfg, w, d_hop, raw, e_frame)
         delta, state = optimizer_step(params, build_input(raw, out=xi), state)
         return apply_update(w, delta), y_hop, e_hop
 
-    w = np.zeros(batch + (cfg.dft_size,), dtype=complex)
-    return _run(u, d, cfg, w, update, **kwargs)
+    w = np.zeros(batch + (k,), dtype=complex)
+    return _run(u, d, cfg, w, take_block, hop, **kwargs)
 
 
 def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
@@ -206,14 +225,25 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         state = make_state()
     except TypeError as exc:  # a hyperparameter this baseline does not take
         raise ConfigError("hyper", f"{algorithm}: {exc}") from None
+    predict = algorithm == "kf"  # the hop is filtered through the prediction
+    e_frame = np.zeros(u.shape[:-1] + (cfg.dft_size,))  # the hop's error frame, see hop_forward
+    u_freqs, u_rows = _block_rows(u, cfg, bins)
+    u_conj, conj_rows = _block_rows(u, cfg, bins)
+    u_power, power_rows = _block_rows(u, cfg, bins, float)
 
-    def update(w, u_freq, d_hop, _):
+    def take_block(frames, _):
+        n = frames.shape[-2]
+        spectra = frame_spectra(cfg, frames, bins, out=u_freqs[..., :n, :])
+        np.conjugate(spectra, out=u_conj[..., :n, :])
+        np.add(spectra.real**2, spectra.imag**2, out=u_power[..., :n, :])
+
+    def hop(w, i, d_hop):
         nonlocal state
-        if algorithm == "kf":
-            w = state.transition * w  # the hop is filtered through the prediction
-        y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freq, d_hop)
-        w_new, state = step(state, u_freq, e_freq, w)
+        if predict:
+            w = state.transition * w
+        y_hop, e_hop, e_freq = hop_forward(cfg, w, u_rows[i], d_hop, e_frame)
+        w_new, state = step(state, conj_rows[i], power_rows[i], e_freq, w)
         return w_new, y_hop, e_hop
 
     w = np.zeros(u.shape[:-1] + (bins,), dtype=complex)
-    return _run(u, d, cfg, w, update, **kwargs)
+    return _run(u, d, cfg, w, take_block, hop, **kwargs)

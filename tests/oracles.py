@@ -345,13 +345,14 @@ def learned_hop_features(w, u_frame, d_hop):
     return y_hop, e_hop, layers.log_scale(raw)
 
 
-def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
+def hop_by_hop_session(cfg, u, d, params=None, algorithm=None, snapshot_stride=0):
     """A learned (``params``) or classic (``algorithm``) session one hop at a
     time: each hop's frame is transformed on its own.  The learned rule's
     features come from ``learned_hop_features``, then the library's rule
-    step; a classic filter runs the library's hop kernel and classic step.
-    Signals as in the sessions; returns (output, error, K-bin weights,
-    per-hop ERLE)."""
+    step; a classic filter runs the library's hop kernel and classic step on
+    the conjugate and power of that hop's own spectrum.  Signals and
+    ``snapshot_stride`` as in the sessions; returns (output, error, K-bin
+    weights, per-hop ERLE, snapshots)."""
     k = cfg.dft_size
     u_frames = hop_frames(u, cfg)
     d_hops = hop_frames(d, cfg)[..., cfg.hop :]
@@ -367,6 +368,8 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
         w = np.zeros(batch + (bins,), dtype=complex)
     output = np.empty(d_hops.shape)
     error = np.empty_like(output)
+    snapshots = []
+    spectrum = (lambda w: w) if params is not None else hermitian_spectrum
     for t in range(u_frames.shape[-2]):
         frame, d_hop = u_frames[..., t, :], d_hops[..., t, :]
         if params is not None:
@@ -377,14 +380,17 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None):
             if algorithm == "kf":
                 w = state.transition * w
             u_freq = np.fft.rfft(frame, axis=-1)
-            y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freq, d_hop)
-            w, state = step(state, u_freq, e_freq, w)
+            e_frame = np.zeros(batch + (k,))
+            y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freq, d_hop, e_frame)
+            u_power = u_freq.real**2 + u_freq.imag**2
+            w, state = step(state, np.conj(u_freq), u_power, e_freq, w)
         output[..., t, :] = y_hop
         error[..., t, :] = e_hop
-    weights = w if params is not None else hermitian_spectrum(w)
+        if snapshot_stride and (t + 1) % snapshot_stride == 0:
+            snapshots.append((t, spectrum(w)))
     shape = batch + (-1,)
     erle = erle_db(hop_powers(d_hops), hop_powers(error))
-    return output.reshape(shape), error.reshape(shape), weights, erle
+    return output.reshape(shape), error.reshape(shape), spectrum(w), erle, snapshots
 
 
 def reference_window(params, cfg, w0, state0, frames, d_hops, grad_channel=None):

@@ -120,12 +120,21 @@ def test_snapshots_taken_every_stride():
         assert np.iscomplexobj(w)
 
 
+# hyperparameters under which a silent far-end frame's update divides 0/0
+DEGENERATE = {"nlms": {"eps": 0.0}, "rls": {"forget": 0.0, "eps": 0.0},
+              "kf": {"obs_noise": 0.0, "p0": 0.0, "process_noise": 0.0}}
+
+
 def test_numeric_failure_reports_frame_index(monkeypatch):
+    # a classic update that goes non-finite is reported at its own hop, not
+    # at the next hop's residual
     u, d = _signals(6 * CFG.hop)
-    u[: CFG.hop] = 0.0  # silent far end + eps=0 divides 0/0 in the first update
-    with pytest.raises(NumericError) as info, np.errstate(invalid="ignore"):
-        run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
-    assert info.value.frame == 1
+    u[: CFG.hop] = 0.0  # a silent first frame
+    for algorithm, hyper in DEGENERATE.items():
+        with pytest.raises(NumericError, match="non-finite filter update") as info, \
+                np.errstate(invalid="ignore", divide="ignore"):
+            run_classic_session(algorithm, u, d, CFG, hyper=hyper)
+        assert info.value.frame == 0, algorithm
     # a NaN far-end sample reaches the first frame whose window holds it, in
     # the first block of hops and in the second
     params = init_meta_params(DependencyStructure.block(4), 4, seed=0)
@@ -144,10 +153,16 @@ def test_numeric_failure_reports_frame_index(monkeypatch):
     u, d = _signals((BLOCK + 8) * CFG.hop)
     u[(BLOCK + 1) * CFG.hop : (BLOCK + 3) * CFG.hop] = 0.0
     u[(BLOCK + 5) * CFG.hop + 1] = np.nan
-    with pytest.raises(NumericError, match="non-finite residual") as info, \
+    with pytest.raises(NumericError, match="non-finite filter update") as info, \
             np.errstate(invalid="ignore"):
         run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
-    assert info.value.frame == BLOCK + 3
+    assert info.value.frame == BLOCK + 2
+    # ... also when the very next frame holds the NaN ...
+    u[(BLOCK + 3) * CFG.hop + 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite filter update") as info, \
+            np.errstate(invalid="ignore"):
+        run_classic_session("nlms", u, d, CFG, hyper={"eps": 0.0})
+    assert info.value.frame == BLOCK + 2
     # ... and a learned update that goes non-finite at hop BLOCK + 1
     u, d = _signals((BLOCK + 8) * CFG.hop)
     u[(BLOCK + 5) * CFG.hop + 1] = np.nan
@@ -162,13 +177,33 @@ def test_numeric_failure_reports_frame_index(monkeypatch):
     with pytest.raises(NumericError, match="non-finite filter update") as info:
         run_learned_session(params, u, d, CFG)
     assert info.value.frame == BLOCK + 1
+    # a classic update that goes non-finite at the last hop, which no later
+    # residual shows, is still reported
+    hops = 6
+    u, d = _signals(hops * CFG.hop)
+    for algorithm in CLASSIC_ALGORITHMS:
+        name, calls = f"{algorithm}_step", []
+
+        def failing_classic(state, *args, real_step=getattr(aflearn.session, name), calls=calls):
+            w, state = real_step(state, *args)
+            calls.append(None)
+            return (w * np.nan if len(calls) == hops else w), state
+
+        monkeypatch.setattr(aflearn.session, name, failing_classic)
+        with pytest.raises(NumericError, match="non-finite filter update") as info:
+            run_classic_session(algorithm, u, d, CFG)
+        assert info.value.frame == hops - 1, algorithm
 
 
 def test_blocked_sessions_match_the_hop_by_hop_loop():
     # a lockstep batch of 3 over a hop count that is not a multiple of the block
     hops = 2 * BLOCK + 7
     u, d = (np.stack(pair) for pair in zip(*(_signals(hops * CFG.hop, seed) for seed in range(3))))
-    runs = {alg: (lambda alg=alg: run_classic_session(alg, u, d, CFG), {"algorithm": alg})
+    # the classic sessions' snapshots too; the oracle's classic steps read
+    # each hop's own conj(U) and |U|^2, the sessions' a whole block's
+    stride = 5
+    runs = {alg: (lambda alg=alg: run_classic_session(alg, u, d, CFG, snapshot_stride=stride),
+                  {"algorithm": alg, "snapshot_stride": stride})
             for alg in CLASSIC_ALGORITHMS}
     for label in ("diagonal", "block:4", "banded:4"):
         params = init_meta_params(DependencyStructure.parse(label), 4, seed=1)
@@ -177,32 +212,44 @@ def test_blocked_sessions_match_the_hop_by_hop_loop():
     for name, (session, kind) in runs.items():
         result = session()
         expected = hop_by_hop_session(CFG, u, d, **kind)
+        *expected, snapshots = expected
         actual = (result.output, result.error, result.weights, result.erle_db)
         for field, a, e in zip(("output", "error", "weights", "erle_db"), actual, expected):
             assert np.array_equal(a, e), (name, field)
+        assert [t for t, _ in result.snapshots] == [t for t, _ in snapshots], name
+        for (t, a), (_, e) in zip(result.snapshots, snapshots):
+            assert np.array_equal(a, e), (name, t)
 
 
 def test_session_memory_does_not_grow_with_blocks():
     # a session over 4N hops peaks no higher than one over N hops plus what
-    # grows with the signal: the result's error, output and erle_db, and
-    # hop_frames' zero-padded copies of u and d, as large as error and output
+    # grows with the signal: the result's error, output and erle_db, and two
+    # arrays as large as error, hop_frames' zero-padded copy of u and the
+    # squared hops that metrics.hop_powers takes for erle_db (a classic
+    # session, whose hop needs little memory, peaks there)
     params = init_meta_params(DependencyStructure.diagonal(), 4, seed=0)
+    sessions = {"learned": lambda u, d: run_learned_session(params, u, d, CFG)}
+    sessions.update({alg: lambda u, d, alg=alg: run_classic_session(alg, u, d, CFG)
+                     for alg in CLASSIC_ALGORITHMS})
 
-    def peak(hops):
+    def peak(session, hops):
         u, d = _signals(hops * CFG.hop)
         tracemalloc.start()
         try:
-            result = run_learned_session(params, u, d, CFG)
+            result = session(u, d)
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return top, 2 * (result.error.nbytes + result.output.nbytes) + result.erle_db.nbytes
+        return top, 3 * result.error.nbytes + result.output.nbytes + result.erle_db.nbytes
 
     n = 2 * BLOCK + BLOCK // 2  # both runs pass from one whole block to the next
-    peak(n)  # warm caches
-    (small, small_size), (big, big_size) = peak(n), peak(4 * n)
-    # a (hops, K) complex spectrum of the whole session would add as much again
-    assert big - small < 1.25 * (big_size - small_size), (big - small, big_size - small_size)
+    for name, session in sessions.items():
+        peak(session, n)  # warm caches
+        (small, small_size), (big, big_size) = peak(session, n), peak(session, 4 * n)
+        # a (hops, K) complex spectrum of the whole session would add as much
+        # again, and a classic session's (hops, K/2+1) power alone over 25%
+        assert big - small < 1.1 * (big_size - small_size), \
+            (name, big - small, big_size - small_size)
 
 
 def test_learned_session_smoke():
