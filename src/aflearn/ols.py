@@ -2,33 +2,33 @@
 
 A spectrum is either a full K-bin complex vector or, for a real signal, its
 K/2+1-bin half spectrum in ``rfft`` layout; K is even and K/2+1 odd, so
-``project_filter``, ``ols_apply`` and ``frame_spectra`` tell the two apart by
-the spectrum's length.  A valid filter spectrum is the DFT of an impulse
-response whose last R taps vanish; ``project_filter`` enforces that support
-constraint and no other.  A K-bin filter is projected on use; a half-spectrum
-filter must already be projected (the classic filters keep it so with their
-own update).  Each hop consumes R fresh input samples (the analysis window is
-the last K samples of the input stream) and emits R output samples, the
-alias-free tail of the circular convolution.
+``project_filter`` and ``ols_apply`` tell the two apart by the spectrum's
+length.  A valid filter spectrum is the DFT of an impulse response whose last
+R taps vanish; ``project_filter`` enforces that support constraint and no
+other.  A K-bin filter is projected on use; a half-spectrum filter must
+already be projected (the classic filters keep it so with their own update).
+Each hop consumes R fresh input samples (the analysis window is the last K
+samples of the input stream) and emits R output samples, the alias-free tail
+of the circular convolution.
 
 There are two hop kernels, one per kind of filter.  ``hop_forward`` is the
 classic filters' hop on a K/2+1-bin filter, run on ``rfft``/``irfft``.
 ``feature_hop`` is the learned rule's hop on a K-bin filter, and
 ``hop_backward`` its adjoint.  Both take the input frame's spectrum, not the
 frame: it depends on the input signal only, so callers take it for a whole
-block of hops in one call, ``frame_spectra`` over a block of ``hop_frames``
-rows (and ``hop_spectrum`` over a block of desired hops).  Both score the
-hop in a real (..., K) error frame that the caller owns: its first R
-samples stay zero, the hop writes e_hop into its last R and transforms it.
+block of hops in one transform over a block of ``hop_frames`` rows.  Both
+score the hop in a real (..., K) error frame that the caller owns: its first
+R samples stay zero, the hop writes e_hop into its last R and transforms it.
 
-``feature_hop`` writes its five feature spectra in place, into the rows of
-one (..., 5, K) buffer in ``layers.FEATURE_CHANNELS`` order: the caller puts
-the far-end and desired spectra in, the hop adds the gradient, error and
-output rows.  Neither kernel checks shapes, but ``hop_forward`` rejects a
-filter that is not a half spectrum; their callers check shapes once per
-session or training window, while the public helpers (``ols_apply``,
-``af_error``, ``filter_gradient``, ``hop_spectrum``) check theirs on every
-call.
+The learned hop's five feature spectra are the rows of one (..., 5, K) raw
+buffer in ``layers.FEATURE_CHANNELS`` order, laid out by this module alone:
+``input_rows`` fills a time-major block's far-end and desired rows,
+``feature_hop`` a hop's gradient, error and output rows, and
+``hop_backward`` reads the rows that carry gradient, far end, error and
+output.  Neither kernel checks shapes, but ``hop_forward`` rejects a filter
+that is not a half spectrum; their callers check shapes once per session or
+training window, while the public helpers (``ols_apply``, ``af_error``,
+``filter_gradient``, ``hop_spectrum``) check theirs on every call.
 
 ``filter_gradient`` returns the gradient of L = ||e||^2 with respect to the
 conjugate filter spectrum.  A central finite-difference estimate over the real
@@ -45,7 +45,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
-from .layers import ERROR_ROW, FAREND_ROW, GRADIENT_ROW, OUTPUT_ROW
+from .layers import (
+    DESIRED_ROW,
+    ERROR_ROW,
+    FAREND_ROW,
+    GRADIENT_ROW,
+    OUTPUT_ROW,
+    log_scale_backward,
+)
 
 __all__ = [
     "OlsConfig",
@@ -59,7 +66,7 @@ __all__ = [
     "hop_forward",
     "hop_backward",
     "feature_hop",
-    "frame_spectra",
+    "input_rows",
     "hop_frames",
 ]
 
@@ -96,12 +103,6 @@ class OlsConfig:
 def _check_len(x, n, name):
     if x.shape[-1] != n:
         raise ValueError(f"{name} must have last axis {n}, got {x.shape[-1]}")
-
-
-def _check_bins(cfg, bins):
-    k = cfg.dft_size
-    if bins not in (k, k // 2 + 1):
-        raise ValueError(f"filter must have last axis {k} or {k // 2 + 1}, got {bins}")
 
 
 def project_filter(w):
@@ -147,20 +148,6 @@ def spectrum_to_hop(spec, cfg):
     return np.fft.ifft(spec, axis=-1)[..., cfg.hop :].real
 
 
-def frame_spectra(cfg, frames, bins, out=None):
-    """Spectra of a (..., hops, K) block of ``hop_frames`` rows in one transform.
-
-    ``bins`` is the filter's: K gives ``fft`` spectra, K/2+1 ``rfft`` half
-    spectra.  A batched transform's rows equal one-row calls bit for bit.
-    ``out``, if given, receives the spectra.
-    """
-    frames = np.asarray(frames)
-    _check_len(frames, cfg.dft_size, "input frame")
-    _check_bins(cfg, bins)
-    transform = np.fft.fft if bins == cfg.dft_size else np.fft.rfft
-    return transform(frames, axis=-1, out=out)
-
-
 def ols_apply(cfg, w, u_frame):
     """Filter one K-sample input frame through spectrum w.
 
@@ -173,11 +160,13 @@ def ols_apply(cfg, w, u_frame):
         raise NumericError("non-finite input frame")
     w = np.asarray(w)
     k = cfg.dft_size
-    u_freq = frame_spectra(cfg, u_frame, w.shape[-1])  # checks w's length
-    if w.shape[-1] != k:  # a half spectrum, taken as projected
-        y_freq = u_freq * w
+    _check_len(u_frame, k, "input frame")
+    if w.shape[-1] == k // 2 + 1:  # a half spectrum, taken as projected
+        y_freq = np.fft.rfft(u_frame, axis=-1) * w
         return np.fft.irfft(y_freq, k, axis=-1)[..., cfg.hop :], y_freq
-    y_freq = u_freq * project_filter(w)
+    if w.shape[-1] != k:
+        raise ValueError(f"filter must have last axis {k} or {k // 2 + 1}, got {w.shape[-1]}")
+    y_freq = np.fft.fft(u_frame, axis=-1) * project_filter(w)
     return np.fft.ifft(y_freq, axis=-1)[..., cfg.hop :].real, y_freq
 
 
@@ -195,11 +184,12 @@ def hop_forward(cfg, w, u_freq, d_hop, e_frame):
     """One classic hop: filter the frame spectrum through w and score it against d.
 
     w is a projected K/2+1-bin half spectrum and u_freq the input frame's
-    ``rfft`` (``frame_spectra``).  e_frame is the caller's real (..., K)
-    error frame: its first R samples must be zero, and its last R receive
-    e_hop.  Returns (y_hop, e_hop, e_freq), e_freq the frame's half-spectrum
-    ``rfft``; two real transforms, ``irfft`` for y_hop and ``rfft`` for
-    e_freq.  Only w's length is checked.  e_hop is a view of e_frame.
+    ``rfft``, which callers take for a block of ``hop_frames`` rows at once.
+    e_frame is the caller's real (..., K) error frame: its first R samples
+    must be zero, and its last R receive e_hop.  Returns (y_hop, e_hop,
+    e_freq), e_freq the frame's half-spectrum ``rfft``; two real transforms,
+    ``irfft`` for y_hop and ``rfft`` for e_freq.  Only w's length is checked.
+    e_hop is a view of e_frame.
     """
     _check_len(w, cfg.dft_size // 2 + 1, "half-spectrum filter")
     r = cfg.hop
@@ -208,13 +198,20 @@ def hop_forward(cfg, w, u_freq, d_hop, e_frame):
     return y_hop, e_hop, np.fft.rfft(e_frame, axis=-1)
 
 
-def hop_backward(cfg, u_freq, g_y_hop, g_e_freq, g_y_freq):
-    """Adjoint of ``feature_hop``'s y_hop, e_freq and y_freq: the gradient
-    w.r.t. the conjugate K-bin filter, given the gradients of y_hop, e_freq
-    and y_freq (e_hop = d_hop - y_hop)."""
+def hop_backward(cfg, raw, g_y_hop, g_xi):
+    """Adjoint of ``feature_hop``: the gradient w.r.t. the conjugate K-bin
+    filter of the hop with features raw (..., 5, K), given the gradients of
+    its y_hop and of ``build_input(raw)``.  Only the error and output rows
+    carry gradient into the hop (e_hop = d_hop - y_hop); g_xi None, for a hop
+    whose features carry none, is an all-zero g_xi."""
     k = cfg.dft_size
-    g_y_hop = g_y_hop - k * spectrum_to_hop(g_e_freq, cfg)
-    g_y_freq = g_y_freq + hop_spectrum(g_y_hop, cfg) / k
+    u_freq = raw[..., FAREND_ROW, :]
+    if g_xi is None:
+        return project_filter(np.conj(u_freq) * (hop_spectrum(g_y_hop, cfg) / k))
+    rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # first the error row, last the output row
+    g_ey = log_scale_backward(raw[..., rows, :], g_xi[..., rows, :])
+    g_y_hop = g_y_hop - k * spectrum_to_hop(g_ey[..., 0, :], cfg)
+    g_y_freq = g_ey[..., -1, :] + hop_spectrum(g_y_hop, cfg) / k
     return project_filter(np.conj(u_freq) * g_y_freq)
 
 
@@ -232,17 +229,29 @@ def filter_gradient(u_freq, e_hop, cfg):
     return -project_filter(np.conj(u_freq) * (e_freq / cfg.dft_size))
 
 
+def input_rows(cfg, frames, d_hops, raw):
+    """Fill the far-end and desired rows of a time-major block of raw features.
+
+    frames (n, ..., K) are ``hop_frames`` rows and d_hops (n, ..., R) their
+    desired hops; raw (n, ..., 5, K) receives the frames' ``fft`` and the
+    hops' ``hop_spectrum``, one transform each, whose rows equal one-hop
+    calls bit for bit.  Only the hops' length is checked.
+    """
+    np.fft.fft(frames, axis=-1, out=raw[..., FAREND_ROW, :])
+    hop_spectrum(d_hops, cfg, out=raw[..., DESIRED_ROW, :])
+
+
 def feature_hop(cfg, w, d_hop, raw, e_frame):
     """One learned hop of a K-bin filter w, its features written into raw.
 
     raw (..., 5, K) holds one row per ``layers.FEATURE_CHANNELS`` entry; its
-    far-end and desired rows must hold the frame's spectrum and the desired
-    hop's ``hop_spectrum``.  The hop writes the output row u * P(w), the
-    error row (the ``fft`` of e_frame, a real (..., K) frame whose first R
-    samples must be zero and whose last R receive e_hop) and the gradient row
-    -P(conj(u) * e / K), the same values ``ols_apply``, ``af_error`` and
-    ``filter_gradient`` give.  Six complex transforms; no shape is checked.
-    Returns (y_hop, e_hop); e_hop is a view of e_frame.
+    far-end and desired rows must hold what ``input_rows`` writes there.  The
+    hop writes the output row u * P(w), the error row (the ``fft`` of
+    e_frame, a real (..., K) frame whose first R samples must be zero and
+    whose last R receive e_hop) and the gradient row -P(conj(u) * e / K), the
+    same values ``ols_apply``, ``af_error`` and ``filter_gradient`` give.  Six
+    complex transforms; no shape is checked.  Returns (y_hop, e_hop); e_hop
+    is a view of e_frame.
     """
     r = cfg.hop
     u_freq = raw[..., FAREND_ROW, :]

@@ -183,12 +183,12 @@ def speech_surrogate(rng, n, sample_rate):
     """Speech-shaped test signal with natural pauses.
 
     Alternates voiced (slow-modulated pink noise), unvoiced (quiet white
-    noise), and silent segments of 80-400 ms.
+    noise), and silent segments of 80-400 ms, each at least one sample long.
     """
     out = np.zeros(n)
     pos = 0
     while pos < n:
-        seg = int(rng.uniform(0.08, 0.4) * sample_rate)
+        seg = max(int(rng.uniform(0.08, 0.4) * sample_rate), 1)
         seg = min(seg, n - pos)
         kind = rng.choice(3, p=[0.5, 0.25, 0.25])
         if kind == 0:
@@ -475,10 +475,11 @@ def spec_to_json(spec):
 def load_scene(directory, stem):
     """Rebuild a scene from save_scene output (regenerates nothing).
 
-    A sidecar or echo-path file that does not parse, a WAV that does not
-    match the sidecar (not mono, another sample rate or length), or a mic WAV
-    whose samples are not echo + near + noise to float32 rounding raises an
-    OSError naming it.  ``Scene.mic`` stays the sum of the components.
+    A sidecar or echo-path file that does not parse, a sidecar whose seed,
+    levels or nonlinearity ``save_scene`` could not have written, a WAV that
+    does not match the sidecar (not mono, another sample rate or length), or
+    a mic WAV whose samples are not echo + near + noise to float32 rounding
+    raises an OSError naming it.  ``Scene.mic`` stays the sum of the components.
     """
     directory = Path(directory)
     sidecar = directory / f"{stem}.json"
@@ -487,6 +488,12 @@ def load_scene(directory, stem):
         spec = SceneSpec(**meta["spec"])
         nl = Nonlinearity(meta["nonlinearity"]["kind"], meta["nonlinearity"]["amount"])
         seed, ser_db, snr_db = meta["seed"], meta["ser_db"], meta["snr_db"]
+        require(is_int(seed) and seed >= 0, "seed", f"expected an integer >= 0, got {seed!r}")
+        for name, value in (("ser_db", ser_db), ("snr_db", snr_db),
+                            ("nonlinearity.amount", nl.amount)):
+            require(is_finite_real(value), name, f"expected a finite number, got {value!r}")
+        require(nl.kind in NONLINEARITY_KINDS, "nonlinearity",
+                f"expected one of {NONLINEARITY_KINDS}, got {nl.kind!r}")
     except (KeyError, TypeError, ValueError) as exc:  # JSON and ConfigErrors are ValueErrors
         raise OSError(f"{sidecar}: not a scene sidecar: {exc!r}") from exc
     rate = spec.sample_rate

@@ -14,15 +14,14 @@ cost ``frames * FlopModel.total`` multiply-accumulates per stream.
 One hop loop serves both kinds of filter and walks the hops in blocks of
 _BLOCK_HOPS.  What depends only on the input signals is taken for a whole
 block at once, into block-sized buffers whose rows are bit-identical to
-one-hop calls, so memory stays O(block * K) per stream: the frames' spectra
-in one transform and, for the learned rule, the desired hops' spectra in
-another; for a classic filter, the frames' conjugate spectra and per-bin
-powers in one elementwise pass each.  The loop reads and writes per-hop
-rows through time-major views, and each session owns its hop's zero-headed
-error frame.  A learned session also owns one (..., 5, K) raw feature
-buffer and one log-scaled one: each hop copies its far-end and desired
-spectra into the raw rows, and ``ols.feature_hop`` writes the other three
-rows in place.
+one-hop calls, so memory stays O(block * K) per stream.  The loop reads and
+writes per-hop rows through time-major views, and each session owns its
+hop's zero-headed error frame.  A classic session takes the frames' half
+spectra in one ``rfft``, and their conjugates and per-bin powers in one
+elementwise pass each.  A learned session owns one time-major
+(block, ..., 5, K) raw feature block and one log-scaled (..., 5, K) buffer:
+``ols.input_rows`` fills the block's far-end and desired rows, and hop i
+runs on row i, where ``ols.feature_hop`` writes the other three in place.
 
 A non-finite input frame is reported at its own frame, after any failure at
 an earlier hop of its block.  A filter update that goes non-finite is
@@ -48,17 +47,10 @@ from .classic import (
     rls_step,
 )
 from .errors import ConfigError, NumericError
-from .layers import DESIRED_ROW, FAREND_ROW, FEATURE_CHANNELS
+from .layers import FEATURE_CHANNELS
 from .metrics import erle_db, hop_powers
 from .optimizer import GroupState, apply_update, build_input, optimizer_step
-from .ols import (
-    feature_hop,
-    frame_spectra,
-    hermitian_spectrum,
-    hop_forward,
-    hop_frames,
-    hop_spectrum,
-)
+from .ols import feature_hop, hermitian_spectrum, hop_forward, hop_frames, input_rows
 
 __all__ = ["SessionResult", "run_learned_session", "run_classic_session", "CLASSIC_ALGORITHMS"]
 
@@ -98,10 +90,15 @@ def _session_signals(u, d, cfg):
     return u, d
 
 
+def _block_hops(u, cfg):
+    """Hops per block of the session over ``u``."""
+    return min(u.shape[-1] // cfg.hop, _BLOCK_HOPS)
+
+
 def _block_rows(u, cfg, bins, dtype=complex):
     """A (..., block, bins) buffer for one block of per-hop rows of the
     session over ``u``, and its time-major view, whose row i is hop i."""
-    rows = np.empty(u.shape[:-1] + (min(u.shape[-1] // cfg.hop, _BLOCK_HOPS), bins), dtype)
+    rows = np.empty(u.shape[:-1] + (_block_hops(u, cfg), bins), dtype)
     return rows, np.moveaxis(rows, -2, 0)
 
 
@@ -186,22 +183,19 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     k = cfg.dft_size
     batch = u.shape[:-1]
     state = GroupState.zeros(params.structure, k, params.hidden_size, batch_shape=batch)
-    raw, xi = np.empty((2,) + batch + (len(FEATURE_CHANNELS), k), dtype=complex)
+    features = (len(FEATURE_CHANNELS), k)
+    raw = np.empty((_block_hops(u, cfg),) + batch + features, dtype=complex)  # time-major
+    xi = np.empty(batch + features, dtype=complex)
     e_frame = np.zeros(batch + (k,))  # the hop's error frame, see feature_hop
-    u_freqs, u_rows = _block_rows(u, cfg, k)
-    d_freqs, d_freq_rows = _block_rows(u, cfg, k)
 
     def take_block(frames, d_block):
         n = frames.shape[-2]
-        frame_spectra(cfg, frames, k, out=u_freqs[..., :n, :])
-        hop_spectrum(d_block, cfg, out=d_freqs[..., :n, :])
+        input_rows(cfg, np.moveaxis(frames, -2, 0), np.moveaxis(d_block, -2, 0), raw[:n])
 
     def hop(w, i, d_hop):
         nonlocal state
-        raw[..., FAREND_ROW, :] = u_rows[i]
-        raw[..., DESIRED_ROW, :] = d_freq_rows[i]
-        y_hop, e_hop = feature_hop(cfg, w, d_hop, raw, e_frame)
-        delta, state = optimizer_step(params, build_input(raw, out=xi), state)
+        y_hop, e_hop = feature_hop(cfg, w, d_hop, raw[i], e_frame)
+        delta, state = optimizer_step(params, build_input(raw[i], out=xi), state)
         return apply_update(w, delta), y_hop, e_hop
 
     w = np.zeros(batch + (k,), dtype=complex)
@@ -233,7 +227,7 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
 
     def take_block(frames, _):
         n = frames.shape[-2]
-        spectra = frame_spectra(cfg, frames, bins, out=u_freqs[..., :n, :])
+        spectra = np.fft.rfft(frames, axis=-1, out=u_freqs[..., :n, :])
         np.conjugate(spectra, out=u_conj[..., :n, :])
         np.add(spectra.real**2, spectra.imag**2, out=u_power[..., :n, :])
 

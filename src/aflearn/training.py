@@ -20,25 +20,26 @@ matrix products gain nothing from a larger batch (a stacked product is one
 GEMM per scene); and because the window's memory then follows the chunk,
 not the batch.  Each batch builds its frame and desired-hop views once with
 the sessions' frame builder (``ols.hop_frames``), and a window is a
-time-major slice of them; each chunk takes its frame and desired-hop spectra
-in one transform each (``ols.frame_spectra``, ``ols.hop_spectrum``), written
-straight into the far-end and desired rows of its raw features, and runs the
-sessions' learned hop (``ols.feature_hop``) forward and the hop kernel's
-adjoint (``ols.hop_backward``) backward.
+time-major slice of them.  The feature rows are ``ols``'s: each chunk fills
+the far-end and desired rows of its raw features in one transform each
+(``ols.input_rows``), runs the sessions' learned hop (``ols.feature_hop``),
+which fills the other rows, forward, and the hop kernel's adjoint
+(``ols.hop_backward``), which reads the rows that carry gradient, backward.
 
 A window's forward is the sessions' own (``feature_hop``, ``build_input``,
 ``optimizer_step``), told to write into a ``WindowWorkspace`` of time-major,
 group-last arrays (features (..., 5, K), GRU activations (..., H, C)) for
 one chunk, which is the window's only cache.  Per hop it holds each operand
 the backward cannot rebuild with one operation once: the raw features (whose
-far-end row the hop kernel's adjoint reads), the log-scaled features, and
-per GRU layer the hidden state, the z|r gates and the candidate c.  The
-backward reads a step's operands from those rows and rebuilds only r * h,
-with the step's own operation.  It takes the rule's two linear ends folded: the
-down-projection with layer 0's input product, and the output dense layer
-with the up-projection, each one product whose weight is the product of
-the two, so neither the layer-0 input nor the output dense layer's result is
-ever rebuilt (``GroupSampler.downsample_backward``, ``upsample_backward``).
+far-end, error and output rows the hop kernel's adjoint reads), the
+log-scaled features, and per GRU layer the hidden state, the z|r gates and
+the candidate c.  The backward reads a step's operands from those rows and
+rebuilds only r * h, with the step's own operation.  It takes the rule's two
+linear ends folded: the down-projection with layer 0's input product, and
+the output dense layer with the up-projection, each one product whose weight
+is the product of the two, so neither the layer-0 input nor the output dense
+layer's result is ever rebuilt (``GroupSampler.downsample_backward``,
+``upsample_backward``).
 The backward's intermediates live in the workspace too: it holds one
 step's worth of backward arrays (the gate gradients, three work arrays and
 the state gradient), which every step and both GRU layers reuse while they
@@ -72,22 +73,14 @@ import numpy as np
 
 from .errors import MetricUndefinedError, NumericError, check_number, require
 from .metrics import serle_db
-from .layers import (
-    DESIRED_ROW,
-    ERROR_ROW,
-    FAREND_ROW,
-    FEATURE_CHANNELS,
-    OUTPUT_ROW,
-    dense_backward,
-    log_scale_backward,
-)
+from .layers import FEATURE_CHANNELS, dense_backward
 from .optimizer import (
     GroupState,
     build_input,
     init_meta_params,
     optimizer_step,
 )
-from .ols import feature_hop, frame_spectra, hop_backward, hop_frames, hop_spectrum
+from .ols import feature_hop, hop_backward, hop_frames, input_rows
 from .scenes import gen_scene
 from .session import run_learned_session
 
@@ -299,9 +292,7 @@ def _chunk_gradient(params, cfg, w, frames, d_hops, y_hops, ws, grads, batch):
     ``ws.state(length)``."""
     length, scenes = frames.shape[:2]
     state = ws.state(0)
-    # the chunk's far-end and desired spectra go straight into their feature rows
-    frame_spectra(cfg, frames, cfg.dft_size, out=ws.raw[:, :, FAREND_ROW])
-    hop_spectrum(d_hops, cfg, out=ws.raw[:, :, DESIRED_ROW])
+    input_rows(cfg, frames, d_hops, ws.raw)
     e_frame = np.zeros((scenes, cfg.dft_size))  # the hop's error frame, see feature_hop
 
     for t in range(length):
@@ -317,23 +308,18 @@ def _chunk_gradient(params, cfg, w, frames, d_hops, y_hops, ws, grads, batch):
     g_y_hops = -2.0 * diff / (length * cfg.hop) / (mse + LOSS_EPS)[None, :, None] / batch
     g_w = np.zeros_like(w)
     # Step t's backward takes the gradient of the filter its delta set, from
-    # the adjoint of hop t + 1.  The last step has no backward: its delta and
-    # new state only set the carried w and state, which no loss term of this
-    # window reads, so the last hop's error and output features carry no
-    # gradient.  Step 0 takes no hop adjoint: hop 0 and step 0's features are
-    # functions of the window's incoming filter, a constant.  Of the feature
-    # rows only the error and output ones carry gradient, and the hop
-    # kernel's adjoint takes the far end.
+    # the adjoint of hop t + 1, whose features' gradient step t + 1's backward
+    # gave.  The last step has no backward: its delta and new state only set
+    # the carried w and state, which no loss term of this window reads, so
+    # the last hop's features carry no gradient (g_xi None).  Step 0's
+    # features get no hop adjoint: hop 0 and its features are functions of
+    # the window's incoming filter, a constant.
     ws.g_state.h0[...] = ws.g_state.h1[...] = 0.0
-    g_ey = np.zeros((scenes, OUTPUT_ROW + 1 - ERROR_ROW, cfg.dft_size), dtype=complex)
-    rows = slice(ERROR_ROW, OUTPUT_ROW + 1)  # views: first the error row, last the output row
-
+    g_xi = None
     for t in reversed(range(length - 1)):
-        g_w += hop_backward(cfg, ws.raw[t + 1][:, FAREND_ROW], g_y_hops[t + 1],
-                            g_ey[:, 0], g_ey[:, -1])
+        # g_xi is a view of the workspace: read here, before step t's backward
+        g_w += hop_backward(cfg, ws.raw[t + 1], g_y_hops[t + 1], g_xi)
         g_xi = _optimizer_backward(params, g_w, ws, t, grads)
-        if t > 0:
-            g_ey = log_scale_backward(ws.raw[t][:, rows], g_xi[:, rows])
     return w
 
 

@@ -74,6 +74,15 @@ def test_gen_data_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_at_two_samples_per_second_exits_0(tmp_path):
+    # a 0.08-0.4 s speech segment rounds to no sample below 13 Hz
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"sample_rate": 2, "duration": 100.0, "rir_taps": 16}))
+    out = tmp_path / "out"
+    assert main(["gen-data", str(spec_file), str(out), "--count", "3"]) == 0
+    assert len(json.loads((out / "manifest.json").read_text())["scenes"]) == 3
+
+
 # scene specs that crashed gen-data or quietly wrote broken scenes
 BAD_SPECS = {
     "nan-duration": ("duration", float("nan")),
@@ -423,6 +432,14 @@ def _spec_value(field, value):
     return corrupt
 
 
+def _meta_value(key, value):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
 def _stereo(path):
     rate, data = wavfile.read(path)
     wavfile.write(path, rate, np.stack([data, data], axis=1))
@@ -450,6 +467,11 @@ CORRUPT_SCENE_FILES = {
     "non-finite-duration-in-sidecar": ("json", _spec_value("duration", float("nan"))),
     "fractional-sample-rate-in-sidecar": ("json", _spec_value("sample_rate", 16000.5)),
     "invalid-sidecar-json": ("json", lambda path: path.write_text("{not json")),
+    # sidecar metadata that save_scene never writes
+    "string-seed-in-sidecar": ("json", _meta_value("seed", "x")),
+    "null-ser-in-sidecar": ("json", _meta_value("ser_db", None)),
+    "unknown-nonlinearity-in-sidecar":
+        ("json", _meta_value("nonlinearity", {"kind": "foo", "amount": float("nan")})),
     "rir-not-npz": ("rir.npz", lambda path: path.write_bytes(b"not an npz archive")),
     # a WAV that does not match its sidecar is a corrupt scene file too
     "stereo-mic-wav": ("mic.wav", _stereo),

@@ -6,13 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aflearn.errors import NumericError
+from aflearn.layers import DESIRED_ROW, FAREND_ROW, FEATURE_CHANNELS
 from aflearn.ols import (
     OlsConfig,
     af_error,
+    feature_hop,
     filter_gradient,
-    frame_spectra,
+    hop_backward,
     hop_frames,
     hop_spectrum,
+    input_rows,
     ols_apply,
     project_filter,
     spectrum_to_hop,
@@ -209,21 +212,41 @@ def test_batched_calls_match_loop():
 
 
 def test_block_spectra_equal_one_row_calls():
-    # one transform over a (batch, hops, K) block gives each row's own
-    # fft or rfft, chosen by the filter's bin count, bit for bit
+    # input_rows fills a batched, time-major block's far-end and desired rows
+    # with each hop's own fft and hop_spectrum, bit for bit, and no other row
     cfg = OlsConfig(16)
     rng = np.random.default_rng(11)
     frames = hop_frames(rng.standard_normal((2, 7 * cfg.hop)), cfg)
     hops = frames[..., cfg.hop :]
-    for bins, transform in ((16, np.fft.fft), (9, np.fft.rfft)):
-        block = frame_spectra(cfg, frames, bins)
-        assert block.shape == (2, 7, bins)
-        for b, t in np.ndindex(2, 7):
-            assert np.array_equal(block[b, t], transform(frames[b, t]))
-    block = hop_spectrum(hops, cfg)
+    raw = np.full((7, 2, len(FEATURE_CHANNELS), 16), np.nan, dtype=complex)
+    input_rows(cfg, np.moveaxis(frames, -2, 0), np.moveaxis(hops, -2, 0), raw)
     for b, t in np.ndindex(2, 7):
-        assert np.array_equal(block[b, t], hop_spectrum(hops[b, t], cfg))
+        assert np.array_equal(raw[t, b, FAREND_ROW], np.fft.fft(frames[b, t]))
+        assert np.array_equal(raw[t, b, DESIRED_ROW], hop_spectrum(hops[b, t], cfg))
+    others = [row for row in range(len(FEATURE_CHANNELS)) if row not in (FAREND_ROW, DESIRED_ROW)]
+    assert np.isnan(raw[:, :, others]).all()
+    # the classic session's one rfft over a (batch, hops, K) block: each row's own
+    block = np.fft.rfft(frames, axis=-1)
+    assert block.shape == (2, 7, 9)
+    for b, t in np.ndindex(2, 7):
+        assert np.array_equal(block[b, t], np.fft.rfft(frames[b, t]))
     with pytest.raises(ValueError, match="filter"):
-        frame_spectra(cfg, frames, 8)
+        ols_apply(cfg, np.zeros(8, dtype=complex), frames[0, 0])
     with pytest.raises(ValueError, match="input frame"):
-        frame_spectra(cfg, frames[..., :8], 16)
+        ols_apply(cfg, np.zeros(16, dtype=complex), frames[0, 0, :8])
+
+
+def test_hop_adjoint_without_feature_gradient_is_the_zero_one():
+    # g_xi None, the window's last hop, is an all-zero g_xi, bit for bit
+    cfg = OlsConfig(64)
+    rng = np.random.default_rng(12)
+    frames = hop_frames(rng.standard_normal((3, 2 * cfg.hop)), cfg)[:, 1]
+    d_hop = rng.standard_normal((3, cfg.hop))
+    raw = np.empty((1, 3, len(FEATURE_CHANNELS), 64), dtype=complex)
+    input_rows(cfg, frames[None], d_hop[None], raw)
+    w = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    feature_hop(cfg, w, d_hop, raw[0], np.zeros((3, 64)))
+    g_y_hop = rng.standard_normal((3, cfg.hop))
+    got = hop_backward(cfg, raw[0], g_y_hop, None)
+    assert got.shape == (3, 64) and np.abs(got).max() > 0
+    assert np.array_equal(got, hop_backward(cfg, raw[0], g_y_hop, np.zeros_like(raw[0])))

@@ -108,6 +108,9 @@ def test_traced_session_and_epoch_parse_with_one_forward_per_hop():
         assert sum(1 for span in epoch if span[0] == name) == (unroll - 1) * windows, name
     # and step 0 takes no hop adjoint, so no feature backward either
     assert len(train["log_scale_backward_s"]) == (unroll - 2) * windows
+    # the tracer finds a window's backward among its window's children only
+    parents = [epoch[span[3]][0] for span in epoch if span[0] == "layers.log_scale_backward"]
+    assert parents and set(parents) == {"training.window_gradient"}
     # training windows and validation sessions run the one traced forward
     per_hop = {"training.window_gradient": (unroll, 0), "session.run_learned_session": (hops, hops)}
     seen = set()

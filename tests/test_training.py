@@ -191,12 +191,12 @@ def test_folded_backward_matches_the_unfolded_reference(structure):
 def test_window_backward_takes_no_hop_adjoint_at_step_0(structure, monkeypatch):
     # hop 0 and step 0's features depend on the incoming filter, a constant
     calls = []
-    for name in ("hop_backward", "log_scale_backward"):
-        def counted(*args, name=name, real=getattr(aflearn.training, name)):
+    for module, name in ((aflearn.training, "hop_backward"), (aflearn.ols, "log_scale_backward")):
+        def counted(*args, name=name, real=getattr(module, name)):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(aflearn.training, name, counted)
+        monkeypatch.setattr(module, name, counted)
     params, cfg, w, state, frames, d_hops = _window_inputs(structure, length=4)
     window_gradient(params, cfg, w, state, frames[:4], d_hops[:4])
     assert calls.count("hop_backward") == 3 and calls.count("log_scale_backward") == 2
