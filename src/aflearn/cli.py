@@ -83,6 +83,7 @@ TRAIN_DEFAULTS = {
 }
 
 _VAL_SEED_OFFSET = 1_000_000  # keeps validation scene seeds out of the train range
+_MANIFEST_SCHEMA = 1  # the manifest format gen-data writes and _load_manifest reads
 
 
 def validate_train_config(raw):
@@ -221,7 +222,7 @@ def cmd_gen_data(args):
         entries.append({"stem": stem, "seed": seed, "split": split})
 
     manifest = {
-        "schema": 1,
+        "schema": _MANIFEST_SCHEMA,
         "seed": args.seed,
         "spec": spec_to_json(spec),
         "split_counts": {"train": n_train, "val": n_val, "test": n_test},
@@ -249,6 +250,9 @@ def _load_manifest(path):
 
     check(isinstance(manifest, dict) and "spec" in manifest and "scenes" in manifest,
           "expected an object with 'spec' and 'scenes'")
+    schema = manifest.get("schema")  # None if missing
+    check(is_int(schema) and schema == _MANIFEST_SCHEMA,
+          f"unsupported schema {schema!r}; gen-data writes {_MANIFEST_SCHEMA}")
     try:
         spec = SceneSpec(**manifest["spec"])
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError

@@ -22,7 +22,7 @@ R samples stay zero, the hop writes e_hop into its last R and transforms it.
 
 The learned hop's five feature spectra are the rows of one (..., 5, K) raw
 buffer in ``layers.FEATURE_CHANNELS`` order, laid out by this module alone:
-``input_rows`` fills a time-major block's far-end and desired rows,
+``input_rows`` fills a block's far-end and desired rows,
 ``feature_hop`` a hop's gradient, error and output rows, and
 ``hop_backward`` reads the rows that carry gradient, far end, error and
 output.  Neither kernel checks shapes, but ``hop_forward`` rejects a filter
@@ -230,7 +230,7 @@ def filter_gradient(u_freq, e_hop, cfg):
 
 
 def input_rows(cfg, frames, d_hops, raw):
-    """Fill the far-end and desired rows of a time-major block of raw features.
+    """Fill the far-end and desired rows of a block of raw features.
 
     frames (n, ..., K) are ``hop_frames`` rows and d_hops (n, ..., R) their
     desired hops; raw (n, ..., 5, K) receives the frames' ``fft`` and the
@@ -265,16 +265,17 @@ def feature_hop(cfg, w, d_hop, raw, e_frame):
 
 
 def hop_frames(x, cfg):
-    """Read-only (..., hops, K) view of the whole hops of x (..., N).
+    """Read-only, time-major (hops, ..., K) view of the whole hops of x (..., N).
 
-    Frame t is the last K samples up to (t + 1) * R, zero-padded at the stream
-    head; its last R samples are hop t, so ``hop_frames(d, cfg)[..., cfg.hop:]``
-    is the (..., hops, R) view of d's hops.  x must hold at least one hop; a
-    trailing partial hop is dropped.
+    Row t is frame t of every stream: the last K samples up to (t + 1) * R,
+    zero-padded at the stream head, whose last R samples are hop t.  So
+    ``hop_frames(d, cfg)[..., cfg.hop:]`` is the (hops, ..., R) view of d's
+    hops, and every hop loop reads hop t, and its per-hop buffers, as row t.
+    x must hold at least one hop; a trailing partial hop is dropped.
     """
     x = np.asarray(x)
     k, r = cfg.dft_size, cfg.hop
     n = x.shape[-1] // r * r
     padded = np.zeros(x.shape[:-1] + (k - r + n,), dtype=x.dtype)
     padded[..., k - r :] = x[..., :n]
-    return sliding_window_view(padded, k, axis=-1)[..., ::r, :]
+    return np.moveaxis(sliding_window_view(padded, k, axis=-1)[..., ::r, :], -2, 0)

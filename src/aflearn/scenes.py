@@ -49,6 +49,7 @@ __all__ = [
 
 
 NONLINEARITY_KINDS = ("identity", "hardclip", "tanh")
+_SIDECAR_SCHEMA = 1  # the sidecar format save_scene writes and load_scene reads
 
 
 @dataclass(frozen=True)
@@ -452,7 +453,7 @@ def save_scene(scene, directory, stem):
         paths["switch_at"], paths["rir_after"] = scene.rir_switch
     np.savez(directory / f"{stem}.rir.npz", **paths)
     meta = {
-        "schema": 1,
+        "schema": _SIDECAR_SCHEMA,
         "seed": scene.seed,
         "spec": spec_to_json(scene.spec),
         "ser_db": scene.ser_db,
@@ -475,8 +476,8 @@ def spec_to_json(spec):
 def load_scene(directory, stem):
     """Rebuild a scene from save_scene output (regenerates nothing).
 
-    A sidecar or echo-path file that does not parse, a sidecar whose seed,
-    levels or nonlinearity ``save_scene`` could not have written, a WAV that
+    A sidecar or echo-path file that does not parse, a sidecar ``save_scene``
+    could not have written (schema, seed, levels, nonlinearity), a WAV that
     does not match the sidecar (not mono, another sample rate or length), or
     a mic WAV whose samples are not echo + near + noise to float32 rounding
     raises an OSError naming it.  ``Scene.mic`` stays the sum of the components.
@@ -485,6 +486,8 @@ def load_scene(directory, stem):
     sidecar = directory / f"{stem}.json"
     try:
         meta = json.loads(sidecar.read_text())
+        require(is_int(meta["schema"]) and meta["schema"] == _SIDECAR_SCHEMA, "schema",
+                f"expected {_SIDECAR_SCHEMA}, got {meta['schema']!r}")
         spec = SceneSpec(**meta["spec"])
         nl = Nonlinearity(meta["nonlinearity"]["kind"], meta["nonlinearity"]["amount"])
         seed, ser_db, snr_db = meta["seed"], meta["ser_db"], meta["snr_db"]

@@ -14,14 +14,14 @@ cost ``frames * FlopModel.total`` multiply-accumulates per stream.
 One hop loop serves both kinds of filter and walks the hops in blocks of
 _BLOCK_HOPS.  What depends only on the input signals is taken for a whole
 block at once, into block-sized buffers whose rows are bit-identical to
-one-hop calls, so memory stays O(block * K) per stream.  The loop reads and
-writes per-hop rows through time-major views, and each session owns its
-hop's zero-headed error frame.  A classic session takes the frames' half
-spectra in one ``rfft``, and their conjugates and per-bin powers in one
-elementwise pass each.  A learned session owns one time-major
-(block, ..., 5, K) raw feature block and one log-scaled (..., 5, K) buffer:
-``ols.input_rows`` fills the block's far-end and desired rows, and hop i
-runs on row i, where ``ols.feature_hop`` writes the other three in place.
+one-hop calls, so memory stays O(block * K) per stream.  They are laid out
+as ``hop_frames`` rows, hop i of a block in row i, and each session owns
+its hop's zero-headed error frame.  A classic session takes the frames'
+half spectra in one ``rfft``, and their conjugates and per-bin powers in
+one elementwise pass each.  A learned session owns one (block, ..., 5, K)
+raw feature block and one log-scaled (..., 5, K) buffer: ``ols.input_rows``
+fills the block's far-end and desired rows, and hop i runs on row i, where
+``ols.feature_hop`` writes the other three in place.
 
 A non-finite input frame is reported at its own frame, after any failure at
 an earlier hop of its block.  A filter update that goes non-finite is
@@ -95,13 +95,6 @@ def _block_hops(u, cfg):
     return min(u.shape[-1] // cfg.hop, _BLOCK_HOPS)
 
 
-def _block_rows(u, cfg, bins, dtype=complex):
-    """A (..., block, bins) buffer for one block of per-hop rows of the
-    session over ``u``, and its time-major view, whose row i is hop i."""
-    rows = np.empty(u.shape[:-1] + (_block_hops(u, cfg), bins), dtype)
-    return rows, np.moveaxis(rows, -2, 0)
-
-
 def _failure(w, message, t):
     """The error for a failure seen at hop t.  A classic filter's update is
     checked only here: a non-finite w, the update of hop t - 1, comes first."""
@@ -115,14 +108,14 @@ def _run(u, d, cfg, w, take_block, hop, telemetry_path=None, snapshot_stride=0):
     spectrum that the snapshots and the result expand to K bins.
 
     Per block of _BLOCK_HOPS hops, ``take_block(frames, d_block)`` takes the
-    input statistics of its (..., n, K) frames and (..., n, R) desired hops,
-    up to the block's first frame that is non-finite in any stream; that
-    frame raises when reached.  ``hop(w, i, d_hop)`` then runs the block's
-    hop i and returns (w_new, y_hop, e_hop).
+    input statistics of its (n, ..., K) ``hop_frames`` rows and (n, ..., R)
+    desired hops, up to the block's first frame that is non-finite in any
+    stream; that frame raises when reached.  ``hop(w, i, d_hop)`` then runs
+    the block's hop i and returns (w_new, y_hop, e_hop).
     """
     spectrum = np.copy if w.shape[-1] == cfg.dft_size else hermitian_spectrum
     u_frames = hop_frames(u, cfg)
-    frames = u_frames.shape[-2]
+    frames = len(u_frames)
     d_hops = d[..., : frames * cfg.hop].reshape(d.shape[:-1] + (frames, cfg.hop))
     error = np.empty(d_hops.shape)
     output = np.empty_like(error)
@@ -132,11 +125,10 @@ def _run(u, d, cfg, w, take_block, hop, telemetry_path=None, snapshot_stride=0):
     telemetry = open(telemetry_path, "w") if telemetry_path else None
     try:
         for start in range(0, frames, _BLOCK_HOPS):
-            block = u_frames[..., start : start + _BLOCK_HOPS, :]
-            finite = np.isfinite(block).all(axis=-1)
-            finite = finite.reshape(-1, finite.shape[-1]).all(axis=0)
-            valid = len(finite) if finite.all() else int(np.argmin(finite))
-            take_block(block[..., :valid, :], d_hops[..., start : start + valid, :])
+            block = u_frames[start : start + _BLOCK_HOPS]
+            finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+            valid = len(block) if finite.all() else int(np.argmin(finite))
+            take_block(block[:valid], d_rows[start : start + valid])
             for t in range(start, start + valid):
                 d_hop = d_rows[t]
                 try:
@@ -155,7 +147,7 @@ def _run(u, d, cfg, w, take_block, hop, telemetry_path=None, snapshot_stride=0):
                     erle = np.round(erle_db(hop_powers(d_hop), e_power), 4)
                     row = {"frame": t, "erle_db": erle.tolist(), "residual_power": e_power.tolist()}
                     telemetry.write(json.dumps(row) + "\n")
-            if valid < len(finite):
+            if valid < len(block):
                 raise _failure(w, "non-finite input frame", start + valid)
         if not np.isfinite(w).all():  # the last hop's update
             raise NumericError("non-finite filter update", frame=frames - 1)
@@ -184,13 +176,12 @@ def run_learned_session(params, u, d, cfg, **kwargs):
     batch = u.shape[:-1]
     state = GroupState.zeros(params.structure, k, params.hidden_size, batch_shape=batch)
     features = (len(FEATURE_CHANNELS), k)
-    raw = np.empty((_block_hops(u, cfg),) + batch + features, dtype=complex)  # time-major
+    raw = np.empty((_block_hops(u, cfg),) + batch + features, dtype=complex)
     xi = np.empty(batch + features, dtype=complex)
     e_frame = np.zeros(batch + (k,))  # the hop's error frame, see feature_hop
 
     def take_block(frames, d_block):
-        n = frames.shape[-2]
-        input_rows(cfg, np.moveaxis(frames, -2, 0), np.moveaxis(d_block, -2, 0), raw[:n])
+        input_rows(cfg, frames, d_block, raw[: len(frames)])
 
     def hop(w, i, d_hop):
         nonlocal state
@@ -221,22 +212,21 @@ def run_classic_session(algorithm, u, d, cfg, hyper=None, **kwargs):
         raise ConfigError("hyper", f"{algorithm}: {exc}") from None
     predict = algorithm == "kf"  # the hop is filtered through the prediction
     e_frame = np.zeros(u.shape[:-1] + (cfg.dft_size,))  # the hop's error frame, see hop_forward
-    u_freqs, u_rows = _block_rows(u, cfg, bins)
-    u_conj, conj_rows = _block_rows(u, cfg, bins)
-    u_power, power_rows = _block_rows(u, cfg, bins, float)
+    rows = (_block_hops(u, cfg),) + u.shape[:-1] + (bins,)
+    u_freqs, u_conj, u_power = np.empty(rows, complex), np.empty(rows, complex), np.empty(rows)
 
     def take_block(frames, _):
-        n = frames.shape[-2]
-        spectra = np.fft.rfft(frames, axis=-1, out=u_freqs[..., :n, :])
-        np.conjugate(spectra, out=u_conj[..., :n, :])
-        np.add(spectra.real**2, spectra.imag**2, out=u_power[..., :n, :])
+        n = len(frames)
+        spectra = np.fft.rfft(frames, axis=-1, out=u_freqs[:n])
+        np.conjugate(spectra, out=u_conj[:n])
+        np.add(spectra.real**2, spectra.imag**2, out=u_power[:n])
 
     def hop(w, i, d_hop):
         nonlocal state
         if predict:
             w = state.transition * w
-        y_hop, e_hop, e_freq = hop_forward(cfg, w, u_rows[i], d_hop, e_frame)
-        w_new, state = step(state, conj_rows[i], power_rows[i], e_freq, w)
+        y_hop, e_hop, e_freq = hop_forward(cfg, w, u_freqs[i], d_hop, e_frame)
+        w_new, state = step(state, u_conj[i], u_power[i], e_freq, w)
         return w_new, y_hop, e_hop
 
     w = np.zeros(u.shape[:-1] + (bins,), dtype=complex)

@@ -19,15 +19,15 @@ the cache cost many times those over a chunk that stays in it, while the
 matrix products gain nothing from a larger batch (a stacked product is one
 GEMM per scene); and because the window's memory then follows the chunk,
 not the batch.  Each batch builds its frame and desired-hop views once with
-the sessions' frame builder (``ols.hop_frames``), and a window is a
-time-major slice of them.  The feature rows are ``ols``'s: each chunk fills
+the sessions' frame builder (``ols.hop_frames``), and a window is a slice of
+their rows.  The feature rows are ``ols``'s: each chunk fills
 the far-end and desired rows of its raw features in one transform each
 (``ols.input_rows``), runs the sessions' learned hop (``ols.feature_hop``),
 which fills the other rows, forward, and the hop kernel's adjoint
 (``ols.hop_backward``), which reads the rows that carry gradient, backward.
 
 A window's forward is the sessions' own (``feature_hop``, ``build_input``,
-``optimizer_step``), told to write into a ``WindowWorkspace`` of time-major,
+``optimizer_step``), told to write into a ``WindowWorkspace`` of hop-first,
 group-last arrays (features (..., 5, K), GRU activations (..., H, C)) for
 one chunk, which is the window's only cache.  Per hop it holds each operand
 the backward cannot rebuild with one operation once: the raw features (whose
@@ -251,8 +251,8 @@ def _optimizer_backward(params, g_delta, ws, t, grads):
 def window_gradient(params, cfg, w, state, frames, d_hops, workspace=None):
     """Forward/backward over one truncated window.
 
-    frames (L, batch, K) and d_hops (L, batch, R) are time-major.  Returns
-    (loss, grads, w_out, state_out, y_hops); grads is a holder laid
+    frames (L, batch, K) and d_hops (L, batch, R) are ``hop_frames`` rows.
+    Returns (loss, grads, w_out, state_out, y_hops); grads is a holder laid
     out like ``params`` (``params.zeros_like()``), follows the paired-real
     convention and already includes the batch mean.  The batch runs in
     chunks of ``workspace.chunk`` scenes (``WindowWorkspace.chunk_size``),
@@ -485,18 +485,17 @@ def train_update_rule(
             scenes = [gen_scene(scene_spec, int(s)) for s in seeds]
             u_frames = hop_frames(np.stack([s.far_end for s in scenes]), cfg)
             d_hops = hop_frames(np.stack([s.mic for s in scenes]), cfg)[..., cfg.hop :]
-            hops = u_frames.shape[1]
             w = np.zeros((len(seeds), cfg.dft_size), dtype=complex)
             state = GroupState.zeros(structure, cfg.dft_size, hidden_size,
                                      batch_shape=(len(seeds),))
             if len(seeds) not in workspaces:
                 workspaces[len(seeds)] = WindowWorkspace(structure, hidden_size, cfg.dft_size,
                                                          len(seeds), unroll)
-            for win_start in range(0, hops - unroll + 1, unroll):
+            for win_start in range(0, len(u_frames) - unroll + 1, unroll):
                 window = slice(win_start, win_start + unroll)
-                # time-major; the desired hops contiguous, as the loss reduction expects
-                frames = u_frames[:, window].swapaxes(0, 1)
-                d_window = np.ascontiguousarray(d_hops[:, window].swapaxes(0, 1))
+                # the desired hops contiguous, as the loss reduction expects
+                frames = u_frames[window]
+                d_window = np.ascontiguousarray(d_hops[window])
                 where = (f"epoch {epoch}, window from hop {win_start}, "
                          f"scene seeds {seeds.tolist()}")
                 try:

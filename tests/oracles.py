@@ -355,7 +355,8 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None, snapshot_stride=0
     weights, per-hop ERLE, snapshots)."""
     k = cfg.dft_size
     u_frames = hop_frames(u, cfg)
-    d_hops = hop_frames(d, cfg)[..., cfg.hop :]
+    # the desired hops batch-major, as the returned signals and per-hop ERLE are
+    d_hops = np.moveaxis(hop_frames(d, cfg)[..., cfg.hop :], 0, -2)
     batch = u.shape[:-1]
     if params is not None:
         state = GroupState.zeros(params.structure, k, params.hidden_size, batch_shape=batch)
@@ -370,8 +371,8 @@ def hop_by_hop_session(cfg, u, d, params=None, algorithm=None, snapshot_stride=0
     error = np.empty_like(output)
     snapshots = []
     spectrum = (lambda w: w) if params is not None else hermitian_spectrum
-    for t in range(u_frames.shape[-2]):
-        frame, d_hop = u_frames[..., t, :], d_hops[..., t, :]
+    for t in range(len(u_frames)):
+        frame, d_hop = u_frames[t], d_hops[..., t, :]
         if params is not None:
             y_hop, e_hop, xi = learned_hop_features(w, frame, d_hop)
             delta, state = optimizer_step(params, xi, state)

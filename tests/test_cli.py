@@ -418,10 +418,12 @@ def test_eval_missing_inputs_are_io_errors(tmp_path, dataset):
                  str(tmp_path / "o.csv")]) == 4
 
 
-def _drop_nonlinearity(path):
-    meta = json.loads(path.read_text())
-    del meta["nonlinearity"]
-    path.write_text(json.dumps(meta))
+def _drop_key(key):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+    return corrupt
 
 
 def _spec_value(field, value):
@@ -462,7 +464,7 @@ def _nudged(path):
 
 
 CORRUPT_SCENE_FILES = {
-    "sidecar-without-nonlinearity": ("json", _drop_nonlinearity),
+    "sidecar-without-nonlinearity": ("json", _drop_key("nonlinearity")),
     "unknown-spec-field": ("json", _spec_value("bogus", 1)),
     "non-finite-duration-in-sidecar": ("json", _spec_value("duration", float("nan"))),
     "fractional-sample-rate-in-sidecar": ("json", _spec_value("sample_rate", 16000.5)),
@@ -472,6 +474,8 @@ CORRUPT_SCENE_FILES = {
     "null-ser-in-sidecar": ("json", _meta_value("ser_db", None)),
     "unknown-nonlinearity-in-sidecar":
         ("json", _meta_value("nonlinearity", {"kind": "foo", "amount": float("nan")})),
+    "schema-99-in-sidecar": ("json", _meta_value("schema", 99)),
+    "sidecar-without-schema": ("json", _drop_key("schema")),
     "rir-not-npz": ("rir.npz", lambda path: path.write_bytes(b"not an npz archive")),
     # a WAV that does not match its sidecar is a corrupt scene file too
     "stereo-mic-wav": ("mic.wav", _stereo),
@@ -539,26 +543,35 @@ def test_eval_mixed_length_manifest_keeps_manifest_order(tmp_path, dataset):
     assert {row[6] for row in rows} == {str(int(0.6 * 16000) // 32), str(int(0.4 * 16000) // 32)}
 
 
+# each manifest with a fragment of the error it must fail with
 @pytest.mark.parametrize("manifest", [
-    {},
-    {"scenes": [{"stem": "x"}]},
-    {"spec": {}, "scenes": [{"stem": "x"}]},
-    {"spec": {}, "scenes": [{"stem": "x", "seed": 1, "split": "dev"}]},
-    {"spec": {}, "scenes": {"stem": "x"}},
-    {"spec": {"bogus": 1}, "scenes": []},
-    [],
-    {"spec": {}, "scenes": [{"stem": "x", "seed": -1, "split": "train"}]},
-    {"spec": {"duration": float("nan")}, "scenes": []},
-    {"spec": {"rir_taps": 2.5}, "scenes": []},
+    ({}, "expected an object"),
+    ({"schema": 1, "scenes": [{"stem": "x"}]}, "expected an object"),
+    ({"schema": 1, "spec": {}, "scenes": [{"stem": "x"}]}, "needs 'stem', 'seed' and 'split'"),
+    ({"schema": 1, "spec": {}, "scenes": [{"stem": "x", "seed": 1, "split": "dev"}]},
+     "unknown split"),
+    ({"schema": 1, "spec": {}, "scenes": {"stem": "x"}}, "must be a list"),
+    ({"schema": 1, "spec": {"bogus": 1}, "scenes": []}, "bad spec"),
+    ([], "expected an object"),
+    ({"schema": 1, "spec": {}, "scenes": [{"stem": "x", "seed": -1, "split": "train"}]},
+     "seed must be"),
+    ({"schema": 1, "spec": {"duration": float("nan")}, "scenes": []}, "bad spec"),
+    ({"schema": 1, "spec": {"rir_taps": 2.5}, "scenes": []}, "bad spec"),
+    # a manifest of another format, or of none, even if it would parse
+    ({"schema": 99, "spec": {}, "scenes": []}, "unsupported schema 99"),
+    ({"schema": "1", "spec": {}, "scenes": []}, "unsupported schema '1'"),
+    ({"spec": {}, "scenes": []}, "unsupported schema None"),
 ])
 def test_malformed_manifests_are_config_errors(tmp_path, manifest, capsys):
+    document, reason = manifest
     data = tmp_path / "data"
     data.mkdir()
-    (data / "manifest.json").write_text(json.dumps(manifest))
+    (data / "manifest.json").write_text(json.dumps(document))
     assert main(["eval", "nlms", str(data), str(tmp_path / "o.csv"), "--split", "all"]) == 2
     config_path, _ = _train_config(tmp_path, data)
     assert main(["train", str(config_path)]) == 2
-    assert "config error: manifest:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("config error: manifest:") == 2 and err.count(reason) == 2, err
 
 
 def test_eval_jobs_below_one_exits_2(tmp_path, dataset, capsys):

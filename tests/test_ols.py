@@ -93,14 +93,14 @@ def test_ols_matches_direct_convolution_streamwise(log_k, hops, seed):
     # a 2-row stack with a partial final hop, which the frame view drops
     x = rng.standard_normal((2, hops * r + int(rng.integers(r))))
     frames = hop_frames(x, cfg)
-    assert frames.shape == (2, hops, cfg.dft_size)
+    assert frames.shape == (hops, 2, cfg.dft_size)  # time-major: row t is hop t
     out = np.zeros((2, hops * r))
     for t in range(hops):
-        y_hop, _ = ols_apply(cfg, w, frames[:, t])
+        y_hop, _ = ols_apply(cfg, w, frames[t])
         out[:, t * r : (t + 1) * r] = y_hop
     for row in range(2):
         # a stack's frames are each row's own frames
-        assert np.array_equal(frames[row], hop_frames(x[row], cfg))
+        assert np.array_equal(frames[:, row], hop_frames(x[row], cfg))
         ref = linear_convolve(h, x[row])[: hops * r]
         assert rel_error(out[row], ref) < 1e-10
 
@@ -219,17 +219,17 @@ def test_block_spectra_equal_one_row_calls():
     frames = hop_frames(rng.standard_normal((2, 7 * cfg.hop)), cfg)
     hops = frames[..., cfg.hop :]
     raw = np.full((7, 2, len(FEATURE_CHANNELS), 16), np.nan, dtype=complex)
-    input_rows(cfg, np.moveaxis(frames, -2, 0), np.moveaxis(hops, -2, 0), raw)
+    input_rows(cfg, frames, hops, raw)
     for b, t in np.ndindex(2, 7):
-        assert np.array_equal(raw[t, b, FAREND_ROW], np.fft.fft(frames[b, t]))
-        assert np.array_equal(raw[t, b, DESIRED_ROW], hop_spectrum(hops[b, t], cfg))
+        assert np.array_equal(raw[t, b, FAREND_ROW], np.fft.fft(frames[t, b]))
+        assert np.array_equal(raw[t, b, DESIRED_ROW], hop_spectrum(hops[t, b], cfg))
     others = [row for row in range(len(FEATURE_CHANNELS)) if row not in (FAREND_ROW, DESIRED_ROW)]
     assert np.isnan(raw[:, :, others]).all()
-    # the classic session's one rfft over a (batch, hops, K) block: each row's own
+    # the classic session's one rfft over a (hops, batch, K) block: each row's own
     block = np.fft.rfft(frames, axis=-1)
-    assert block.shape == (2, 7, 9)
+    assert block.shape == (7, 2, 9)
     for b, t in np.ndindex(2, 7):
-        assert np.array_equal(block[b, t], np.fft.rfft(frames[b, t]))
+        assert np.array_equal(block[t, b], np.fft.rfft(frames[t, b]))
     with pytest.raises(ValueError, match="filter"):
         ols_apply(cfg, np.zeros(8, dtype=complex), frames[0, 0])
     with pytest.raises(ValueError, match="input frame"):
@@ -240,7 +240,7 @@ def test_hop_adjoint_without_feature_gradient_is_the_zero_one():
     # g_xi None, the window's last hop, is an all-zero g_xi, bit for bit
     cfg = OlsConfig(64)
     rng = np.random.default_rng(12)
-    frames = hop_frames(rng.standard_normal((3, 2 * cfg.hop)), cfg)[:, 1]
+    frames = hop_frames(rng.standard_normal((3, 2 * cfg.hop)), cfg)[1]
     d_hop = rng.standard_normal((3, cfg.hop))
     raw = np.empty((1, 3, len(FEATURE_CHANNELS), 64), dtype=complex)
     input_rows(cfg, frames[None], d_hop[None], raw)

@@ -195,6 +195,25 @@ def test_numeric_failure_reports_frame_index(monkeypatch):
         assert info.value.frame == hops - 1, algorithm
 
 
+def test_lockstep_stack_reports_its_earliest_non_finite_frame():
+    # two streams of three hold a NaN far-end sample, one in the first block of
+    # hops and one in the second; whichever stream holds the earlier one, the
+    # stack fails at that frame
+    hops, early, late = BLOCK + 8, 3, BLOCK + 3
+    params = init_meta_params(DependencyStructure.block(4), 4, seed=0)
+    for first, second in ((0, 2), (2, 0)):
+        u, d = (np.stack(pair) for pair in zip(*(_signals(hops * CFG.hop, s) for s in range(3))))
+        u[first, early * CFG.hop + 1] = np.nan
+        u[second, late * CFG.hop + 1] = np.nan
+        sessions = {"learned": lambda: run_learned_session(params, u, d, CFG)}
+        sessions.update({alg: lambda alg=alg: run_classic_session(alg, u, d, CFG)
+                         for alg in CLASSIC_ALGORITHMS})
+        for name, session in sessions.items():
+            with pytest.raises(NumericError, match="non-finite input frame") as info:
+                session()
+            assert info.value.frame == early, (name, first)
+
+
 def test_blocked_sessions_match_the_hop_by_hop_loop():
     # a lockstep batch of 3 over a hop count that is not a multiple of the block
     hops = 2 * BLOCK + 7
