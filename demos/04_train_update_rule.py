@@ -1,10 +1,12 @@
 """Meta-train a miniature learned update rule and watch it improve.
 
 The scene mix is heavy double-talk (near speech in every scene), the regime
-where plain gradient-descent adaptation breaks down: NLMS keeps adapting on
-near-end speech and cancels almost nothing.  A small block-structured rule
-trained for a few minutes of CPU learns from the same gradient signal to keep
-converging anyway.  Ends with the checkpoint roundtrip.
+where plain gradient-descent adaptation breaks down: NLMS at its default,
+untuned step size 0.5 keeps adapting on near-end speech and cancels almost
+nothing.  A small block-structured rule trained for a few minutes of CPU
+learns from the same gradient signal to keep converging anyway.  The
+classic baselines all run at their untuned defaults.  Ends with the
+checkpoint roundtrip.
 
 Run:  python3 demos/04_train_update_rule.py   (about 4 minutes)
 """
@@ -24,6 +26,7 @@ from aflearn import (
     save_checkpoint,
     train_update_rule,
 )
+from aflearn.classic import NlmsState
 from aflearn.scenes import desk_spec, gen_scene
 from aflearn.training import scene_scores
 
@@ -53,10 +56,11 @@ print(f"  learned {structure.label:8s} {learned:+6.2f} dB")
 for alg in ("nlms", "rls", "kf"):
     scores = scene_scores(partial(run_classic_session, alg, cfg=cfg), test_scenes, cfg)
     print(f"  {alg:16s} {np.mean([serle for serle, _, _ in scores]):+6.2f} dB")
-print("the learned rule turns the diverging gradient-descent update (nlms,")
-print("its hand-designed counterpart on the same gradient signal) into a")
-print("usable canceller; the stateful rls/kf baselines still lead at this")
-print("toy scale -- see the nightly suite for the full-size comparison.")
+print("the learned rule turns the diverging gradient-descent update (nlms at")
+print(f"its default step size {NlmsState().step_size}, its hand-designed counterpart on the same")
+print("gradient signal) into a usable canceller; every baseline runs at its untuned")
+print("defaults, and the stateful rls/kf still lead at this toy scale -- see the")
+print("nightly suite for the full-size comparison.")
 
 # ---- persistence ---------------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:

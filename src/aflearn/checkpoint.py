@@ -37,8 +37,8 @@ class CheckpointError(ValueError):
     """Malformed or incompatible checkpoint file."""
 
 
-def save_checkpoint(path, params, dft_size=None, metadata=None):
-    """Write params and optional run metadata; returns the path."""
+def save_checkpoint(path, params, dft_size, metadata=None):
+    """Write params, the DFT size they run at and optional run metadata; returns the path."""
     tensors = []
     blobs = []
     offset = 0
@@ -92,14 +92,13 @@ def _check_header(path, header):
     hidden = header["hidden_size"]
     require(is_int(hidden) and hidden >= 1, f"bad hidden_size {hidden!r}")
     dft_size = header["dft_size"]
-    if dft_size is not None:
-        require(is_int(dft_size), f"bad dft_size {dft_size!r}")
-        try:
-            OlsConfig(dft_size)
-            structure.group_count(dft_size)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: dft_size {dft_size} does not fit "
-                                  f"{structure.label} ({exc})") from None
+    require(is_int(dft_size), f"bad dft_size {dft_size!r}")
+    try:
+        OlsConfig(dft_size)
+        structure.group_count(dft_size)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: dft_size {dft_size} does not fit "
+                              f"{structure.label} ({exc})") from None
     require(isinstance(header["metadata"], dict), "metadata is not a JSON object")
     require(isinstance(header["tensors"], list), "tensors is not a JSON list")
     for entry in header["tensors"]:

@@ -1,4 +1,4 @@
-"""Hand-tuned frequency-domain adaptive filters: NLMS, per-bin RLS, per-bin Kalman.
+"""Frequency-domain adaptive filters at untuned defaults: NLMS, per-bin RLS, per-bin Kalman.
 
 All three share the overlap-save geometry and the hop kernel from ols.py and
 keep the filter constrained via project_filter after every update.  Every step

@@ -302,7 +302,7 @@ def cmd_train(args):
     resume = None
     if config["resume"]:  # train_update_rule checks that the checkpoint fits the run
         params, header = load_checkpoint(config["resume"])
-        require(header["dft_size"] in (None, cfg.dft_size), "resume", f"checkpoint was trained "
+        require(header["dft_size"] == cfg.dft_size, "resume", f"checkpoint was trained "
                 f"at dft_size {header['dft_size']}, config wants {cfg.dft_size}")
         state = header["metadata"].get("schedule_state")
         require(state is not None, "resume", "checkpoint has no schedule state")
@@ -400,7 +400,7 @@ def _session_for(target, dft_size, sample_rate, hyper):
             raise CheckpointError(f"{target}: bad sample_rate {rate!r} in metadata")
         require(rate == sample_rate, "sample_rate",
                 f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
-        dft_size = header["dft_size"] or dft_size
+        dft_size = header["dft_size"]
     try:
         cfg = OlsConfig(dft_size, sample_rate=sample_rate)
     except ValueError as exc:
@@ -411,18 +411,24 @@ def _session_for(target, dft_size, sample_rate, hyper):
 
 
 def _eval_chunk_task(task):
-    """Rows of scenes scored in lockstep; module-level so --jobs workers can pickle it."""
+    """Rows of scenes scored in lockstep; module-level so --jobs workers can pickle it.
+    A ``NumericError`` names the chunk's scenes."""
     directory, entries, label, cfg, session = task
     scenes = [load_scene(directory, e["stem"]) for e in entries]
     for entry, scene in zip(entries, scenes):
         require(scene.spec.sample_rate == cfg.sample_rate, "sample_rate",
                 f"{entry['stem']}: scene is {scene.spec.sample_rate} Hz, "
                 f"session expects {cfg.sample_rate} Hz")
+    try:
+        scores = scene_scores(session, scenes, cfg)
+    except NumericError as exc:
+        raise NumericError(f"{exc} in a lockstep chunk of scenes "
+                           f"{', '.join(e['stem'] for e in entries)}") from exc
     return [
         {"scene": e["stem"], "seed": e["seed"], "split": e["split"], "algorithm": label,
          "serle_db": "" if serle is None else round(serle, 4), "erle_db": round(erle, 4),
          "frames": frames}
-        for e, (serle, erle, frames) in zip(entries, scene_scores(session, scenes, cfg))
+        for e, (serle, erle, frames) in zip(entries, scores)
     ]
 
 

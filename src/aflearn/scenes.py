@@ -478,9 +478,10 @@ def load_scene(directory, stem):
 
     A sidecar or echo-path file that does not parse, a sidecar ``save_scene``
     could not have written (schema, seed, levels, nonlinearity), a WAV that
-    does not match the sidecar (not mono, another sample rate or length), or
-    a mic WAV whose samples are not echo + near + noise to float32 rounding
-    raises an OSError naming it.  ``Scene.mic`` stays the sum of the components.
+    does not match the sidecar (not mono, another sample rate or length) or
+    holds a non-finite sample, or a mic WAV whose samples are not echo + near
+    + noise to float32 rounding raises an OSError naming it.  ``Scene.mic``
+    stays the sum of the components.
     """
     directory = Path(directory)
     sidecar = directory / f"{stem}.json"
@@ -510,6 +511,10 @@ def load_scene(directory, stem):
         if signals[name].size != spec.num_samples:
             raise OSError(f"{path}: {signals[name].size} samples, but its sidecar "
                           f"{sidecar.name} gives {spec.num_samples}")
+        nonfinite = np.flatnonzero(~np.isfinite(signals[name]))
+        if nonfinite.size:
+            raise OSError(f"{path}: {nonfinite.size} non-finite samples, the first "
+                          f"({signals[name][nonfinite[0]]}) at {nonfinite[0]}")
     parts = [signals[name] for name in ("echo", "near", "noise")]
     # each of the four files rounds to float32 once: 2^-24 relative apiece, 2x margin
     bad = np.abs(signals["mic"] - sum(parts)) > 2.0**-22 * sum(np.abs(x) for x in parts)

@@ -130,16 +130,13 @@ class TrainSchedule:
 def meta_loss(d_hops, y_hops):
     """ln of the window mean-square residual, averaged over the batch.
 
-    Inputs are (L, batch, R) or (L, R); the log is taken per scene.
+    Inputs are (L, batch, R) windows; the log is taken per scene.
     """
     d_hops = np.asarray(d_hops, dtype=float)
     y_hops = np.asarray(y_hops, dtype=float)
     if d_hops.shape != y_hops.shape:
         raise ValueError("desired/output windows must have the same shape")
-    diff = d_hops - y_hops
-    if diff.ndim == 2:
-        diff = diff[:, None, :]
-    mse = np.mean(diff**2, axis=(0, 2))
+    mse = np.mean((d_hops - y_hops) ** 2, axis=(0, 2))
     return float(np.mean(np.log(mse + LOSS_EPS)))
 
 
@@ -417,10 +414,11 @@ def train_update_rule(
     train_seeds,
     val_seeds,
     schedule=None,
-    epochs=20,
-    batch_size=8,
-    unroll=20,
-    init_seed=0,
+    *,
+    epochs,
+    batch_size,
+    unroll,
+    init_seed,
     log=None,
     checkpoint_cb=None,
     resume=None,
@@ -428,7 +426,9 @@ def train_update_rule(
     """Meta-train an update rule; returns (best params, per-epoch history).
 
     Scenes are regenerated from their seeds each epoch, so the training set
-    is defined entirely by (scene_spec, train_seeds).  ``checkpoint_cb``, if
+    is defined entirely by (scene_spec, train_seeds).  ``epochs``,
+    ``batch_size``, ``unroll`` and ``init_seed`` have no defaults here:
+    ``aflearn train``'s are ``cli.TRAIN_DEFAULTS``.  ``checkpoint_cb``, if
     given, is called after every epoch with (best-so-far params, schedule
     state dict) so callers can persist progress before a possible divergence.
     ``resume`` restores a schedule state: a dict with params, epoch, lr,
@@ -437,6 +437,8 @@ def train_update_rule(
     ``unroll`` longer than a scene (no window would fit), raises ConfigError
     naming it, as does a ``resume`` of another structure or hidden size
     (``resume``) or with no epoch left (``epochs``), before any scene is drawn.
+    A ``NumericError`` names its epoch and the scene seeds of its window or
+    of the validation.
     """
     require(len(train_seeds) >= 1, "train_seeds", "must name at least one scene")
     require(batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}")
@@ -510,7 +512,11 @@ def train_update_rule(
                     raise NumericError(f"non-finite gradient norm {norm} in {where}")
                 adam_step(flat, grads.buffer.view(np.float64), adam, lr)
 
-        score = evaluate_mean_serle(params, val_scenes, cfg)
+        try:
+            score = evaluate_mean_serle(params, val_scenes, cfg)
+        except NumericError as exc:
+            raise NumericError(f"{exc} in epoch {epoch} validation, scene seeds "
+                               f"{[int(s) for s in val_seeds]}") from exc
         history.append(
             {
                 "epoch": epoch,

@@ -348,7 +348,7 @@ def test_grouped_structures_cost_less_per_frame_at_equal_state_size():
 
 
 # ---------------------------------------------------------------------------
-# 6. Desk-scale learning: trained rules beat the tuned NLMS baseline.
+# 6. Desk-scale learning: trained rules beat NLMS at its default step size 0.5.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.nightly

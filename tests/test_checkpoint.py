@@ -58,7 +58,7 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_truncated_blob(tmp_path):
     params = _params()
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, dft_size=64)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 16])
     with pytest.raises(CheckpointError):
@@ -68,7 +68,7 @@ def test_rejects_truncated_blob(tmp_path):
 def test_rejects_wrong_schema(tmp_path):
     params = _params()
     path = tmp_path / "s.ckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, dft_size=64)
     data = bytearray(path.read_bytes())
     # bump the schema integer inside the JSON header
     idx = data.find(b'"schema":1')
@@ -130,6 +130,7 @@ CORRUPTIONS = {
     "wider-structure": lambda h, body: h["structure"].update(width=8),
     "ungroupable-dft-size": lambda h, body: h.update(dft_size=2),
     "non-power-of-two-dft-size": lambda h, body: h.update(dft_size=48),
+    "null-dft-size": lambda h, body: h.update(dft_size=None),
     "tensors-not-a-list": lambda h, body: h.update(tensors={}),
     "non-finite-value": _nan_in_last_value,
     "overlapping-entry": _overlapping_entry,

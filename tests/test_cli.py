@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,12 @@ def _nudged(path):
     write_wav(path, data, rate)
 
 
+def _nan_sample(path):
+    rate, data = read_wav(path)
+    data[1234] = np.nan
+    write_wav(path, data, rate)
+
+
 CORRUPT_SCENE_FILES = {
     "sidecar-without-nonlinearity": ("json", _drop_key("nonlinearity")),
     "unknown-spec-field": ("json", _spec_value("bogus", 1)),
@@ -484,6 +491,9 @@ CORRUPT_SCENE_FILES = {
     "truncated-farend-wav": ("farend.wav", _shortened),
     # the mic recording must be the sum of its components, to float32 rounding
     "mic-wav-disagrees-with-components": ("mic.wav", _nudged),
+    # a NaN in a component passes the sum check, and one in the far end is never summed
+    "nan-in-farend": ("farend.wav", _nan_sample),
+    "nan-in-mic": ("mic.wav", _nan_sample),
 }
 
 
@@ -497,6 +507,19 @@ def test_eval_corrupt_scene_files_are_io_errors(tmp_path, dataset, case, jobs, c
                  "--dft-size", "64", "--jobs", jobs]) == 4
     err = capsys.readouterr().err
     assert "i/o error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("jobs, chunk", [("1", 5), ("2", 3)])
+def test_eval_numeric_failure_names_its_lockstep_chunk(tmp_path, dataset, jobs, chunk, capsys):
+    # eps 0 divides by the zero power of a silent bin: every scene fails at frame 0, and
+    # the first chunk's error is the one reported (five scenes: one chunk, or 3 + 2)
+    with np.errstate(invalid="ignore", divide="ignore"):  # forked workers inherit it
+        assert main(["eval", "nlms", str(dataset), str(tmp_path / "o.csv"), "--split", "all",
+                     "--dft-size", "64", "--jobs", jobs, "--hyper", '{"eps": 0.0}']) == 3
+    err = capsys.readouterr().err
+    stems = ", ".join(f"scene_{i:05d}" for i in range(chunk))
+    assert "non-finite filter update (frame 0)" in err
+    assert err.rstrip().endswith(f"in a lockstep chunk of scenes {stems}")
 
 
 def test_cancel_on_a_stereo_wav_is_a_config_error(tmp_path, dataset):
@@ -709,6 +732,21 @@ def test_cancel_rejects_rate_and_length_mismatch(tmp_path, dataset):
     save_checkpoint(bad_ckpt, init_meta_params(DependencyStructure.block(4), 4), dft_size=64,
                     metadata={"sample_rate": 0})
     assert main(["cancel", str(mic), str(mic), str(bad_ckpt), str(tmp_path / "x.wav")]) == 4
+
+
+def test_eval_of_a_checkpoint_without_a_dft_size_exits_4(tmp_path, dataset, capsys):
+    # every checkpoint records its DFT size: a null one is a corrupt header, and
+    # --dft-size does not stand in for it
+    ckpt = tmp_path / "rule.ckpt"
+    save_checkpoint(ckpt, init_meta_params(DependencyStructure.block(4), 4), dft_size=64)
+    data = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 8)
+    header = {**json.loads(data[16 : 16 + length]), "dft_size": None}
+    encoded = json.dumps(header).encode()
+    ckpt.write_bytes(data[:8] + struct.pack("<Q", len(encoded)) + encoded + data[16 + length :])
+    assert main(["eval", str(ckpt), str(dataset), str(tmp_path / "o.csv"),
+                 "--dft-size", "64"]) == 4
+    assert f"i/o error: {ckpt}: bad dft_size None" in capsys.readouterr().err
 
 
 def test_plot_script_covers_each_schema(tmp_path, dataset):
