@@ -1,14 +1,15 @@
 """Checkpoint container for trained update rules.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
-with sorted keys, then the raw little-endian complex128 tensor blobs in header
-order, which is ``MetaParams.tensors`` order (each GRU layer gate by gate),
-not buffer order.  The blobs are packed: each entry's offset is the sum of the
-earlier entries' byte counts, and the file ends with the last blob.
-Serialization is fully deterministic, so saving a loaded checkpoint reproduces
-the file byte for byte.  Loading checks every entry against
-``optimizer.param_layout`` and the packing before it allocates the parameter
-buffer.
+with sorted keys, then the body: the parameter buffer as little-endian
+complex128, so the header lists the tensors in ``optimizer.param_layout``
+order.  Each entry's offset is the sum of the earlier entries' byte counts,
+and the file ends with the last tensor.  Loading places each blob by name, so
+files whose entries are packed in another order (older files list each GRU
+layer gate by gate) load too.  Serialization is fully deterministic: loading
+a file this module wrote and saving it again reproduces it byte for byte.
+Loading checks every entry against ``param_layout`` and the packing before it
+allocates the parameter buffer.
 """
 
 from __future__ import annotations
@@ -40,20 +41,11 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, params, dft_size, metadata=None):
     """Write params, the DFT size they run at and optional run metadata; returns the path."""
     tensors = []
-    blobs = []
     offset = 0
     for name, tensor in params.tensors.items():
-        blob = np.ascontiguousarray(tensor, dtype="<c16").tobytes()
-        tensors.append(
-            {
-                "name": name,
-                "shape": list(tensor.shape),
-                "offset": offset,
-                "nbytes": len(blob),
-            }
-        )
-        blobs.append(blob)
-        offset += len(blob)
+        tensors.append({"name": name, "shape": list(tensor.shape), "offset": offset,
+                        "nbytes": tensor.nbytes})
+        offset += tensor.nbytes
     header = {
         "schema": SCHEMA,
         "structure": {"kind": params.structure.kind, "width": params.structure.width},
@@ -67,8 +59,7 @@ def save_checkpoint(path, params, dft_size, metadata=None):
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(encoded)))
         fh.write(encoded)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(np.ascontiguousarray(params.buffer, dtype="<c16").tobytes())
     return Path(path)
 
 

@@ -21,10 +21,11 @@ predicts ``A w`` before the hop, so the hop kernel's error is the innovation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .errors import is_finite_real, require
 from .ols import project_filter
 
 __all__ = [
@@ -39,12 +40,37 @@ __all__ = [
 ]
 
 
+_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]")
+_NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
+_RANGES = {  # hyperparameter -> (whether a finite value is in range, the range)
+    "step_size": (lambda x: 0 < x < 2, "in (0, 2)"),
+    "forget": _UNIT, "transition": _UNIT, "noise_smoothing": _UNIT,
+    "eps": _NON_NEGATIVE, "p0": _NON_NEGATIVE, "obs_noise": _NON_NEGATIVE,
+    "process_noise": _NON_NEGATIVE,
+}
+
+
+def _check_hyper(state_type, **values):
+    """Raise ``ConfigError("hyper", ...)`` unless each hyperparameter that
+    ``state_type`` or its factory takes is finite and in range; names it does
+    not take are left to its constructor to refuse."""
+    takes = {field.name for field in fields(state_type)} | {"p0"}
+    for name, value in values.items():
+        if name in takes and name in _RANGES:
+            in_range, span = _RANGES[name]
+            require(is_finite_real(value) and in_range(value), "hyper",
+                    f"{name} must be a finite number {span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NlmsState:
     """Normalized LMS: fixed step size, per-bin instantaneous power normalization."""
 
     step_size: float = 0.5
     eps: float = 1e-3
+
+    def __post_init__(self):
+        _check_hyper(NlmsState, step_size=self.step_size, eps=self.eps)
 
 
 @dataclass(frozen=True)
@@ -67,11 +93,14 @@ class KfState:
     noise_smoothing: float = 0.99
 
 
+# the factories check the hyperparameters once; the steps rebuild the states every hop
 def make_rls_state(num_bins, p0=1e2, **hyper):
+    _check_hyper(RlsState, p0=p0, **hyper)
     return RlsState(p=np.full(num_bins, float(p0)), **hyper)
 
 
 def make_kf_state(num_bins, p0=1.0, obs_noise=1e-2, **hyper):
+    _check_hyper(KfState, p0=p0, obs_noise=obs_noise, **hyper)
     return KfState(p=np.full(num_bins, float(p0)), obs_noise=float(obs_noise), **hyper)
 
 

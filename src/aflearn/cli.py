@@ -114,10 +114,7 @@ def validate_train_config(raw):
     out["hidden_size"] = check_number(out["hidden_size"], "hidden_size", int, 1)
     out["dft_size"] = check_number(out["dft_size"], "dft_size", int, 2)
     out["sample_rate"] = check_number(out["sample_rate"], "sample_rate", int, 1)
-    try:
-        OlsConfig(out["dft_size"], sample_rate=out["sample_rate"])
-    except ValueError as exc:
-        raise ConfigError("dft_size", str(exc)) from None
+    OlsConfig(out["dft_size"], sample_rate=out["sample_rate"])
     if hop is not None:
         hop = check_number(hop, "hop", int, 1)
         require(hop == out["dft_size"] // 2, "hop",
@@ -401,10 +398,7 @@ def _session_for(target, dft_size, sample_rate, hyper):
         require(rate == sample_rate, "sample_rate",
                 f"{target} expects {rate} Hz, the inputs are {sample_rate} Hz")
         dft_size = header["dft_size"]
-    try:
-        cfg = OlsConfig(dft_size, sample_rate=sample_rate)
-    except ValueError as exc:
-        raise ConfigError("dft_size", str(exc)) from None
+    cfg = OlsConfig(dft_size, sample_rate=sample_rate)
     if params is None:
         return cfg, partial(run_classic_session, target, cfg=cfg, hyper=hyper), None
     return cfg, partial(run_learned_session, params, cfg=cfg), params

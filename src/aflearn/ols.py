@@ -44,7 +44,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericError
+from .errors import NumericError, require
 from .layers import (
     DESIRED_ROW,
     ERROR_ROW,
@@ -81,10 +81,9 @@ class OlsConfig:
 
     def __post_init__(self):
         k = self.dft_size
-        if k < 4 or (k & (k - 1)) != 0:
-            raise ValueError(f"dft_size must be a power of two >= 4, got {k}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        require(k >= 4 and (k & (k - 1)) == 0, "dft_size",
+                f"must be a power of two >= 4, got {k}")
+        require(self.sample_rate > 0, "sample_rate", f"must be positive, got {self.sample_rate}")
 
     @classmethod
     def for_dft_size(cls, dft_size, sample_rate=16000):

@@ -15,7 +15,9 @@ Activations are group-last (see ``layers``): the C groups run along the last
 axis, so every weight multiplies from the left and every gate is a contiguous
 (H, C) block per scene.
 Parameters are shared across groups; only the hidden state is per group.
-They live in one complex buffer whose layout ``param_layout`` defines.
+They live in one complex buffer whose layout ``param_layout`` defines; that
+is their one order, which ``MetaParams.tensors`` lists and a checkpoint's
+body holds.
 
 The raw rows are written in place by the hop (``ols.feature_hop``) into a
 buffer its caller owns, one per session or training window.
@@ -73,25 +75,14 @@ def param_layout(structure, hidden_size):
     return layout
 
 
-def _serialization_order(names):
-    """Checkpoint order of ``names`` given in buffer order: each GRU layer's
-    tensors go gate by gate (w_z, u_z, b_z, w_r, ...); the rest keep their place."""
-    blocks = list(dict.fromkeys(name.split(".")[0] for name in names))
-
-    def key(name):
-        block, _, field = name.partition(".")
-        return blocks.index(block), _GATES.index(field[-1]) if block.startswith("gru") else 0
-
-    return sorted(names, key=key)
-
-
 class MetaParams:
     """All learnable tensors of the update rule, as views of one complex buffer.
 
-    ``tensors`` maps the checkpoint names to their views in serialization
-    order.  The sampler, the two GRU layers (``grus``) and the output dense
-    layer are built once, from views of the same buffer, so an in-place
-    write to ``buffer`` (Adam, a finite-difference probe) reaches every path.
+    ``tensors`` maps the checkpoint names to their views in ``param_layout``
+    order, which is buffer order.  The sampler, the two GRU layers (``grus``)
+    and the output dense layer are built once, from views of the same buffer,
+    so an in-place write to ``buffer`` (Adam, a finite-difference probe)
+    reaches every path.
     ``buffer.view(np.float64)`` is the interleaved [re0, im0, re1, ...] vector.
     """
 
@@ -111,7 +102,7 @@ class MetaParams:
             starts[name] = pos
             views[name] = buffer[pos : pos + math.prod(shape)].reshape(shape)
             pos += views[name].size
-        self.tensors = {name: views[name] for name in _serialization_order(list(views))}
+        self.tensors = views
 
         def gate_stack(prefix):  # prefix_z|prefix_r|prefix_c as one view
             first = views[prefix + "_z"]

@@ -386,9 +386,10 @@ def read_wav(path, expect_rate=None):
     WAVE_FORMAT_EXTENSIBLE ``fmt `` chunk declares integer PCM (8-bit unsigned;
     16-, 24- or 32-bit signed containers, which may hold fewer valid bits) or
     IEEE float at 32 or 64 bits.  PCM is rescaled to [-1, 1) by its container's
-    full scale.  Other chunks are skipped.  A file that is none of these, or is
-    cut short, raises OSError naming it; another sample rate than
-    ``expect_rate``, or more than one channel, raises ConfigError.
+    full scale.  Other chunks are skipped.  A file that is none of these, is
+    cut short or holds a non-finite float sample raises OSError naming it;
+    another sample rate than ``expect_rate``, or more than one channel, raises
+    ConfigError.
     """
     with open(path, "rb") as f:
         try:
@@ -425,7 +426,12 @@ def read_wav(path, expect_rate=None):
         count = size // width
         data = np.fromfile(f, dtype=dtype, count=count * width // dtype.itemsize)
     if tag == _IEEE_FLOAT:
-        return rate, np.asarray(data, dtype=float)
+        samples = np.asarray(data, dtype=float)
+        nonfinite = np.flatnonzero(~np.isfinite(samples))
+        if nonfinite.size:
+            raise OSError(f"{path}: {nonfinite.size} non-finite samples, the first "
+                          f"({samples[nonfinite[0]]}) at {nonfinite[0]}")
+        return rate, samples
     if width == 1:
         return rate, (data - 128.0) / 128.0
     if width == 3:  # left-justified in an int32, so it scales like 32-bit PCM
@@ -511,10 +517,6 @@ def load_scene(directory, stem):
         if signals[name].size != spec.num_samples:
             raise OSError(f"{path}: {signals[name].size} samples, but its sidecar "
                           f"{sidecar.name} gives {spec.num_samples}")
-        nonfinite = np.flatnonzero(~np.isfinite(signals[name]))
-        if nonfinite.size:
-            raise OSError(f"{path}: {nonfinite.size} non-finite samples, the first "
-                          f"({signals[name][nonfinite[0]]}) at {nonfinite[0]}")
     parts = [signals[name] for name in ("echo", "near", "noise")]
     # each of the four files rounds to float32 once: 2^-24 relative apiece, 2x margin
     bad = np.abs(signals["mic"] - sum(parts)) > 2.0**-22 * sum(np.abs(x) for x in parts)

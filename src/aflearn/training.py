@@ -53,8 +53,8 @@ hop adjoint: hop 0 and its features depend only on the incoming filter.
 ``train_update_rule`` keeps one workspace per batch size and reuses it for
 every window, so training maps that memory once.
 Every layer's backward adds its parameter gradients into the window's one
-gradient holder (``MetaParams.zeros_like``); clipping scales it in place, and
-Adam updates the float view of the parameter buffer in place.
+gradient holder (``MetaParams.zeros_like``); clipping scales its buffer in
+place, and Adam updates the float view of the parameter buffer in place.
 ``TrainSchedule`` is the one owner of the schedule: the names, defaults and
 checks of the ``schedule`` keys of ``aflearn train``'s config, and
 ``train_update_rule`` the one judge of whether a resume fits the run.
@@ -342,19 +342,12 @@ def adam_step(flat, grad, adam, lr):
     return flat
 
 
-def clip_gradients(g_tensors, max_norm):
-    """Global-norm clip over all tensors, scaling them in place; returns the pre-clip norm.
-
-    The norm is summed tensor by tensor in the dict's order.
-    """
-    total = 0.0
-    for g in g_tensors.values():
-        total += float(np.sum(g.real**2 + g.imag**2))
-    norm = np.sqrt(total)
+def clip_gradients(grads, max_norm):
+    """Global-norm clip of the complex gradient buffer, scaling it in place;
+    returns the pre-clip norm, taken over the buffer's interleaved float view."""
+    norm = np.linalg.norm(grads.view(np.float64))
     if max_norm and max_norm < norm < np.inf:  # a non-finite norm is the caller's to report
-        scale = max_norm / norm
-        for g in g_tensors.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 
@@ -507,7 +500,7 @@ def train_update_rule(
                 except NumericError as exc:
                     raise NumericError(f"{exc} in {where}") from exc
                 losses.append(loss)
-                norm = clip_gradients(grads.tensors, schedule.clip)
+                norm = clip_gradients(grads.buffer, schedule.clip)
                 if not np.isfinite(norm):  # stop before Adam spreads it into the parameters
                     raise NumericError(f"non-finite gradient norm {norm} in {where}")
                 adam_step(flat, grads.buffer.view(np.float64), adam, lr)

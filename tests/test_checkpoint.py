@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aflearn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from aflearn.optimizer import init_meta_params
+from aflearn.optimizer import init_meta_params, param_layout
 from aflearn.structures import DependencyStructure
 
 
@@ -46,6 +46,54 @@ def test_save_is_deterministic_and_reload_is_byte_identical(tmp_path):
     save_checkpoint(c, loaded, dft_size=header["dft_size"], metadata=header["metadata"])
     assert c.read_bytes() == a.read_bytes()
     assert hashlib.sha256(c.read_bytes()).hexdigest() == hashlib.sha256(a.read_bytes()).hexdigest()
+
+
+def _split(data):
+    """(header dict, body bytes) of a checkpoint file's contents."""
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16 : 16 + header_len]), data[16 + header_len :]
+
+
+def _joined(header, body):
+    encoded = json.dumps(header).encode()
+    return b"AFLEARN1" + struct.pack("<Q", len(encoded)) + encoded + bytes(body)
+
+
+def test_body_is_the_parameter_buffer_in_layout_order(tmp_path):
+    params = _params()
+    path = tmp_path / "rule.ckpt"
+    save_checkpoint(path, params, dft_size=64)
+    header, body = _split(path.read_bytes())
+    assert body == params.buffer.tobytes()
+    names = [name for name, _ in param_layout(params.structure, params.hidden_size)]
+    assert list(params.tensors) == names
+    assert [entry["name"] for entry in header["tensors"]] == names
+
+
+def test_loads_a_file_packed_gate_by_gate(tmp_path):
+    # older files list each GRU layer gate by gate (w_z, u_z, b_z, w_r, ...); the
+    # loader places every blob by name, so they load into the same tensors
+    params = _params()
+    path = tmp_path / "rule.ckpt"
+    save_checkpoint(path, params, dft_size=64)
+    header, body = _split(path.read_bytes())
+    entries = {entry["name"]: entry for entry in header["tensors"]}
+    order = ["down_kernel"]
+    for layer in ("gru0", "gru1"):
+        order += [f"{layer}.{field}_{gate}" for gate in "zrc" for field in "wub"]
+    order += ["out.weight", "out.bias", "up_kernel"]
+    assert sorted(order) == sorted(entries) and order != list(entries)
+    blobs, offset = [], 0
+    for name in order:
+        entry = entries[name]
+        blobs.append(body[entry["offset"] : entry["offset"] + entry["nbytes"]])
+        entry["offset"] = offset
+        offset += entry["nbytes"]
+    header["tensors"] = [entries[name] for name in order]
+    path.write_bytes(_joined(header, b"".join(blobs)))
+    loaded, _ = load_checkpoint(path)
+    for name, tensor in params.tensors.items():
+        assert loaded.tensors[name].tobytes() == tensor.tobytes(), name
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -143,13 +191,10 @@ CORRUPTIONS = {
 def test_rejects_corrupted_checkpoint(tmp_path, corruption):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _params(), dft_size=64)
-    data = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", data, 8)
-    header = json.loads(data[16 : 16 + header_len])
-    body = bytearray(data[16 + header_len :])
+    header, body = _split(path.read_bytes())
+    body = bytearray(body)
     CORRUPTIONS[corruption](header, body)
-    encoded = json.dumps(header).encode()
-    path.write_bytes(data[:8] + struct.pack("<Q", len(encoded)) + encoded + bytes(body))
+    path.write_bytes(_joined(header, body))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 

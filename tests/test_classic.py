@@ -15,6 +15,7 @@ from aflearn.classic import (
     nlms_step,
     rls_step,
 )
+from aflearn.errors import ConfigError
 from aflearn.metrics import misalignment_db
 from aflearn.ols import (
     OlsConfig,
@@ -170,6 +171,16 @@ def test_session_matches_the_full_k_reference(algorithm, path_change_scene):
     assert rel_error(res.output, output) < 1e-12
     assert rel_error(res.error, error) < 1e-12
     assert rel_error(res.weights, weights) < 1e-12
+
+
+@pytest.mark.parametrize("build", [lambda: NlmsState(step_size=2.0),
+                                   lambda: make_rls_state(16, forget=float("nan")),
+                                   lambda: make_kf_state(16, process_noise=-1e-6)],
+                         ids=["nlms", "rls", "kf"])
+def test_out_of_range_hyperparameter_is_a_config_error(build):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert info.value.field == "hyper"
 
 
 def test_rls_unit_forget_accumulates_inverse_power():

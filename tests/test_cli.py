@@ -522,6 +522,40 @@ def test_eval_numeric_failure_names_its_lockstep_chunk(tmp_path, dataset, jobs, 
     assert err.rstrip().endswith(f"in a lockstep chunk of scenes {stems}")
 
 
+OUT_OF_RANGE_HYPER = [
+    ("nlms", {"step_size": -1}), ("nlms", {"step_size": 0}), ("nlms", {"step_size": 2}),
+    ("nlms", {"eps": -1e-9}), ("rls", {"forget": 1.5}), ("rls", {"forget": -0.1}),
+    ("rls", {"eps": -1}), ("rls", {"p0": -1}), ("kf", {"transition": 1.01}),
+    ("kf", {"noise_smoothing": -0.5}), ("kf", {"p0": -1}), ("kf", {"obs_noise": -1}),
+    ("kf", {"process_noise": -1e-3}),
+]
+
+
+def test_out_of_range_hyper_exits_2(tmp_path, dataset, capsys):
+    far, mic = (str(dataset / f"scene_00000.{name}.wav") for name in ("farend", "mic"))
+    for algorithm, hyper in OUT_OF_RANGE_HYPER:
+        (name,) = hyper
+        assert main(["cancel", far, mic, algorithm, str(tmp_path / "o.wav"), "--dft-size", "64",
+                     "--hyper", json.dumps(hyper)]) == 2, (algorithm, hyper)
+        assert f"config error: hyper: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("name", ["farend", "mic"])
+def test_cancel_on_a_wav_with_a_nan_is_an_io_error(tmp_path, dataset, name, capsys):
+    # caught where the file is read, naming it, not as a non-finite frame of the session
+    far, mic = (dataset / f"scene_00001.{part}.wav" for part in ("farend", "mic"))
+    path = far if name == "farend" else mic
+    rate, data = read_wav(path)
+    data[5000] = np.nan
+    write_wav(path, data, rate)
+    assert main(["cancel", str(far), str(mic), "nlms", str(tmp_path / "o.wav"),
+                 "--dft-size", "64"]) == 4
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: 1 non-finite samples, the first (nan) at 5000" in err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_cancel_on_a_stereo_wav_is_a_config_error(tmp_path, dataset):
     # the same WAV that makes a scene corrupt is a bad argument to cancel
     mic = dataset / "scene_00001.mic.wav"
@@ -612,12 +646,19 @@ def test_bad_dft_size_and_hyper_are_config_errors(tmp_path, dataset, capsys):
                     ["cancel", mic, mic, "nlms", str(tmp_path / "o.wav")]):
         assert main(command + ["--dft-size", "100"]) == 2
         assert "config error: dft_size:" in capsys.readouterr().err
-        for hyper in ("[1]", '{"bogus": 1}', '{"eps": "small"}'):
+        for hyper in ("[1]", '{"bogus": 1}', '{"eps": "small"}', '{"step_size": -1}'):
             assert main(command + ["--dft-size", "64", "--hyper", hyper]) == 2, hyper
             assert "config error: hyper:" in capsys.readouterr().err
     # raised in a worker process, the error still reaches the exit code
     assert main(["eval", "rls", str(dataset), str(tmp_path / "o.csv"), "--split", "all",
                  "--dft-size", "64", "--jobs", "2", "--hyper", '{"step_size": 1}']) == 2
+
+
+def test_cancel_at_0_hz_names_sample_rate(tmp_path, capsys):
+    wav = tmp_path / "zero.wav"
+    write_wav(wav, np.zeros(256), 0)
+    assert main(["cancel", str(wav), str(wav), "nlms", str(tmp_path / "o.wav")]) == 2
+    assert "config error: sample_rate: must be positive, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["cancel", "eval", "sweep"])

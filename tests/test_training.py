@@ -345,15 +345,15 @@ def test_adam_step_first_update_is_lr_sized():
 
 
 def test_clip_gradients_global_norm():
-    g = {"a": np.array([3.0 + 0j]), "b": np.array([4.0j])}
+    g = np.array([3.0 + 0j, 4.0j])
     norm = clip_gradients(g, max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
-    clipped = np.sqrt(sum(float(np.sum(v.real**2 + v.imag**2)) for v in g.values()))
+    clipped = np.sqrt(float(np.sum(g.real**2 + g.imag**2)))
     assert abs(clipped - 1.0) < 1e-12
-    g2 = {"a": np.array([0.3 + 0j])}
+    g2 = np.array([0.3 + 0j])
     norm2 = clip_gradients(g2, max_norm=1.0)
     assert abs(norm2 - 0.3) < 1e-12
-    assert g2["a"][0] == 0.3 + 0j
+    assert g2[0] == 0.3 + 0j
 
 
 def test_clip_and_adam_update_the_parameter_buffer_in_place():
@@ -368,8 +368,8 @@ def test_clip_and_adam_update_the_parameter_buffer_in_place():
     _, grads, _, _, _ = window_gradient(params, cfg, w, state, frames, d_hops)
 
     max_norm = 1e-3
-    assert clip_gradients(grads.tensors, max_norm) > max_norm
-    # a clip that rebinds the views would leave the holder's buffer, which Adam reads, unclipped
+    assert clip_gradients(grads.buffer, max_norm) > max_norm
+    # a clip that rebinds the buffer would leave the holder's one, which Adam reads, unclipped
     assert abs(np.linalg.norm(grads.buffer.view(np.float64)) - max_norm) < 1e-12 * max_norm
     before = params.to_flat()
     adam = AdamState.zeros(before.size)

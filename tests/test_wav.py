@@ -139,6 +139,19 @@ def test_malformed_wav_is_an_io_error(tmp_path, case, capsys):
     assert "i/o error" in err and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_sample_is_an_io_error(tmp_path, width, bad):
+    data = np.zeros(100, dtype=f"<f{width}")
+    data[[37, 60]] = bad
+    path = tmp_path / "x.wav"
+    path.write_bytes(wav_bytes([chunk(b"fmt ", fmt_body(IEEE_FLOAT, 8 * width, width)),
+                                chunk(b"data", data.tobytes())]))
+    with pytest.raises(OSError, match=re.escape(f"{path}: 2 non-finite samples, the first "
+                                                f"({float(bad)}) at 37")):
+        read_wav(path)
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, aflearn, aflearn.cli; "
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
